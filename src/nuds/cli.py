@@ -78,10 +78,34 @@ class Config:
         )
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ValueError(f"config is missing required key {key!r}")
-    return doc[key]
+def _require(doc: dict, key: str, where: str = "config"):
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{where} is missing required key {key!r}") from None
+    except TypeError:
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}") from None
+
+
+def _integer(doc: dict, key: str, where: str = "config") -> int:
+    """An integral number: 4 and 4.0 are accepted; 4.7, "4", null and true are not."""
+    raw = _require(doc, key, where)
+    try:
+        integral = not isinstance(raw, bool) and int(raw) == raw
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{key} must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _field(doc: dict, key: str, parse, *args):
+    """Parse the required value doc[key], naming the key in any error."""
+    raw = _require(doc, key)
+    try:
+        return parse(raw, *args)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _parse_operator(raw, dim: int) -> np.ndarray:
@@ -90,10 +114,10 @@ def _parse_operator(raw, dim: int) -> np.ndarray:
     elif isinstance(raw, dict) and "generator" in raw:
         name = raw["generator"]
         if name == "diag":
-            entries = linalg.vector_from_pairs(_require(raw, "entries"))
+            entries = linalg.vector_from_pairs(_require(raw, "entries", "generator"))
             A = np.diag(entries)
         elif name == "scaled_identity":
-            scale = linalg.pair_to_complex(_require(raw, "scale"))
+            scale = linalg.pair_to_complex(_require(raw, "scale", "generator"))
             A = scale * np.eye(dim, dtype=complex)
         else:
             raise ValueError(
@@ -101,9 +125,9 @@ def _parse_operator(raw, dim: int) -> np.ndarray:
                 "'scaled_identity')"
             )
     else:
-        raise ValueError("A must be a dense matrix or a generator object")
+        raise ValueError("expected a dense matrix or a generator object")
     if A.shape != (dim, dim):
-        raise ValueError(f"A has shape {A.shape}, expected ({dim}, {dim})")
+        raise ValueError(f"matrix has shape {A.shape}, expected ({dim}, {dim})")
     return A
 
 
@@ -114,7 +138,7 @@ def _parse_family(raw, dim: int, K: int) -> VectorFamily:
     if isinstance(raw, list):
         rows = [linalg.vector_from_pairs(v) for v in raw]
         return VectorFamily(vectors=np.array(rows, dtype=complex))
-    raise ValueError("g must be 'onb' or a list of vectors")
+    raise ValueError("expected 'onb' or a list of vectors")
 
 
 def _parse_subspace(raw, dim: int) -> np.ndarray:
@@ -123,7 +147,7 @@ def _parse_subspace(raw, dim: int) -> np.ndarray:
     if isinstance(raw, list):
         cols = [linalg.vector_from_pairs(c) for c in raw]
         return np.array(cols, dtype=complex).T
-    raise ValueError("W must be 'full' or a list of basis columns")
+    raise ValueError("expected 'full' or a list of basis columns")
 
 
 def parse_config(doc: dict, tol_overrides: dict | None = None) -> Config:
@@ -135,17 +159,20 @@ def parse_config(doc: dict, tol_overrides: dict | None = None) -> Config:
         raise ValueError(f"config schema version must be 1, got {schema!r}")
     params_doc = _require(doc, "params")
     params = SpectralParams(
-        N=int(_require(params_doc, "N")), r=int(_require(params_doc, "r"))
+        N=_integer(params_doc, "N", "params"), r=_integer(params_doc, "r", "params")
     )
-    dim = int(_require(doc, "dim"))
-    K = int(_require(doc, "K"))
-    A = _parse_operator(_require(doc, "A"), dim)
-    g = _parse_family(_require(doc, "g"), dim, K)
-    W_basis = _parse_subspace(_require(doc, "W"), dim)
-    w = linalg.vector_from_pairs(_require(doc, "w"))
-    x0 = linalg.vector_from_pairs(_require(doc, "x0"))
-    xm2 = linalg.vector_from_pairs(_require(doc, "xm2"))
-    tolerances = Tolerances().with_overrides(doc.get("tolerances", {}))
+    dim = _integer(doc, "dim")
+    K = _integer(doc, "K")
+    A = _field(doc, "A", _parse_operator, dim)
+    g = _field(doc, "g", _parse_family, dim, K)
+    W_basis = _field(doc, "W", _parse_subspace, dim)
+    w = _field(doc, "w", linalg.vector_from_pairs)
+    x0 = _field(doc, "x0", linalg.vector_from_pairs)
+    xm2 = _field(doc, "xm2", linalg.vector_from_pairs)
+    tol_doc = doc.get("tolerances", {})
+    if not isinstance(tol_doc, dict):
+        raise ValueError(f"tolerances must be a JSON object, got {tol_doc!r}")
+    tolerances = Tolerances().with_overrides(tol_doc)
     if tol_overrides:
         tolerances = tolerances.with_overrides(tol_overrides)
     return Config(
@@ -229,7 +256,7 @@ def cmd_simulate(args) -> int:
     dm_path = out / "data_matrix.csv"
     trajectory_to_csv(traj, spec.params, traj_path)
     data_matrix_to_csv(D, spec.params, dm_path)
-    print(f"wrote {traj_path} and {dm_path} ({len(traj.order)} window rows)")
+    print(f"wrote {traj_path} and {dm_path} ({traj.values.shape[0]} window rows)")
     return EXIT_OK
 
 

@@ -13,7 +13,6 @@ convergence at the window edges.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +25,6 @@ from .lattice import (
     SpectralParams,
     index_label,
     power_of,
-    successor,
     window,
 )
 from .linalg import Mat, Vec
@@ -106,85 +104,80 @@ class SystemSpec:
         return B @ B.conj().T
 
 
-@dataclass
-class StateTrajectory:
-    """States over a lattice window, keyed by index."""
+@dataclass(frozen=True)
+class LatticeWindow:
+    """Rows over the 4K-point lattice window, held as one (4K, n) array.
 
-    states: dict[LambdaIndex, Vec]
-    order: tuple[LambdaIndex, ...]
+    Row p belongs to the p-th point of ``window(K)``, so the point
+    (m, eps) sits at position 2(m + K) + eps.  A simulated trajectory
+    holds the states x_lambda as rows (n = dim); a data matrix holds the
+    samples D[lambda][j] = <x_lambda, g_j> (n = number of vectors).
+    """
 
-    def state(self, idx: LambdaIndex) -> Vec:
-        try:
-            return self.states[idx]
-        except KeyError:
-            raise ValueError(f"trajectory has no state at {idx}") from None
+    values: np.ndarray
 
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=complex)
+        if values.ndim != 2 or values.shape[0] < 4 or values.shape[0] % 4:
+            raise ValueError(f"window rows must be a (4K, n) array, got {values.shape}")
+        object.__setattr__(self, "values", values)
 
-@dataclass
-class DataMatrix:
-    """Rows of time-space samples, keyed by lattice index."""
+    @property
+    def K(self) -> int:
+        return self.values.shape[0] // 4
 
-    rows: dict[LambdaIndex, np.ndarray]
-    order: tuple[LambdaIndex, ...]
+    @property
+    def order(self) -> tuple[LambdaIndex, ...]:
+        """The window points, one per row."""
+        return tuple(window(self.K))
 
     def row(self, idx: LambdaIndex) -> np.ndarray:
-        try:
-            return self.rows[idx]
-        except KeyError:
-            raise ValueError(f"data matrix has no row at {idx}") from None
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rows[idx] for idx in self.order])
+        if not -self.K <= idx.m < self.K:
+            raise ValueError(f"window has no row at {idx}")
+        return self.values[2 * (idx.m + self.K) + idx.eps]
 
 
-def _walk_orbits(
-    A: Mat, w: Vec, x0: Vec, xm2: Vec, indices: list[LambdaIndex]
-) -> dict[LambdaIndex, Vec]:
-    """Iterate the recurrence along both orbits until they leave `indices`."""
-    member = set(indices)
-    states: dict[LambdaIndex, Vec] = {}
-    for start, init in ((LambdaIndex(0, 0), x0), (LambdaIndex(-1, 0), xm2)):
-        if start not in member:
-            raise ValueError(f"window does not contain initial index {start}")
-        idx, x = start, init
-        states[idx] = x
-        while True:
-            nxt = successor(idx)
-            if nxt not in member:
-                break
+def _orbit_positions(K: int) -> list[list[int]]:
+    """Window positions of the orbits from 0 and from -2, in step order."""
+    win = window(K)
+    halves = (range(2 * K, 4 * K), range(2 * K))  # m >= 0, m < 0
+    return [sorted(half, key=lambda p: power_of(win[p])) for half in halves]
+
+
+def _walk_orbits(A: Mat, w: Vec, x0: Vec, xm2: Vec, K: int) -> np.ndarray:
+    """Iterate the recurrence along both orbits; (4K, dim) states in window order."""
+    states = np.empty((4 * K, A.shape[0]), dtype=complex)
+    for positions, x in zip(_orbit_positions(K), (x0, xm2)):
+        states[positions[0]] = x
+        for p in positions[1:]:
             x = A @ x + w
-            states[nxt] = x
-            idx = nxt
-    missing = member - set(states)
-    if missing:
-        raise ValueError(f"orbits did not cover the window; missing {sorted(missing)}")
+            states[p] = x
     return states
 
 
-def simulate(spec: SystemSpec) -> StateTrajectory:
+def simulate(spec: SystemSpec) -> LatticeWindow:
     """Run both orbits of the recurrence across the window.
 
     The returned trajectory holds x0 and xm2 at their indices verbatim
     and satisfies the recurrence exactly by construction.
     """
-    win = window(spec.K)
-    states = _walk_orbits(spec.A, spec.w, spec.x0, spec.xm2, win)
-    return StateTrajectory(states=states, order=tuple(win))
+    return LatticeWindow(_walk_orbits(spec.A, spec.w, spec.x0, spec.xm2, spec.K))
 
 
-def recurrence_residual(traj: StateTrajectory, A: Mat, w: Vec) -> float:
+def recurrence_residual(traj: LatticeWindow, A: Mat, w: Vec) -> float:
     """Max norm of x_succ - (A x + w) over indices whose successor is present.
 
     Zero for simulated trajectories; meaningful for externally supplied
     ones, which should stay below 1e-8 times the state scale.
     """
-    worst = 0.0
-    for idx in traj.order:
-        nxt = successor(idx)
-        if nxt in traj.states:
-            resid = float(np.linalg.norm(traj.states[nxt] - (A @ traj.states[idx] + w)))
-            worst = max(worst, resid)
-    return worst
+    X = traj.values
+    orbits = _orbit_positions(traj.K)
+    src = [p for positions in orbits for p in positions[:-1]]
+    dst = [p for positions in orbits for p in positions[1:]]
+    # One matrix-vector product per row, as in simulate: a batched
+    # product rounds differently, and simulated states must give zero.
+    predicted = np.array([A @ x for x in X[src]]) + w
+    return float(np.linalg.norm(X[dst] - predicted, axis=1).max())
 
 
 def _matrix_power_and_sum(A: Mat, n: int) -> tuple[Mat, Mat]:
@@ -231,27 +224,24 @@ def closed_form_resolvent_state(spec: SystemSpec, idx: LambdaIndex) -> Vec:
     return power @ x_init + u - power @ u
 
 
-def data_matrix(traj: StateTrajectory, g: VectorFamily) -> DataMatrix:
+def data_matrix(traj: LatticeWindow, g: VectorFamily) -> LatticeWindow:
     """Sample every state against the family: D[lambda][j] = <x_lambda, g_j>."""
-    first = traj.states[traj.order[0]]
-    if g.dim != first.shape[0]:
+    X = traj.values
+    if g.dim != X.shape[1]:
         raise ValueError(
-            f"sampling vectors have dim {g.dim}, states have dim {first.shape[0]}"
+            f"sampling vectors have dim {g.dim}, states have dim {X.shape[1]}"
         )
-    rows = {idx: analysis(traj.states[idx], g) for idx in traj.order}
-    return DataMatrix(rows=rows, order=traj.order)
+    return LatticeWindow(X @ g.vectors.conj().T)
 
 
-def sup_row_norm(D: DataMatrix) -> float:
+def sup_row_norm(D: LatticeWindow) -> float:
     """Sup over rows of the row l2 norm: the l2 -> linf operator norm."""
-    if not D.order:
-        return 0.0
-    return max(float(np.linalg.norm(D.rows[idx])) for idx in D.order)
+    return float(np.linalg.norm(D.values, axis=1).max())
 
 
-def finite_block_norm(D: DataMatrix) -> float:
+def finite_block_norm(D: LatticeWindow) -> float:
     """Sum over the window of row l2 norms (the finite-block operator norm)."""
-    return sum(float(np.linalg.norm(D.rows[idx])) for idx in D.order)
+    return float(np.linalg.norm(D.values, axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -269,7 +259,7 @@ class TailLimit:
     member: bool
 
 
-def bs_membership(D: DataMatrix, tail: int, bs_tol: float = BS_TOL) -> TailLimit:
+def bs_membership(D: LatticeWindow, tail: int, bs_tol: float = BS_TOL) -> TailLimit:
     """Estimate the row limit and certify row convergence at the edges.
 
     Args:
@@ -280,20 +270,20 @@ def bs_membership(D: DataMatrix, tail: int, bs_tol: float = BS_TOL) -> TailLimit
     Raises:
         ValueError: when the window cannot hold `tail` rows per end.
     """
-    n = len(D.order)
+    X = D.values
+    n = X.shape[0]
     if not isinstance(tail, int) or isinstance(tail, bool) or tail < 1:
         raise ValueError(f"tail must be a positive integer, got {tail!r}")
     if 2 * tail > n:
         raise ValueError(
             f"window too small: {n} rows cannot hold tail={tail} at each end"
         )
-    stacked = D.as_array()
-    edge_rows = np.vstack([stacked[:tail], stacked[n - tail :]])
-    gap = 0.0
-    for i in range(edge_rows.shape[0]):
-        for j in range(i + 1, edge_rows.shape[0]):
-            gap = max(gap, float(np.linalg.norm(edge_rows[i] - edge_rows[j])))
-    limit = (stacked[0] + stacked[-1]) / 2.0
+    edges = np.concatenate([X[:tail], X[n - tail :]])
+    gap = max(
+        float(np.linalg.norm(edges[i + 1 :] - edges[i], axis=1).max())
+        for i in range(len(edges) - 1)
+    )
+    limit = (X[0] + X[-1]) / 2.0
     return TailLimit(limit_row=limit, tail_gap=gap, member=gap <= bs_tol)
 
 
@@ -305,7 +295,7 @@ class DataFitResult(NamedTuple):
 
 
 def data_fit(
-    D: DataMatrix, template: SystemSpec, frame_tol: float = FRAME_TOL
+    D: LatticeWindow, template: SystemSpec, frame_tol: float = FRAME_TOL
 ) -> DataFitResult:
     """Fit the generating triple (x0, xm2, w) to a data matrix.
 
@@ -324,19 +314,14 @@ def data_fit(
     xm2_hat = synthesis(D.row(LambdaIndex(-1, 0)), dual)
     first_step = D.row(LambdaIndex(0, 1))
     w_hat = synthesis(first_step - analysis(template.A @ x0_hat, g), dual)
-    K = len(D.order) // 4
-    if tuple(window(K)) != tuple(D.order):
-        raise ValueError("data matrix rows must cover a whole lattice window")
-    states = _walk_orbits(template.A, w_hat, x0_hat, xm2_hat, list(D.order))
-    residual = 0.0
-    for idx in D.order:
-        regenerated = analysis(states[idx], g)
-        residual = max(residual, float(np.linalg.norm(regenerated - D.rows[idx])))
+    states = _walk_orbits(template.A, w_hat, x0_hat, xm2_hat, D.K)
+    regenerated = states @ g.vectors.conj().T
+    residual = float(np.linalg.norm(regenerated - D.values, axis=1).max())
     return DataFitResult(x0=x0_hat, xm2=xm2_hat, w=w_hat, residual=residual)
 
 
 def stationary_deviation(
-    traj: StateTrajectory, stationary_state: Vec, tail: int = 1
+    traj: LatticeWindow, stationary_state: Vec, tail: int = 1
 ) -> float:
     """Distance of the window-edge states from a claimed stationary state.
 
@@ -344,33 +329,40 @@ def stationary_deviation(
     trajectories: both orbits must approach the same limit, so the
     outermost `tail` states at each end should be close to it.
     """
-    n = len(traj.order)
+    X = traj.values
+    n = X.shape[0]
     if 2 * tail > n:
         raise ValueError(f"window too small for tail={tail}")
     s = np.asarray(stationary_state, dtype=complex)
-    edges = list(traj.order[:tail]) + list(traj.order[n - tail :])
-    return max(float(np.linalg.norm(traj.states[idx] - s)) for idx in edges)
+    edges = np.concatenate([X[:tail], X[n - tail :]])
+    return float(np.linalg.norm(edges - s, axis=1).max())
 
 
 # --- CSV export -------------------------------------------------------------
 
-def data_matrix_to_csv(D: DataMatrix, params: SpectralParams, path) -> None:
+def _write_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
+    """Write ``lambda,j,re,im`` lines in window order, one row block at a time.
+
+    Byte for byte what ``csv.writer`` gives for these fields: CRLF line
+    ends, no quoting (labels and float reprs hold no comma, quote or
+    line break), and shortest round-trip ``repr`` floats.
+    """
+    columns = [f",{j}," for j in range(rows.values.shape[1])]
+    with open(path, "w", newline="") as fh:
+        fh.write("lambda,j,re,im\r\n")
+        for idx, row in zip(rows.order, rows.values):
+            label = index_label(idx, params)
+            fh.write("".join([
+                f"{label}{col}{re!r},{im!r}\r\n"
+                for col, re, im in zip(columns, row.real.tolist(), row.imag.tolist())
+            ]))
+
+
+def data_matrix_to_csv(D: LatticeWindow, params: SpectralParams, path) -> None:
     """Write rows as ``lambda,j,re,im`` in window order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "j", "re", "im"])
-        for idx in D.order:
-            label = index_label(idx, params)
-            for j, z in enumerate(D.rows[idx]):
-                writer.writerow([label, j, repr(float(z.real)), repr(float(z.imag))])
+    _write_csv(D, params, path)
 
 
-def trajectory_to_csv(traj: StateTrajectory, params: SpectralParams, path) -> None:
+def trajectory_to_csv(traj: LatticeWindow, params: SpectralParams, path) -> None:
     """Write state coordinates as ``lambda,j,re,im`` in window order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "j", "re", "im"])
-        for idx in traj.order:
-            label = index_label(idx, params)
-            for j, z in enumerate(traj.states[idx]):
-                writer.writerow([label, j, repr(float(z.real)), repr(float(z.imag))])
+    _write_csv(traj, params, path)

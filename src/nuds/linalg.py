@@ -170,7 +170,10 @@ def complex_to_pair(z: complex) -> list[float]:
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except (TypeError, OverflowError):
+        raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}") from None
 
 
 def vector_to_pairs(v: Vec) -> list[list[float]]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import DataMatrix, bs_membership
+from .dynamics import LatticeWindow, bs_membership
 from .frames import (
     DualFamily,
     FrameBounds,
@@ -103,7 +103,7 @@ def coupling_matrix(
 
 
 def reconstruct_finite(
-    D: DataMatrix,
+    D: LatticeWindow,
     at: LambdaIndex,
     A: Mat,
     g: VectorFamily,
@@ -135,7 +135,7 @@ def reconstruct_finite(
 
 
 def reconstruct_finite_coupling(
-    D: DataMatrix,
+    D: LatticeWindow,
     at: LambdaIndex,
     A: Mat,
     g: VectorFamily,
@@ -250,7 +250,7 @@ def stationary_map_from_A(
 
 
 def limit_operator(
-    D: DataMatrix,
+    D: LatticeWindow,
     G: VectorFamily | DualFamily,
     tail: int,
     bs_tol: float = BS_TOL,
@@ -306,7 +306,7 @@ class RecoveryReport:
 
 
 def finite_recovery_report(
-    D: DataMatrix,
+    D: LatticeWindow,
     at: LambdaIndex,
     A: Mat,
     g: VectorFamily,
@@ -350,7 +350,7 @@ def finite_recovery_report(
 
 
 def reconstruct_infinite(
-    D: DataMatrix,
+    D: LatticeWindow,
     smap: StationaryMap,
     tail: int,
     w_true: Vec | None = None,

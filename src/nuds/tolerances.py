@@ -56,7 +56,10 @@ class Tolerances:
             )
         merged = {name: getattr(self, name) for name in known}
         for key, val in overrides.items():
-            val = float(val)
+            try:
+                val = float(val)
+            except TypeError:
+                raise ValueError(f"tolerance {key} must be a number, got {val!r}") from None
             if not val > 0.0:
                 raise ValueError(f"tolerance {key} must be positive, got {val}")
             merged[key] = val

@@ -14,7 +14,7 @@ import pytest
 from nuds import cli
 from nuds.cli import main, parse_config
 from nuds.dynamics import (
-    DataMatrix,
+    LatticeWindow,
     SystemSpec,
     bs_membership,
     closed_form_resolvent_state,
@@ -141,14 +141,14 @@ def test_constant_row_limit_norm_matches_sqrt_upper_bound():
         vals, vecs = np.linalg.eigh(frame_operator(F))
         top = vecs[:, -1]
         row = analysis(top, F)
-        D = DataMatrix(rows={idx: row for idx in order}, order=order)
+        D = LatticeWindow(np.tile(row, (len(order), 1)))
         ratio = float(np.linalg.norm(limit_operator(D, F, tail=2))) / sup_row_norm(D)
         assert ratio == pytest.approx(float(np.sqrt(vals[-1])), abs=1e-6)
 
     # orthonormal special case: the ratio is exactly one
     onb = VectorFamily(vectors=np.eye(4))
     row = analysis(np.eye(4)[0], onb)
-    D = DataMatrix(rows={idx: row for idx in order}, order=order)
+    D = LatticeWindow(np.tile(row, (len(order), 1)))
     ratio = float(np.linalg.norm(limit_operator(D, onb, tail=2))) / sup_row_norm(D)
     assert ratio == 1.0
 
@@ -179,7 +179,7 @@ def test_nullifier_defeats_recovery_while_necessary_condition_holds():
             w=w, x0=x0, xm2=xm2, K=K,
         )
         D = data_matrix(simulate(spec), g)
-        assert float(np.abs(D.as_array()).max()) <= 1e-8, K
+        assert float(np.abs(D.values).max()) <= 1e-8, K
 
 
 def test_quarter_contraction_converges_geometrically_and_recovers():
@@ -195,7 +195,7 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
     base = float(np.linalg.norm(spec.x0 - s))
     for idx in traj.order:
         n = power_of(idx)
-        dist = float(np.linalg.norm(traj.state(idx) - s))
+        dist = float(np.linalg.norm(traj.row(idx) - s))
         assert dist <= (0.25**n) * base + 1e-12, (idx, n, dist)
 
     D = data_matrix(traj, spec.g)
@@ -242,7 +242,7 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     limit2 = bs_membership(matrices[1], tail=2).limit_row
     assert float(np.linalg.norm(limit1 - limit2)) <= 1e-10
     # ... in fact the whole data matrices coincide
-    assert float(np.abs(matrices[0].as_array() - matrices[1].as_array()).max()) <= 1e-10
+    assert float(np.abs(matrices[0].values - matrices[1].values).max()) <= 1e-10
 
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
         reconstruct_infinite(matrices[0], smap, tail=2)
@@ -266,7 +266,7 @@ def test_state_formulas_agree_across_random_systems():
         )
         traj = simulate(spec)
         for idx in traj.order:
-            x_sim = traj.state(idx)
+            x_sim = traj.row(idx)
             x_pow = closed_form_state(spec, idx)
             x_res = closed_form_resolvent_state(spec, idx)
             worst = max(
@@ -345,7 +345,7 @@ def test_data_matrix_norm_domination_and_tail_decay_rate():
         K=4,
     )
     D = data_matrix(simulate(spec), spec.g)
-    stacked = D.as_array()
+    stacked = D.values
     bound = sup_row_norm(D)
     for _ in range(1000):
         c = _random_vec(rng, 16)

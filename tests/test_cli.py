@@ -233,6 +233,41 @@ def test_config_parsing_generators_and_errors():
         parse_config(bad_g)
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("w", 0), [None, 0.0]),  # null inside a [re, im] pair
+        (("dim",), None),
+        (("K",), [1]),
+        (("params",), 5),
+        (("x0", 0), [[0, 0], 0]),  # a pair where a number belongs
+        (("dim",), 8.5),
+        (("K",), 2.5),
+        (("params", "N"), 2.5),
+        (("params", "r"), 1.5),
+        (("dim",), float("inf")),
+        (("tolerances",), {"FRAME_TOL": None}),
+        (("tolerances",), 5),
+    ],
+    ids=[
+        "null-in-pair", "dim-null", "K-list", "params-number", "number-for-pair",
+        "dim-fraction", "K-fraction", "N-fraction", "r-fraction", "dim-infinity",
+        "tolerance-null", "tolerances-number",
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, keys, value):
+    doc = _config_doc()
+    *outer, last = keys
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["recover", str(path), "-o", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_canonical_round_trip():
     bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 3)
     doc = config_to_json(bundle.spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nuds.dynamics import (
-    DataMatrix,
+    LatticeWindow,
     SystemSpec,
     bs_membership,
     closed_form_resolvent_state,
@@ -19,8 +19,15 @@ from nuds.dynamics import (
     sup_row_norm,
     trajectory_to_csv,
 )
-from nuds.frames import NotAFrameError, VectorFamily
-from nuds.lattice import LambdaIndex, SpectralParams, window
+from nuds.frames import NotAFrameError, VectorFamily, analysis
+from nuds.lattice import (
+    Branch,
+    LambdaIndex,
+    SpectralParams,
+    branch_of,
+    index_label,
+    window,
+)
 from nuds.linalg import NumericalError
 
 
@@ -84,12 +91,12 @@ def test_simulate_hand_checked():
     # x_0 = 0, x_{1/2} = 1, x_{-2} = 2, x_{-2+1/2} = 0.5*2 + 1 = 2
     traj = simulate(_spec_1d())
     assert traj.order == tuple(window(1))
-    assert traj.state(LambdaIndex(0, 0))[0] == pytest.approx(0.0)
-    assert traj.state(LambdaIndex(0, 1))[0] == pytest.approx(1.0)
-    assert traj.state(LambdaIndex(-1, 0))[0] == pytest.approx(2.0)
-    assert traj.state(LambdaIndex(-1, 1))[0] == pytest.approx(2.0)
+    assert traj.row(LambdaIndex(0, 0))[0] == pytest.approx(0.0)
+    assert traj.row(LambdaIndex(0, 1))[0] == pytest.approx(1.0)
+    assert traj.row(LambdaIndex(-1, 0))[0] == pytest.approx(2.0)
+    assert traj.row(LambdaIndex(-1, 1))[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        traj.state(LambdaIndex(5, 0))
+        traj.row(LambdaIndex(5, 0))
 
 
 def test_simulated_trajectory_satisfies_recurrence():
@@ -99,14 +106,14 @@ def test_simulated_trajectory_satisfies_recurrence():
     assert len(traj.order) == 16
     assert recurrence_residual(traj, spec.A, spec.w) == 0.0
     # initial states are stored verbatim
-    np.testing.assert_array_equal(traj.state(LambdaIndex(0, 0)), spec.x0)
-    np.testing.assert_array_equal(traj.state(LambdaIndex(-1, 0)), spec.xm2)
+    np.testing.assert_array_equal(traj.row(LambdaIndex(0, 0)), spec.x0)
+    np.testing.assert_array_equal(traj.row(LambdaIndex(-1, 0)), spec.xm2)
 
 
 def test_recurrence_residual_flags_tampering():
     spec = _spec_1d()
     traj = simulate(spec)
-    traj.states[LambdaIndex(0, 1)] = traj.states[LambdaIndex(0, 1)] + 0.25
+    traj.row(LambdaIndex(0, 1))[:] += 0.25
     assert recurrence_residual(traj, spec.A, spec.w) == pytest.approx(0.25)
 
 
@@ -117,7 +124,7 @@ def test_closed_form_matches_simulation(seed):
     traj = simulate(spec)
     for idx in traj.order:
         np.testing.assert_allclose(
-            closed_form_state(spec, idx), traj.state(idx), atol=1e-9
+            closed_form_state(spec, idx), traj.row(idx), atol=1e-9
         )
 
 
@@ -145,22 +152,51 @@ def test_data_matrix_against_direct_inner_products():
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
     for idx in D.order:
-        x = traj.state(idx)
+        x = traj.row(idx)
         expected = [np.vdot(gk, x) for gk in spec.g.vectors]
         np.testing.assert_allclose(D.row(idx), expected, atol=1e-12)
     with pytest.raises(ValueError):
         data_matrix(traj, VectorFamily(vectors=np.eye(4)))
 
 
+@pytest.mark.parametrize("branch", list(Branch))
+def test_data_matrix_matches_per_row_analysis(branch):
+    # Reference: one analysis() call per state.  The batched product sums
+    # in another order, so rows agree to a bound fixed from the dtype,
+    # 64 eps max||x_lambda|| max||g_j||, on random frames of random size.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(311)
+    for _ in range(10):
+        dim = int(rng.integers(2, 13))
+        count = int(rng.integers(dim, 3 * dim + 1))
+        K = int(rng.integers(1, 6))
+        traj = simulate(_random_spec(rng, dim, K))
+        g = VectorFamily(
+            vectors=rng.standard_normal((count, dim))
+            + 1j * rng.standard_normal((count, dim))
+        )
+        D = data_matrix(traj, g)
+        assert D.values.shape == (4 * K, count)
+        tol = (
+            64 * eps
+            * float(np.linalg.norm(traj.values, axis=1).max())
+            * float(np.linalg.norm(g.vectors, axis=1).max())
+        )
+        points = [idx for idx in window(K) if branch_of(idx) is branch]
+        assert points
+        for idx in points:
+            reference = analysis(traj.row(idx), g)
+            assert float(np.abs(D.row(idx) - reference).max()) <= tol
+
+
 def test_operator_norms_hand_checked():
-    order = tuple(window(1))
-    rows = {
-        order[0]: np.array([3.0, 4.0]),  # norm 5
-        order[1]: np.array([0.0, 1.0]),
-        order[2]: np.array([1.0, 0.0]),
-        order[3]: np.array([0.0, 0.0]),
-    }
-    D = DataMatrix(rows=rows, order=order)
+    rows = [
+        [3.0, 4.0],  # norm 5
+        [0.0, 1.0],
+        [1.0, 0.0],
+        [0.0, 0.0],
+    ]
+    D = LatticeWindow(np.array(rows))
     assert sup_row_norm(D) == pytest.approx(5.0)
     assert finite_block_norm(D) == pytest.approx(7.0)
 
@@ -168,7 +204,7 @@ def test_operator_norms_hand_checked():
 def test_bs_membership_constant_rows():
     order = tuple(window(2))
     row = np.array([1.0 + 1j, -2.0])
-    D = DataMatrix(rows={idx: row for idx in order}, order=order)
+    D = LatticeWindow(np.tile(row, (len(order), 1)))
     tl = bs_membership(D, tail=2)
     assert tl.member and tl.tail_gap == 0.0
     np.testing.assert_array_equal(tl.limit_row, row)
@@ -179,16 +215,15 @@ def test_bs_membership_sees_cross_end_disagreement():
     # internally Cauchy but the two limits differ, so the gap is ||a - b||.
     order = tuple(window(2))
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    rows = {idx: (a if i < 4 else b) for i, idx in enumerate(order)}
-    tl = bs_membership(DataMatrix(rows=rows, order=order), tail=2)
+    rows = [a if i < 4 else b for i in range(len(order))]
+    tl = bs_membership(LatticeWindow(np.array(rows)), tail=2)
     assert tl.tail_gap == pytest.approx(float(np.linalg.norm(a - b)))
     assert not tl.member
     np.testing.assert_allclose(tl.limit_row, (a + b) / 2)
 
 
 def test_bs_membership_tail_validation():
-    order = tuple(window(1))
-    D = DataMatrix(rows={idx: np.zeros(1) for idx in order}, order=order)
+    D = LatticeWindow(np.zeros((len(window(1)), 1)))
     with pytest.raises(ValueError):
         bs_membership(D, tail=0)
     with pytest.raises(ValueError, match="window too small"):
@@ -216,9 +251,7 @@ def test_data_fit_requires_frame():
     good = _random_spec(np.random.default_rng(0), dim=2, K=1)
     D = data_matrix(simulate(good), good.g)
     # rebuild rows with one sample per index to match the deficient family
-    D1 = DataMatrix(
-        rows={idx: D.rows[idx][:1] for idx in D.order}, order=D.order
-    )
+    D1 = LatticeWindow(D.values[:, :1])
     with pytest.raises(NotAFrameError):
         data_fit(D1, bad)
 
@@ -252,7 +285,7 @@ def test_csv_exports(tmp_path):
     assert len(rows) == 1 + 8 * spec.dim  # 4K lattice rows, dim coords each
     # first lattice point of the K=2 window is -4; entries reparse exactly
     assert rows[1][0] == "-4"
-    z = traj.state(LambdaIndex(-2, 0))[0]
+    z = traj.row(LambdaIndex(-2, 0))[0]
     assert (float(rows[1][2]), float(rows[1][3])) == (z.real, z.imag)
     labels = {r[0] for r in rows[1:]}
     assert "-4+1/2" in labels and "0" in labels
@@ -263,3 +296,35 @@ def test_csv_exports(tmp_path):
     assert len(rows) == 1 + 8 * spec.g.count
     z = D.row(LambdaIndex(-2, 0))[0]
     assert (float(rows[1][2]), float(rows[1][3])) == (z.real, z.imag)
+
+
+def _csv_module_reference(rows, params, path):
+    # The csv.writer loop that the row-block writer replaced.
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "j", "re", "im"])
+        for idx, row in zip(rows.order, rows.values):
+            label = index_label(idx, params)
+            for j, z in enumerate(row):
+                writer.writerow([label, j, repr(float(z.real)), repr(float(z.imag))])
+
+
+@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
+def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path, write):
+    params = SpectralParams(N=3, r=5)
+    rng = np.random.default_rng(17)
+    shape = (12, 11)  # K = 3
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) + 1j * (
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    )
+    values[0, :4] = [complex(-0.0, -0.0), 1e-300, -2.5e17, complex(0.0, -2.5e17)]
+    rows = LatticeWindow(values)
+
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    write(rows, params, out)
+    _csv_module_reference(rows, params, ref)
+    data = out.read_bytes()
+    assert data == ref.read_bytes()
+    assert data.startswith(b"lambda,j,re,im\r\n-6,0,-0.0,-0.0\r\n-6,1,1e-300,0.0\r\n")
+    assert b"\r\n-6,2,-2.5e+17,0.0\r\n" in data
+    assert b"\r\n-4+5/3,10," in data

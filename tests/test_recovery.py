@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nuds.dynamics import DataMatrix, SystemSpec, data_matrix, simulate
+from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
 from nuds.frames import DualFamily, NotAFrameError, VectorFamily, canonical_dual, synthesis
 from nuds.lattice import LambdaIndex, SpectralParams, index_map, window
 from nuds.linalg import NumericalError
@@ -155,7 +155,7 @@ def test_stationary_map_requires_contraction():
 def test_limit_operator_constant_rows():
     order = tuple(window(2))
     row = np.array([2.0, -1.0])
-    D = DataMatrix(rows={idx: row for idx in order}, order=order)
+    D = LatticeWindow(np.tile(row, (len(order), 1)))
     G = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     np.testing.assert_allclose(
         limit_operator(D, G, tail=2), synthesis(row, G), atol=1e-12
@@ -164,8 +164,8 @@ def test_limit_operator_constant_rows():
 
 def test_limit_operator_rejects_divergent_rows():
     order = tuple(window(2))
-    rows = {idx: np.array([float(i)]) for i, idx in enumerate(order)}
-    D = DataMatrix(rows=rows, order=order)
+    rows = [[float(i)] for i in range(len(order))]
+    D = LatticeWindow(np.array(rows))
     G = VectorFamily(vectors=np.array([[1.0]]))
     with pytest.raises(ConditionFailure, match="not convergent"):
         limit_operator(D, G, tail=2)
@@ -316,7 +316,7 @@ def test_nullifier_zeroes_all_window_measurements(K):
         w=w, x0=x0, xm2=xm2, K=K,
     )
     D = data_matrix(simulate(spec), g)
-    assert float(np.abs(D.as_array()).max()) < 1e-9
+    assert float(np.abs(D.values).max()) < 1e-9
 
     # The necessary subspace condition holds over W = span{w}: for real
     # diagonal A, (I - A*)^-1 g = w, so both bounds equal ||w||^2 ...
