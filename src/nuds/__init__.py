@@ -5,150 +5,25 @@ over the two-coset index set {0, r/N} + 2Z, samples trajectories
 against frame/Bessel families into data matrices, and implements the
 recovery operators together with the conditions under which they
 succeed (and the constructions showing when they cannot).
+
+The top level re-exports what a first script needs; everything else is
+imported from its module (``nuds.frames``, ``nuds.recovery``, ...).
 """
 
-from .lattice import (
-    Branch,
-    IndexMap,
-    LambdaIndex,
-    SpectralParams,
-    branch_of,
-    index_label,
-    index_map,
-    index_value,
-    power_of,
-    successor,
-    window,
-)
-from .linalg import (
-    Mat,
-    NumericalError,
-    SingularMatrixError,
-    Vec,
-    as_matrix,
-    as_vector,
-    hermitian_eigs,
-    inner,
-    orthonormal_basis,
-    solve,
-    spectral_radius,
-)
-from .frames import (
-    DualFamily,
-    FrameBounds,
-    NotAFrameError,
-    VectorFamily,
-    analysis,
-    canonical_dual,
-    family_from_json,
-    family_to_json,
-    frame_bounds,
-    frame_operator,
-    min_norm_gap,
-    subspace_frame_bounds,
-    synthesis,
-    verify_dual_pair,
-)
-from .dynamics import (
-    LatticeWindow,
-    SystemSpec,
-    TailLimit,
-    bs_membership,
-    closed_form_resolvent_state,
-    closed_form_state,
-    data_fit,
-    data_matrix,
-    finite_block_norm,
-    simulate,
-    sup_row_norm,
-)
-from .recovery import (
-    ConditionFailure,
-    CouplingMatrix,
-    RecoveryReport,
-    StationaryMap,
-    counterexample_nullifier,
-    coupling_matrix,
-    finite_recovery_report,
-    limit_operator,
-    reconstruct_finite,
-    reconstruct_finite_coupling,
-    reconstruct_infinite,
-    recovery_certificate_full,
-    stationary_map_from_A,
-    subspace_condition,
-)
-from .scenarios import SCENARIO_IDS, ScenarioBundle, build, counterexample_source, run_scenario
+from .dynamics import SystemSpec, data_matrix, simulate
+from .frames import VectorFamily
+from .lattice import SpectralParams
+from .recovery import reconstruct_finite
 from .tolerances import Tolerances
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
-    "ConditionFailure",
-    "CouplingMatrix",
-    "DualFamily",
-    "FrameBounds",
-    "IndexMap",
-    "LambdaIndex",
-    "LatticeWindow",
-    "Mat",
-    "NotAFrameError",
-    "NumericalError",
-    "RecoveryReport",
-    "SCENARIO_IDS",
-    "ScenarioBundle",
-    "SingularMatrixError",
     "SpectralParams",
-    "StationaryMap",
     "SystemSpec",
-    "TailLimit",
     "Tolerances",
-    "Vec",
     "VectorFamily",
-    "analysis",
-    "as_matrix",
-    "as_vector",
-    "branch_of",
-    "bs_membership",
-    "build",
-    "canonical_dual",
-    "closed_form_resolvent_state",
-    "closed_form_state",
-    "counterexample_nullifier",
-    "counterexample_source",
-    "coupling_matrix",
-    "data_fit",
     "data_matrix",
-    "family_from_json",
-    "family_to_json",
-    "finite_block_norm",
-    "finite_recovery_report",
-    "frame_bounds",
-    "frame_operator",
-    "hermitian_eigs",
-    "index_label",
-    "index_map",
-    "index_value",
-    "inner",
-    "limit_operator",
-    "min_norm_gap",
-    "orthonormal_basis",
-    "power_of",
     "reconstruct_finite",
-    "reconstruct_finite_coupling",
-    "reconstruct_infinite",
-    "recovery_certificate_full",
-    "run_scenario",
     "simulate",
-    "solve",
-    "spectral_radius",
-    "stationary_map_from_A",
-    "subspace_condition",
-    "subspace_frame_bounds",
-    "successor",
-    "sup_row_norm",
-    "synthesis",
-    "verify_dual_pair",
-    "window",
 ]

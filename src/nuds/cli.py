@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +25,18 @@ from .dynamics import (
     sup_row_norm,
     trajectory_to_csv,
 )
-from .frames import NotAFrameError, VectorFamily
+from .frames import NotAFrameError, VectorFamily, frame_bounds
 from .lattice import LambdaIndex, SpectralParams, window
 from .linalg import NumericalError
 from .recovery import (
     ConditionFailure,
     finite_recovery_report,
     reconstruct_infinite,
-    recovery_certificate_full,
     stationary_map_from_A,
     subspace_condition,
 )
 from .scenarios import DEFAULT_K, build, run_scenario
-from .tolerances import Tolerances
+from .tolerances import DEFAULTS, Tolerances
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -47,35 +45,6 @@ EXIT_CONDITION = 3
 EXIT_EXPECTATION = 4
 
 DEFAULT_TAIL = 2
-
-
-@dataclass
-class Config:
-    """Parsed and validated CLI configuration."""
-
-    params: SpectralParams
-    dim: int
-    K: int
-    A: np.ndarray
-    g: VectorFamily
-    W_basis: np.ndarray
-    w: np.ndarray
-    x0: np.ndarray
-    xm2: np.ndarray
-    tolerances: Tolerances
-
-    def to_system_spec(self) -> SystemSpec:
-        return SystemSpec(
-            params=self.params,
-            dim=self.dim,
-            A=self.A,
-            g=self.g,
-            W_basis=self.W_basis,
-            w=self.w,
-            x0=self.x0,
-            xm2=self.xm2,
-            K=self.K,
-        )
 
 
 def _require(doc: dict, key: str, where: str = "config"):
@@ -150,8 +119,14 @@ def _parse_subspace(raw, dim: int) -> np.ndarray:
     raise ValueError("expected 'full' or a list of basis columns")
 
 
-def parse_config(doc: dict, tol_overrides: dict | None = None) -> Config:
-    """Validate a config document and build the typed configuration."""
+def parse_config(
+    doc: dict, tol_overrides: dict | None = None
+) -> tuple[SystemSpec, Tolerances]:
+    """Validate a config document; return its system and its tolerances.
+
+    The tolerances are the defaults, replaced by the document's
+    ``tolerances`` object and then by ``tol_overrides``.
+    """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     schema = doc.get("schema", 1)
@@ -172,26 +147,15 @@ def parse_config(doc: dict, tol_overrides: dict | None = None) -> Config:
     tol_doc = doc.get("tolerances", {})
     if not isinstance(tol_doc, dict):
         raise ValueError(f"tolerances must be a JSON object, got {tol_doc!r}")
-    tolerances = Tolerances().with_overrides(tol_doc)
-    if tol_overrides:
-        tolerances = tolerances.with_overrides(tol_overrides)
-    return Config(
-        params=params,
-        dim=dim,
-        K=K,
-        A=A,
-        g=g,
-        W_basis=W_basis,
-        w=w,
-        x0=x0,
-        xm2=xm2,
-        tolerances=tolerances,
+    tol = DEFAULTS.with_overrides(tol_doc).with_overrides(tol_overrides or {})
+    spec = SystemSpec(
+        params=params, dim=dim, A=A, g=g, W_basis=W_basis, w=w, x0=x0, xm2=xm2, K=K
     )
+    return spec, tol
 
 
-def config_to_json(spec: SystemSpec, tolerances: Tolerances | None = None) -> dict:
-    """Serialize a system to the canonical (fully explicit) config form."""
-    tol = tolerances or Tolerances()
+def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
+    """Serialize a system and the tolerances in effect to the canonical config form."""
     return {
         "schema": 1,
         "params": {"N": spec.params.N, "r": spec.params.r},
@@ -207,7 +171,7 @@ def config_to_json(spec: SystemSpec, tolerances: Tolerances | None = None) -> di
     }
 
 
-def _load_config(path: str, tol_overrides: dict | None) -> Config:
+def _load_config(path: str, tol_overrides: dict) -> tuple[SystemSpec, Tolerances]:
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -247,8 +211,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    spec = cfg.to_system_spec()
+    spec, _ = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
     out = _out_dir(args)
@@ -261,33 +224,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    cfg = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    tol = cfg.tolerances
-    spec = cfg.to_system_spec()
+    spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
     if args.mode == "finite":
         report = finite_recovery_report(
-            D,
-            LambdaIndex(0, 0),
-            spec.A,
-            spec.g,
-            w_true=spec.w,
-            frame_tol=tol.FRAME_TOL,
+            D, LambdaIndex(0, 0), spec.A, spec.g, w_true=spec.w, tol=tol
         )
         ok = report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
     else:
-        smap = stationary_map_from_A(
-            spec.A, spec.g, spec.W_basis, rho_margin=tol.RHO_MARGIN
-        )
-        report = reconstruct_infinite(
-            D,
-            smap,
-            DEFAULT_TAIL,
-            w_true=spec.w,
-            frame_tol=tol.FRAME_TOL,
-            bs_tol=tol.BS_TOL,
-        )
+        smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
+        report = reconstruct_infinite(D, smap, DEFAULT_TAIL, w_true=spec.w, tol=tol)
         ok = report.residual <= tol.BS_TOL
     out = _out_dir(args)
     report_path = out / "report.json"
@@ -303,20 +250,18 @@ def cmd_recover(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    tol = cfg.tolerances
-    spec = cfg.to_system_spec()
+    spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
     rows: list[tuple[str, str]] = []
-    cert = recovery_certificate_full(spec.g)
+    cert = frame_bounds(spec.g, tol=tol)
     rows.append(
         (
             "sampling family bounds",
             f"alpha={cert.alpha:.8g} beta={cert.beta:.8g} "
-            f"frame={'yes' if cert.is_frame(tol.FRAME_TOL) else 'no'}",
+            f"frame={'yes' if cert.is_frame(tol=tol) else 'no'}",
         )
     )
     try:
-        sub = subspace_condition(spec.A, spec.g, spec.W_basis)
+        sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
         rows.append(
             (
                 "subspace condition bounds (necessary only)",
@@ -328,22 +273,20 @@ def cmd_check(args) -> int:
     rho = linalg.spectral_radius(spec.A)
     rows.append(("spectral radius", f"{rho:.8g}"))
     try:
-        smap = stationary_map_from_A(
-            spec.A, spec.g, spec.W_basis, rho_margin=tol.RHO_MARGIN
-        )
-        adj = recovery_certificate_full(smap.adjoint_family)
+        smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
+        adj = frame_bounds(smap.adjoint_family, tol=tol)
         rows.append(
             (
                 "adjoint family bounds on W",
                 f"alpha={adj.alpha:.8g} beta={adj.beta:.8g} "
-                f"frame={'yes' if adj.is_frame(tol.FRAME_TOL) else 'no'}",
+                f"frame={'yes' if adj.is_frame(tol=tol) else 'no'}",
             )
         )
     except ConditionFailure as exc:
         rows.append(("adjoint family bounds on W", f"unavailable: {exc}"))
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
-    lim = bs_membership(D, min(DEFAULT_TAIL, 2 * spec.K), tol.BS_TOL)
+    lim = bs_membership(D, min(DEFAULT_TAIL, 2 * spec.K), tol=tol)
     rows.append(
         (
             "row-convergence tail gap",
@@ -360,8 +303,9 @@ def cmd_demo(args) -> int:
     scenario_id = args.scenario
     K = args.K if args.K is not None else DEFAULT_K.get(scenario_id, 3)
     params = SpectralParams(N=args.N, r=args.r)
-    bundle = build(scenario_id, params, K)
-    report, failures = run_scenario(bundle, tail=DEFAULT_TAIL)
+    tol = DEFAULTS.with_overrides(_parse_tol_flags(args.tol_override))
+    bundle = build(scenario_id, params, K, tol=tol)
+    report, failures = run_scenario(bundle, tail=DEFAULT_TAIL, tol=tol)
     out = _out_dir(args)
     report_path = out / f"{scenario_id}_report.json"
     report["expectations_met"] = not failures
@@ -370,7 +314,7 @@ def cmd_demo(args) -> int:
     print(f"wrote {report_path}")
     if args.emit_config:
         config_path = out / f"{scenario_id}_config.json"
-        _write_json(config_path, config_to_json(bundle.spec))
+        _write_json(config_path, config_to_json(bundle.spec, tol))
         print(f"wrote {config_path}")
     if failures:
         for line in failures:

@@ -28,7 +28,11 @@ from .lattice import (
     window,
 )
 from .linalg import Mat, Vec
-from .tolerances import BS_TOL, FRAME_TOL
+from .tolerances import DEFAULTS, Tolerances
+
+# Absolute norm the component of w outside W may have: the source must
+# lie in W up to the rounding of a unit-scale projection.
+IN_W_TOL = 1e-10
 
 
 @dataclass
@@ -78,11 +82,7 @@ class SystemSpec:
             raise ValueError(
                 f"W_basis must be dim x p with p >= 1, got shape {self.W_basis.shape}"
             )
-        gram = self.W_basis.conj().T @ self.W_basis
-        if float(np.linalg.norm(gram - np.eye(self.W_basis.shape[1]))) > 1e-10 * max(
-            1.0, float(np.linalg.norm(gram))
-        ):
-            raise ValueError("W_basis must have orthonormal columns")
+        linalg.require_orthonormal(self.W_basis, "W_basis")
         self.w = linalg.as_vector(self.w)
         self.x0 = linalg.as_vector(self.x0)
         self.xm2 = linalg.as_vector(self.xm2)
@@ -90,12 +90,13 @@ class SystemSpec:
             if v.shape[0] != self.dim:
                 raise ValueError(f"{name} has length {v.shape[0]}, expected {self.dim}")
         out_of_W = float(np.linalg.norm(self.w - self.projector_W @ self.w))
-        if out_of_W > 1e-10:
+        if out_of_W > IN_W_TOL:
             raise ValueError(
                 f"source w must lie in W: component outside W has norm {out_of_W:.3e}"
             )
         # Record the Bessel bound of the sampling family (always finite
-        # at finite dimension, but callers want it on file).
+        # at finite dimension, but callers want it on file).  A spec
+        # carries no tolerances, so this one is taken at the defaults.
         self.g_beta = frames.frame_bounds(self.g).beta
 
     @property
@@ -204,7 +205,9 @@ def closed_form_state(spec: SystemSpec, idx: LambdaIndex) -> Vec:
     return power @ x_init + geom @ spec.w
 
 
-def closed_form_resolvent_state(spec: SystemSpec, idx: LambdaIndex) -> Vec:
+def closed_form_resolvent_state(
+    spec: SystemSpec, idx: LambdaIndex, *, tol: Tolerances = DEFAULTS
+) -> Vec:
     """State by the resolvent formula A^n x_init + (I - A^n)(I - A)^-1 w.
 
     Requires 1 outside the spectrum of A; agrees with
@@ -214,7 +217,7 @@ def closed_form_resolvent_state(spec: SystemSpec, idx: LambdaIndex) -> Vec:
     x_init = spec.x0 if idx.m >= 0 else spec.xm2
     eye = np.eye(spec.dim, dtype=complex)
     try:
-        u = linalg.solve(eye - spec.A, spec.w)
+        u = linalg.solve(eye - spec.A, spec.w, tol=tol)
     except linalg.SingularMatrixError as exc:
         raise linalg.NumericalError(
             f"resolvent form unavailable: 1 is in the spectrum of A "
@@ -259,13 +262,15 @@ class TailLimit:
     member: bool
 
 
-def bs_membership(D: LatticeWindow, tail: int, bs_tol: float = BS_TOL) -> TailLimit:
+def bs_membership(
+    D: LatticeWindow, tail: int, *, tol: Tolerances = DEFAULTS
+) -> TailLimit:
     """Estimate the row limit and certify row convergence at the edges.
 
     Args:
         D: data matrix over a lattice window (rows in window order).
         tail: how many rows at each end enter the Cauchy gap.
-        bs_tol: gap threshold for declaring membership.
+        tol: ``tol.BS_TOL`` is the gap threshold for membership.
 
     Raises:
         ValueError: when the window cannot hold `tail` rows per end.
@@ -284,7 +289,7 @@ def bs_membership(D: LatticeWindow, tail: int, bs_tol: float = BS_TOL) -> TailLi
         for i in range(len(edges) - 1)
     )
     limit = (X[0] + X[-1]) / 2.0
-    return TailLimit(limit_row=limit, tail_gap=gap, member=gap <= bs_tol)
+    return TailLimit(limit_row=limit, tail_gap=gap, member=gap <= tol.BS_TOL)
 
 
 class DataFitResult(NamedTuple):
@@ -295,7 +300,7 @@ class DataFitResult(NamedTuple):
 
 
 def data_fit(
-    D: LatticeWindow, template: SystemSpec, frame_tol: float = FRAME_TOL
+    D: LatticeWindow, template: SystemSpec, *, tol: Tolerances = DEFAULTS
 ) -> DataFitResult:
     """Fit the generating triple (x0, xm2, w) to a data matrix.
 
@@ -309,7 +314,7 @@ def data_fit(
         NotAFrameError: when the template's sampling family is not a frame.
     """
     g = template.g
-    dual = canonical_dual(g, frame_tol)
+    dual = canonical_dual(g, tol=tol)
     x0_hat = synthesis(D.row(LambdaIndex(0, 0)), dual)
     xm2_hat = synthesis(D.row(LambdaIndex(-1, 0)), dual)
     first_step = D.row(LambdaIndex(0, 1))

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .lattice import LambdaIndex
 from .linalg import Mat, Vec
-from .tolerances import FRAME_TOL
+from .tolerances import DEFAULTS, Tolerances
 
 
 class NotAFrameError(Exception):
@@ -66,24 +66,6 @@ class VectorFamily:
 
 
 @dataclass(frozen=True)
-class DualFamily:
-    """A family of dual vectors aligned with a source family."""
-
-    vectors: Mat
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", linalg.as_matrix(self.vectors))
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
 class FrameBounds:
     """Optimal bounds (alpha, beta), 0 <= alpha <= beta."""
 
@@ -96,8 +78,8 @@ class FrameBounds:
                 f"bounds must satisfy 0 <= alpha <= beta, got ({self.alpha}, {self.beta})"
             )
 
-    def is_frame(self, frame_tol: float = FRAME_TOL) -> bool:
-        return self.alpha > frame_tol
+    def is_frame(self, *, tol: Tolerances = DEFAULTS) -> bool:
+        return self.alpha > tol.FRAME_TOL
 
 
 def frame_operator(F: VectorFamily) -> Mat:
@@ -108,7 +90,7 @@ def frame_operator(F: VectorFamily) -> Mat:
     return (theta + theta.conj().T) / 2.0
 
 
-def frame_bounds(F: VectorFamily) -> FrameBounds:
+def frame_bounds(F: VectorFamily, *, tol: Tolerances = DEFAULTS) -> FrameBounds:
     """Optimal bounds: extreme eigenvalues of the frame operator.
 
     Args:
@@ -117,33 +99,28 @@ def frame_bounds(F: VectorFamily) -> FrameBounds:
     Returns:
         FrameBounds with alpha = smallest and beta = largest eigenvalue
         (tiny negative eigenvalues from rounding are clipped to zero).
-        The family is a frame iff alpha clears the frame tolerance.
+        The family is a frame iff alpha clears ``tol.FRAME_TOL``.
     """
-    eigs = linalg.hermitian_eigs(frame_operator(F))
+    eigs = linalg.hermitian_eigs(frame_operator(F), tol=tol)
     return FrameBounds(alpha=max(float(eigs[0]), 0.0), beta=max(float(eigs[-1]), 0.0))
 
 
-def canonical_dual(F: VectorFamily, frame_tol: float = FRAME_TOL) -> DualFamily:
-    """The canonical dual family {Theta^-1 f_k}.
-
-    Args:
-        F: a frame (lower bound above ``frame_tol``).
-
-    Returns:
-        DualFamily aligned with F.
+def canonical_dual(F: VectorFamily, *, tol: Tolerances = DEFAULTS) -> VectorFamily:
+    """The canonical dual family {Theta^-1 f_k}, aligned with F.
 
     Raises:
-        NotAFrameError: carrying the offending alpha.
+        NotAFrameError: when alpha does not clear ``tol.FRAME_TOL``,
+            carrying the offending alpha.
     """
-    bounds = frame_bounds(F)
-    if not bounds.is_frame(frame_tol):
+    bounds = frame_bounds(F, tol=tol)
+    if not bounds.is_frame(tol=tol):
         raise NotAFrameError(bounds.alpha)
     theta = frame_operator(F)
-    duals = linalg.solve(theta, F.vectors.T).T
-    return DualFamily(vectors=duals)
+    duals = linalg.solve(theta, F.vectors.T, tol=tol).T
+    return VectorFamily(vectors=duals)
 
 
-def analysis(f: Vec, F: VectorFamily | DualFamily) -> np.ndarray:
+def analysis(f: Vec, F: VectorFamily) -> np.ndarray:
     """Coefficients c_k = <f, f_k> of f against the family."""
     f = np.asarray(f, dtype=complex)
     if f.ndim != 1 or f.shape[0] != F.dim:
@@ -153,7 +130,7 @@ def analysis(f: Vec, F: VectorFamily | DualFamily) -> np.ndarray:
     return F.vectors.conj() @ f
 
 
-def synthesis(c, F: VectorFamily | DualFamily) -> Vec:
+def synthesis(c, F: VectorFamily) -> Vec:
     """The combination sum_k c_k f_k."""
     c = np.asarray(c, dtype=complex)
     if c.ndim != 1 or c.shape[0] != F.count:
@@ -163,38 +140,22 @@ def synthesis(c, F: VectorFamily | DualFamily) -> Vec:
     return F.vectors.T @ c
 
 
-def verify_dual_pair(
-    F: VectorFamily | DualFamily,
-    G: VectorFamily | DualFamily,
-    trials: int = 16,
-    seed: int = 0,
-) -> float:
-    """Max residual ||f - sum_k <f, g_k> f_k|| over random unit vectors f.
+def verify_dual_pair(F: VectorFamily, G: VectorFamily) -> float:
+    """The exact worst-case residual ||I - sum_k f_k g_k*||_2.
 
-    A valid dual pair stays below 1e-8; the residual is returned rather
-    than judged so callers can apply their own threshold.
+    This is the max of ||f - sum_k <f, g_k> f_k|| over unit vectors f.
+    The residual is returned rather than judged so callers can apply
+    their own threshold.
     """
     if F.count != G.count or F.dim != G.dim:
         raise ValueError(
             f"families are not aligned: ({F.count}, {F.dim}) vs ({G.count}, {G.dim})"
         )
     defect = np.eye(F.dim, dtype=complex) - F.vectors.T @ G.vectors.conj()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(max(1, trials)):
-        f = rng.standard_normal(F.dim) + 1j * rng.standard_normal(F.dim)
-        f /= np.linalg.norm(f)
-        worst = max(worst, float(np.linalg.norm(defect @ f)))
-    return worst
+    return float(np.linalg.norm(defect, 2))
 
 
-def min_norm_gap(
-    f: Vec,
-    F: VectorFamily,
-    c,
-    represent_tol: float = 1e-8,
-    frame_tol: float = FRAME_TOL,
-) -> float:
+def min_norm_gap(f: Vec, F: VectorFamily, c, *, tol: Tolerances = DEFAULTS) -> float:
     """Excess coefficient energy over the canonical representation.
 
     For any coefficients c with sum_k c_k f_k = f, the quantity
@@ -214,23 +175,24 @@ def min_norm_gap(
         a hair below zero.
 
     Raises:
-        ValueError: when c does not synthesize f within ``represent_tol``.
+        ValueError: when c does not solve the synthesis system
+            sum_k c_k f_k = f to ``tol.SOLVE_TOL`` times max(1, ||f||).
         NotAFrameError: when F is not a frame.
     """
     f = np.asarray(f, dtype=complex)
     c = np.asarray(c, dtype=complex)
     mismatch = float(np.linalg.norm(synthesis(c, F) - f))
-    if mismatch > represent_tol * max(1.0, float(np.linalg.norm(f))):
+    if mismatch > tol.SOLVE_TOL * max(1.0, float(np.linalg.norm(f))):
         raise ValueError(
             f"coefficients do not represent f: ||sum c_k f_k - f|| = {mismatch:.3e}"
         )
-    dual = canonical_dual(F, frame_tol)
+    dual = canonical_dual(F, tol=tol)
     canon = analysis(f, dual)
     return float(np.sum(np.abs(c) ** 2) - np.sum(np.abs(canon) ** 2))
 
 
 def subspace_frame_bounds(
-    F: VectorFamily, W_basis: Mat, ortho_tol: float = 1e-10
+    F: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
 ) -> FrameBounds:
     """Bounds of the projected family {P_W f_k} as a frame for W.
 
@@ -243,18 +205,14 @@ def subspace_frame_bounds(
         raise ValueError(
             f"basis rows ({B.shape[0]}) must match family dim ({F.dim})"
         )
-    gram = B.conj().T @ B
-    if float(np.linalg.norm(gram - np.eye(B.shape[1]))) > ortho_tol * max(
-        1.0, float(np.linalg.norm(gram))
-    ):
-        raise ValueError("W_basis must have orthonormal columns")
+    linalg.require_orthonormal(B, "W_basis")
     projected = VectorFamily(vectors=F.vectors @ B.conj())
-    return frame_bounds(projected)
+    return frame_bounds(projected, tol=tol)
 
 
 # --- JSON import/export ----------------------------------------------------
 
-def family_to_json(F: VectorFamily | DualFamily) -> dict:
+def family_to_json(F: VectorFamily) -> dict:
     """Serialize as {"dim": d, "vectors": [[[re, im], ...], ...]}."""
     return {
         "dim": F.dim,

@@ -13,10 +13,17 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .tolerances import EIG_TOL, HERM_TOL, PIVOT_TOL, SOLVE_TOL
+from .tolerances import DEFAULTS, Tolerances
 
 Vec = np.ndarray
 Mat = np.ndarray
+
+# Columns count as orthonormal while ||B*B - I|| stays below this times
+# max(1, ||B*B||): a basis read from JSON round-trips to a few ulps.
+ORTHONORMAL_TOL = 1e-10
+# Singular values below this times the largest one are dropped as rank
+# noise: a few hundred ulps, well above the SVD's backward error.
+RANK_TOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -61,39 +68,39 @@ def inner(u: Vec, v: Vec) -> complex:
     return complex(np.vdot(v, u))
 
 
-def hermitian_eigs(M: Mat, herm_tol: float = HERM_TOL, eig_tol: float = EIG_TOL) -> np.ndarray:
+def hermitian_eigs(M: Mat, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, real and ascending.
 
-    Rejects inputs farther than ``herm_tol`` (relative) from their own
-    conjugate transpose, and checks that the decomposition reproduces
-    the matrix to ``eig_tol`` (relative).
+    Rejects inputs farther than ``tol.HERM_TOL`` (relative) from their
+    own conjugate transpose, and checks that the decomposition
+    reproduces the matrix to ``tol.EIG_TOL`` (relative).
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.linalg.norm(M)))
     asym = float(np.linalg.norm(M - M.conj().T))
-    if asym > herm_tol * scale:
+    if asym > tol.HERM_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: ||M - M*|| = {asym:.3e} exceeds "
-            f"{herm_tol:.1e} * scale"
+            f"{tol.HERM_TOL:.1e} * scale"
         )
     vals, vecs = np.linalg.eigh(M)
     resid = float(np.linalg.norm((vecs * vals) @ vecs.conj().T - M))
-    if resid > eig_tol * scale:
+    if resid > tol.EIG_TOL * scale:
         raise NumericalError(
-            f"eigendecomposition residual {resid:.3e} exceeds {eig_tol:.1e} * scale"
+            f"eigendecomposition residual {resid:.3e} exceeds {tol.EIG_TOL:.1e} * scale"
         )
     return vals
 
 
-def solve(M: Mat, b: Vec, solve_tol: float = SOLVE_TOL, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def solve(M: Mat, b: Vec, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
     """Solve M x = b for square M; b may have multiple columns.
 
     Raises :class:`SingularMatrixError` naming the offending pivot when
-    elimination meets a pivot below ``pivot_tol`` times the matrix
+    elimination meets a pivot below ``tol.PIVOT_TOL`` times the matrix
     scale, and :class:`NumericalError` when the residual exceeds
-    ``solve_tol * (||M|| ||x|| + ||b||)``.
+    ``tol.SOLVE_TOL * (||M|| ||x|| + ||b||)``.
     """
     M = np.asarray(M, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -109,15 +116,15 @@ def solve(M: Mat, b: Vec, solve_tol: float = SOLVE_TOL, pivot_tol: float = PIVOT
     pivots = np.abs(np.diag(lu))
     scale = max(float(np.max(np.abs(M))), np.finfo(float).tiny)
     k = int(np.argmin(pivots))
-    if pivots[k] < pivot_tol * scale:
+    if pivots[k] < tol.PIVOT_TOL * scale:
         raise SingularMatrixError(
             f"matrix is singular to working precision: pivot {k} is "
-            f"{pivots[k]:.3e} (threshold {pivot_tol:.1e} * {scale:.3e})",
+            f"{pivots[k]:.3e} (threshold {tol.PIVOT_TOL:.1e} * {scale:.3e})",
             pivot_index=k,
         )
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
     resid = float(np.linalg.norm(M @ x - b))
-    bound = solve_tol * (
+    bound = tol.SOLVE_TOL * (
         float(np.linalg.norm(M)) * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
     )
     if resid > bound:
@@ -143,7 +150,15 @@ def spectral_radius(A: Mat) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def orthonormal_basis(columns: Mat, rank_tol: float = 1e-12) -> Mat:
+def require_orthonormal(B: Mat, name: str) -> None:
+    """Raise ``ValueError`` unless the columns of B are orthonormal."""
+    gram = B.conj().T @ B
+    defect = float(np.linalg.norm(gram - np.eye(B.shape[1])))
+    if defect > ORTHONORMAL_TOL * max(1.0, float(np.linalg.norm(gram))):
+        raise ValueError(f"{name} must have orthonormal columns")
+
+
+def orthonormal_basis(columns: Mat) -> Mat:
     """Orthonormal basis (as columns) of the column span of the input.
 
     Rank-deficient inputs are reduced to a basis of the span; an input
@@ -155,7 +170,7 @@ def orthonormal_basis(columns: Mat, rank_tol: float = 1e-12) -> Mat:
     u, s, _ = np.linalg.svd(B, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise ValueError("cannot orthonormalize: all columns are zero")
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :rank]
 
 

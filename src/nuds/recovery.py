@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import LatticeWindow, bs_membership
+from .dynamics import LatticeWindow, TailLimit, bs_membership
 from .frames import (
-    DualFamily,
     FrameBounds,
     VectorFamily,
     analysis,
@@ -46,16 +45,15 @@ from .frames import (
 )
 from .lattice import LambdaIndex, branch_of, index_map, power_of, successor, window
 from .linalg import Mat, NumericalError, SingularMatrixError, Vec
-from .tolerances import BS_TOL, FRAME_TOL, RHO_MARGIN
+from .tolerances import DEFAULTS, Tolerances
+
+# The nullifier needs an exactly diagonal, real operator; off-diagonal
+# mass or imaginary parts above rounding level (relative) are rejected.
+DIAGONAL_TOL = 1e-12
 
 
 class ConditionFailure(Exception):
     """A recoverability condition does not hold for the given system."""
-
-
-def case_of(idx: LambdaIndex) -> str:
-    """Report tag ('i', 'ii', 'iii') for the branch a recovery point uses."""
-    return branch_of(idx).value
 
 
 @dataclass(frozen=True)
@@ -66,16 +64,14 @@ class CouplingMatrix:
 
 
 def coupling_matrix(
-    A: Mat,
-    g: VectorFamily,
-    gdual: DualFamily,
-    dual_tol: float = 1e-8,
-    recon_tol: float = 1e-8,
+    A: Mat, g: VectorFamily, gdual: VectorFamily, *, tol: Tolerances = DEFAULTS
 ) -> CouplingMatrix:
     """Expansion coefficients of each A* g_j over the frame {g_i}.
 
     Validates the dual pair first, then checks the defining identity
-    A* g_j = sum_i c[i][j] g_i numerically.
+    A* g_j = sum_i c[i][j] g_i numerically.  Both are residuals of the
+    linear identities a dual solves, so both are held to
+    ``tol.SOLVE_TOL``.
 
     Raises:
         ValueError: when gdual is not a valid dual of g.
@@ -83,10 +79,10 @@ def coupling_matrix(
     """
     A = linalg.as_matrix(A)
     dual_residual = verify_dual_pair(g, gdual)
-    if dual_residual > dual_tol:
+    if dual_residual > tol.SOLVE_TOL:
         raise ValueError(
             f"invalid dual family: reconstruction residual {dual_residual:.3e} "
-            f"exceeds {dual_tol:.1e}"
+            f"exceeds {tol.SOLVE_TOL:.1e}"
         )
     # Rows of a_star_g are A* g_j.
     a_star_g = g.vectors @ A.conj()
@@ -95,7 +91,7 @@ def coupling_matrix(
     for j in range(g.count):
         err = float(np.linalg.norm(a_star_g[j] - recon[j]))
         scale = max(1.0, float(np.linalg.norm(a_star_g[j])))
-        if err > recon_tol * scale:
+        if err > tol.SOLVE_TOL * scale:
             raise NumericalError(
                 f"coupling expansion failed for vector {j}: residual {err:.3e}"
             )
@@ -107,8 +103,9 @@ def reconstruct_finite(
     at: LambdaIndex,
     A: Mat,
     g: VectorFamily,
-    gdual: DualFamily | None = None,
-    frame_tol: float = FRAME_TOL,
+    gdual: VectorFamily | None = None,
+    *,
+    tol: Tolerances = DEFAULTS,
 ) -> Vec:
     """Recover the source from the rows at `at` and its successor.
 
@@ -127,7 +124,7 @@ def reconstruct_finite(
     """
     A = linalg.as_matrix(A)
     if gdual is None:
-        gdual = canonical_dual(g, frame_tol)
+        gdual = canonical_dual(g, tol=tol)
     row_at = D.row(at)
     row_next = D.row(successor(at))
     u = synthesis(row_at, gdual)
@@ -139,9 +136,10 @@ def reconstruct_finite_coupling(
     at: LambdaIndex,
     A: Mat,
     g: VectorFamily,
-    gdual: DualFamily | None = None,
+    gdual: VectorFamily | None = None,
     coupling: CouplingMatrix | None = None,
-    frame_tol: float = FRAME_TOL,
+    *,
+    tol: Tolerances = DEFAULTS,
 ) -> Vec:
     """Source recovery through the coupling-coefficient expansion.
 
@@ -151,26 +149,18 @@ def reconstruct_finite_coupling(
     independent route so the two can be cross-checked.
     """
     if gdual is None:
-        gdual = canonical_dual(g, frame_tol)
+        gdual = canonical_dual(g, tol=tol)
     if coupling is None:
-        coupling = coupling_matrix(A, g, gdual)
+        coupling = coupling_matrix(A, g, gdual, tol=tol)
     row_at = D.row(at)
     row_next = D.row(successor(at))
     propagated = row_at @ coupling.entries.conj()
     return synthesis(row_next - propagated, gdual)
 
 
-def recovery_certificate_full(g: VectorFamily) -> FrameBounds:
-    """Frame bounds of the sampling family.
-
-    Finite-step recovery of sources anywhere in the ambient space works
-    exactly when the family is a frame, i.e. when the returned alpha
-    clears the frame tolerance.
-    """
-    return frame_bounds(g)
-
-
-def subspace_condition(A: Mat, g: VectorFamily, W_basis: Mat) -> FrameBounds:
+def subspace_condition(
+    A: Mat, g: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
+) -> FrameBounds:
     """Bounds of {P_W (I - A*)^-1 g_j} as a frame for W.
 
     This is a necessary condition for recovering sources in W from
@@ -185,14 +175,14 @@ def subspace_condition(A: Mat, g: VectorFamily, W_basis: Mat) -> FrameBounds:
     eye = np.eye(A.shape[0], dtype=complex)
     try:
         # Columns of Z solve (I - A*) z_j = g_j.
-        Z = linalg.solve(eye - A.conj().T, g.vectors.T)
+        Z = linalg.solve(eye - A.conj().T, g.vectors.T, tol=tol)
     except SingularMatrixError as exc:
         raise NumericalError(
             f"subspace condition unavailable: 1 is in the spectrum of A "
             f"(I - A* is singular at pivot {exc.pivot_index})"
         ) from exc
     in_w_coords = Z.T @ B.conj()
-    return frame_bounds(VectorFamily(vectors=in_w_coords))
+    return frame_bounds(VectorFamily(vectors=in_w_coords), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -220,7 +210,7 @@ class StationaryMap:
 
 
 def stationary_map_from_A(
-    A: Mat, g: VectorFamily, W_basis: Mat, rho_margin: float = RHO_MARGIN
+    A: Mat, g: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
 ) -> StationaryMap:
     """Stationary map of the linear dynamics when the spectral radius is < 1.
 
@@ -228,19 +218,19 @@ def stationary_map_from_A(
     states, so S = (I - A)^-1 restricted to W and S* = P_W (I - A*)^-1.
 
     Raises:
-        ConditionFailure: when rho(A) >= 1 - rho_margin, naming the radius.
+        ConditionFailure: when rho(A) >= 1 - tol.RHO_MARGIN, naming the radius.
     """
     A = linalg.as_matrix(A)
     B = linalg.as_matrix(W_basis)
     rho = linalg.spectral_radius(A)
-    if rho >= 1.0 - rho_margin:
+    if rho >= 1.0 - tol.RHO_MARGIN:
         raise ConditionFailure(
             f"stationary map requires spectral radius below 1: rho(A) = {rho:.6g} "
-            f"(margin {rho_margin:.1e})"
+            f"(margin {tol.RHO_MARGIN:.1e})"
         )
     eye = np.eye(A.shape[0], dtype=complex)
-    apply = linalg.solve(eye - A, B)
-    adjoint = linalg.solve(eye - A.conj().T, g.vectors.T).T @ B.conj()
+    apply = linalg.solve(eye - A, B, tol=tol)
+    adjoint = linalg.solve(eye - A.conj().T, g.vectors.T, tol=tol).T @ B.conj()
     return StationaryMap(
         apply=apply,
         adjoint_family=VectorFamily(vectors=adjoint),
@@ -249,28 +239,30 @@ def stationary_map_from_A(
     )
 
 
+def _convergent_limit(D: LatticeWindow, tail: int, tol: Tolerances) -> TailLimit:
+    """The edge row limit; ConditionFailure unless the gap clears tol.BS_TOL."""
+    lim = bs_membership(D, tail, tol=tol)
+    if not lim.member:
+        raise ConditionFailure(
+            f"rows are not convergent: tail gap {lim.tail_gap:.3e} exceeds "
+            f"{tol.BS_TOL:.1e}"
+        )
+    return lim
+
+
 def limit_operator(
-    D: LatticeWindow,
-    G: VectorFamily | DualFamily,
-    tail: int,
-    bs_tol: float = BS_TOL,
+    D: LatticeWindow, G: VectorFamily, tail: int, *, tol: Tolerances = DEFAULTS
 ) -> Vec:
     """Evaluate lim sum_j D[lambda][j] G_j at the window edges.
 
     The limit row is taken from the outermost rows (see
     :func:`nuds.dynamics.bs_membership`); the Cauchy tail gap must clear
-    the row-convergence tolerance.
+    ``tol.BS_TOL``.
 
     Raises:
         ConditionFailure: when the rows are not convergent at the edges.
     """
-    lim = bs_membership(D, tail, bs_tol)
-    if not lim.member:
-        raise ConditionFailure(
-            f"rows are not convergent: tail gap {lim.tail_gap:.3e} exceeds "
-            f"{bs_tol:.1e}"
-        )
-    return synthesis(lim.limit_row, G)
+    return synthesis(_convergent_limit(D, tail, tol).limit_row, G)
 
 
 @dataclass
@@ -310,9 +302,10 @@ def finite_recovery_report(
     at: LambdaIndex,
     A: Mat,
     g: VectorFamily,
-    gdual: DualFamily | None = None,
+    gdual: VectorFamily | None = None,
     w_true: Vec | None = None,
-    frame_tol: float = FRAME_TOL,
+    *,
+    tol: Tolerances = DEFAULTS,
 ) -> RecoveryReport:
     """Run finite-step recovery and package the full report.
 
@@ -320,15 +313,15 @@ def finite_recovery_report(
     and the synthesized state; it vanishes on exact data.
     """
     A = linalg.as_matrix(A)
-    bounds = frame_bounds(g)
-    if not bounds.is_frame(frame_tol):
+    bounds = frame_bounds(g, tol=tol)
+    if not bounds.is_frame(tol=tol):
         raise ConditionFailure(
             f"not stably recoverable: sampling family is not a frame "
             f"(alpha = {bounds.alpha:.3e})"
         )
     if gdual is None:
-        gdual = canonical_dual(g, frame_tol)
-    w_hat = reconstruct_finite(D, at, A, g, gdual, frame_tol)
+        gdual = canonical_dual(g, tol=tol)
+    w_hat = reconstruct_finite(D, at, A, g, gdual, tol=tol)
     u = synthesis(D.row(at), gdual)
     predicted_next = analysis(A @ u + w_hat, g)
     residual = float(np.linalg.norm(predicted_next - D.row(successor(at))))
@@ -344,7 +337,7 @@ def finite_recovery_report(
             "beta": bounds.beta,
             "rho": linalg.spectral_radius(A),
             "tail_gap": 0.0,
-            "case": case_of(at),
+            "case": branch_of(at).value,
         },
     )
 
@@ -354,8 +347,8 @@ def reconstruct_infinite(
     smap: StationaryMap,
     tail: int,
     w_true: Vec | None = None,
-    frame_tol: float = FRAME_TOL,
-    bs_tol: float = BS_TOL,
+    *,
+    tol: Tolerances = DEFAULTS,
 ) -> RecoveryReport:
     """Recover the source from the limit row of a convergent data matrix.
 
@@ -370,20 +363,15 @@ def reconstruct_infinite(
             family misses the frame condition, or when the rows are not
             convergent at the window edges.
     """
-    bounds = frame_bounds(smap.adjoint_family)
-    if not bounds.is_frame(frame_tol):
+    bounds = frame_bounds(smap.adjoint_family, tol=tol)
+    if not bounds.is_frame(tol=tol):
         raise ConditionFailure(
             f"not stably recoverable: the adjoint family is not a frame for W "
             f"(alpha = {bounds.alpha:.3e})"
         )
-    dual_in_w = canonical_dual(smap.adjoint_family, frame_tol)
-    lifted = DualFamily(vectors=dual_in_w.vectors @ smap.W_basis.T)
-    lim = bs_membership(D, tail, bs_tol)
-    if not lim.member:
-        raise ConditionFailure(
-            f"rows are not convergent: tail gap {lim.tail_gap:.3e} exceeds "
-            f"{bs_tol:.1e}"
-        )
+    dual_in_w = canonical_dual(smap.adjoint_family, tol=tol)
+    lifted = VectorFamily(vectors=dual_in_w.vectors @ smap.W_basis.T)
+    lim = _convergent_limit(D, tail, tol)
     w_hat = synthesis(lim.limit_row, lifted)
     predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, smap.adjoint_family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
@@ -405,7 +393,7 @@ def reconstruct_infinite(
 
 
 def counterexample_nullifier(
-    A: Mat, w: Vec, K: int
+    A: Mat, w: Vec, K: int, *, tol: Tolerances = DEFAULTS
 ) -> tuple[Vec, Vec, np.ndarray]:
     """Initial states that zero out every windowed measurement.
 
@@ -440,9 +428,9 @@ def counterexample_nullifier(
         )
     diag = np.diag(A)
     off = A - np.diag(diag)
-    if float(np.linalg.norm(off)) > 1e-12 * max(1.0, float(np.linalg.norm(A))):
+    if float(np.linalg.norm(off)) > DIAGONAL_TOL * max(1.0, float(np.linalg.norm(A))):
         raise ValueError("A must be diagonal")
-    if float(np.max(np.abs(diag.imag))) > 1e-12:
+    if float(np.max(np.abs(diag.imag))) > DIAGONAL_TOL:
         raise ValueError("A must have real diagonal entries")
     lam = diag.real
     if np.any(lam <= 0.0) or np.any(lam >= 1.0):
@@ -473,7 +461,7 @@ def counterexample_nullifier(
             dtype=complex,
         )
         try:
-            return linalg.solve(M, -b)
+            return linalg.solve(M, -b, tol=tol)
         except SingularMatrixError as exc:
             sign, logdet = np.linalg.slogdet(M)
             raise NumericalError(

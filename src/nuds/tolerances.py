@@ -1,9 +1,16 @@
 """Numerical tolerances used across the package.
 
-Every threshold lives here so that a single override reaches all call
-sites.  Functions take individual tolerances as keyword arguments
-defaulting to these constants; the CLI builds a :class:`Tolerances`
-instance from ``--tol-override KEY=VAL`` flags.
+The seven named thresholds below are the only ones an override can move.
+They reach their call sites by one path: every function that applies one
+of them takes a keyword ``tol: Tolerances`` (default :data:`DEFAULTS`)
+and passes that same value on to every kernel it calls.  The CLI builds
+one :class:`Tolerances` per command from the config's ``tolerances``
+object and the ``--tol-override KEY=VAL`` flags.
+
+The module constants are the field defaults and nothing else; no other
+module reads them.  Fixed thresholds that are not a field (orthonormality
+of a basis, the scenario oracles, ...) are named constants in the module
+that applies them.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from dataclasses import dataclass, fields
 
 # Hermitian eigendecomposition: max reconstruction residual (relative).
 EIG_TOL = 1e-8
-# Linear solves: residual bound ||Mx - b|| <= SOLVE_TOL * (||M||*||x|| + ||b||).
+# Linear solves and the linear identities they produce (a dual pair, a
+# synthesis): residual bound ||Mx - b|| <= SOLVE_TOL * (||M||*||x|| + ||b||).
 SOLVE_TOL = 1e-8
 # How far from Hermitian a matrix may be (relative) before it is rejected.
 HERM_TOL = 1e-10
@@ -64,3 +72,7 @@ class Tolerances:
                 raise ValueError(f"tolerance {key} must be positive, got {val}")
             merged[key] = val
         return Tolerances(**merged)
+
+
+# The shared default bundle: the default of every ``tol`` keyword.
+DEFAULTS = Tolerances()

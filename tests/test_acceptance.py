@@ -33,10 +33,16 @@ from nuds.frames import (
     synthesis,
     verify_dual_pair,
 )
-from nuds.lattice import LambdaIndex, SpectralParams, index_map, power_of, window
+from nuds.lattice import (
+    LambdaIndex,
+    SpectralParams,
+    branch_of,
+    index_map,
+    power_of,
+    window,
+)
 from nuds.recovery import (
     ConditionFailure,
-    case_of,
     counterexample_nullifier,
     finite_recovery_report,
     limit_operator,
@@ -95,7 +101,7 @@ def test_finite_recovery_round_trip_on_random_frames():
             w_hat = reconstruct_finite(D, at, spec.A, spec.g, dual)
             rel = float(np.linalg.norm(w_hat - spec.w)) / w_norm
             worst = max(worst, rel)
-            branches_seen.add(case_of(at))
+            branches_seen.add(branch_of(at).value)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-8, f"worst relative recovery error {worst:.3e}"
     assert branches_seen == {"i", "ii", "iii"}
@@ -388,8 +394,8 @@ def test_cli_demo_round_trip_and_exit_codes(tmp_path, monkeypatch, capsys):
     out = tmp_path / "roundtrip"
     assert main(["demo", "thm38_onb", "-o", str(out), "--emit-config"]) == 0
     cfg_path = out / "thm38_onb_config.json"
-    cfg = parse_config(json.loads(cfg_path.read_text()))
-    assert cfg.to_system_spec().dim == 4 * cfg.K
+    spec, _ = parse_config(json.loads(cfg_path.read_text()))
+    assert spec.dim == 4 * spec.K
     assert main(["simulate", str(cfg_path), "-o", str(out / "sim")]) == 0
     assert main(["recover", str(cfg_path), "-o", str(out / "fin")]) == 0
     assert main(["recover", str(cfg_path), "-o", str(out / "inf"), "--mode", "infinite"]) == 0
@@ -405,7 +411,7 @@ def test_cli_demo_round_trip_and_exit_codes(tmp_path, monkeypatch, capsys):
     ]) == 3
 
     monkeypatch.setattr(
-        cli, "run_scenario", lambda bundle, tail: ({"schema": 1}, ["forced"])
+        cli, "run_scenario", lambda bundle, tail, tol: ({"schema": 1}, ["forced"])
     )
     assert main(["demo", "thm38_onb", "-o", str(tmp_path / "forced")]) == 4
     capsys.readouterr()  # swallow accumulated CLI chatter

@@ -6,9 +6,12 @@ import pytest
 
 from nuds import cli
 from nuds.cli import config_to_json, main, parse_config
+from nuds.dynamics import SystemSpec
+from nuds.frames import VectorFamily
 from nuds.linalg import NumericalError, vector_to_pairs
 from nuds.scenarios import SCENARIO_IDS, build
 from nuds.lattice import SpectralParams
+from nuds.tolerances import Tolerances
 
 
 def _config_doc(dim=8, K=2, scale=0.5):
@@ -30,6 +33,27 @@ def _config_doc(dim=8, K=2, scale=0.5):
         "x0": vector_to_pairs(stationary),
         "xm2": vector_to_pairs(stationary),
     }
+
+
+def _random_config_path(tmp_path, dim=16):
+    # A random non-diagonal system with rho(A) = 0.5: its eigensolver and
+    # solve residuals are nonzero, its LU pivots are spread, and its
+    # K = 4 window is too short for the rows to converge.
+    rng = np.random.default_rng(16)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = cplx(dim, dim)
+    A *= 0.5 / np.abs(np.linalg.eigvals(A)).max()
+    spec = SystemSpec(
+        params=SpectralParams(N=2, r=1), dim=dim, K=dim // 4, A=A,
+        g=VectorFamily(vectors=cplx(2 * dim, dim)), W_basis=np.eye(dim),
+        w=cplx(dim), x0=cplx(dim), xm2=cplx(dim),
+    )
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(config_to_json(spec)))
+    return path
 
 
 @pytest.fixture
@@ -128,11 +152,11 @@ def test_demo_emitted_config_round_trips(tmp_path):
     assert main(["demo", "thm38_onb", "-K", "2", "-o", str(out), "--emit-config"]) == 0
     cfg_path = out / "thm38_onb_config.json"
     doc = json.loads(cfg_path.read_text())
-    cfg = parse_config(doc)
+    spec, _ = parse_config(doc)
     bundle = build("thm38_onb", SpectralParams(N=2, r=1), 2)
-    np.testing.assert_array_equal(cfg.A, bundle.spec.A)
-    np.testing.assert_array_equal(cfg.w, bundle.spec.w)
-    np.testing.assert_array_equal(cfg.g.vectors, bundle.spec.g.vectors)
+    np.testing.assert_array_equal(spec.A, bundle.spec.A)
+    np.testing.assert_array_equal(spec.w, bundle.spec.w)
+    np.testing.assert_array_equal(spec.g.vectors, bundle.spec.g.vectors)
 
     # the emitted config must drive every other subcommand unchanged
     assert main(["simulate", str(cfg_path), "-o", str(out / "sim")]) == 0
@@ -151,7 +175,8 @@ def test_demo_nondefault_lattice_parameters(tmp_path):
 
 def test_demo_expectation_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "run_scenario", lambda bundle, tail: ({"schema": 1}, ["forced mismatch"])
+        cli, "run_scenario",
+        lambda bundle, tail, tol: ({"schema": 1}, ["forced mismatch"]),
     )
     code = main(["demo", "thm38_onb", "-o", str(tmp_path)])
     assert code == 4
@@ -208,14 +233,14 @@ def test_numerical_failures_map_to_exit_1(monkeypatch, config_path, capsys):
 
 def test_config_parsing_generators_and_errors():
     doc = _config_doc()
-    cfg = parse_config(doc)
-    np.testing.assert_array_equal(cfg.A, 0.5 * np.eye(8))
-    assert cfg.g.count == 8 and cfg.g.labels is not None
+    spec, _ = parse_config(doc)
+    np.testing.assert_array_equal(spec.A, 0.5 * np.eye(8))
+    assert spec.g.count == 8 and spec.g.labels is not None
 
     diag_doc = _config_doc()
     diag_doc["A"] = {"generator": "diag", "entries": [[0.1 * (i + 1), 0.0] for i in range(8)]}
-    cfg = parse_config(diag_doc)
-    np.testing.assert_allclose(np.diag(cfg.A).real, 0.1 * np.arange(1, 9))
+    spec, _ = parse_config(diag_doc)
+    np.testing.assert_allclose(np.diag(spec.A).real, 0.1 * np.arange(1, 9))
 
     bad = _config_doc()
     bad["A"] = {"generator": "toeplitz"}
@@ -276,9 +301,66 @@ def test_config_canonical_round_trip():
         "EIG_TOL", "SOLVE_TOL", "HERM_TOL", "FRAME_TOL",
         "BS_TOL", "RHO_MARGIN", "PIVOT_TOL",
     }
-    cfg = parse_config(doc)
-    np.testing.assert_array_equal(cfg.A, bundle.spec.A)
-    np.testing.assert_array_equal(cfg.W_basis, bundle.spec.W_basis)
-    np.testing.assert_array_equal(cfg.xm2, bundle.spec.xm2)
-    spec = cfg.to_system_spec()
+    spec, _ = parse_config(doc)
+    np.testing.assert_array_equal(spec.A, bundle.spec.A)
+    np.testing.assert_array_equal(spec.W_basis, bundle.spec.W_basis)
+    np.testing.assert_array_equal(spec.xm2, bundle.spec.xm2)
     assert spec.K == bundle.spec.K
+
+
+@pytest.mark.parametrize(
+    "argv, override, default_code, code, message",
+    [
+        (["recover", "CONFIG"], "EIG_TOL=1e-300", 0, 1, "eigendecomposition residual"),
+        (["recover", "CONFIG", "--mode", "infinite"], "PIVOT_TOL=0.999", 3, 1, "singular"),
+        (
+            ["recover", "CONFIG", "--mode", "infinite"],
+            "SOLVE_TOL=1e-300", 3, 1, "solve residual",
+        ),
+        (["demo", "thm38_onb"], "FRAME_TOL=2.0", 0, 3, "not stably recoverable"),
+        (["demo", "thm319_quarter", "-K", "7"], "BS_TOL=1e-8", 0, 3, "not convergent"),
+        (["demo", "thm319_quarter"], "RHO_MARGIN=0.8", 0, 3, "spectral radius below 1"),
+    ],
+    ids=["EIG_TOL", "PIVOT_TOL", "SOLVE_TOL", "FRAME_TOL", "BS_TOL", "RHO_MARGIN"],
+)
+def test_tolerance_override_changes_outcome(
+    tmp_path, capsys, argv, override, default_code, code, message
+):
+    # Each override reaches the call site that applies it and turns the
+    # outcome (HERM_TOL is checked at hermitian_eigs in test_linalg).
+    argv = [str(_random_config_path(tmp_path)) if a == "CONFIG" else a for a in argv]
+    argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == default_code
+    capsys.readouterr()
+    assert main(argv + ["--tol-override", override]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_demo_rejects_unknown_tolerance_override(tmp_path, capsys):
+    argv = ["demo", "thm312_diagonal", "-o", str(tmp_path), "--tol-override", "NOPE=1"]
+    assert main(argv) == 2
+    assert "unknown tolerance" in capsys.readouterr().err
+
+
+def test_demo_emits_the_tolerances_in_effect(tmp_path):
+    argv = ["demo", "thm38_onb", "-o", str(tmp_path), "--emit-config"]
+    assert main(argv + ["--tol-override", "BS_TOL=1e-5"]) == 0
+    doc = json.loads((tmp_path / "thm38_onb_config.json").read_text())
+    assert Tolerances(**doc["tolerances"]) == Tolerances(BS_TOL=1e-5)
+
+
+def test_check_passes_tolerances_to_subspace_condition(tmp_path, capsys):
+    # I - A* = diag(-0.5, ..., -7.5): its smallest pivot is 1/15 of the
+    # largest, so PIVOT_TOL = 0.1 makes the resolvent singular.
+    doc = _config_doc()
+    doc["A"] = {"generator": "diag", "entries": [[1.5 + i, 0.0] for i in range(8)]}
+    path = tmp_path / "expanding.json"
+    path.write_text(json.dumps(doc))
+
+    def subspace_row(*flags):
+        assert main(["check", str(path), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return next(l for l in lines if l.startswith("subspace condition"))
+
+    assert "alpha=" in subspace_row()
+    assert "unavailable" in subspace_row("--tol-override", "PIVOT_TOL=0.1")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nuds.frames import (
-    DualFamily,
     FrameBounds,
     NotAFrameError,
     VectorFamily,
@@ -153,10 +152,23 @@ def test_analysis_synthesis_shape_checks():
 
 def test_verify_dual_pair_detects_mismatch():
     F = VectorFamily(vectors=np.eye(3))
-    G = DualFamily(vectors=2.0 * np.eye(3))
+    G = VectorFamily(vectors=2.0 * np.eye(3))
     assert verify_dual_pair(F, G) > 0.5
     with pytest.raises(ValueError):
-        verify_dual_pair(F, DualFamily(vectors=np.eye(4)))
+        verify_dual_pair(F, VectorFamily(vectors=np.eye(4)))
+
+
+def test_verify_dual_pair_is_exact_on_rank_one_defect():
+    # G = I - s * conj(u u*) makes I - F^T conj(G) = s u u* with F = I, so
+    # the worst unit vector (u itself) has residual s.  A random unit
+    # vector in C^64 sees only |<u, f>| ~ 1/8 of it.
+    d, s = 64, 0.75
+    rng = np.random.default_rng(32)
+    u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    F = VectorFamily(vectors=np.eye(d))
+    G = VectorFamily(vectors=np.eye(d) - s * np.outer(u, u.conj()).conj())
+    assert abs(verify_dual_pair(F, G) - s) <= 1e-12
 
 
 def test_min_norm_gap_random_perturbations():

@@ -18,6 +18,7 @@ from nuds.linalg import (
     vector_from_pairs,
     vector_to_pairs,
 )
+from nuds.tolerances import Tolerances
 
 
 def test_as_vector_shapes_and_finiteness():
@@ -72,6 +73,15 @@ def test_hermitian_eigs_trace_and_det_invariants():
 def test_hermitian_eigs_rejects_non_hermitian():
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         hermitian_eigs(as_matrix([[0, 1], [0, 0]]))
+
+
+def test_herm_tol_override_reaches_hermitian_eigs():
+    # ||M - M*|| = 1.4e-12 against a scale of ~3.2: inside the default
+    # HERM_TOL (1e-10), outside an override of 1e-14.
+    M = as_matrix([[2, 1], [1 + 1e-12, 2]])
+    np.testing.assert_allclose(hermitian_eigs(M), [1.0, 3.0], atol=1e-11)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigs(M, tol=Tolerances(HERM_TOL=1e-14))
 
 
 def test_solve_vandermonde_against_adjugate():

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
-from nuds.frames import DualFamily, NotAFrameError, VectorFamily, canonical_dual, synthesis
-from nuds.lattice import LambdaIndex, SpectralParams, index_map, window
+from nuds.frames import VectorFamily, canonical_dual, frame_bounds, synthesis
+from nuds.lattice import LambdaIndex, SpectralParams, branch_of, index_map, window
 from nuds.linalg import NumericalError
 from nuds.recovery import (
     ConditionFailure,
     RecoveryReport,
-    case_of,
     coupling_matrix,
     counterexample_nullifier,
     finite_recovery_report,
     limit_operator,
     reconstruct_finite,
     reconstruct_finite_coupling,
-    recovery_certificate_full,
     reconstruct_infinite,
     stationary_map_from_A,
     subspace_condition,
@@ -40,10 +38,10 @@ def _random_system(rng, dim, K, spectral_scale=0.8, g_count=None):
 
 
 def test_case_tags():
-    assert case_of(LambdaIndex(3, 0)) == "i"
-    assert case_of(LambdaIndex(-3, 0)) == "i"
-    assert case_of(LambdaIndex(2, 1)) == "ii"
-    assert case_of(LambdaIndex(-2, 1)) == "iii"
+    assert branch_of(LambdaIndex(3, 0)).value == "i"
+    assert branch_of(LambdaIndex(-3, 0)).value == "i"
+    assert branch_of(LambdaIndex(2, 1)).value == "ii"
+    assert branch_of(LambdaIndex(-2, 1)).value == "iii"
 
 
 def test_coupling_matrix_onb_is_a_star():
@@ -52,14 +50,14 @@ def test_coupling_matrix_onb_is_a_star():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     g = VectorFamily(vectors=np.eye(3))
-    c = coupling_matrix(A, g, DualFamily(vectors=np.eye(3)))
+    c = coupling_matrix(A, g, VectorFamily(vectors=np.eye(3)))
     np.testing.assert_allclose(c.entries, A.conj().T, atol=1e-12)
 
 
 def test_coupling_matrix_rejects_bad_dual():
     g = VectorFamily(vectors=np.eye(2))
     with pytest.raises(ValueError, match="dual"):
-        coupling_matrix(np.eye(2), g, DualFamily(vectors=3.0 * np.eye(2)))
+        coupling_matrix(np.eye(2), g, VectorFamily(vectors=3.0 * np.eye(2)))
 
 
 @pytest.mark.parametrize("at", [LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1)])
@@ -97,7 +95,7 @@ def test_reconstruct_finite_needs_successor_row():
 
 def test_certificate_full_is_frame_bounds():
     fam = VectorFamily(vectors=np.array([[1.0, 0], [1.0, 0], [0, 1.0]]))
-    b = recovery_certificate_full(fam)
+    b = frame_bounds(fam)
     assert (b.alpha, b.beta) == pytest.approx((1.0, 2.0))
 
 
@@ -325,7 +323,7 @@ def test_nullifier_zeroes_all_window_measurements(K):
     assert cond.alpha == pytest.approx(norm_w**2, rel=1e-10)
     assert cond.alpha > 0
     # ... while the certificate that would make recovery possible fails
-    assert not recovery_certificate_full(g).is_frame()
+    assert not frame_bounds(g).is_frame()
 
 
 def test_nullifier_input_validation():

@@ -1,7 +1,11 @@
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import nuds
 from nuds import tolerances
 from nuds.tolerances import Tolerances
 
@@ -30,3 +34,30 @@ def test_frozen():
     tol = Tolerances()
     with pytest.raises(dataclasses.FrozenInstanceError):
         tol.FRAME_TOL = 1.0
+
+
+def test_tolerances_reach_call_sites_by_one_path():
+    # The seven thresholds live on Tolerances only: no other module binds
+    # one of their names (as a constant or an import), and no public
+    # function or method takes a float threshold of its own instead of
+    # the `tol` bundle.
+    names = set(Tolerances.names())
+    modules = [nuds] + [
+        importlib.import_module(f"nuds.{info.name}")
+        for info in pkgutil.iter_modules(nuds.__path__)
+    ]
+    for mod in modules:
+        if mod is not tolerances:
+            assert not names & set(vars(mod)), mod.__name__
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in filter(inspect.isfunction, members):
+                if fn.__name__.startswith("_"):
+                    continue
+                knobs = [
+                    p for p in inspect.signature(fn).parameters
+                    if p.endswith("_tol") or p == "rho_margin"
+                ]
+                assert not knobs, (fn.__qualname__, knobs)
