@@ -9,6 +9,7 @@ stable contract: 0 success, 1 numerical failure, 2 config problem,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -105,8 +106,7 @@ def _parse_family(raw, dim: int, K: int) -> VectorFamily:
         labels = tuple(window(K)) if dim == 4 * K else None
         return VectorFamily(vectors=np.eye(dim, dtype=complex), labels=labels)
     if isinstance(raw, list):
-        rows = [linalg.vector_from_pairs(v) for v in raw]
-        return VectorFamily(vectors=np.array(rows, dtype=complex))
+        return VectorFamily(vectors=linalg.matrix_from_pairs(raw))
     raise ValueError("expected 'onb' or a list of vectors")
 
 
@@ -114,8 +114,7 @@ def _parse_subspace(raw, dim: int) -> np.ndarray:
     if raw == "full":
         return np.eye(dim, dtype=complex)
     if isinstance(raw, list):
-        cols = [linalg.vector_from_pairs(c) for c in raw]
-        return np.array(cols, dtype=complex).T
+        return linalg.matrix_from_pairs(raw).T
     raise ValueError("expected 'full' or a list of basis columns")
 
 
@@ -162,8 +161,8 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
         "dim": spec.dim,
         "K": spec.K,
         "A": linalg.matrix_to_pairs(spec.A),
-        "g": [linalg.vector_to_pairs(v) for v in spec.g.vectors],
-        "W": [linalg.vector_to_pairs(c) for c in spec.W_basis.T],
+        "g": linalg.matrix_to_pairs(spec.g.vectors),
+        "W": linalg.matrix_to_pairs(spec.W_basis.T),
         "w": linalg.vector_to_pairs(spec.w),
         "x0": linalg.vector_to_pairs(spec.x0),
         "xm2": linalg.vector_to_pairs(spec.xm2),
@@ -172,12 +171,19 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
 
 
 def _load_config(path: str, tol_overrides: dict) -> tuple[SystemSpec, Tolerances]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc, tol_overrides)
+    # The decoded tree of ~d^2 small lists holds no cycle to collect.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+        return parse_config(doc, tol_overrides)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _parse_tol_flags(pairs: list[str]) -> dict:

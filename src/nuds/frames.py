@@ -216,7 +216,7 @@ def family_to_json(F: VectorFamily) -> dict:
     """Serialize as {"dim": d, "vectors": [[[re, im], ...], ...]}."""
     return {
         "dim": F.dim,
-        "vectors": [linalg.vector_to_pairs(row) for row in F.vectors],
+        "vectors": linalg.matrix_to_pairs(F.vectors),
     }
 
 
@@ -225,10 +225,7 @@ def family_from_json(doc: dict) -> VectorFamily:
     if not isinstance(doc, dict) or "dim" not in doc or "vectors" not in doc:
         raise ValueError("family document must have 'dim' and 'vectors' keys")
     dim = doc["dim"]
-    rows = [linalg.vector_from_pairs(v) for v in doc["vectors"]]
-    if not rows:
-        raise ValueError("family document contains no vectors")
-    family = VectorFamily(vectors=np.array(rows, dtype=complex))
+    family = VectorFamily(vectors=linalg.matrix_from_pairs(doc["vectors"]))
     if family.dim != dim:
         raise ValueError(
             f"declared dim {dim} does not match vector length {family.dim}"

@@ -9,6 +9,7 @@ dimension <= 256.
 from __future__ import annotations
 
 import warnings
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
@@ -175,7 +176,10 @@ def orthonormal_basis(columns: Mat) -> Mat:
 
 
 # --- JSON codecs -----------------------------------------------------------
-# Complex scalars travel as [re, im] pairs in every file format.
+# Complex scalars travel as [re, im] pairs in every file format.  A whole
+# field converts in a few C-level passes (pair types, pair lengths, one
+# np.fromiter over the numbers); the pair-by-pair walk runs only when a
+# field is rejected, to raise the error that names the offending pair.
 
 def complex_to_pair(z: complex) -> list[float]:
     z = complex(z)
@@ -191,21 +195,54 @@ def pair_to_complex(pair) -> complex:
         raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}") from None
 
 
+_SEQUENCE_TYPES = {list, tuple}
+
+
+def _pairs_array(pairs) -> np.ndarray | None:
+    """The pairs as one 1-d complex array, or None if any pair is suspect.
+
+    np.fromiter converts each number as ``float`` does, except that it
+    reads ``null`` as NaN; any non-finite result therefore also returns
+    None, and the pair walk decides between a null and a NaN.
+    """
+    if not (set(map(type, pairs)) <= _SEQUENCE_TYPES and set(map(len, pairs)) <= {2}):
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), np.float64, count=2 * len(pairs))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(complex)
+
+
+def _complex_list(pairs) -> list[complex]:
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"expected a list of [re, im] pairs, got {pairs!r}")
+    return [pair_to_complex(p) for p in pairs]
+
+
 def vector_to_pairs(v: Vec) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
+    """One [re, im] pair per entry; a matrix gives one list of pairs per row."""
+    z = np.ascontiguousarray(v, dtype=complex)
+    return z.view(np.float64).reshape(z.shape + (2,)).tolist()
 
 
 def vector_from_pairs(pairs) -> Vec:
-    if not isinstance(pairs, (list, tuple)):
-        raise ValueError(f"expected a list of [re, im] pairs, got {pairs!r}")
-    return as_vector([pair_to_complex(p) for p in pairs])
+    v = _pairs_array(pairs) if isinstance(pairs, (list, tuple)) else None
+    return as_vector(_complex_list(pairs) if v is None else v)
 
 
 def matrix_to_pairs(M: Mat) -> list[list[list[float]]]:
-    return [vector_to_pairs(row) for row in np.asarray(M, dtype=complex)]
+    return vector_to_pairs(M)
 
 
 def matrix_from_pairs(rows) -> Mat:
     if not isinstance(rows, (list, tuple)) or not rows:
         raise ValueError(f"expected a nonempty list of rows, got {rows!r}")
-    return as_matrix([[pair_to_complex(p) for p in row] for row in rows])
+    M = None
+    if set(map(type, rows)) <= _SEQUENCE_TYPES and len(set(map(len, rows))) == 1:
+        M = _pairs_array(list(chain.from_iterable(rows)))
+    if M is None:
+        return as_matrix([_complex_list(row) for row in rows])
+    return as_matrix(M.reshape(len(rows), len(rows[0])))

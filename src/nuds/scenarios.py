@@ -26,6 +26,7 @@ Scenario ids:
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -75,6 +76,20 @@ DEFAULT_K = {
     "thm317_generalized": 5,
     "thm319_quarter": 20,
 }
+
+# Smallest window each scenario runs on: the finite cases at 0 and r/N
+# read the row at 2, which the window holds from K = 2 on (thm314 runs no
+# finite recovery).  thm319 may need more; see min_K.
+MIN_K = {
+    "thm312_diagonal": 2,
+    "thm38_onb": 2,
+    "thm314_counterexample": 1,
+    "thm317_generalized": 2,
+    "thm319_quarter": 2,
+}
+
+# The thm319 source w = 1 at the point 0 and 1/2 at r/N.
+QUARTER_SOURCE = (1.0, 0.5)
 
 # Expectation oracles.  They judge the outcome and so stay fixed under
 # tolerance overrides: an override must not be able to pass a scenario.
@@ -330,8 +345,7 @@ def _build_thm319_quarter(
     p1 = imap.index_of(LambdaIndex(0, 1))
     B = _basis_columns(dim, [p0, p1])
     w = np.zeros(dim, dtype=complex)
-    w[p0] = 1.0
-    w[p1] = 0.5
+    w[[p0, p1]] = QUARTER_SOURCE
     A = 0.25 * np.eye(dim, dtype=complex)
     g = _onb(dim, win)
     spec = SystemSpec(
@@ -365,10 +379,28 @@ _BUILDERS = {
 }
 
 
+def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
+    """Smallest K on which the scenario's recovery can run at ``tol``.
+
+    In thm319 both orbits start at x0 = 0 and contract toward S(w) = 4w/3
+    along one ray, x_n - S(w) = 4^-n (x0 - S(w)), so any two states from
+    step n on differ by less than 4^-n ||x0 - S(w)||.  The edge rows (tail
+    2) sit at steps 2K - 2 and 2K - 1; their gap must clear ``tol.BS_TOL``.
+    """
+    if scenario_id != "thm319_quarter":
+        return MIN_K[scenario_id]
+    distance = 4.0 / 3.0 * math.hypot(*QUARTER_SOURCE)
+    steps = math.log(max(distance / tol.BS_TOL, 1.0), 4)
+    return max(MIN_K[scenario_id], math.ceil(steps / 2) + 1)
+
+
 def build(
     scenario_id: str, params: SpectralParams, K: int, *, tol: Tolerances = DEFAULTS
 ) -> ScenarioBundle:
-    """Build a scenario system deterministically from (id, r, N, K)."""
+    """Build a scenario system deterministically from (id, r, N, K).
+
+    Raises ``ValueError`` for a K below :func:`min_K`, naming that minimum.
+    """
     try:
         builder = _BUILDERS[scenario_id]
     except KeyError:
@@ -377,6 +409,14 @@ def build(
         ) from None
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
+    smallest = min_K(scenario_id, tol=tol)
+    if K < smallest:
+        why = (
+            f"its edge rows clear BS_TOL = {tol.BS_TOL:.1e} only from there"
+            if scenario_id == "thm319_quarter"
+            else "finite recovery at r/N reads the row at 2"
+        )
+        raise ValueError(f"{scenario_id} needs K >= {smallest}, got K = {K}: {why}")
     return builder(params, K, tol)
 
 

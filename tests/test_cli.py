@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -8,8 +10,8 @@ from nuds import cli
 from nuds.cli import config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
-from nuds.linalg import NumericalError, vector_to_pairs
-from nuds.scenarios import SCENARIO_IDS, build
+from nuds.linalg import NumericalError, complex_to_pair, pair_to_complex, vector_to_pairs
+from nuds.scenarios import DEFAULT_K, SCENARIO_IDS, build, min_K
 from nuds.lattice import SpectralParams
 from nuds.tolerances import Tolerances
 
@@ -53,6 +55,15 @@ def _random_config_path(tmp_path, dim=16):
     )
     path = tmp_path / "random.json"
     path.write_text(json.dumps(config_to_json(spec)))
+    return path
+
+
+def _quarter_config_path(tmp_path):
+    # thm319_quarter at K = 7, the smallest window whose edge rows clear
+    # the default BS_TOL (tail gap 6.7e-8).
+    bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
+    path = tmp_path / "quarter.json"
+    path.write_text(json.dumps(config_to_json(bundle.spec)))
     return path
 
 
@@ -294,7 +305,7 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, keys, value):
 
 
 def test_config_canonical_round_trip():
-    bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 3)
+    bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
     doc = config_to_json(bundle.spec)
     assert doc["schema"] == 1
     assert set(doc["tolerances"]) == {
@@ -318,7 +329,7 @@ def test_config_canonical_round_trip():
             "SOLVE_TOL=1e-300", 3, 1, "solve residual",
         ),
         (["demo", "thm38_onb"], "FRAME_TOL=2.0", 0, 3, "not stably recoverable"),
-        (["demo", "thm319_quarter", "-K", "7"], "BS_TOL=1e-8", 0, 3, "not convergent"),
+        (["recover", "QUARTER", "--mode", "infinite"], "BS_TOL=1e-8", 0, 3, "not convergent"),
         (["demo", "thm319_quarter"], "RHO_MARGIN=0.8", 0, 3, "spectral radius below 1"),
     ],
     ids=["EIG_TOL", "PIVOT_TOL", "SOLVE_TOL", "FRAME_TOL", "BS_TOL", "RHO_MARGIN"],
@@ -328,7 +339,8 @@ def test_tolerance_override_changes_outcome(
 ):
     # Each override reaches the call site that applies it and turns the
     # outcome (HERM_TOL is checked at hermitian_eigs in test_linalg).
-    argv = [str(_random_config_path(tmp_path)) if a == "CONFIG" else a for a in argv]
+    configs = {"CONFIG": _random_config_path, "QUARTER": _quarter_config_path}
+    argv = [str(configs[a](tmp_path)) if a in configs else a for a in argv]
     argv += ["-o", str(tmp_path / "out")]
     assert main(argv) == default_code
     capsys.readouterr()
@@ -364,3 +376,187 @@ def test_check_passes_tolerances_to_subspace_condition(tmp_path, capsys):
 
     assert "alpha=" in subspace_row()
     assert "unavailable" in subspace_row("--tol-override", "PIVOT_TOL=0.1")
+
+
+# Malformed or unusual [re, im] pairs, as in test_linalg: (pair, error
+# message or the value it is read as).
+BIG = 10**400  # written by json.dumps as a 401-digit integer
+PAIR_CASES = {
+    "null": ([None, 0.0], "expected a [re, im] pair of numbers, got [None, 0.0]"),
+    "true": ([True, 0.0], 1.0),
+    "numeric-string": (["1.5", 0.0], 1.5),
+    "nested-list": ([[0, 0], 0.0], "expected a [re, im] pair of numbers, got [[0, 0], 0.0]"),
+    "object": ([{}, 0.0], "expected a [re, im] pair of numbers, got [{}, 0.0]"),
+    "1e400-integer": ([BIG, 0.0], f"expected a [re, im] pair of numbers, got [{BIG}, 0.0]"),
+    "string-for-pair": ("12", "expected a [re, im] pair, got '12'"),
+    "1-element": ([1.0], "expected a [re, im] pair, got [1.0]"),
+    "3-element": ([1.0, 2.0, 3.0], "expected a [re, im] pair, got [1.0, 2.0, 3.0]"),
+    "NaN": ([float("nan"), 0.0], "{kind} entries must be finite (no NaN/Inf)"),
+    "Infinity": ([0.0, float("inf")], "{kind} entries must be finite (no NaN/Inf)"),
+}
+
+
+def _dense_config_doc(dim=8):
+    # _config_doc with A and g written out entry by entry
+    doc = _config_doc(dim=dim)
+    eye = [vector_to_pairs(row) for row in np.eye(dim)]
+    doc["A"] = [vector_to_pairs(0.5 * row) for row in np.eye(dim)]
+    doc["g"] = eye
+    return doc
+
+
+def _recover(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["recover", str(path), "-o", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["A", "g", "w"])
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_recover_reads_malformed_pairs_like_the_pair_walk(tmp_path, capsys, field, case):
+    pair, expected = PAIR_CASES[case]
+    doc = _dense_config_doc()
+    if field == "w":
+        doc[field][2] = pair
+    else:
+        doc[field][1][2] = pair
+    code, err = _recover(tmp_path, capsys, doc)
+    if isinstance(expected, str):
+        kind = "vector" if field == "w" else "matrix"
+        assert (code, err) == (2, f"config error: {field}: {expected.replace('{kind}', kind)}\n")
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("field", ["A", "g", "W"])
+def test_recover_rejects_ragged_and_non_list_rows(tmp_path, capsys, field):
+    doc = _dense_config_doc()
+    doc["W"] = [vector_to_pairs(col) for col in np.eye(8)]
+    doc[field][1] = doc[field][1][:-1]
+    with pytest.raises(ValueError) as numpy_exc:
+        np.asarray([[0j] * 8, [0j] * 7] + [[0j] * 8] * 6, dtype=complex)
+    assert _recover(tmp_path, capsys, doc) == (2, f"config error: {field}: {numpy_exc.value}\n")
+    doc[field][1] = "abc"
+    assert _recover(tmp_path, capsys, doc) == (
+        2, f"config error: {field}: expected a list of [re, im] pairs, got 'abc'\n"
+    )
+
+
+def test_parse_config_is_bit_identical_to_the_pair_walk(tmp_path):
+    # A random d = 64 config with signed zeros and integers in every
+    # field, against one pair_to_complex call per entry.
+    d = 64
+    rng = np.random.default_rng(64)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # block-diagonal unitary W: half its entries are exact zeros, written -0.0
+    Q = np.zeros((d, d), dtype=complex)
+    for block in (slice(0, d // 2), slice(d // 2, d)):
+        Q[block, block] = np.linalg.qr(cplx(d // 2, d // 2))[0]
+    spec = SystemSpec(
+        params=SpectralParams(N=2, r=1), dim=d, K=d // 4,
+        A=0.1 * cplx(d, d), g=VectorFamily(vectors=cplx(2 * d, d)), W_basis=Q,
+        w=Q @ cplx(d), x0=cplx(d), xm2=cplx(d),
+    )
+    doc = json.loads(json.dumps(config_to_json(spec)))
+    doc["W"] = [[[x if x != 0.0 else -0.0 for x in p] for p in col] for col in doc["W"]]
+    for key in ("A", "g"):
+        doc[key][3][5] = [-0.0, 0]
+        doc[key][4][6] = [3, -0.0]
+    for key in ("x0", "xm2"):
+        doc[key][1] = [-0.0, -0.0]
+        doc[key][2] = [-2, 0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    parsed, _ = cli._load_config(str(path), {})
+
+    def walk(rows):
+        return np.array([[pair_to_complex(p) for p in row] for row in rows])
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64).tobytes()
+
+    assert bits(parsed.A) == bits(walk(doc["A"]))
+    assert bits(parsed.g.vectors) == bits(walk(doc["g"]))
+    assert bits(parsed.W_basis) == bits(walk(doc["W"]).T)
+    for key in ("w", "x0", "xm2"):
+        assert bits(getattr(parsed, key)) == bits(walk([doc[key]])[0]), key
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("content", ["good", "invalid-json", "bad-value"])
+def test_load_config_restores_the_collector_state(tmp_path, enabled, content):
+    doc = _config_doc()
+    if content == "bad-value":
+        doc["w"][0] = [None, 0.0]
+    path = tmp_path / "config.json"
+    path.write_text("{not json" if content == "invalid-json" else json.dumps(doc))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if content == "good":
+            cli._load_config(str(path), {})
+        else:
+            with pytest.raises(ValueError):
+                cli._load_config(str(path), {})
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_emitted_config_matches_the_per_entry_encoding(tmp_path, scenario_id):
+    assert main(["demo", scenario_id, "-o", str(tmp_path), "--emit-config"]) == 0
+    spec = build(scenario_id, SpectralParams(N=2, r=1), DEFAULT_K[scenario_id]).spec
+
+    def pairs(v):
+        return [complex_to_pair(z) for z in v]
+
+    ref = {
+        "schema": 1,
+        "params": {"N": 2, "r": 1},
+        "dim": spec.dim,
+        "K": spec.K,
+        "A": [pairs(row) for row in spec.A],
+        "g": [pairs(v) for v in spec.g.vectors],
+        "W": [pairs(c) for c in spec.W_basis.T],
+        "w": pairs(spec.w),
+        "x0": pairs(spec.x0),
+        "xm2": pairs(spec.xm2),
+        "tolerances": dataclasses.asdict(Tolerances()),
+    }
+    text = (tmp_path / f"{scenario_id}_config.json").read_text()
+    assert text == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+    if scenario_id == "thm317_generalized":  # x0 = -w
+        assert "-0.0" in text
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_demo_runs_from_the_minimum_K_and_rejects_below_it(tmp_path, capsys, scenario_id):
+    k_min = min_K(scenario_id)
+    assert main(["demo", scenario_id, "-K", str(k_min), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["demo", scenario_id, "-K", str(k_min - 1), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    if k_min == 1:
+        assert "K must be a positive integer, got 0" in err
+    else:
+        assert f"{scenario_id} needs K >= {k_min}, got K = {k_min - 1}" in err
+
+
+@pytest.mark.parametrize(
+    "override, k_min",
+    [(None, 7), ("BS_TOL=1e-5", 6), ("BS_TOL=1e-8", 8)],
+    ids=["default", "looser", "tighter"],
+)
+def test_quarter_minimum_K_follows_bs_tol(tmp_path, capsys, override, k_min):
+    # The rate-1/4 tail gap is 6.7e-8 at K = 7, 1.1e-6 at K = 6 and 1.7e-5
+    # at K = 5; build names the smallest K whose bound clears BS_TOL.
+    flags = ["--tol-override", override] if override else []
+    argv = ["demo", "thm319_quarter", "-o", str(tmp_path), *flags, "-K"]
+    assert main(argv + [str(k_min - 1)]) == 2
+    assert f"thm319_quarter needs K >= {k_min}, got K = {k_min - 1}" in capsys.readouterr().err
+    assert main(argv + [str(k_min)]) == 0

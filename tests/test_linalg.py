@@ -169,3 +169,81 @@ def test_vector_and_matrix_codecs_round_trip():
     np.testing.assert_array_equal(vector_from_pairs(vector_to_pairs(v)), v)
     np.testing.assert_array_equal(matrix_from_pairs(matrix_to_pairs(m)), m)
     assert vector_to_pairs(v)[0] == [v[0].real, v[0].imag]
+
+
+# Malformed or unusual [re, im] pairs: (pair, error message or the value
+# it is read as).  The messages and the accepted values are those of the
+# pair-by-pair conversion (pair_to_complex), which names the bad pair.
+BIG = 10**400  # a JSON integer too large for a float
+PAIR_CASES = {
+    "null": ([None, 0.0], "expected a [re, im] pair of numbers, got [None, 0.0]"),
+    "true": ([True, 0.0], 1.0),
+    "numeric-string": (["1.5", 0.0], 1.5),
+    "other-string": (["abc", 0.0], "could not convert string to float: 'abc'"),
+    "nested-list": ([[0, 0], 0.0], "expected a [re, im] pair of numbers, got [[0, 0], 0.0]"),
+    "object": ([{}, 0.0], "expected a [re, im] pair of numbers, got [{}, 0.0]"),
+    "1e400-integer": ([BIG, 0.0], f"expected a [re, im] pair of numbers, got [{BIG}, 0.0]"),
+    "string-for-pair": ("12", "expected a [re, im] pair, got '12'"),
+    "1-element": ([1.0], "expected a [re, im] pair, got [1.0]"),
+    "3-element": ([1.0, 2.0, 3.0], "expected a [re, im] pair, got [1.0, 2.0, 3.0]"),
+    "NaN": ([float("nan"), 0.0], "{kind} entries must be finite (no NaN/Inf)"),
+    "Infinity": ([0.0, float("inf")], "{kind} entries must be finite (no NaN/Inf)"),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_codecs_read_malformed_pairs_like_the_pair_walk(case):
+    pair, expected = PAIR_CASES[case]
+    vector = [[0.5, -0.0], pair, [2.0, 1.0]]
+    matrix = [[[0.5, 0.0], [1.0, 0.0]], [[0.0, 2.0], pair]]
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            vector_from_pairs(vector)
+        assert str(exc.value) == expected.replace("{kind}", "vector")
+        with pytest.raises(ValueError) as exc:
+            matrix_from_pairs(matrix)
+        assert str(exc.value) == expected.replace("{kind}", "matrix")
+    else:
+        assert vector_from_pairs(vector)[1] == expected
+        assert matrix_from_pairs(matrix)[1, 1] == expected
+
+
+def test_matrix_codec_rejects_ragged_and_non_list_rows():
+    ragged = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]]
+    with pytest.raises(ValueError) as numpy_exc:
+        np.asarray([[1 + 0j, 2 + 0j], [3 + 0j]], dtype=complex)
+    with pytest.raises(ValueError) as exc:
+        matrix_from_pairs(ragged)
+    assert str(exc.value) == str(numpy_exc.value)
+    for row in ("ab", 5, None, {"a": 1}):
+        with pytest.raises(ValueError) as exc:
+            matrix_from_pairs([[[1.0, 0.0]], row])
+        assert str(exc.value) == f"expected a list of [re, im] pairs, got {row!r}"
+
+
+def test_codecs_match_the_pair_walk_bit_for_bit():
+    # Signed zeros, integers, subnormals and large exponents, read through
+    # the array path and through one pair_to_complex call per entry.
+    rng = np.random.default_rng(64)
+    values = rng.standard_normal((64, 64, 2)).tolist()
+    specials = [-0.0, 0.0, 0, -3, 2**53 + 1, 5e-324, -1.7e308, 1e-300]
+    for k, x in enumerate(specials * 8):
+        values[k % 64][(7 * k) % 64][k % 2] = x
+    M = matrix_from_pairs(values)
+    ref = np.array([[pair_to_complex(p) for p in row] for row in values])
+    assert M.view(np.int64).tobytes() == ref.view(np.int64).tobytes()
+    v = vector_from_pairs(values[0])
+    assert v.view(np.int64).tobytes() == ref[0].view(np.int64).tobytes()
+
+
+def test_encoders_match_complex_to_pair():
+    # repr tells -0.0 from 0.0, which == does not
+    rng = np.random.default_rng(9)
+    M = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    M[0, 0] = complex(-0.0, 0.0)
+    M[1, 2] = complex(0.0, -0.0)
+    for A in (M, M.T):  # M.T is a non-contiguous view, as for the W columns
+        ref = [[complex_to_pair(z) for z in row] for row in A]
+        assert repr(matrix_to_pairs(A)) == repr(ref)
+    assert repr(vector_to_pairs(M[:, 0])) == repr([complex_to_pair(z) for z in M[:, 0]])
+    assert "-0.0" in repr(matrix_to_pairs(M)[:2])

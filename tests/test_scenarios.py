@@ -11,6 +11,7 @@ from nuds.scenarios import (
     SCENARIO_IDS,
     build,
     counterexample_source,
+    min_K,
     run_scenario,
 )
 
@@ -31,16 +32,17 @@ def test_build_rejects_unknown_id():
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
 def test_build_is_deterministic(scenario_id):
-    a = build(scenario_id, PARAMS, 3)
-    b = build(scenario_id, PARAMS, 3)
+    K = max(3, min_K(scenario_id))
+    a = build(scenario_id, PARAMS, K)
+    b = build(scenario_id, PARAMS, K)
     np.testing.assert_array_equal(a.spec.A, b.spec.A)
     np.testing.assert_array_equal(a.spec.w, b.spec.w)
     np.testing.assert_array_equal(a.spec.x0, b.spec.x0)
     np.testing.assert_array_equal(a.spec.xm2, b.spec.xm2)
     np.testing.assert_array_equal(a.spec.g.vectors, b.spec.g.vectors)
     # a different K gives a different system (not just a resized one)
-    c = build(scenario_id, PARAMS, 4)
-    assert c.spec.dim == 16
+    c = build(scenario_id, PARAMS, K + 1)
+    assert c.spec.dim == 4 * (K + 1)
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
