@@ -403,8 +403,12 @@ def counterexample_nullifier(
     systems — one per orbit half — so that x0 (supported on the
     nonnegative half of the window coordinates) and xm2 (negative half)
     make all 4K measurements <x_lambda, g> vanish while the source does
-    not.  The systems are nonsingular: each is a Vandermonde matrix on
-    distinct nodes with nonzero column scalings.
+    not.  In exact arithmetic the systems are nonsingular: each is a
+    Vandermonde matrix on distinct nodes with nonzero column scalings.
+    In floating point their conditioning grows exponentially with K: on
+    the thm314 nodes (2K geometric points in [0.1, 0.9]) the solution
+    zeroes the measurements to rounding level only up to K = 4, and the
+    solve fails from K = 7 on (see ``scenarios.MAX_K``).
 
     Returns:
         (x0, xm2, measurements) with measurements in window order,
@@ -413,8 +417,9 @@ def counterexample_nullifier(
     Raises:
         ValueError: when A is not diagonal with distinct entries in
             (0, 1) or some coordinate of (I - A) w vanishes.
-        NumericalError: when a system solve is singular (carries a
-            determinant estimate; cannot occur for valid inputs).
+        NumericalError: when a system solve is singular to working
+            precision (carries a determinant estimate), as it is for
+            nodes too ill-conditioned for floating point.
     """
     A = linalg.as_matrix(A)
     w = linalg.as_vector(w)

@@ -88,6 +88,17 @@ MIN_K = {
     "thm319_quarter": 2,
 }
 
+# Largest window each scenario runs on in floating point; scenarios not
+# named have none.  The thm314 nullifier solves two Vandermonde systems on
+# 2K geometric nodes in [0.1, 0.9], whose conditioning grows exponentially
+# in K: its float solution leaves measurements of 4.4e-6 and 9.8e-4 at
+# K = 5 and 6, far above ORACLE_TOL, and the systems are singular to
+# working precision from K = 7 on.  An exact rational solve would lift
+# the cap.
+MAX_K = {
+    "thm314_counterexample": 4,
+}
+
 # The thm319 source w = 1 at the point 0 and 1/2 at r/N.
 QUARTER_SOURCE = (1.0, 0.5)
 
@@ -383,14 +394,19 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
     """Smallest K on which the scenario's recovery can run at ``tol``.
 
     In thm319 both orbits start at x0 = 0 and contract toward S(w) = 4w/3
-    along one ray, x_n - S(w) = 4^-n (x0 - S(w)), so any two states from
-    step n on differ by less than 4^-n ||x0 - S(w)||.  The edge rows (tail
-    2) sit at steps 2K - 2 and 2K - 1; their gap must clear ``tol.BS_TOL``.
+    along one ray, x_n - S(w) = 4^-n (x0 - S(w)).  The edge rows (tail 2)
+    sit at steps 2K - 2 and 2K - 1, so two conditions set the minimum:
+
+    - their gap, below 4^-(2K-2) ||x0 - S(w)||, must clear ``tol.BS_TOL``;
+    - the limit row, their mean, misses S(w) by 5/8 4^-(2K-2) ||x0 - S(w)||
+      along the ray, and the recovered source misses w by 3/4 of that
+      (S^-1 = 3/4 on W), which must clear the fixed LIMIT_ORACLE_TOL.
     """
     if scenario_id != "thm319_quarter":
         return MIN_K[scenario_id]
     distance = 4.0 / 3.0 * math.hypot(*QUARTER_SOURCE)
-    steps = math.log(max(distance / tol.BS_TOL, 1.0), 4)
+    ratio = max(distance / tol.BS_TOL, 15.0 / 32.0 * distance / LIMIT_ORACLE_TOL, 1.0)
+    steps = math.log(ratio, 4)
     return max(MIN_K[scenario_id], math.ceil(steps / 2) + 1)
 
 
@@ -399,7 +415,8 @@ def build(
 ) -> ScenarioBundle:
     """Build a scenario system deterministically from (id, r, N, K).
 
-    Raises ``ValueError`` for a K below :func:`min_K`, naming that minimum.
+    Raises ``ValueError`` for a K below :func:`min_K` or above the
+    scenario's :data:`MAX_K`, naming that limit.
     """
     try:
         builder = _BUILDERS[scenario_id]
@@ -412,11 +429,20 @@ def build(
     smallest = min_K(scenario_id, tol=tol)
     if K < smallest:
         why = (
-            f"its edge rows clear BS_TOL = {tol.BS_TOL:.1e} only from there"
+            f"its edge rows clear BS_TOL = {tol.BS_TOL:.1e} and its limit "
+            f"recovery clears LIMIT_ORACLE_TOL = {LIMIT_ORACLE_TOL:.0e} only from there"
             if scenario_id == "thm319_quarter"
             else "finite recovery at r/N reads the row at 2"
         )
         raise ValueError(f"{scenario_id} needs K >= {smallest}, got K = {K}: {why}")
+    largest = MAX_K.get(scenario_id)
+    if largest is not None and K > largest:
+        raise ValueError(
+            f"{scenario_id} needs K <= {largest}, got K = {K}: beyond it the "
+            f"nullifier's Vandermonde systems on 2K geometric nodes are too "
+            f"ill-conditioned for float arithmetic to zero the measurements "
+            f"to {ORACLE_TOL:.0e}"
+        )
     return builder(params, K, tol)
 
 

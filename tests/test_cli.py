@@ -549,14 +549,39 @@ def test_demo_runs_from_the_minimum_K_and_rejects_below_it(tmp_path, capsys, sce
 
 @pytest.mark.parametrize(
     "override, k_min",
-    [(None, 7), ("BS_TOL=1e-5", 6), ("BS_TOL=1e-8", 8)],
-    ids=["default", "looser", "tighter"],
+    [
+        (None, 7),
+        ("BS_TOL=1e-5", 6),
+        ("BS_TOL=1e-8", 8),
+        ("BS_TOL=1e-4", 6),
+        ("BS_TOL=1", 6),
+    ],
+    ids=["default", "looser", "tighter", "loose", "loosest"],
 )
 def test_quarter_minimum_K_follows_bs_tol(tmp_path, capsys, override, k_min):
     # The rate-1/4 tail gap is 6.7e-8 at K = 7, 1.1e-6 at K = 6 and 1.7e-5
-    # at K = 5; build names the smallest K whose bound clears BS_TOL.
+    # at K = 5; build names the smallest K whose bound clears BS_TOL.  The
+    # limit recovery misses w by 6.7e-7 at K = 6 and 1.1e-5 at K = 5, so
+    # however loose BS_TOL is, the fixed 1e-6 limit oracle keeps K >= 6.
     flags = ["--tol-override", override] if override else []
     argv = ["demo", "thm319_quarter", "-o", str(tmp_path), *flags, "-K"]
     assert main(argv + [str(k_min - 1)]) == 2
     assert f"thm319_quarter needs K >= {k_min}, got K = {k_min - 1}" in capsys.readouterr().err
     assert main(argv + [str(k_min)]) == 0
+
+
+@pytest.mark.parametrize("r, N", [(1, 1), (1, 2), (3, 2), (3, 4), (5, 16), (31, 16), (7, 9)])
+def test_counterexample_runs_up_to_its_maximum_K(tmp_path, r, N):
+    argv = ["demo", "thm314_counterexample", "--r", str(r), "--N", str(N), "-o", str(tmp_path)]
+    assert main(argv + ["-K", "4"]) == 0
+
+
+@pytest.mark.parametrize("K", [5, 8])
+def test_counterexample_rejects_K_beyond_float_range(tmp_path, capsys, K):
+    # K = 5 and 6 used to exit 4 (measurements 4.4e-6, 9.8e-4 > 1e-8) and
+    # K >= 7 exit 1 ("nullifier system is singular").
+    argv = ["demo", "thm314_counterexample", "-K", str(K), "-o", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"thm314_counterexample needs K <= 4, got K = {K}" in err
+    assert "Vandermonde systems on 2K geometric nodes" in err

@@ -1,9 +1,13 @@
 import csv
+import errno
+import os
 
 import numpy as np
 import pytest
 
+from nuds import dynamics
 from nuds.dynamics import (
+    FORK_MIN_ENTRIES,
     LatticeWindow,
     SystemSpec,
     bs_membership,
@@ -309,17 +313,19 @@ def _csv_module_reference(rows, params, path):
                 writer.writerow([label, j, repr(float(z.real)), repr(float(z.imag))])
 
 
-@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
-def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path, write):
-    params = SpectralParams(N=3, r=5)
-    rng = np.random.default_rng(17)
-    shape = (12, 11)  # K = 3
+def _extreme_window(shape, seed=17):
+    # Magnitudes from 1e-300 to 1e300, signed zeros and a large exponent.
+    rng = np.random.default_rng(seed)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) + 1j * (
         rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     )
     values[0, :4] = [complex(-0.0, -0.0), 1e-300, -2.5e17, complex(0.0, -2.5e17)]
-    rows = LatticeWindow(values)
+    values[-1, -1] = complex(-0.0, 1e-300)
+    return LatticeWindow(values)
 
+
+def _assert_matches_reference(tmp_path, write, rows):
+    params = SpectralParams(N=3, r=5)
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
     write(rows, params, out)
     _csv_module_reference(rows, params, ref)
@@ -328,3 +334,118 @@ def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path, write):
     assert data.startswith(b"lambda,j,re,im\r\n-6,0,-0.0,-0.0\r\n-6,1,1e-300,0.0\r\n")
     assert b"\r\n-6,2,-2.5e+17,0.0\r\n" in data
     assert b"\r\n-4+5/3,10," in data
+    assert data.endswith(f",{rows.values.shape[1] - 1},-0.0,1e-300\r\n".encode())
+
+
+@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
+def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path, write):
+    _assert_matches_reference(tmp_path, write, _extreme_window((12, 11)))  # K = 3
+
+
+# A K = 3 window just above the size floor, so that its back half is
+# formatted in a forked child wherever two CPUs are usable.
+LARGE = (12, FORK_MIN_ENTRIES // 12 + 1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Report two usable CPUs and record the pid of every fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_fork, pids = os.fork, []
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture
+def exit_codes(monkeypatch):
+    """Record the exit code of every child reaped by a blocking waitpid."""
+    real_waitpid, codes = os.waitpid, []
+
+    def recording_waitpid(pid, options):
+        got, status = real_waitpid(pid, options)
+        if got and not options:
+            codes.append(os.waitstatus_to_exitcode(status))
+        return got, status
+
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return codes
+
+
+@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
+def test_two_process_writer_matches_csv_module(tmp_path, forks, exit_codes, write):
+    rows = _extreme_window(LARGE)
+    assert rows.values.size >= FORK_MIN_ENTRIES
+    _assert_matches_reference(tmp_path, write, rows)
+    assert len(forks) == 1 and exit_codes == [0]
+
+
+def test_writer_falls_back_when_fork_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = []
+
+    def refuse():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    _assert_matches_reference(tmp_path, data_matrix_to_csv, _extreme_window(LARGE))
+    assert calls == [1]
+
+
+def test_writer_falls_back_when_the_child_fails(tmp_path, monkeypatch, forks, exit_codes):
+    parent, real_blocks = os.getpid(), dynamics._row_blocks
+
+    def blocks_failing_in_child(labels, values):
+        for block in real_blocks(labels, values):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed in the child")
+            yield block
+
+    monkeypatch.setattr(dynamics, "_row_blocks", blocks_failing_in_child)
+    _assert_matches_reference(tmp_path, data_matrix_to_csv, _extreme_window(LARGE))
+    assert len(forks) == 1 and exit_codes == [1]
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
+def test_writer_reaps_the_child_when_the_parent_fails(tmp_path, monkeypatch, forks, interrupt):
+    parent, real_blocks = os.getpid(), dynamics._row_blocks
+
+    def blocks_failing_in_parent(labels, values):
+        for block in real_blocks(labels, values):
+            if os.getpid() == parent:
+                raise interrupt("interrupted")
+            yield block
+
+    monkeypatch.setattr(dynamics, "_row_blocks", blocks_failing_in_parent)
+    with pytest.raises(interrupt):
+        data_matrix_to_csv(_extreme_window(LARGE), SpectralParams(N=3, r=5), tmp_path / "x.csv")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "cpus, shape",
+    [({0}, LARGE), ({0, 1}, (4, FORK_MIN_ENTRIES // 4 - 1))],
+    ids=["one-cpu", "below-floor"],
+)
+def test_writer_does_not_fork_where_it_cannot_pay(tmp_path, monkeypatch, cpus, shape):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows = _extreme_window(shape)
+    params = SpectralParams(N=3, r=5)
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    data_matrix_to_csv(rows, params, out)
+    _csv_module_reference(rows, params, ref)
+    assert out.read_bytes() == ref.read_bytes()

@@ -8,6 +8,7 @@ from nuds.lattice import LambdaIndex, SpectralParams, index_map
 from nuds.linalg import spectral_radius
 from nuds.scenarios import (
     DEFAULT_K,
+    MAX_K,
     SCENARIO_IDS,
     build,
     counterexample_source,
@@ -43,6 +44,15 @@ def test_build_is_deterministic(scenario_id):
     # a different K gives a different system (not just a resized one)
     c = build(scenario_id, PARAMS, K + 1)
     assert c.spec.dim == 4 * (K + 1)
+
+
+def test_counterexample_maximum_K_is_where_float_nullifier_holds():
+    assert MAX_K == {"thm314_counterexample": 4}
+    report, failures = run_scenario(build("thm314_counterexample", PARAMS, 4))
+    assert failures == []
+    for K in (5, 8):
+        with pytest.raises(ValueError, match=f"needs K <= 4, got K = {K}"):
+            build("thm314_counterexample", PARAMS, K)
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
