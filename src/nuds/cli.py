@@ -27,7 +27,7 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .frames import NotAFrameError, VectorFamily, frame_bounds
-from .lattice import LambdaIndex, SpectralParams, window
+from .lattice import LambdaIndex, SpectralParams
 from .linalg import NumericalError
 from .recovery import (
     ConditionFailure,
@@ -101,10 +101,9 @@ def _parse_operator(raw, dim: int) -> np.ndarray:
     return A
 
 
-def _parse_family(raw, dim: int, K: int) -> VectorFamily:
+def _parse_family(raw, dim: int) -> VectorFamily:
     if raw == "onb":
-        labels = tuple(window(K)) if dim == 4 * K else None
-        return VectorFamily(vectors=np.eye(dim, dtype=complex), labels=labels)
+        return VectorFamily(vectors=np.eye(dim, dtype=complex))
     if isinstance(raw, list):
         return VectorFamily(vectors=linalg.matrix_from_pairs(raw))
     raise ValueError("expected 'onb' or a list of vectors")
@@ -137,10 +136,16 @@ def parse_config(
     )
     dim = _integer(doc, "dim")
     K = _integer(doc, "K")
-    A = _field(doc, "A", _parse_operator, dim)
-    g = _field(doc, "g", _parse_family, dim, K)
-    W_basis = _field(doc, "W", _parse_subspace, dim)
+    # dim sizes every shorthand below: check it against the explicit w
+    # first, so a wrong dim cannot ask for a dim x dim array.
+    if dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     w = _field(doc, "w", linalg.vector_from_pairs)
+    if w.shape[0] != dim:
+        raise ValueError(f"w has length {w.shape[0]}, expected {dim}")
+    A = _field(doc, "A", _parse_operator, dim)
+    g = _field(doc, "g", _parse_family, dim)
+    W_basis = _field(doc, "W", _parse_subspace, dim)
     x0 = _field(doc, "x0", linalg.vector_from_pairs)
     xm2 = _field(doc, "xm2", linalg.vector_from_pairs)
     tol_doc = doc.get("tolerances", {})
@@ -160,9 +165,9 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
         "params": {"N": spec.params.N, "r": spec.params.r},
         "dim": spec.dim,
         "K": spec.K,
-        "A": linalg.matrix_to_pairs(spec.A),
-        "g": linalg.matrix_to_pairs(spec.g.vectors),
-        "W": linalg.matrix_to_pairs(spec.W_basis.T),
+        "A": linalg.vector_to_pairs(spec.A),
+        "g": linalg.vector_to_pairs(spec.g.vectors),
+        "W": linalg.vector_to_pairs(spec.W_basis.T),
         "w": linalg.vector_to_pairs(spec.w),
         "x0": linalg.vector_to_pairs(spec.x0),
         "xm2": linalg.vector_to_pairs(spec.xm2),

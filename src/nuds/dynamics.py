@@ -6,9 +6,8 @@ start at the points 0 and -2 (indices (0, 0) and (-1, 0)).  Sampling a
 trajectory against a vector family produces the data matrix
 D[lambda][j] = <x_lambda, g_j>, the object every recovery operator
 consumes.  The diagnostics here measure the data matrix as an operator:
-its sup row norm (the l2 -> linf operator norm), its summed block norm
-over a finite window, and the Cauchy tail gap that certifies row
-convergence at the window edges.
+its sup row norm (the l2 -> linf operator norm) and the Cauchy tail gap
+that certifies row convergence at the window edges.
 """
 
 from __future__ import annotations
@@ -17,16 +16,17 @@ import os
 import signal
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import BinaryIO, NamedTuple, NoReturn
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
 from . import frames, linalg
-from .frames import VectorFamily, analysis, canonical_dual, synthesis
+from .frames import VectorFamily
 from .lattice import (
     LambdaIndex,
     SpectralParams,
     index_label,
+    position,
     power_of,
     window,
 )
@@ -136,9 +136,7 @@ class LatticeWindow:
         return tuple(window(self.K))
 
     def row(self, idx: LambdaIndex) -> np.ndarray:
-        if not -self.K <= idx.m < self.K:
-            raise ValueError(f"window has no row at {idx}")
-        return self.values[2 * (idx.m + self.K) + idx.eps]
+        return self.values[position(idx, self.K)]
 
 
 def _orbit_positions(K: int) -> list[list[int]]:
@@ -168,68 +166,6 @@ def simulate(spec: SystemSpec) -> LatticeWindow:
     return LatticeWindow(_walk_orbits(spec.A, spec.w, spec.x0, spec.xm2, spec.K))
 
 
-def recurrence_residual(traj: LatticeWindow, A: Mat, w: Vec) -> float:
-    """Max norm of x_succ - (A x + w) over indices whose successor is present.
-
-    Zero for simulated trajectories; meaningful for externally supplied
-    ones, which should stay below 1e-8 times the state scale.
-    """
-    X = traj.values
-    orbits = _orbit_positions(traj.K)
-    src = [p for positions in orbits for p in positions[:-1]]
-    dst = [p for positions in orbits for p in positions[1:]]
-    # One matrix-vector product per row, as in simulate: a batched
-    # product rounds differently, and simulated states must give zero.
-    predicted = np.array([A @ x for x in X[src]]) + w
-    return float(np.linalg.norm(X[dst] - predicted, axis=1).max())
-
-
-def _matrix_power_and_sum(A: Mat, n: int) -> tuple[Mat, Mat]:
-    """Return (A^n, I + A + ... + A^(n-1)); the sum is zero when n = 0."""
-    d = A.shape[0]
-    power = np.eye(d, dtype=complex)
-    geom = np.zeros((d, d), dtype=complex)
-    for _ in range(n):
-        geom = geom + power
-        power = A @ power
-    return power, geom
-
-
-def closed_form_state(spec: SystemSpec, idx: LambdaIndex) -> Vec:
-    """State by the explicit formula A^n x_init + (sum_{k<n} A^k) w.
-
-    n is the orbit position of `idx` and x_init is x0 on the
-    nonnegative orbit, xm2 on the negative one.  Independent of
-    :func:`simulate` (used to cross-check it).
-    """
-    n = power_of(idx)
-    x_init = spec.x0 if idx.m >= 0 else spec.xm2
-    power, geom = _matrix_power_and_sum(spec.A, n)
-    return power @ x_init + geom @ spec.w
-
-
-def closed_form_resolvent_state(
-    spec: SystemSpec, idx: LambdaIndex, *, tol: Tolerances = DEFAULTS
-) -> Vec:
-    """State by the resolvent formula A^n x_init + (I - A^n)(I - A)^-1 w.
-
-    Requires 1 outside the spectrum of A; agrees with
-    :func:`closed_form_state` wherever both are defined.
-    """
-    n = power_of(idx)
-    x_init = spec.x0 if idx.m >= 0 else spec.xm2
-    eye = np.eye(spec.dim, dtype=complex)
-    try:
-        u = linalg.solve(eye - spec.A, spec.w, tol=tol)
-    except linalg.SingularMatrixError as exc:
-        raise linalg.NumericalError(
-            f"resolvent form unavailable: 1 is in the spectrum of A "
-            f"(I - A is singular at pivot {exc.pivot_index})"
-        ) from exc
-    power, _ = _matrix_power_and_sum(spec.A, n)
-    return power @ x_init + u - power @ u
-
-
 def data_matrix(traj: LatticeWindow, g: VectorFamily) -> LatticeWindow:
     """Sample every state against the family: D[lambda][j] = <x_lambda, g_j>."""
     X = traj.values
@@ -243,11 +179,6 @@ def data_matrix(traj: LatticeWindow, g: VectorFamily) -> LatticeWindow:
 def sup_row_norm(D: LatticeWindow) -> float:
     """Sup over rows of the row l2 norm: the l2 -> linf operator norm."""
     return float(np.linalg.norm(D.values, axis=1).max())
-
-
-def finite_block_norm(D: LatticeWindow) -> float:
-    """Sum over the window of row l2 norms (the finite-block operator norm)."""
-    return float(np.linalg.norm(D.values, axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -293,39 +224,6 @@ def bs_membership(
     )
     limit = (X[0] + X[-1]) / 2.0
     return TailLimit(limit_row=limit, tail_gap=gap, member=gap <= tol.BS_TOL)
-
-
-class DataFitResult(NamedTuple):
-    x0: Vec
-    xm2: Vec
-    w: Vec
-    residual: float
-
-
-def data_fit(
-    D: LatticeWindow, template: SystemSpec, *, tol: Tolerances = DEFAULTS
-) -> DataFitResult:
-    """Fit the generating triple (x0, xm2, w) to a data matrix.
-
-    Uses dual-frame synthesis on the rows at the initial indices and
-    derives w from the row at the first step.  The residual is the max
-    row l2 mismatch between D and the data matrix regenerated from the
-    fitted triple; it stays below 1e-7 for matrices in the image of the
-    data map.
-
-    Raises:
-        NotAFrameError: when the template's sampling family is not a frame.
-    """
-    g = template.g
-    dual = canonical_dual(g, tol=tol)
-    x0_hat = synthesis(D.row(LambdaIndex(0, 0)), dual)
-    xm2_hat = synthesis(D.row(LambdaIndex(-1, 0)), dual)
-    first_step = D.row(LambdaIndex(0, 1))
-    w_hat = synthesis(first_step - analysis(template.A @ x0_hat, g), dual)
-    states = _walk_orbits(template.A, w_hat, x0_hat, xm2_hat, D.K)
-    regenerated = states @ g.vectors.conj().T
-    residual = float(np.linalg.norm(regenerated - D.values, axis=1).max())
-    return DataFitResult(x0=x0_hat, xm2=xm2_hat, w=w_hat, residual=residual)
 
 
 def stationary_deviation(

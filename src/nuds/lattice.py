@@ -11,7 +11,8 @@ used throughout: values are never stored as floats, so branch dispatch
 and equality are exact.
 
 The finite window of size 4K collects the points from -2K up to
-2K - 2 + r/N in increasing order.  Index ``(0, 0)`` (the point 0) and
+2K - 2 + r/N in increasing order, so the point (m, eps) is its row
+2(m + K) + eps (:func:`position`).  Index ``(0, 0)`` (the point 0) and
 index ``(-1, 0)`` (the point -2) carry the two initial states of the
 dynamics; the successor map walks the two forward orbits
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 
@@ -59,11 +59,6 @@ class SpectralParams:
                 f"r must satisfy 1 <= r <= 2N - 1, got r={self.r}, N={self.N}"
             )
 
-    @property
-    def offset(self) -> Fraction:
-        """The coset offset r/N as an exact rational."""
-        return Fraction(self.r, self.N)
-
 
 @dataclass(frozen=True, order=True)
 class LambdaIndex:
@@ -94,22 +89,6 @@ class Branch(Enum):
     EVEN_ANY = "i"
     POS_OFFSET = "ii"
     NEG_OFFSET = "iii"
-
-
-def index_value(idx: LambdaIndex, params: SpectralParams) -> Fraction:
-    """Exact rational value 2m + eps * r/N of a lattice point.
-
-    Parameters
-    ----------
-    idx : LambdaIndex
-    params : SpectralParams
-
-    Returns
-    -------
-    Fraction
-        The lattice point as an exact rational.
-    """
-    return Fraction(2 * idx.m) + idx.eps * params.offset
 
 
 def index_label(idx: LambdaIndex, params: SpectralParams) -> str:
@@ -187,76 +166,14 @@ def power_of(idx: LambdaIndex) -> int:
     return -2 * idx.m - 2 + idx.eps
 
 
-@dataclass(frozen=True)
-class IndexMap:
-    """Bijection between a centered lattice window and {0, ..., dim-1}.
+def position(idx: LambdaIndex, K: int) -> int:
+    """Row of a lattice point in ``window(K)``: 2(m + K) + eps.
 
-    Position p corresponds to ``indices[p]``; the inverse lookup
-    round-trips exactly.  Built by :func:`index_map`.
+    Raises
+    ------
+    ValueError
+        When the window has no row at `idx`, i.e. m lies outside [-K, K).
     """
-
-    dim: int
-    indices: tuple[LambdaIndex, ...]
-
-    def lambda_of(self, position: int) -> LambdaIndex:
-        if not 0 <= position < self.dim:
-            raise ValueError(f"position {position} out of range [0, {self.dim})")
-        return self.indices[position]
-
-    def index_of(self, idx: LambdaIndex) -> int:
-        try:
-            return self._positions[idx]
-        except KeyError:
-            raise ValueError(f"{idx} is not in this window") from None
-
-    def __contains__(self, idx: LambdaIndex) -> bool:
-        return idx in self._positions
-
-    @property
-    def _positions(self) -> dict[LambdaIndex, int]:
-        # Computed lazily and cached on the instance (frozen dataclass,
-        # hence object.__setattr__).
-        cached = self.__dict__.get("_positions_cache")
-        if cached is None:
-            cached = {idx: p for p, idx in enumerate(self.indices)}
-            object.__setattr__(self, "_positions_cache", cached)
-        return cached
-
-
-def index_map(dim: int, allow_half_pairs: bool = False) -> IndexMap:
-    """Deterministic coordinate layout for a centered lattice window.
-
-    Parameters
-    ----------
-    dim : int
-        Number of coordinates.  Must be divisible by 4 (a whole window,
-        position p holds the p-th element of ``window(dim // 4)``).
-        With ``allow_half_pairs=True`` any even dim is accepted: the
-        window is extended pairwise around zero, giving the extra pair
-        to the negative side so that both initial indices (0, 0) and
-        (-1, 0) are always present.
-    allow_half_pairs : bool
-        Accept dim that is even but not divisible by 4.
-
-    Returns
-    -------
-    IndexMap
-    """
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if dim % 4 == 0:
-        return IndexMap(dim, tuple(window(dim // 4)))
-    if allow_half_pairs and dim % 2 == 0:
-        pairs = dim // 2
-        lo = -((pairs + 1) // 2)
-        hi = pairs // 2
-        indices = tuple(
-            LambdaIndex(m, eps) for m in range(lo, hi) for eps in (0, 1)
-        )
-        return IndexMap(dim, indices)
-    if dim % 2 == 0:
-        raise ValueError(
-            f"dim={dim} is not divisible by 4; pass allow_half_pairs=True "
-            "to lay out a half-pair window"
-        )
-    raise ValueError(f"dim must be even to host coset pairs, got {dim}")
+    if not -K <= idx.m < K:
+        raise ValueError(f"window has no row at {idx}")
+    return 2 * (idx.m + K) + idx.eps

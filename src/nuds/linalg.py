@@ -22,9 +22,6 @@ Mat = np.ndarray
 # Columns count as orthonormal while ||B*B - I|| stays below this times
 # max(1, ||B*B||): a basis read from JSON round-trips to a few ulps.
 ORTHONORMAL_TOL = 1e-10
-# Singular values below this times the largest one are dropped as rank
-# noise: a few hundred ulps, well above the SVD's backward error.
-RANK_TOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -159,22 +156,6 @@ def require_orthonormal(B: Mat, name: str) -> None:
         raise ValueError(f"{name} must have orthonormal columns")
 
 
-def orthonormal_basis(columns: Mat) -> Mat:
-    """Orthonormal basis (as columns) of the column span of the input.
-
-    Rank-deficient inputs are reduced to a basis of the span; an input
-    with no numerically nonzero column is rejected.
-    """
-    B = np.asarray(columns, dtype=complex)
-    if B.ndim != 2 or B.shape[1] == 0:
-        raise ValueError(f"expected a nonempty matrix of columns, got shape {B.shape}")
-    u, s, _ = np.linalg.svd(B, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise ValueError("cannot orthonormalize: all columns are zero")
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return u[:, :rank]
-
-
 # --- JSON codecs -----------------------------------------------------------
 # Complex scalars travel as [re, im] pairs in every file format.  A whole
 # field converts in a few C-level passes (pair types, pair lengths, one
@@ -231,10 +212,6 @@ def vector_to_pairs(v: Vec) -> list[list[float]]:
 def vector_from_pairs(pairs) -> Vec:
     v = _pairs_array(pairs) if isinstance(pairs, (list, tuple)) else None
     return as_vector(_complex_list(pairs) if v is None else v)
-
-
-def matrix_to_pairs(M: Mat) -> list[list[list[float]]]:
-    return vector_to_pairs(M)
 
 
 def matrix_from_pairs(rows) -> Mat:

@@ -9,9 +9,9 @@ lambda, then
     w_hat = sum_j ( D[succ(lambda)][j] - <A u, g_j> ) gt_j,
 
 which returns the exact source for any data matrix in the image of the
-data map.  The coupling-coefficient route expands <A u, g_j> through
-c[i][j] = <A* g_j, gt_i> instead of re-analyzing A u; both forms are
-provided and agree on exact data.
+data map.  An independent coupling-coefficient route, which expands
+<A u, g_j> through c[i][j] = <A* g_j, gt_i> instead of re-analyzing A u,
+lives with the other test oracles in ``tests/oracles.py``.
 
 Infinite-step (limit) recovery applies when rows converge: with the
 stationary map S of the dynamics, the family {S* g_j} must be a frame
@@ -41,9 +41,8 @@ from .frames import (
     canonical_dual,
     frame_bounds,
     synthesis,
-    verify_dual_pair,
 )
-from .lattice import LambdaIndex, branch_of, index_map, power_of, successor, window
+from .lattice import LambdaIndex, branch_of, position, power_of, successor, window
 from .linalg import Mat, NumericalError, SingularMatrixError, Vec
 from .tolerances import DEFAULTS, Tolerances
 
@@ -54,48 +53,6 @@ DIAGONAL_TOL = 1e-12
 
 class ConditionFailure(Exception):
     """A recoverability condition does not hold for the given system."""
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Coefficients c[i][j] = <A* g_j, gt_i> expanding A* over the frame."""
-
-    entries: Mat
-
-
-def coupling_matrix(
-    A: Mat, g: VectorFamily, gdual: VectorFamily, *, tol: Tolerances = DEFAULTS
-) -> CouplingMatrix:
-    """Expansion coefficients of each A* g_j over the frame {g_i}.
-
-    Validates the dual pair first, then checks the defining identity
-    A* g_j = sum_i c[i][j] g_i numerically.  Both are residuals of the
-    linear identities a dual solves, so both are held to
-    ``tol.SOLVE_TOL``.
-
-    Raises:
-        ValueError: when gdual is not a valid dual of g.
-        NumericalError: when the expansion identity fails.
-    """
-    A = linalg.as_matrix(A)
-    dual_residual = verify_dual_pair(g, gdual)
-    if dual_residual > tol.SOLVE_TOL:
-        raise ValueError(
-            f"invalid dual family: reconstruction residual {dual_residual:.3e} "
-            f"exceeds {tol.SOLVE_TOL:.1e}"
-        )
-    # Rows of a_star_g are A* g_j.
-    a_star_g = g.vectors @ A.conj()
-    entries = (a_star_g @ gdual.vectors.conj().T).T
-    recon = entries.T @ g.vectors
-    for j in range(g.count):
-        err = float(np.linalg.norm(a_star_g[j] - recon[j]))
-        scale = max(1.0, float(np.linalg.norm(a_star_g[j])))
-        if err > tol.SOLVE_TOL * scale:
-            raise NumericalError(
-                f"coupling expansion failed for vector {j}: residual {err:.3e}"
-            )
-    return CouplingMatrix(entries=entries)
 
 
 def reconstruct_finite(
@@ -129,33 +86,6 @@ def reconstruct_finite(
     row_next = D.row(successor(at))
     u = synthesis(row_at, gdual)
     return synthesis(row_next - analysis(A @ u, g), gdual)
-
-
-def reconstruct_finite_coupling(
-    D: LatticeWindow,
-    at: LambdaIndex,
-    A: Mat,
-    g: VectorFamily,
-    gdual: VectorFamily | None = None,
-    coupling: CouplingMatrix | None = None,
-    *,
-    tol: Tolerances = DEFAULTS,
-) -> Vec:
-    """Source recovery through the coupling-coefficient expansion.
-
-    Algebraically identical to :func:`reconstruct_finite` on exact data:
-    the propagated term is expanded as sum_i conj(c[i][j]) D[at][i]
-    instead of re-analyzing the synthesized state.  Kept as an
-    independent route so the two can be cross-checked.
-    """
-    if gdual is None:
-        gdual = canonical_dual(g, tol=tol)
-    if coupling is None:
-        coupling = coupling_matrix(A, g, gdual, tol=tol)
-    row_at = D.row(at)
-    row_next = D.row(successor(at))
-    propagated = row_at @ coupling.entries.conj()
-    return synthesis(row_next - propagated, gdual)
 
 
 def subspace_condition(
@@ -449,7 +379,6 @@ def counterexample_nullifier(
         )
 
     win = window(K)
-    imap = index_map(d)
     # b[n] = <(A^0 + ... + A^(n-1)) w, g> depends only on the step count.
     b = np.zeros(2 * K, dtype=complex)
     geom = np.zeros(d, dtype=complex)
@@ -474,8 +403,8 @@ def counterexample_nullifier(
                 f"slogdet = ({sign:.3g}, {logdet:.3g}))"
             ) from exc
 
-    pos_positions = [imap.index_of(idx) for idx in win if idx.m >= 0]
-    neg_positions = [imap.index_of(idx) for idx in win if idx.m < 0]
+    pos_positions = [position(idx, K) for idx in win if idx.m >= 0]
+    neg_positions = [position(idx, K) for idx in win if idx.m < 0]
     x0 = np.zeros(d, dtype=complex)
     xm2 = np.zeros(d, dtype=complex)
     x0[pos_positions] = half_solve(pos_positions)

@@ -45,7 +45,7 @@ from .lattice import (
     LambdaIndex,
     SpectralParams,
     index_label,
-    index_map,
+    position,
     power_of,
     window,
 )
@@ -153,8 +153,8 @@ def _scenario_rng(scenario_id: str, params: SpectralParams, K: int) -> np.random
     return np.random.default_rng(seed)
 
 
-def _onb(dim: int, win: list[LambdaIndex]) -> VectorFamily:
-    return VectorFamily(vectors=np.eye(dim, dtype=complex), labels=tuple(win))
+def _onb(dim: int) -> VectorFamily:
+    return VectorFamily(vectors=np.eye(dim, dtype=complex))
 
 
 def _basis_columns(dim: int, positions: list[int]) -> np.ndarray:
@@ -174,16 +174,13 @@ def counterexample_source(K: int) -> Vec:
     The pattern beyond the innermost coordinates extends the printed
     ones by the evident power law.
     """
-    win = window(K)
-    imap = index_map(4 * K)
     w = np.zeros(4 * K, dtype=complex)
-    for idx in win:
-        pos = imap.index_of(idx)
+    for idx in window(K):
         if idx.eps == 0:
             val = 0.5 ** idx.m if idx.m >= 0 else -(0.5 ** (-idx.m))
         else:
             val = (1.0 / 3.0) ** (idx.m + 1) if idx.m >= 0 else -((1.0 / 3.0) ** (-idx.m))
-        w[pos] = val
+        w[position(idx, K)] = val
     return w
 
 
@@ -191,21 +188,19 @@ def _build_thm312_diagonal(
     params: SpectralParams, K: int, tol: Tolerances
 ) -> ScenarioBundle:
     dim = 4 * K
-    win = window(K)
-    imap = index_map(dim)
     diag = np.zeros(dim)
-    for idx in win:
+    for idx in window(K):
         if idx.eps == 0:
-            diag[imap.index_of(idx)] = 2.0 ** (-idx.m) if idx.m >= 0 else 2.0 ** idx.m
+            diag[position(idx, K)] = 2.0 ** (-idx.m) if idx.m >= 0 else 2.0 ** idx.m
     A = np.diag(diag).astype(complex)
-    g = _onb(dim, win)
+    g = _onb(dim)
     rng = _scenario_rng("thm312_diagonal", params, K)
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     w /= np.linalg.norm(w)
     x0 = np.zeros(dim, dtype=complex)
-    x0[imap.index_of(LambdaIndex(0, 1))] = 1.0
+    x0[position(LambdaIndex(0, 1), K)] = 1.0
     xm2 = np.zeros(dim, dtype=complex)
-    xm2[imap.index_of(LambdaIndex(-1, 0))] = 1.0
+    xm2[position(LambdaIndex(-1, 0), K)] = 1.0
     spec = SystemSpec(
         params=params,
         dim=dim,
@@ -232,15 +227,13 @@ def _build_thm38_onb(
     params: SpectralParams, K: int, tol: Tolerances
 ) -> ScenarioBundle:
     dim = 4 * K
-    win = window(K)
-    imap = index_map(dim)
     w = np.zeros(dim, dtype=complex)
-    w[imap.index_of(LambdaIndex(0, 0))] = 1.0
+    w[position(LambdaIndex(0, 0), K)] = 1.0
     spec = SystemSpec(
         params=params,
         dim=dim,
         A=np.zeros((dim, dim), dtype=complex),
-        g=_onb(dim, win),
+        g=_onb(dim),
         W_basis=np.eye(dim, dtype=complex),
         w=w,
         x0=w.copy(),
@@ -302,10 +295,8 @@ def _build_thm317_generalized(
     params: SpectralParams, K: int, tol: Tolerances
 ) -> ScenarioBundle:
     dim = 4 * K
-    win = window(K)
-    imap = index_map(dim)
-    p0 = imap.index_of(LambdaIndex(0, 0))
-    pm2 = imap.index_of(LambdaIndex(-1, 0))
+    p0 = position(LambdaIndex(0, 0), K)
+    pm2 = position(LambdaIndex(-1, 0), K)
     diag = np.full(dim, 2.0)
     diag[[p0, pm2]] = 1.0
     A = np.diag(diag).astype(complex)
@@ -315,7 +306,7 @@ def _build_thm317_generalized(
     y = rng.standard_normal(len(w_positions)) + 1j * rng.standard_normal(len(w_positions))
     y /= np.linalg.norm(y)
     w = B @ y
-    g = _onb(dim, win)
+    g = _onb(dim)
     spec = SystemSpec(
         params=params,
         dim=dim,
@@ -350,15 +341,13 @@ def _build_thm319_quarter(
     params: SpectralParams, K: int, tol: Tolerances
 ) -> ScenarioBundle:
     dim = 4 * K
-    win = window(K)
-    imap = index_map(dim)
-    p0 = imap.index_of(LambdaIndex(0, 0))
-    p1 = imap.index_of(LambdaIndex(0, 1))
+    p0 = position(LambdaIndex(0, 0), K)
+    p1 = position(LambdaIndex(0, 1), K)
     B = _basis_columns(dim, [p0, p1])
     w = np.zeros(dim, dtype=complex)
     w[[p0, p1]] = QUARTER_SOURCE
     A = 0.25 * np.eye(dim, dtype=complex)
-    g = _onb(dim, win)
+    g = _onb(dim)
     spec = SystemSpec(
         params=params,
         dim=dim,

@@ -66,7 +66,7 @@ class Tolerances:
         for key, val in overrides.items():
             try:
                 val = float(val)
-            except TypeError:
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"tolerance {key} must be a number, got {val!r}") from None
             if not val > 0.0:
                 raise ValueError(f"tolerance {key} must be positive, got {val}")

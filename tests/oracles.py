@@ -1,0 +1,218 @@
+"""Independent oracles the tests check the package against.
+
+Each one recomputes a quantity by a route the package does not take: the
+exact rational value of a lattice point, states from their closed forms
+instead of the recurrence, the recurrence residual of a trajectory, the
+exact dual-pair residual, the min-norm gap of a coefficient vector, and
+finite-step recovery through the coupling coefficients instead of
+re-analyzing the synthesized state.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from nuds import linalg
+from nuds.dynamics import LatticeWindow, SystemSpec, _orbit_positions
+from nuds.frames import VectorFamily, analysis, canonical_dual, synthesis
+from nuds.lattice import LambdaIndex, SpectralParams, power_of, successor
+from nuds.linalg import Mat, NumericalError, Vec
+from nuds.tolerances import DEFAULTS, Tolerances
+
+
+# --- lattice ------------------------------------------------------------------
+
+def index_value(idx: LambdaIndex, params: SpectralParams) -> Fraction:
+    """Exact rational value 2m + eps * r/N of a lattice point."""
+    return Fraction(2 * idx.m) + idx.eps * Fraction(params.r, params.N)
+
+
+# --- dynamics -----------------------------------------------------------------
+
+def recurrence_residual(traj: LatticeWindow, A: Mat, w: Vec) -> float:
+    """Max norm of x_succ - (A x + w) over indices whose successor is present.
+
+    Zero for simulated trajectories; meaningful for externally supplied
+    ones, which should stay below 1e-8 times the state scale.
+    """
+    X = traj.values
+    orbits = _orbit_positions(traj.K)
+    src = [p for positions in orbits for p in positions[:-1]]
+    dst = [p for positions in orbits for p in positions[1:]]
+    # One matrix-vector product per row, as in simulate: a batched
+    # product rounds differently, and simulated states must give zero.
+    predicted = np.array([A @ x for x in X[src]]) + w
+    return float(np.linalg.norm(X[dst] - predicted, axis=1).max())
+
+
+def _matrix_power_and_sum(A: Mat, n: int) -> tuple[Mat, Mat]:
+    """Return (A^n, I + A + ... + A^(n-1)); the sum is zero when n = 0."""
+    d = A.shape[0]
+    power = np.eye(d, dtype=complex)
+    geom = np.zeros((d, d), dtype=complex)
+    for _ in range(n):
+        geom = geom + power
+        power = A @ power
+    return power, geom
+
+
+def closed_form_state(spec: SystemSpec, idx: LambdaIndex) -> Vec:
+    """State by the explicit formula A^n x_init + (sum_{k<n} A^k) w.
+
+    n is the orbit position of `idx` and x_init is x0 on the
+    nonnegative orbit, xm2 on the negative one.  Independent of
+    ``simulate`` (used to cross-check it).
+    """
+    n = power_of(idx)
+    x_init = spec.x0 if idx.m >= 0 else spec.xm2
+    power, geom = _matrix_power_and_sum(spec.A, n)
+    return power @ x_init + geom @ spec.w
+
+
+def closed_form_resolvent_state(
+    spec: SystemSpec, idx: LambdaIndex, *, tol: Tolerances = DEFAULTS
+) -> Vec:
+    """State by the resolvent formula A^n x_init + (I - A^n)(I - A)^-1 w.
+
+    Requires 1 outside the spectrum of A; agrees with
+    :func:`closed_form_state` wherever both are defined.
+    """
+    n = power_of(idx)
+    x_init = spec.x0 if idx.m >= 0 else spec.xm2
+    eye = np.eye(spec.dim, dtype=complex)
+    try:
+        u = linalg.solve(eye - spec.A, spec.w, tol=tol)
+    except linalg.SingularMatrixError as exc:
+        raise linalg.NumericalError(
+            f"resolvent form unavailable: 1 is in the spectrum of A "
+            f"(I - A is singular at pivot {exc.pivot_index})"
+        ) from exc
+    power, _ = _matrix_power_and_sum(spec.A, n)
+    return power @ x_init + u - power @ u
+
+
+# --- frames -------------------------------------------------------------------
+
+def verify_dual_pair(F: VectorFamily, G: VectorFamily) -> float:
+    """The exact worst-case residual ||I - sum_k f_k g_k*||_2.
+
+    This is the max of ||f - sum_k <f, g_k> f_k|| over unit vectors f.
+    The residual is returned rather than judged so callers can apply
+    their own threshold.
+    """
+    if F.count != G.count or F.dim != G.dim:
+        raise ValueError(
+            f"families are not aligned: ({F.count}, {F.dim}) vs ({G.count}, {G.dim})"
+        )
+    defect = np.eye(F.dim, dtype=complex) - F.vectors.T @ G.vectors.conj()
+    return float(np.linalg.norm(defect, 2))
+
+
+def min_norm_gap(f: Vec, F: VectorFamily, c, *, tol: Tolerances = DEFAULTS) -> float:
+    """Excess coefficient energy over the canonical representation.
+
+    For any coefficients c with sum_k c_k f_k = f, the quantity
+
+        sum |c_k|^2 - sum |<f, Theta^-1 f_k>|^2
+
+    equals sum |c_k - <f, Theta^-1 f_k>|^2, hence is >= 0 with equality
+    exactly for the canonical coefficients.
+
+    Args:
+        f: the represented vector.
+        F: a frame.
+        c: coefficients claiming to represent f.
+
+    Returns:
+        The (theoretically nonnegative) energy gap; rounding may take it
+        a hair below zero.
+
+    Raises:
+        ValueError: when c does not solve the synthesis system
+            sum_k c_k f_k = f to ``tol.SOLVE_TOL`` times max(1, ||f||).
+        NotAFrameError: when F is not a frame.
+    """
+    f = np.asarray(f, dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    mismatch = float(np.linalg.norm(synthesis(c, F) - f))
+    if mismatch > tol.SOLVE_TOL * max(1.0, float(np.linalg.norm(f))):
+        raise ValueError(
+            f"coefficients do not represent f: ||sum c_k f_k - f|| = {mismatch:.3e}"
+        )
+    dual = canonical_dual(F, tol=tol)
+    canon = analysis(f, dual)
+    return float(np.sum(np.abs(c) ** 2) - np.sum(np.abs(canon) ** 2))
+
+
+# --- recovery -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CouplingMatrix:
+    """Coefficients c[i][j] = <A* g_j, gt_i> expanding A* over the frame."""
+
+    entries: Mat
+
+
+def coupling_matrix(
+    A: Mat, g: VectorFamily, gdual: VectorFamily, *, tol: Tolerances = DEFAULTS
+) -> CouplingMatrix:
+    """Expansion coefficients of each A* g_j over the frame {g_i}.
+
+    Validates the dual pair first, then checks the defining identity
+    A* g_j = sum_i c[i][j] g_i numerically.  Both are residuals of the
+    linear identities a dual solves, so both are held to
+    ``tol.SOLVE_TOL``.
+
+    Raises:
+        ValueError: when gdual is not a valid dual of g.
+        NumericalError: when the expansion identity fails.
+    """
+    A = linalg.as_matrix(A)
+    dual_residual = verify_dual_pair(g, gdual)
+    if dual_residual > tol.SOLVE_TOL:
+        raise ValueError(
+            f"invalid dual family: reconstruction residual {dual_residual:.3e} "
+            f"exceeds {tol.SOLVE_TOL:.1e}"
+        )
+    # Rows of a_star_g are A* g_j.
+    a_star_g = g.vectors @ A.conj()
+    entries = (a_star_g @ gdual.vectors.conj().T).T
+    recon = entries.T @ g.vectors
+    for j in range(g.count):
+        err = float(np.linalg.norm(a_star_g[j] - recon[j]))
+        scale = max(1.0, float(np.linalg.norm(a_star_g[j])))
+        if err > tol.SOLVE_TOL * scale:
+            raise NumericalError(
+                f"coupling expansion failed for vector {j}: residual {err:.3e}"
+            )
+    return CouplingMatrix(entries=entries)
+
+
+def reconstruct_finite_coupling(
+    D: LatticeWindow,
+    at: LambdaIndex,
+    A: Mat,
+    g: VectorFamily,
+    gdual: VectorFamily | None = None,
+    coupling: CouplingMatrix | None = None,
+    *,
+    tol: Tolerances = DEFAULTS,
+) -> Vec:
+    """Source recovery through the coupling-coefficient expansion.
+
+    Algebraically identical to ``nuds.recovery.reconstruct_finite`` on
+    exact data: the propagated term is expanded as
+    sum_i conj(c[i][j]) D[at][i] instead of re-analyzing the synthesized
+    state.  Kept as an independent route so the two can be cross-checked.
+    """
+    if gdual is None:
+        gdual = canonical_dual(g, tol=tol)
+    if coupling is None:
+        coupling = coupling_matrix(A, g, gdual, tol=tol)
+    row_at = D.row(at)
+    row_next = D.row(successor(at))
+    propagated = row_at @ coupling.entries.conj()
+    return synthesis(row_next - propagated, gdual)

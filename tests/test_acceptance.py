@@ -17,8 +17,6 @@ from nuds.dynamics import (
     LatticeWindow,
     SystemSpec,
     bs_membership,
-    closed_form_resolvent_state,
-    closed_form_state,
     data_matrix,
     simulate,
     sup_row_norm,
@@ -29,15 +27,13 @@ from nuds.frames import (
     canonical_dual,
     frame_bounds,
     frame_operator,
-    min_norm_gap,
     synthesis,
-    verify_dual_pair,
 )
 from nuds.lattice import (
     LambdaIndex,
     SpectralParams,
     branch_of,
-    index_map,
+    position,
     power_of,
     window,
 )
@@ -52,6 +48,13 @@ from nuds.recovery import (
     subspace_condition,
 )
 from nuds.scenarios import SCENARIO_IDS, build, counterexample_source
+
+from oracles import (
+    closed_form_resolvent_state,
+    closed_form_state,
+    min_norm_gap,
+    verify_dual_pair,
+)
 
 PARAMS = SpectralParams(N=2, r=1)
 
@@ -114,11 +117,10 @@ def test_diagonal_onb_example_recovers_exactly_on_all_branches():
     # recovery is exact to 1e-10 in each branch case.
     bundle = build("thm312_diagonal", PARAMS, 4)
     spec = bundle.spec
-    imap = index_map(spec.dim)
     e_offset = np.zeros(spec.dim)
-    e_offset[imap.index_of(LambdaIndex(0, 1))] = 1.0
+    e_offset[position(LambdaIndex(0, 1), spec.K)] = 1.0
     e_minus2 = np.zeros(spec.dim)
-    e_minus2[imap.index_of(LambdaIndex(-1, 0))] = 1.0
+    e_minus2[position(LambdaIndex(-1, 0), spec.K)] = 1.0
     np.testing.assert_array_equal(spec.x0, e_offset)
     np.testing.assert_array_equal(spec.xm2, e_minus2)
 
@@ -215,9 +217,8 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     # produce identical data: stable recovery is impossible, and the
     # limit-recovery entry point refuses to run.
     d, K = 8, 2
-    imap = index_map(d)
-    p0 = imap.index_of(LambdaIndex(0, 0))
-    p1 = imap.index_of(LambdaIndex(0, 1))
+    p0 = position(LambdaIndex(0, 0), K)
+    p1 = position(LambdaIndex(0, 1), K)
     B = np.zeros((d, 2))
     B[p0, 0] = 1.0
     B[p1, 1] = 1.0

@@ -246,7 +246,7 @@ def test_config_parsing_generators_and_errors():
     doc = _config_doc()
     spec, _ = parse_config(doc)
     np.testing.assert_array_equal(spec.A, 0.5 * np.eye(8))
-    assert spec.g.count == 8 and spec.g.labels is not None
+    np.testing.assert_array_equal(spec.g.vectors, np.eye(8))
 
     diag_doc = _config_doc()
     diag_doc["A"] = {"generator": "diag", "entries": [[0.1 * (i + 1), 0.0] for i in range(8)]}
@@ -302,6 +302,38 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, keys, value):
     path.write_text(json.dumps(doc))
     assert main(["recover", str(path), "-o", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (10**6, "w has length 8, expected 1000000"),
+        (-3, "dim must be a positive integer, got -3"),
+        (0, "dim must be a positive integer, got 0"),
+    ],
+    ids=["million", "negative", "zero"],
+)
+def test_dim_is_checked_before_the_shorthands_expand(tmp_path, capsys, dim, message):
+    # A scaled_identity A, "onb" g and "full" W would each be a dim x dim
+    # array: 14.6 TiB at dim = 10**6, which numpy refuses at once.
+    doc = _config_doc()
+    doc["dim"] = dim
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path)], ["recover", str(path), "-o", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", 10**400], ids=["string", "beyond-float"])
+def test_non_numeric_config_tolerance_names_its_key(tmp_path, capsys, value):
+    doc = _config_doc()
+    doc["tolerances"] = {"BS_TOL": value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    expected = f"config error: tolerance BS_TOL must be a number, got {value!r}\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_config_canonical_round_trip():

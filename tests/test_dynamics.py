@@ -11,19 +11,14 @@ from nuds.dynamics import (
     LatticeWindow,
     SystemSpec,
     bs_membership,
-    closed_form_resolvent_state,
-    closed_form_state,
-    data_fit,
     data_matrix,
     data_matrix_to_csv,
-    finite_block_norm,
-    recurrence_residual,
     simulate,
     stationary_deviation,
     sup_row_norm,
     trajectory_to_csv,
 )
-from nuds.frames import NotAFrameError, VectorFamily, analysis
+from nuds.frames import VectorFamily, analysis
 from nuds.lattice import (
     Branch,
     LambdaIndex,
@@ -33,6 +28,8 @@ from nuds.lattice import (
     window,
 )
 from nuds.linalg import NumericalError
+
+from oracles import closed_form_resolvent_state, closed_form_state, recurrence_residual
 
 
 def _spec_1d():
@@ -202,7 +199,6 @@ def test_operator_norms_hand_checked():
     ]
     D = LatticeWindow(np.array(rows))
     assert sup_row_norm(D) == pytest.approx(5.0)
-    assert finite_block_norm(D) == pytest.approx(7.0)
 
 
 def test_bs_membership_constant_rows():
@@ -232,32 +228,6 @@ def test_bs_membership_tail_validation():
         bs_membership(D, tail=0)
     with pytest.raises(ValueError, match="window too small"):
         bs_membership(D, tail=3)
-
-
-def test_data_fit_round_trip():
-    rng = np.random.default_rng(42)
-    spec = _random_spec(rng, dim=4, K=3)
-    D = data_matrix(simulate(spec), spec.g)
-    fit = data_fit(D, spec)
-    np.testing.assert_allclose(fit.x0, spec.x0, atol=1e-8)
-    np.testing.assert_allclose(fit.xm2, spec.xm2, atol=1e-8)
-    np.testing.assert_allclose(fit.w, spec.w, atol=1e-8)
-    assert fit.residual < 1e-7
-
-
-def test_data_fit_requires_frame():
-    spec = _spec_1d()
-    bad = SystemSpec(
-        params=spec.params, dim=2, A=np.eye(2) * 0.5,
-        g=VectorFamily(vectors=np.array([[1.0, 0.0]])),  # rank 1 in C^2
-        W_basis=np.eye(2), w=[1.0, 0.0], x0=[0.0, 0.0], xm2=[0.0, 0.0], K=1,
-    )
-    good = _random_spec(np.random.default_rng(0), dim=2, K=1)
-    D = data_matrix(simulate(good), good.g)
-    # rebuild rows with one sample per index to match the deficient family
-    D1 = LatticeWindow(D.values[:, :1])
-    with pytest.raises(NotAFrameError):
-        data_fit(D1, bad)
 
 
 def test_stationary_deviation():

@@ -8,12 +8,13 @@ from nuds.lattice import (
     SpectralParams,
     branch_of,
     index_label,
-    index_map,
-    index_value,
+    position,
     power_of,
     successor,
     window,
 )
+
+from oracles import index_value
 
 
 def test_params_validation():
@@ -163,35 +164,27 @@ def test_power_increments_along_orbit():
 
 
 def test_index_map_window_layout():
-    imap = index_map(4)
-    assert imap.lambda_of(0) == LambdaIndex(-1, 0)
-    assert imap.lambda_of(1) == LambdaIndex(-1, 1)
-    assert imap.lambda_of(2) == LambdaIndex(0, 0)
-    assert imap.lambda_of(3) == LambdaIndex(0, 1)
-    assert index_map(8).index_of(LambdaIndex(0, 0)) == 4
+    win = window(1)
+    assert win == [LambdaIndex(-1, 0), LambdaIndex(-1, 1), LambdaIndex(0, 0), LambdaIndex(0, 1)]
+    assert [position(idx, 1) for idx in win] == [0, 1, 2, 3]
+    assert position(LambdaIndex(0, 0), 2) == 4
 
 
 @pytest.mark.parametrize("dim", [4, 8, 12, 32])
 def test_index_map_round_trip(dim):
-    imap = index_map(dim)
+    K = dim // 4
+    win = window(K)
+    assert len(win) == dim
     for p in range(dim):
-        assert imap.index_of(imap.lambda_of(p)) == p
+        assert position(win[p], K) == p
+        assert win.index(win[p]) == p
 
 
 def test_index_map_rejects_incompatible_dim():
     with pytest.raises(ValueError):
-        index_map(0)
-    with pytest.raises(ValueError):
-        index_map(5)
-    with pytest.raises(ValueError, match="allow_half_pairs"):
-        index_map(6)
-
-
-def test_index_map_half_pairs():
-    imap = index_map(6, allow_half_pairs=True)
-    assert len(imap.indices) == 6
-    # both initial indices must be hosted
-    assert LambdaIndex(0, 0) in imap
-    assert LambdaIndex(-1, 0) in imap
-    for p in range(6):
-        assert imap.index_of(imap.lambda_of(p)) == p
+        window(0)
+    for K in range(1, 7):
+        for m in (K, -K - 1):
+            for eps in (0, 1):
+                with pytest.raises(ValueError, match="window has no row"):
+                    position(LambdaIndex(m, eps), K)

@@ -10,8 +10,6 @@ from nuds.linalg import (
     hermitian_eigs,
     inner,
     matrix_from_pairs,
-    matrix_to_pairs,
-    orthonormal_basis,
     pair_to_complex,
     solve,
     spectral_radius,
@@ -135,23 +133,6 @@ def test_spectral_radius_examples():
     assert spectral_radius(rot) == pytest.approx(1.0)
 
 
-def test_orthonormal_basis_properties():
-    rng = np.random.default_rng(3)
-    cols = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    cols = np.hstack([cols, cols[:, :1] + cols[:, 1:2]])  # add a dependent column
-    B = orthonormal_basis(cols)
-    assert B.shape == (5, 3)
-    np.testing.assert_allclose(B.conj().T @ B, np.eye(3), atol=1e-12)
-    # same span: projector reproduces the original columns
-    proj = B @ B.conj().T
-    np.testing.assert_allclose(proj @ cols, cols, atol=1e-10)
-
-
-def test_orthonormal_basis_rejects_zero():
-    with pytest.raises(ValueError):
-        orthonormal_basis(np.zeros((4, 2)))
-
-
 def test_complex_pair_round_trip():
     z = 1.5 - 2.25j
     assert complex_to_pair(z) == [1.5, -2.25]
@@ -167,7 +148,7 @@ def test_vector_and_matrix_codecs_round_trip():
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     np.testing.assert_array_equal(vector_from_pairs(vector_to_pairs(v)), v)
-    np.testing.assert_array_equal(matrix_from_pairs(matrix_to_pairs(m)), m)
+    np.testing.assert_array_equal(matrix_from_pairs(vector_to_pairs(m)), m)
     assert vector_to_pairs(v)[0] == [v[0].real, v[0].imag]
 
 
@@ -244,6 +225,6 @@ def test_encoders_match_complex_to_pair():
     M[1, 2] = complex(0.0, -0.0)
     for A in (M, M.T):  # M.T is a non-contiguous view, as for the W columns
         ref = [[complex_to_pair(z) for z in row] for row in A]
-        assert repr(matrix_to_pairs(A)) == repr(ref)
+        assert repr(vector_to_pairs(A)) == repr(ref)
     assert repr(vector_to_pairs(M[:, 0])) == repr([complex_to_pair(z) for z in M[:, 0]])
-    assert "-0.0" in repr(matrix_to_pairs(M)[:2])
+    assert "-0.0" in repr(vector_to_pairs(M)[:2])

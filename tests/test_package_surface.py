@@ -1,0 +1,72 @@
+"""Every public function and class of the package is used by the package.
+
+A top-level public name that only tests reach is test scaffolding shipped
+as API: it belongs in ``tests/oracles.py`` or nowhere.  The scan reads the
+source of ``src/nuds/*.py`` and counts a name as used when some package
+code outside the name's own definition refers to it as a name or as an
+attribute.  Text in docstrings and comments is not code and does not
+count, and neither does an import that nothing then reads.
+"""
+
+import ast
+from pathlib import Path
+
+import nuds
+
+PACKAGE = Path(nuds.__file__).parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node
+
+
+def _references(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unused_public_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public top-level definition nothing else uses."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    # References made by each top-level statement, so that a definition's
+    # own body can be left out when its name is looked up.
+    statements = [
+        (stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body
+    ]
+    unused = []
+    for module, tree in trees.items():
+        for node in _public_definitions(tree):
+            if not any(
+                node.name in refs for stmt, refs in statements if stmt is not node
+            ):
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_scan_sees_only_code_references():
+    sources = {
+        "a": (
+            "def used():\n    pass\n\n"
+            "def leaf():\n    '''Calls used(); see also orphan().'''\n    return used()\n\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+            "class Node:\n    def child(self) -> 'Node':\n        return Node()\n\n"
+            "def _private():\n    pass\n"
+        ),
+        "b": "from a import leaf\n\n\ndef orphan():\n    pass\n",
+    }
+    # `leaf` is named only in an import nothing reads, `orphan` only in a
+    # docstring, `recursive` and `Node` only inside their own definitions.
+    assert unused_public_names(sources) == ["a.leaf", "a.recursive", "a.Node", "b.orphan"]
+
+
+def test_every_public_definition_is_used_by_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_public_names(sources) == []

@@ -3,21 +3,21 @@ import pytest
 
 from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
 from nuds.frames import VectorFamily, canonical_dual, frame_bounds, synthesis
-from nuds.lattice import LambdaIndex, SpectralParams, branch_of, index_map, window
+from nuds.lattice import LambdaIndex, SpectralParams, branch_of, position, window
 from nuds.linalg import NumericalError
 from nuds.recovery import (
     ConditionFailure,
     RecoveryReport,
-    coupling_matrix,
     counterexample_nullifier,
     finite_recovery_report,
     limit_operator,
     reconstruct_finite,
-    reconstruct_finite_coupling,
     reconstruct_infinite,
     stationary_map_from_A,
     subspace_condition,
 )
+
+from oracles import coupling_matrix, reconstruct_finite_coupling
 
 PARAMS = SpectralParams(N=2, r=1)
 
@@ -272,12 +272,11 @@ def test_nullifier_k1_against_cramer():
     g = (np.eye(4) - A) @ w
     x0, xm2, meas = counterexample_nullifier(A, w, 1)
 
-    imap = index_map(4)
     b1 = np.vdot(g, w)  # <w, g> after one step from zero
     for positions, x in ((
-        [imap.index_of(LambdaIndex(0, 0)), imap.index_of(LambdaIndex(0, 1))], x0,
+        [position(LambdaIndex(0, 0), 1), position(LambdaIndex(0, 1), 1)], x0,
     ), (
-        [imap.index_of(LambdaIndex(-1, 0)), imap.index_of(LambdaIndex(-1, 1))], xm2,
+        [position(LambdaIndex(-1, 0), 1), position(LambdaIndex(-1, 1), 1)], xm2,
     )):
         c0, c1 = positions
         gs = np.conj(g)
@@ -299,9 +298,8 @@ def test_nullifier_zeroes_all_window_measurements(K):
     assert float(np.linalg.norm(w)) > 1.0
 
     # supports sit on opposite halves of the coordinate window
-    imap = index_map(4 * K)
-    for p in range(4 * K):
-        if imap.lambda_of(p).m >= 0:
+    for p, idx in enumerate(window(K)):
+        if idx.m >= 0:
             assert xm2[p] == 0
         else:
             assert x0[p] == 0

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nuds.lattice import LambdaIndex, SpectralParams, index_map
+from nuds.lattice import LambdaIndex, SpectralParams, position
 from nuds.linalg import spectral_radius
 from nuds.scenarios import (
     DEFAULT_K,
@@ -67,12 +67,11 @@ def test_scenarios_meet_their_expectations(scenario_id):
 
 def test_diagonal_scenario_details():
     bundle = build("thm312_diagonal", PARAMS, 4)
-    imap = index_map(16)
     diag = np.diag(bundle.spec.A).real
-    assert diag[imap.index_of(LambdaIndex(0, 0))] == 1.0
-    assert diag[imap.index_of(LambdaIndex(2, 0))] == 0.25
-    assert diag[imap.index_of(LambdaIndex(-2, 0))] == 0.25
-    assert diag[imap.index_of(LambdaIndex(1, 1))] == 0.0
+    assert diag[position(LambdaIndex(0, 0), 4)] == 1.0
+    assert diag[position(LambdaIndex(2, 0), 4)] == 0.25
+    assert diag[position(LambdaIndex(-2, 0), 4)] == 0.25
+    assert diag[position(LambdaIndex(1, 1), 4)] == 0.0
     assert spectral_radius(bundle.spec.A) == pytest.approx(1.0)
 
     report, failures = run_scenario(bundle)
@@ -90,7 +89,6 @@ def test_onb_scenario_norm_ratio():
 
 def test_counterexample_source_pattern():
     w = counterexample_source(2)
-    imap = index_map(8)
     expect = {
         LambdaIndex(0, 0): 1.0,
         LambdaIndex(1, 0): 0.5,
@@ -102,7 +100,7 @@ def test_counterexample_source_pattern():
         LambdaIndex(-2, 1): -1.0 / 9.0,
     }
     for idx, val in expect.items():
-        assert w[imap.index_of(idx)] == pytest.approx(val)
+        assert w[position(idx, 2)] == pytest.approx(val)
     assert np.all(np.abs(w) > 0)
 
 
