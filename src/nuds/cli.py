@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
+import pickle
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg
+from ._fork import Child
 from .dynamics import (
     SystemSpec,
     bs_membership,
@@ -69,9 +73,18 @@ def _integer(doc: dict, key: str, where: str = "config") -> int:
     return int(raw)
 
 
+class _Converted:
+    """A field value parsed while the config was decoded; ``_field`` keeps it."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+
 def _field(doc: dict, key: str, parse, *args):
     """Parse the required value doc[key], naming the key in any error."""
     raw = _require(doc, key)
+    if isinstance(raw, _Converted):
+        return raw.value
     try:
         return parse(raw, *args)
     except ValueError as exc:
@@ -175,17 +188,225 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
     }
 
 
+# --- config ingestion --------------------------------------------------------
+# A large config is decoded in two processes.  A walk over the top-level
+# object decodes the small members and only marks where each array member
+# must end; a forked child decodes and parses about half of the array
+# members by size while this process decodes and parses the rest.  Any
+# surprise sends the whole text down the serial path, one ``json.load``,
+# so the result and every error message are the serial ones.
+
+# Smallest share of a config, in characters of JSON text, that a child
+# takes over.  Decoding and converting take ~30 ns per character, and
+# forking, piping and reaping a child 3-5 ms at ~200 MB RSS, so a share
+# pays for its fork near 130k characters.  The floor sits at four times
+# that: a d = 128 config (2.5M characters, a 1.1M share) clears it, a
+# d = 64 config (0.6M characters, a 0.3M share) does not.
+FORK_MIN_CONFIG_CHARS = 1 << 19
+
+_scan = json.JSONDecoder().scan_once
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _vector(raw, dim: int) -> np.ndarray:
+    return linalg.vector_from_pairs(raw)
+
+
+# The array fields a child may parse, each parsed as parse_config parses
+# it; A, g and W take the validated dim.
+_CONVERTERS = {
+    "w": _vector,
+    "A": _parse_operator,
+    "g": _parse_family,
+    "W": _parse_subspace,
+    "x0": _vector,
+    "xm2": _vector,
+}
+
+
+@dataclass
+class _Member:
+    """A member of the top-level object; its value spans text[start:end]."""
+
+    key: str
+    start: int
+    end: int
+    value: object = None
+    is_array: bool = False  # an array's value is decoded after the walk
+
+    @property
+    def size(self) -> int:
+        return self.end - self.start
+
+
+def _rstrip(text: str, end: int) -> int:
+    """``end`` moved back over any JSON whitespace before it."""
+    while end and text[end - 1] in " \t\n\r":
+        end -= 1
+    return end
+
+
+def _array_end(text: str, start: int) -> int | None:
+    """Where the array member at ``start`` ends, if it holds no string.
+
+    The next quote then opens the next key, so the array ends before the
+    comma in front of that key; with no quote left, before the brace that
+    closes the object.  Whoever decodes the array checks this guess.
+    """
+    stop = text.find('"', start)
+    sep = "," if stop >= 0 else "}"
+    end = _rstrip(text, stop if stop >= 0 else len(text))
+    if end <= start + 1 or text[end - 1] != sep:
+        return None
+    return _rstrip(text, end - 1)
+
+
+def _walk(text: str) -> list[_Member] | None:
+    """The members of the top-level object, arrays left undecoded.
+
+    An array ends where :func:`_array_end` expects; every other value is
+    decoded here.  None when the text is not one JSON object that this
+    walk can follow.
+    """
+    i = _skip_ws(text, 0).end()
+    if text[i : i + 1] != "{":
+        return None
+    members = []
+    while True:
+        i = _skip_ws(text, i + 1).end()
+        if text[i : i + 1] != '"':
+            return None
+        key, i = _scan(text, i)
+        i = _skip_ws(text, i).end()
+        if text[i : i + 1] != ":":
+            return None
+        start = _skip_ws(text, i + 1).end()
+        if text[start : start + 1] == "[":
+            end = _array_end(text, start)
+            if end is None:
+                return None
+            members.append(_Member(key, start, end, is_array=True))
+        else:
+            value, end = _scan(text, start)
+            members.append(_Member(key, start, end, value))
+        i = _skip_ws(text, end).end()
+        if text[i : i + 1] != ",":
+            break
+    if text[i : i + 1] != "}" or _skip_ws(text, i + 1).end() != len(text):
+        return None
+    return members
+
+
+def _decode_arrays(text: str, members: list[_Member]) -> bool:
+    """Decode each member's array in place; False if one is invalid or ends elsewhere."""
+    try:
+        for member in members:
+            member.value, end = _scan(text, member.start)
+            if end != member.end:
+                return False
+    except (StopIteration, ValueError, RecursionError):
+        return False
+    return True
+
+
+def _convert(text: str, jobs: list[_Member], dim: int) -> bytes:
+    """A child's job: decode and parse its array fields, pickled in order."""
+    if not _decode_arrays(text, jobs):
+        raise ValueError("an array is invalid or does not end where the walk expects")
+    return pickle.dumps(
+        [_CONVERTERS[m.key](m.value, dim) for m in jobs], protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
+def _convert_own(members: list[_Member], dim: int) -> None:
+    """Parse this process's array fields while the child still works.
+
+    A field that fails to parse keeps its decoded value, so that
+    parse_config meets the error in its own order of checks.
+    """
+    for m in members:
+        if m.key in _CONVERTERS:
+            try:
+                m.value = _Converted(_CONVERTERS[m.key](m.value, dim))
+            except ValueError:
+                pass
+
+
+def _split(members: list[_Member]) -> tuple[list[_Member], list[_Member]]:
+    """The array members as (the child's share, this process's share).
+
+    Largest first, a field that a child may parse moves to the child
+    while the child's share stays no larger than this process's: the
+    child also pickles its results, so it gets the lighter share.
+    Unknown keys, and values that a later duplicate key replaces, stay
+    with this process.
+    """
+    last = {m.key: m for m in members}
+    arrays = sorted((m for m in members if m.is_array), key=lambda m: m.size, reverse=True)
+    theirs, mine = [], []
+    taken, left = 0, sum(m.size for m in arrays)
+    for m in arrays:
+        if m.key in _CONVERTERS and last[m.key] is m and taken + m.size <= left - m.size:
+            theirs.append(m)
+            taken, left = taken + m.size, left - m.size
+        else:
+            mine.append(m)
+    return theirs, mine
+
+
+def _decode_split(text: str) -> dict | None:
+    """The config document, decoded in two processes; None to decode serially.
+
+    None unless the walk follows the whole object, ``dim`` is a positive
+    integer, a child starts (see :meth:`nuds._fork.Child.start`; the
+    floor is ``FORK_MIN_CONFIG_CHARS``), every array ends where the walk
+    expects, and the child parses every field it took.
+    """
+    try:
+        members = _walk(text)
+        if members is None:
+            return None
+        dim = _integer({m.key: m.value for m in members}, "dim")
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if dim < 1:
+        return None
+    theirs, mine = _split(members)
+    with Child() as child:
+        child.start(
+            lambda: _convert(text, theirs, dim),
+            sum(m.size for m in theirs),
+            FORK_MIN_CONFIG_CHARS,
+        )
+        if child.pid is None or not _decode_arrays(text, mine):
+            return None
+        _convert_own(mine, dim)
+        data = child.collect()
+    if data is None:
+        return None
+    for member, value in zip(theirs, pickle.loads(data)):
+        member.value = _Converted(value)
+    return {m.key: m.value for m in members}
+
+
+def _decode(text: str, path: str) -> dict:
+    doc = _decode_split(text)
+    if doc is not None:
+        return doc
+    try:
+        return json.load(io.StringIO(text))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path: str, tol_overrides: dict) -> tuple[SystemSpec, Tolerances]:
     # The decoded tree of ~d^2 small lists holds no cycle to collect.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-        return parse_config(doc, tol_overrides)
+            text = fh.read()
+        return parse_config(_decode(text, path), tol_overrides)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -412,6 +633,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy names the refused allocation: its size, shape and dtype.
+        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -12,15 +12,13 @@ that certifies row convergence at the window edges.
 
 from __future__ import annotations
 
-import os
-import signal
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import BinaryIO, NoReturn
 
 import numpy as np
 
 from . import frames, linalg
+from ._fork import Child
 from .frames import VectorFamily
 from .lattice import (
     LambdaIndex,
@@ -269,104 +267,23 @@ def _row_blocks(labels: list[str], values: np.ndarray) -> Iterator[bytes]:
         ]).encode()
 
 
-def _fork_pays(entries: int) -> bool:
-    """Whether a child can format half of a window of ``entries`` in parallel."""
-    return (
-        entries >= FORK_MIN_ENTRIES
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-class _Child:
-    """At most one forked child that formats row blocks and pipes the bytes back.
-
-    Used as a context manager: leaving the block, on any exception
-    included, closes the pipe and kills and reaps a child still running.
-    """
-
-    def __init__(self) -> None:
-        self.pid: int | None = None
-        self._pipe: BinaryIO | None = None
-
-    def __enter__(self) -> _Child:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pipe is not None:
-            self._pipe.close()
-        if self.pid is not None:
-            pid, self.pid = self.pid, None
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-    def start(self, blocks: Iterator[bytes]) -> None:
-        """Fork a child that formats ``blocks``; none if the system refuses.
-
-        The child consumes its own copy of the generator; this process's
-        copy stays unstarted, so it can still format ``blocks`` itself.
-        """
-        try:
-            read_fd, write_fd = os.pipe()
-        except OSError:
-            return
-        self._pipe = open(read_fd, "rb")
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(write_fd)
-            return
-        if self.pid == 0:
-            _serve(blocks, self._pipe, write_fd)
-        os.close(write_fd)
-
-    def collect(self) -> bytes | None:
-        """Wait for the child; its bytes, or None when none ran or it failed."""
-        if self.pid is None:
-            return None
-        data = self._pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return data if os.waitstatus_to_exitcode(status) == 0 else None
-
-
-def _serve(blocks: Iterator[bytes], read_end: BinaryIO, write_fd: int) -> NoReturn:
-    """The child's whole run: format every block, write the bytes, exit.
-
-    It formats everything before writing, so it never waits on a full
-    pipe while the parent is still busy.  It imports nothing, logs
-    nothing and calls no BLAS, so it takes no lock that another thread
-    of the parent could have held at the fork.  It leaves by
-    ``os._exit``, status 0 once every byte is written and 1 on any
-    exception.
-    """
-    status = 1
-    try:
-        read_end.close()
-        data = b"".join(blocks)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _write_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
     """Write ``lambda,j,re,im`` lines in window order, one row block at a time.
 
-    The rows split into a front and a back half.  Where a fork pays (see
-    :func:`_fork_pays`), a child formats the back half while this process
-    writes the header and the front half, and its bytes follow them;
-    otherwise, or when the fork or the child fails, this process formats
-    the back half itself.  The bytes are the same either way.
+    The rows split into a front and a back half.  Where a child pays (see
+    :meth:`nuds._fork.Child.start`; the floor is ``FORK_MIN_ENTRIES``), a
+    forked child formats the back half while this process writes the
+    header and the front half, and its bytes follow them; otherwise, or
+    when the fork or the child fails, this process formats the back half
+    itself.  The bytes are the same either way.  The child consumes its
+    own copy of the back half's generator; this process's copy stays
+    unstarted until it is needed.
     """
     labels = [index_label(idx, params) for idx in rows.order]
     half = len(labels) // 2
     back = _row_blocks(labels[half:], rows.values[half:])
-    with open(path, "wb") as fh, _Child() as child:
-        if _fork_pays(rows.values.size):
-            child.start(back)
+    with open(path, "wb") as fh, Child() as child:
+        child.start(lambda: b"".join(back), rows.values.size, FORK_MIN_ENTRIES)
         fh.write(b"lambda,j,re,im\r\n")
         fh.writelines(_row_blocks(labels[:half], rows.values[:half]))
         data = child.collect()

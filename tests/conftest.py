@@ -1,6 +1,12 @@
 import os
 
-import pytest
+# One BLAS thread, set before numpy is first imported.  The package forks
+# only from a process with one OS thread, and an unpinned OpenBLAS starts
+# its own threads at import, so without this no fork test would fork.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -217,6 +217,45 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.fixture
+def capped_address_space():
+    """Cap this process's address space at 1 TiB for the test.
+
+    numpy's refusal of a multi-TiB array must not depend on how the
+    system overcommits memory: with the cap, the allocation fails at
+    once instead of reserving memory that a later write could touch.
+    """
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 40 if hard == resource.RLIM_INFINITY else min(hard, 1 << 40)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (["check", "{config}"], "(4000000000000, 8)"),  # the (4K, d) window
+        (["demo", "thm312_diagonal", "-K", "1000000000000", "-o", "{out}"], "(4000000000000,)"),
+    ],
+    ids=["check-K-1e12", "demo-K-1e12"],
+)
+def test_refused_allocation_is_a_one_line_config_error(
+    tmp_path, capsys, capped_address_space, argv, shape
+):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(_config_doc(), K=10**12)))
+    argv = [arg.format(config=path, out=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert shape in captured.err
+
+
 def test_wrong_schema_exits_2(tmp_path):
     doc = _config_doc()
     doc["schema"] = 2

@@ -1,0 +1,242 @@
+"""Two-process config ingestion gives exactly what the serial path gives.
+
+A config whose arrays are large enough is decoded in two processes (see
+``nuds.cli._decode_split``): a forked child decodes and parses part of the
+array fields while the command decodes and parses the rest.  Every result
+here is compared with the serial path, one ``json.load`` followed by
+``parse_config``: the same arrays bit for bit, the same tolerances, and
+for invalid input the same exit code and message.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from nuds import cli
+from nuds.cli import FORK_MIN_CONFIG_CHARS, config_to_json, main, parse_config
+from nuds.dynamics import SystemSpec
+from nuds.frames import VectorFamily
+from nuds.lattice import SpectralParams
+from nuds.tolerances import DEFAULTS
+
+# d = 96 with a 2d-vector family and a d/2-dimensional W: in compact form
+# the child's share is ~0.7M characters, above the fork floor.
+DIM = 96
+ARRAY_FIELDS = ("A", "g", "W", "w", "x0", "xm2")
+
+
+@pytest.fixture(scope="module")
+def doc():
+    rng = np.random.default_rng(96)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    W, _ = np.linalg.qr(cplx(DIM, DIM // 2))
+    spec = SystemSpec(
+        params=SpectralParams(N=4, r=3), dim=DIM, K=DIM // 4, A=0.05 * cplx(DIM, DIM),
+        g=VectorFamily(vectors=cplx(2 * DIM, DIM)), W_basis=W,
+        w=W @ cplx(DIM // 2), x0=cplx(DIM), xm2=cplx(DIM),
+    )
+    tol = DEFAULTS.with_overrides({"BS_TOL": 3e-7, "PIVOT_TOL": 1e-13})
+    return config_to_json(spec, tol)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Report two usable CPUs and record (pid, exit code) of every child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_fork, real_waitpid, children = os.fork, os.waitpid, []
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            children.append([pid, None])
+        return pid
+
+    def recording_waitpid(pid, options):
+        got, status = real_waitpid(pid, options)
+        for child in children:
+            if got and child[0] == got:
+                child[1] = os.waitstatus_to_exitcode(status)
+        return got, status
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return children
+
+
+def _text(items, indent=None) -> str:
+    """JSON text of an object with these (key, value) members, duplicates kept."""
+    if indent is None:
+        sep = ","
+        members = [json.dumps(k) + ":" + json.dumps(v, separators=(",", ":")) for k, v in items]
+    else:
+        sep = ",\n  "
+        members = [
+            json.dumps(k) + ": " + json.dumps(v, indent=indent).replace("\n", "\n  ")
+            for k, v in items
+        ]
+    return "{" + sep.join(members) + "}"
+
+
+def _write(tmp_path, text: str, name="config.json"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def _serial(path):
+    """Today's serial path: the result or the error of json.load + parse_config."""
+    with open(path) as fh:
+        return parse_config(json.load(fh))
+
+
+def _shares(text: str):
+    """The keys of the array fields the child parses, and of those kept here."""
+    theirs, mine = cli._split(cli._walk(text))
+    return [m.key for m in theirs], [m.key for m in mine]
+
+
+def _assert_identical(got, want):
+    (spec, tol), (ref, ref_tol) = got, want
+    assert tol == ref_tol
+    assert (spec.params, spec.dim, spec.K) == (ref.params, ref.dim, ref.K)
+    for name in ("A", "W_basis", "w", "x0", "xm2"):
+        a, b = getattr(spec, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
+        assert a.tobytes() == b.tobytes(), name
+    assert spec.g.vectors.strides == ref.g.vectors.strides
+    assert spec.g.vectors.tobytes() == ref.g.vectors.tobytes()
+
+
+@pytest.fixture(scope="module")
+def texts(doc):
+    items = list(doc.items())
+    # Keys reordered, and A given twice: the first value is replaced.
+    reordered = items[::-1]
+    reordered.insert(2, ("A", [[[0.0, 0.0]] * DIM] * DIM))
+    # A string member whose text looks like array members.
+    noted = [("note", '"g": [[1, 2]], "A": ')] + items
+    text = _text(items)
+    A = text.index('"A":')
+    A_end = text.index("]]]", A) + 3
+    return {
+        "compact": text,
+        "indent": _text(items, indent=2),
+        "reordered-duplicate": _text(reordered),
+        "string-with-key": _text(noted),
+        # invalid
+        "trailing-data": text + ' {"K": 1}',
+        "bom": "\ufeff" + text,
+        "truncated": text[: len(text) * 2 // 3],
+        "missing-comma": text[:A].rstrip(",") + " " + text[A:],
+        "extra-bracket": text[:A_end] + "]" + text[A_end:],
+        # A pair holding a string shaped like the start of a member.
+        "string-in-array": text[: A_end - 2] + '],["\\"g\\": ",0' + text[A_end - 2 :],
+    }
+
+
+@pytest.mark.parametrize("form", ["compact", "indent", "reordered-duplicate", "string-with-key"])
+def test_split_ingestion_is_bit_identical_to_serial(tmp_path, texts, forks, form):
+    path = _write(tmp_path, texts[form])
+    theirs, mine = cli._split(cli._walk(texts[form]))
+    assert {m.key for m in theirs + mine} >= set(ARRAY_FIELDS) and theirs
+    assert sum(m.size for m in theirs) >= FORK_MIN_CONFIG_CHARS
+    got = cli._load_config(str(path), {})
+    assert [code for _, code in forks] == [0]
+    _assert_identical(got, _serial(path))
+
+
+def _outcome(path, capsys):
+    code = main(["check", str(path)])
+    return code, capsys.readouterr().err
+
+
+def _serial_outcome(path):
+    """Exit code and stderr of the serial path on an invalid config."""
+    try:
+        _serial(path)
+    except json.JSONDecodeError as exc:
+        return 2, f"config error: config {path} is not valid JSON: {exc}\n"
+    except ValueError as exc:
+        return 2, f"config error: {exc}\n"
+    raise AssertionError("the config is valid")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["trailing-data", "bom", "truncated", "missing-comma", "extra-bracket", "string-in-array"],
+)
+def test_invalid_input_reads_as_json_load_reads_it(tmp_path, capsys, texts, forks, case):
+    path = _write(tmp_path, texts[case])
+    assert _outcome(path, capsys) == _serial_outcome(path)
+    # The walk rejects every case but one before it forks.  An extra
+    # bracket after A passes the walk; the child, which decodes A, finds
+    # that A ends one character early and fails.
+    assert [code for _, code in forks] == ([1] if case == "extra-bracket" else [])
+
+
+def _with_nulls(doc, keys):
+    bad = dict(doc)
+    for key in keys:
+        rows = [list(row) for row in doc[key]]
+        rows[-1] = [[None, 0.0]] + rows[-1][1:]
+        bad[key] = rows
+    return bad
+
+
+@pytest.mark.parametrize("side", ["child", "parent", "both"])
+def test_a_null_in_a_pair_gives_the_serial_message(
+    tmp_path, capsys, doc, texts, forks, side
+):
+    theirs, mine = _shares(texts["compact"])
+    # The first error in parse order is the one reported.  With both
+    # sides bad, this process's field comes first, so its error wins.
+    parent_key = next(k for k in ("A", "g", "W") if k in mine)
+    child_key = next(k for k in ("W", "g", "A") if k in theirs)
+    assert "AgW".index(parent_key) < "AgW".index(child_key)
+    keys = {"child": [child_key], "parent": [parent_key], "both": [parent_key, child_key]}
+    path = _write(tmp_path, _text(_with_nulls(doc, keys[side]).items()))
+    code, err = _serial_outcome(path)
+    assert err.startswith(f"config error: {keys[side][0]}: ")
+    assert _outcome(path, capsys) == (code, err)
+    assert len(forks) == 1
+
+
+def test_refused_fork_gives_the_serial_result(tmp_path, monkeypatch, texts):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def refuse():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    path = _write(tmp_path, texts["compact"])
+    _assert_identical(cli._load_config(str(path), {}), _serial(path))
+
+
+def test_failing_child_gives_the_serial_result(tmp_path, monkeypatch, texts, forks):
+    def fail(*args):
+        raise MemoryError("the child could not convert")
+
+    monkeypatch.setattr(cli, "_convert", fail)
+    path = _write(tmp_path, texts["compact"])
+    got = cli._load_config(str(path), {})
+    assert [code for _, code in forks] == [1]
+    _assert_identical(got, _serial(path))
+
+
+def test_small_config_is_decoded_in_one_process(tmp_path, monkeypatch, doc):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    small = dict(doc, dim=8, K=2)
+    small.update(A=[row[:8] for row in doc["A"][:8]], g="onb", W="full")
+    small.update(w=doc["x0"][:8], x0=doc["x0"][:8], xm2=doc["xm2"][:8])
+    path = _write(tmp_path, _text(small.items()))
+    _assert_identical(cli._load_config(str(path), {}), _serial(path))

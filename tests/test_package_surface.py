@@ -6,6 +6,10 @@ source of ``src/nuds/*.py`` and counts a name as used when some package
 code outside the name's own definition refers to it as a name or as an
 attribute.  Text in docstrings and comments is not code and does not
 count, and neither does an import that nothing then reads.
+
+The package also forks in exactly one function, ``nuds._fork.Child.start``,
+which checks that a fork is safe and moves the child off the parent's CPU.
+A second call to ``os.fork`` anywhere in ``src/nuds`` fails the suite.
 """
 
 import ast
@@ -70,3 +74,53 @@ def test_scan_sees_only_code_references():
 def test_every_public_definition_is_used_by_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_public_names(sources) == []
+
+
+def fork_sites(sources: dict[str, str]) -> list[str]:
+    """``module.qualified.function`` of each function that calls ``os.fork``.
+
+    A ``from os import fork`` counts as a site of its own, at ``module``.
+    """
+    sites = []
+
+    def visit(node: ast.AST, scope: list[str], module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                visit(child, scope + [child.name], module)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "fork"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "os"
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "os"
+                and any(alias.name == "fork" for alias in child.names)
+            ):
+                site = ".".join([module] + scope)
+                if site not in sites:
+                    sites.append(site)
+            visit(child, scope, module)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), [], module)
+    return sites
+
+
+def test_fork_scan_finds_every_site():
+    sources = {
+        "a": (
+            "import os\n\n"
+            "class Child:\n    def start(self):\n        return os.fork() or os.fork()\n\n"
+            "def helper():\n    '''Calls os.fork() in a docstring only.'''\n"
+        ),
+        "b": "import os\n\n\ndef ad_hoc():\n    pid = os.fork()\n",
+        "c": "from os import fork\n",
+    }
+    assert fork_sites(sources) == ["a.Child.start", "b.ad_hoc", "c"]
+
+
+def test_the_fork_helper_is_the_only_fork_site():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert fork_sites(sources) == ["_fork.Child.start"]
