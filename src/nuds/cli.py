@@ -9,12 +9,14 @@ stable contract: 0 success, 1 numerical failure, 2 config problem,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import io
 import json
 import pickle
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -438,8 +440,125 @@ def _out_dir(args) -> Path:
     return out
 
 
+# --- JSON output ---------------------------------------------------------------
+# Reports and emitted configs hold exactly the text of
+# ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.  Before Python
+# 3.13 the stdlib encodes with an indent in pure Python, ~0.1 us per
+# character; here dicts and lists are walked by its indent rules, every
+# leaf goes to the C encoder, and each numeric array (such as a
+# ``linalg.vector_to_pairs`` list) takes one compact C-encoder call,
+# re-indented by ``str.replace``: its numbers hold no comma and no bracket.
+
+_leaf = json.JSONEncoder().encode
+_compact = json.JSONEncoder(check_circular=False, separators=(",", ":")).encode
+_NUMBER_TYPES = {int, float}
+
+
+def _numeric_depth(value: list | tuple) -> int:
+    """k if ``value`` is a numeric array nested k lists deep, else 0.
+
+    In a numeric array every list is a nonempty ``list`` and every leaf,
+    all at depth k, is an ``int`` or a ``float`` (so no bool and no None).
+    A list that holds one of its own ancestors gives 0.
+    """
+    level, depth, ancestors = [value], 0, set()
+    while True:
+        kinds = set(map(type, level))
+        if kinds <= _NUMBER_TYPES:
+            return depth
+        if kinds != {list} or not all(level):
+            return 0
+        ids = set(map(id, level))
+        if not ancestors.isdisjoint(ids):
+            return 0
+        ancestors |= ids
+        level = list(chain.from_iterable(level))
+        depth += 1
+
+
+def _numeric_array(value: list, depth: int, indent: str) -> str:
+    """The indented text of a numeric array ``depth`` lists deep.
+
+    ``indent`` is the newline and indentation of the array's own line.
+    Each comma gets the innermost line break; then each run of j closing
+    brackets, a comma and j opening brackets (a boundary j lists up) gets
+    its line breaks, longest runs first.
+    """
+    lines = [indent + "  " * i for i in range(depth + 1)]
+    text = _compact(value).replace(",", "," + lines[depth])
+    for j in range(depth - 1, 0, -1):
+        closes = "".join(lines[i] + "]" for i in range(depth - 1, depth - 1 - j, -1))
+        opens = "".join(lines[i] + "[" for i in range(depth - j, depth))
+        text = text.replace(
+            "]" * j + "," + lines[depth] + "[" * j, closes + "," + opens + lines[depth]
+        )
+    head = "[" + "".join(lines[i] + "[" for i in range(1, depth)) + lines[depth]
+    tail = "".join(lines[i] + "]" for i in range(depth - 1, -1, -1))
+    return head + text[depth:-depth] + tail
+
+
+def _append_indented(value, indent: str, out: list[str]) -> None:
+    """Append the pieces of ``value``'s indented text to ``out``."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        depth = _numeric_depth(value)
+        if depth:
+            out.append(_numeric_array(value, depth, indent))
+            return
+        inner = indent + "  "
+        out.append("[")
+        sep = inner
+        for item in value:
+            out.append(sep)
+            _append_indented(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{")
+        sep = inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a str")
+            out.append(sep)
+            out.append(_leaf(key))
+            out.append(": ")
+            _append_indented(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        out.append(_leaf(value))
+
+
+def _indented_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, mostly at C-encoder speed.
+
+    Raises whatever the walk meets that it leaves to the stdlib:
+    ``TypeError`` for a non-str key, keys that do not sort or a leaf that
+    is not JSON, ``ValueError`` for an int too long to print,
+    ``RecursionError`` for a cycle.
+    """
+    out: list[str] = []
+    _append_indented(doc, "\n", out)
+    return "".join(out)
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline to ``path``.
+
+    A document the fast walk does not take is encoded by that very call,
+    which writes it or raises the stdlib's own error.
+    """
+    try:
+        text = _indented_json(doc)
+    except (TypeError, ValueError, RecursionError):
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    path.write_text(text + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -556,7 +675,13 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and then reused.
+
+    Each subcommand calls the module's ``cmd_<name>`` as looked up when it
+    runs, so a wrapped or replaced ``cmd_*`` takes effect on the next call.
+    """
     parser = argparse.ArgumentParser(
         prog="nuds",
         description=(
@@ -583,7 +708,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate and dump trajectory + data matrix")
     add_common(p_sim)
     p_sim.add_argument("--out", "-o", help="output directory (default: cwd)")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=lambda args: cmd_simulate(args))
 
     p_rec = sub.add_parser("recover", help="run source recovery and write a report")
     add_common(p_rec)
@@ -592,11 +717,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finite-step or limit recovery",
     )
     p_rec.add_argument("--out", "-o", help="output directory (default: cwd)")
-    p_rec.set_defaults(func=cmd_recover)
+    p_rec.set_defaults(func=lambda args: cmd_recover(args))
 
     p_chk = sub.add_parser("check", help="audit recoverability conditions")
     add_common(p_chk)
-    p_chk.set_defaults(func=cmd_check)
+    p_chk.set_defaults(func=lambda args: cmd_check(args))
 
     p_demo = sub.add_parser("demo", help="build a named scenario and verify it")
     p_demo.add_argument("scenario", help="scenario id")
@@ -613,13 +738,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol-override", action="append", default=[], metavar="KEY=VAL",
         help="override a named tolerance (repeatable)",
     )
-    p_demo.set_defaults(func=cmd_demo)
+    p_demo.set_defaults(func=lambda args: cmd_demo(args))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (NotAFrameError, ConditionFailure) as exc:

@@ -3,13 +3,15 @@
 Each one recomputes a quantity by a route the package does not take: the
 exact rational value of a lattice point, states from their closed forms
 instead of the recurrence, the recurrence residual of a trajectory, the
-exact dual-pair residual, the min-norm gap of a coefficient vector, and
+exact dual-pair residual, the min-norm gap of a coefficient vector,
 finite-step recovery through the coupling coefficients instead of
-re-analyzing the synthesized state.
+re-analyzing the synthesized state, and the text of a JSON output from
+the stdlib's own indented encoder.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,3 +218,10 @@ def reconstruct_finite_coupling(
     row_next = D.row(successor(at))
     propagated = row_at @ coupling.entries.conj()
     return synthesis(row_next - propagated, gdual)
+
+
+# --- output -------------------------------------------------------------------
+
+def indented_json(doc) -> str:
+    """The text every JSON file the CLI writes must hold, less its final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True)

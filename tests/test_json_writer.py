@@ -1,0 +1,242 @@
+"""The JSON writer gives exactly the stdlib's indented text.
+
+``nuds.cli._write_json`` walks dicts and lists itself and hands leaves and
+numeric arrays to the C encoder (see ``nuds.cli._indented_json``).  Every
+text here is compared with ``json.dumps(doc, indent=2, sort_keys=True)``
+(``oracles.indented_json``): random documents, edge documents, the
+documents that only the stdlib takes, and every file the CLI writes.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nuds import cli
+from nuds.cli import config_to_json, main
+from nuds.dynamics import SystemSpec
+from nuds.frames import VectorFamily
+from nuds.lattice import SpectralParams
+from nuds.scenarios import SCENARIO_IDS
+
+from oracles import indented_json
+
+# --- random documents ---------------------------------------------------------
+
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+)
+scalars = st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=8))
+
+
+def numeric_arrays(depth: int):
+    """Nonempty lists nested ``depth`` deep with numbers at the bottom, ragged."""
+    strategy = numbers
+    for _ in range(depth):
+        strategy = st.lists(strategy, min_size=1, max_size=4)
+    return strategy
+
+
+# Lists of [re, im] pairs and matrices of them, as linalg.vector_to_pairs
+# writes them, and near misses that must take the generic walk.
+pair_lists = st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=1, max_size=5)
+arrays = st.one_of(
+    pair_lists,
+    st.lists(pair_lists, min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=4).flatmap(numeric_arrays),
+    st.lists(st.lists(scalars, min_size=2, max_size=2), min_size=1, max_size=3),
+)
+documents = st.recursive(
+    st.one_of(scalars, arrays),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(documents)
+def test_random_documents_encode_as_the_stdlib_encodes_them(doc):
+    assert cli._indented_json(doc) == indented_json(doc)
+
+
+# --- edge documents -----------------------------------------------------------
+
+EDGE_DOCUMENTS = {
+    "non-finite and odd numbers in pairs": {
+        "pairs": [
+            [math.nan, math.inf],
+            [-math.inf, -0.0],
+            [1e-300, 5e-324],
+            [1.7976931348623157e308, 0],
+            [-(1 << 64), 3],
+        ],
+        "matrix": [[[math.nan, -0.0]], [[1e300, -math.inf]]],
+    },
+    "bool and null inside pairs": {"a": [[True, 1.0], [2.0, None]], "b": [[False, 0]]},
+    "lists of one and three elements": {
+        "one": [1.5],
+        "three": [[1.0, 2.0, 3.0]],
+        "nested one": [[[0.25]]],
+        "mixed": [[1.0], [1.0, 2.0, 3.0]],
+    },
+    "ragged pair lists": {
+        "ragged": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
+        "ragged rows": [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]],
+        "uneven depth": [[1.0, 2.0], [[3.0, 4.0]]],
+        "number beside a list": [[1.0, 2.0], 3.0],
+    },
+    "pairs that hold a string": {"p": [[1.0, "2.0"], ["re", "im"]], "q": [["]", ","]]},
+    "empty containers at several depths": {
+        "": {},
+        "e": [],
+        "l": [[], [[]], {}, [{}]],
+        "d": {"x": {"y": {}, "z": []}},
+        "pairs then empty": [[1.0, 2.0], []],
+        "empty in a matrix": [[[1.0, 2.0]], []],
+    },
+    "a pair list inside list, dict, list": [
+        {"rows": [[[1.0, -2.0], [3.5, 4.0]], [[0.0, 0.0]]], "w": [[1.0, 0.5]]},
+        [{"inner": [[6.0, 7.0]]}],
+    ],
+    "strings and keys with separators": {
+        ",": "a,b",
+        "]": "[x]",
+        '"': 'say "hi"',
+        "\n": "line\nbreak",
+        "ünïcødé ✓": "Ωmega 𝄞",
+        "key, [0]": [["],[", ",\n"]],
+    },
+    "tuples": {"t": ([1.0, 2.0], (3.0, 4.0)), "u": ((1.0, 2.0),)},
+    "numpy scalars": {"f": np.float64(0.1), "pairs": [[np.float64(1.5), 2.0]]},
+    "top-level array": [[1.0, 2.0], [3.0, 4.0]],
+    "top-level scalar": -0.0,
+    "top-level string": "x,]\n",
+}
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCUMENTS.values(), ids=EDGE_DOCUMENTS.keys())
+def test_edge_documents_encode_as_the_stdlib_encodes_them(tmp_path, doc):
+    want = indented_json(doc)
+    assert cli._indented_json(doc) == want
+    path = tmp_path / "doc.json"
+    cli._write_json(path, doc)
+    assert path.read_bytes() == (want + "\n").encode()
+
+
+def test_a_non_str_key_goes_to_the_stdlib(tmp_path):
+    doc = {
+        "ints": {2: [[3.0, 4.0]], 1: "x"},
+        "floats": {2.5: None, -0.0: []},
+        "bools": {True: 1, False: 0},
+        "none": {None: [[1.0, 2.0]]},
+    }
+    with pytest.raises(TypeError, match="is not a str"):
+        cli._indented_json(doc)
+    path = tmp_path / "doc.json"
+    cli._write_json(path, doc)
+    assert path.read_text() == indented_json(doc) + "\n"
+
+
+def _error(encode, doc):
+    with pytest.raises(Exception) as info:
+        encode(doc)
+    return type(info.value), str(info.value)
+
+
+def _cycle():
+    a = [[1.0, 2.0]]
+    a.append(a)
+    return {"a": a}
+
+
+def _list_of_itself():
+    a = []
+    a.append(a)
+    return a
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": 1, 2: "b"},  # keys that do not sort
+        {"x": [[1.0, object()]]},
+        {"x": {1j}},
+        _cycle(),
+        _list_of_itself(),
+    ],
+    ids=["unsortable keys", "object leaf", "set leaf", "cycle", "list of itself"],
+)
+def test_documents_the_stdlib_rejects_raise_the_stdlib_error(tmp_path, doc):
+    want = _error(indented_json, doc)
+    assert _error(lambda d: cli._write_json(tmp_path / "doc.json", d), doc) == want
+    assert not (tmp_path / "doc.json").exists()
+
+
+# --- files the CLI writes -----------------------------------------------------
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every (path, document) the CLI hands to its JSON writer."""
+    calls = []
+    write = cli._write_json
+
+    def recording(path, doc):
+        calls.append((path, doc))
+        write(path, doc)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    return calls
+
+
+def _assert_stdlib_text(calls):
+    assert calls
+    for path, doc in calls:
+        # The package's own documents never need the stdlib fallback.
+        assert cli._indented_json(doc) == indented_json(doc)
+        assert path.read_bytes() == (indented_json(doc) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def d64_config(tmp_path_factory):
+    """A dense d = 64 system like the benchmark's: ρ(A) ≈ 0.5, 2d frame, d/2-dim W."""
+    rng = np.random.default_rng(64)
+    d = 64
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    W, _ = np.linalg.qr(cplx(d, d // 2))
+    spec = SystemSpec(
+        params=SpectralParams(N=4, r=3), dim=d, K=d // 4, A=cplx(d, d) * np.sqrt(0.125 / d),
+        g=VectorFamily(vectors=cplx(2 * d, d) * np.sqrt(0.125 / d)), W_basis=W,
+        w=W @ cplx(d // 2), x0=cplx(d), xm2=cplx(d),
+    )
+    path = tmp_path_factory.mktemp("d64") / "config.json"
+    path.write_text(json.dumps(config_to_json(spec)))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["finite", "infinite"])
+def test_recover_report_is_the_stdlib_text(tmp_path, written, d64_config, mode, capsys):
+    assert main(["recover", str(d64_config), "--mode", mode, "-o", str(tmp_path)]) == 0
+    assert [path.name for path, _ in written] == ["report.json"]
+    _assert_stdlib_text(written)
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_demo_report_and_config_are_the_stdlib_text(tmp_path, written, scenario_id, capsys):
+    assert main(["demo", scenario_id, "--emit-config", "-o", str(tmp_path)]) == 0
+    assert [path.name for path, _ in written] == [
+        f"{scenario_id}_report.json",
+        f"{scenario_id}_config.json",
+    ]
+    _assert_stdlib_text(written)
