@@ -9,7 +9,6 @@ stable contract: 0 success, 1 numerical failure, 2 config problem,
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import io
 import json
@@ -675,13 +674,7 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and then reused.
-
-    Each subcommand calls the module's ``cmd_<name>`` as looked up when it
-    runs, so a wrapped or replaced ``cmd_*`` takes effect on the next call.
-    """
     parser = argparse.ArgumentParser(
         prog="nuds",
         description=(
@@ -708,7 +701,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate and dump trajectory + data matrix")
     add_common(p_sim)
     p_sim.add_argument("--out", "-o", help="output directory (default: cwd)")
-    p_sim.set_defaults(func=lambda args: cmd_simulate(args))
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("recover", help="run source recovery and write a report")
     add_common(p_rec)
@@ -717,11 +710,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finite-step or limit recovery",
     )
     p_rec.add_argument("--out", "-o", help="output directory (default: cwd)")
-    p_rec.set_defaults(func=lambda args: cmd_recover(args))
+    p_rec.set_defaults(func=cmd_recover)
 
     p_chk = sub.add_parser("check", help="audit recoverability conditions")
     add_common(p_chk)
-    p_chk.set_defaults(func=lambda args: cmd_check(args))
+    p_chk.set_defaults(func=cmd_check)
 
     p_demo = sub.add_parser("demo", help="build a named scenario and verify it")
     p_demo.add_argument("scenario", help="scenario id")
@@ -738,12 +731,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol-override", action="append", default=[], metavar="KEY=VAL",
         help="override a named tolerance (repeatable)",
     )
-    p_demo.set_defaults(func=lambda args: cmd_demo(args))
+    p_demo.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (NotAFrameError, ConditionFailure) as exc:

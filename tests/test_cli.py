@@ -432,27 +432,6 @@ def test_demo_emits_the_tolerances_in_effect(tmp_path):
     assert Tolerances(**doc["tolerances"]) == Tolerances(BS_TOL=1e-5)
 
 
-def test_the_reused_parser_carries_no_flag_into_the_next_call(tmp_path, config_path, capsys):
-    # main() builds its parser once per process; each call must still
-    # start from the defaults.
-    assert main(["check", str(config_path), "--tol-override", "FRAME_TOL=2.0"]) == 0
-    assert "frame=no" in capsys.readouterr().out
-    assert main(["check", str(config_path)]) == 0
-    assert "frame=yes" in capsys.readouterr().out
-
-    runs = [tmp_path / name for name in ("flags", "emit", "plain")]
-    flags = ["-K", "4", "--emit-config", "--tol-override", "FRAME_TOL=1e-9"]
-    assert main(["demo", "thm38_onb", "-o", str(runs[0])] + flags) == 0
-    assert main(["demo", "thm38_onb", "-o", str(runs[1]), "--emit-config"]) == 0
-    assert main(["demo", "thm38_onb", "-o", str(runs[2])]) == 0
-    configs = [json.loads((run / "thm38_onb_config.json").read_text()) for run in runs[:2]]
-    assert [doc["K"] for doc in configs] == [4, DEFAULT_K["thm38_onb"]]
-    assert [doc["tolerances"]["FRAME_TOL"] for doc in configs] == [1e-9, Tolerances().FRAME_TOL]
-    assert not (runs[2] / "thm38_onb_config.json").exists()
-    assert json.loads((runs[2] / "thm38_onb_report.json").read_text())["K"] == DEFAULT_K["thm38_onb"]
-    assert cli._build_parser() is cli._build_parser()
-
-
 def test_check_passes_tolerances_to_subspace_condition(tmp_path, capsys):
     # I - A* = diag(-0.5, ..., -7.5): its smallest pivot is 1/15 of the
     # largest, so PIVOT_TOL = 0.1 makes the resolvent singular.
