@@ -6,9 +6,9 @@ fork through :class:`Child`, the package's only call to ``os.fork``.
 
 A child is started only where it can pay: the caller's share of work
 must reach its floor, at least two CPUs must be usable, and this process
-must have one OS thread, because a fork copies only the thread that
-calls it and any lock another thread held stays locked in the child
-(Python 3.12 warns about such forks).  The child asks to run on the
+must be seen to have one OS thread, because a fork copies only the
+thread that calls it and any lock another thread held stays locked in
+the child (Python 3.12 warns about such forks).  The child asks to run on the
 usable CPUs other than the one this process last ran on, so that the
 two halves of the work do not share a CPU.
 """
@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 from collections.abc import Callable
 from typing import BinaryIO, NoReturn
 
 _STAT = "/proc/self/stat"
 
 
-def _probe() -> tuple[int, int | None]:
+def _probe() -> tuple[int | None, int | None]:
     """This process's OS thread count and the CPU it last ran on.
 
     Both come from one read of ``/proc/self/stat`` (fields 20 and 39).
-    Where that cannot be read, the thread count is the interpreter's own
-    count of Python threads and the CPU is None.
+    Where that cannot be read, both are None: the interpreter's own count
+    of Python threads misses the threads that native libraries such as
+    OpenBLAS start, so it cannot show that a fork is safe.
     """
     try:
         with open(_STAT, "rb") as fh:
@@ -39,7 +39,7 @@ def _probe() -> tuple[int, int | None]:
         fields = stat[stat.rindex(b")") + 1 :].split()
         return int(fields[20 - 3]), int(fields[39 - 3])
     except (OSError, ValueError, IndexError):
-        return threading.active_count(), None
+        return None, None
 
 
 class Child:
@@ -70,9 +70,10 @@ class Child:
         ``size`` is the work the child would take over and ``floor`` the
         least that pays for a fork, both in the caller's unit.  No child
         starts below the floor, on fewer than two usable CPUs, in a
-        process with more than one OS thread, or when the system refuses
-        the pipe or the fork.  The child runs on a copy of this process's
-        memory, so ``job`` may read anything set up before the call.
+        process not known to have exactly one OS thread, or when the
+        system refuses the pipe or the fork.  The child runs on a copy of
+        this process's memory, so ``job`` may read anything set up before
+        the call.
         """
         if size < floor or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
             return

@@ -50,8 +50,6 @@ EXIT_CONFIG = 2
 EXIT_CONDITION = 3
 EXIT_EXPECTATION = 4
 
-DEFAULT_TAIL = 2
-
 
 def _require(doc: dict, key: str, where: str = "config"):
     try:
@@ -537,10 +535,9 @@ def _append_indented(value, indent: str, out: list[str]) -> None:
 def _indented_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, mostly at C-encoder speed.
 
-    Raises whatever the walk meets that it leaves to the stdlib:
-    ``TypeError`` for a non-str key, keys that do not sort or a leaf that
-    is not JSON, ``ValueError`` for an int too long to print,
-    ``RecursionError`` for a cycle.
+    Raises ``TypeError`` for a non-str key, keys that do not sort or a
+    leaf that is not JSON, ``ValueError`` for an int too long to print,
+    and ``RecursionError`` for a cycle.
     """
     out: list[str] = []
     _append_indented(doc, "\n", out)
@@ -550,14 +547,10 @@ def _indented_json(doc) -> str:
 def _write_json(path: Path, doc: dict) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline to ``path``.
 
-    A document the fast walk does not take is encoded by that very call,
-    which writes it or raises the stdlib's own error.
+    A document :func:`_indented_json` refuses raises its error, and no
+    file is written.
     """
-    try:
-        text = _indented_json(doc)
-    except (TypeError, ValueError, RecursionError):
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    path.write_text(text + "\n")
+    path.write_text(_indented_json(doc) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -584,7 +577,7 @@ def cmd_recover(args) -> int:
         ok = report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
     else:
         smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
-        report = reconstruct_infinite(D, smap, DEFAULT_TAIL, w_true=spec.w, tol=tol)
+        report = reconstruct_infinite(D, smap, w_true=spec.w, tol=tol)
         ok = report.residual <= tol.BS_TOL
     out = _out_dir(args)
     report_path = out / "report.json"
@@ -636,7 +629,7 @@ def cmd_check(args) -> int:
         rows.append(("adjoint family bounds on W", f"unavailable: {exc}"))
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
-    lim = bs_membership(D, min(DEFAULT_TAIL, 2 * spec.K), tol=tol)
+    lim = bs_membership(D, tol=tol)
     rows.append(
         (
             "row-convergence tail gap",
@@ -655,7 +648,7 @@ def cmd_demo(args) -> int:
     params = SpectralParams(N=args.N, r=args.r)
     tol = DEFAULTS.with_overrides(_parse_tol_flags(args.tol_override))
     bundle = build(scenario_id, params, K, tol=tol)
-    report, failures = run_scenario(bundle, tail=DEFAULT_TAIL, tol=tol)
+    report, failures = run_scenario(bundle, tol=tol)
     out = _out_dir(args)
     report_path = out / f"{scenario_id}_report.json"
     report["expectations_met"] = not failures
@@ -727,10 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also write the scenario as a canonical config JSON",
     )
-    p_demo.add_argument(
-        "--tol-override", action="append", default=[], metavar="KEY=VAL",
-        help="override a named tolerance (repeatable)",
-    )
+    add_common(p_demo, with_config=False)
     p_demo.set_defaults(func=cmd_demo)
     return parser
 
@@ -746,10 +736,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

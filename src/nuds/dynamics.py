@@ -35,6 +35,11 @@ from .tolerances import DEFAULTS, Tolerances
 # lie in W up to the rounding of a unit-scale projection.
 IN_W_TOL = 1e-10
 
+# Rows at each end of a window that enter the Cauchy tail gap.  A window
+# holds at least 4 rows, so both ends always fit; ``scenarios.min_K``
+# derives thm319's smallest window for this value.
+TAIL = 2
+
 
 @dataclass
 class SystemSpec:
@@ -90,7 +95,8 @@ class SystemSpec:
         for name, v in (("w", self.w), ("x0", self.x0), ("xm2", self.xm2)):
             if v.shape[0] != self.dim:
                 raise ValueError(f"{name} has length {v.shape[0]}, expected {self.dim}")
-        out_of_W = float(np.linalg.norm(self.w - self.projector_W @ self.w))
+        B = self.W_basis
+        out_of_W = float(np.linalg.norm(self.w - B @ (B.conj().T @ self.w)))
         if out_of_W > IN_W_TOL:
             raise ValueError(
                 f"source w must lie in W: component outside W has norm {out_of_W:.3e}"
@@ -99,11 +105,6 @@ class SystemSpec:
         # at finite dimension, but callers want it on file).  A spec
         # carries no tolerances, so this one is taken at the defaults.
         self.g_beta = frames.frame_bounds(self.g).beta
-
-    @property
-    def projector_W(self) -> Mat:
-        B = self.W_basis
-        return B @ B.conj().T
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ class TailLimit:
     """Row-limit estimate at the window edges.
 
     limit_row averages the outermost row of each end; tail_gap is the
-    max pairwise l2 distance among the `tail` outermost rows of both
+    max pairwise l2 distance among the ``TAIL`` outermost rows of both
     ends (a two-sided Cauchy measure); member says whether the gap
     clears the row-convergence tolerance.
     """
@@ -194,28 +195,15 @@ class TailLimit:
     member: bool
 
 
-def bs_membership(
-    D: LatticeWindow, tail: int, *, tol: Tolerances = DEFAULTS
-) -> TailLimit:
+def bs_membership(D: LatticeWindow, *, tol: Tolerances = DEFAULTS) -> TailLimit:
     """Estimate the row limit and certify row convergence at the edges.
 
     Args:
         D: data matrix over a lattice window (rows in window order).
-        tail: how many rows at each end enter the Cauchy gap.
         tol: ``tol.BS_TOL`` is the gap threshold for membership.
-
-    Raises:
-        ValueError: when the window cannot hold `tail` rows per end.
     """
     X = D.values
-    n = X.shape[0]
-    if not isinstance(tail, int) or isinstance(tail, bool) or tail < 1:
-        raise ValueError(f"tail must be a positive integer, got {tail!r}")
-    if 2 * tail > n:
-        raise ValueError(
-            f"window too small: {n} rows cannot hold tail={tail} at each end"
-        )
-    edges = np.concatenate([X[:tail], X[n - tail :]])
+    edges = np.concatenate([X[:TAIL], X[-TAIL:]])
     gap = max(
         float(np.linalg.norm(edges[i + 1 :] - edges[i], axis=1).max())
         for i in range(len(edges) - 1)
@@ -224,21 +212,15 @@ def bs_membership(
     return TailLimit(limit_row=limit, tail_gap=gap, member=gap <= tol.BS_TOL)
 
 
-def stationary_deviation(
-    traj: LatticeWindow, stationary_state: Vec, tail: int = 1
-) -> float:
+def stationary_deviation(traj: LatticeWindow, stationary_state: Vec) -> float:
     """Distance of the window-edge states from a claimed stationary state.
 
     This is the numeric check of the stationarity contract for supplied
     trajectories: both orbits must approach the same limit, so the
-    outermost `tail` states at each end should be close to it.
+    outermost state at each end should be close to it.
     """
-    X = traj.values
-    n = X.shape[0]
-    if 2 * tail > n:
-        raise ValueError(f"window too small for tail={tail}")
+    edges = traj.values[[0, -1]]
     s = np.asarray(stationary_state, dtype=complex)
-    edges = np.concatenate([X[:tail], X[n - tail :]])
     return float(np.linalg.norm(edges - s, axis=1).max())
 
 

@@ -21,11 +21,10 @@ from .tolerances import DEFAULTS, Tolerances
 class NotAFrameError(Exception):
     """Raised when an operation needs a frame but the lower bound is ~0."""
 
-    def __init__(self, alpha: float, message: str | None = None):
+    def __init__(self, alpha: float):
         self.alpha = alpha
         super().__init__(
-            message
-            or f"family is not a frame: lower bound alpha = {alpha:.3e} is "
+            f"family is not a frame: lower bound alpha = {alpha:.3e} is "
             "below the frame tolerance"
         )
 

@@ -169,9 +169,9 @@ def stationary_map_from_A(
     )
 
 
-def _convergent_limit(D: LatticeWindow, tail: int, tol: Tolerances) -> TailLimit:
+def _convergent_limit(D: LatticeWindow, tol: Tolerances) -> TailLimit:
     """The edge row limit; ConditionFailure unless the gap clears tol.BS_TOL."""
-    lim = bs_membership(D, tail, tol=tol)
+    lim = bs_membership(D, tol=tol)
     if not lim.member:
         raise ConditionFailure(
             f"rows are not convergent: tail gap {lim.tail_gap:.3e} exceeds "
@@ -180,9 +180,7 @@ def _convergent_limit(D: LatticeWindow, tail: int, tol: Tolerances) -> TailLimit
     return lim
 
 
-def limit_operator(
-    D: LatticeWindow, G: VectorFamily, tail: int, *, tol: Tolerances = DEFAULTS
-) -> Vec:
+def limit_operator(D: LatticeWindow, G: VectorFamily, *, tol: Tolerances = DEFAULTS) -> Vec:
     """Evaluate lim sum_j D[lambda][j] G_j at the window edges.
 
     The limit row is taken from the outermost rows (see
@@ -192,7 +190,7 @@ def limit_operator(
     Raises:
         ConditionFailure: when the rows are not convergent at the edges.
     """
-    return synthesis(_convergent_limit(D, tail, tol).limit_row, G)
+    return synthesis(_convergent_limit(D, tol).limit_row, G)
 
 
 @dataclass
@@ -232,7 +230,6 @@ def finite_recovery_report(
     at: LambdaIndex,
     A: Mat,
     g: VectorFamily,
-    gdual: VectorFamily | None = None,
     w_true: Vec | None = None,
     *,
     tol: Tolerances = DEFAULTS,
@@ -249,8 +246,7 @@ def finite_recovery_report(
             f"not stably recoverable: sampling family is not a frame "
             f"(alpha = {bounds.alpha:.3e})"
         )
-    if gdual is None:
-        gdual = canonical_dual(g, tol=tol)
+    gdual = canonical_dual(g, tol=tol)
     w_hat = reconstruct_finite(D, at, A, g, gdual, tol=tol)
     u = synthesis(D.row(at), gdual)
     predicted_next = analysis(A @ u + w_hat, g)
@@ -275,7 +271,6 @@ def finite_recovery_report(
 def reconstruct_infinite(
     D: LatticeWindow,
     smap: StationaryMap,
-    tail: int,
     w_true: Vec | None = None,
     *,
     tol: Tolerances = DEFAULTS,
@@ -301,7 +296,7 @@ def reconstruct_infinite(
         )
     dual_in_w = canonical_dual(smap.adjoint_family, tol=tol)
     lifted = VectorFamily(vectors=dual_in_w.vectors @ smap.W_basis.T)
-    lim = _convergent_limit(D, tail, tol)
+    lim = _convergent_limit(D, tol)
     w_hat = synthesis(lim.limit_row, lifted)
     predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, smap.adjoint_family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))

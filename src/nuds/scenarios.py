@@ -383,8 +383,9 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
     """Smallest K on which the scenario's recovery can run at ``tol``.
 
     In thm319 both orbits start at x0 = 0 and contract toward S(w) = 4w/3
-    along one ray, x_n - S(w) = 4^-n (x0 - S(w)).  The edge rows (tail 2)
-    sit at steps 2K - 2 and 2K - 1, so two conditions set the minimum:
+    along one ray, x_n - S(w) = 4^-n (x0 - S(w)).  The edge rows that
+    enter the tail gap (``dynamics.TAIL`` = 2 per end) sit at steps 2K - 2
+    and 2K - 1, so two conditions set the minimum:
 
     - their gap, below 4^-(2K-2) ||x0 - S(w)||, must clear ``tol.BS_TOL``;
     - the limit row, their mean, misses S(w) by 5/8 4^-(2K-2) ||x0 - S(w)||
@@ -454,7 +455,7 @@ def _measured_bounds(bundle: ScenarioBundle, tol: Tolerances):
 
 
 def run_scenario(
-    bundle: ScenarioBundle, tail: int = 2, *, tol: Tolerances = DEFAULTS
+    bundle: ScenarioBundle, *, tol: Tolerances = DEFAULTS
 ) -> tuple[dict, list[str]]:
     """Execute the scenario's recovery and check its expectations.
 
@@ -507,7 +508,7 @@ def run_scenario(
             failures.append("subspace condition unexpectedly failed")
         # The windowed data is identically zero, so the limit route
         # returns (approximately) nothing while the true source is unit-plus.
-        rep = reconstruct_infinite(D, bundle.smap, tail, w_true=spec.w, tol=tol)
+        rep = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
         if float(np.linalg.norm(rep.w_hat)) > LIMIT_ORACLE_TOL:
             failures.append("limit recovery saw a nonzero source in nullified data")
         report["measurements"] = [
@@ -543,14 +544,14 @@ def run_scenario(
         }
 
     if bundle.id == "thm38_onb":
-        limit_vec = limit_operator(D, spec.g, tail, tol=tol)
+        limit_vec = limit_operator(D, spec.g, tol=tol)
         ratio = float(np.linalg.norm(limit_vec)) / sup_row_norm(D)
         report["limit_norm_ratio"] = ratio
         if abs(ratio - 1.0) > ORACLE_TOL:
             failures.append(f"limit operator norm ratio {ratio!r} != 1")
 
     if exp.should_recover_infinite:
-        rep = reconstruct_infinite(D, bundle.smap, tail, w_true=spec.w, tol=tol)
+        rep = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
         threshold = LIMIT_ORACLE_TOL if bundle.id == "thm319_quarter" else ORACLE_TOL
         if rep.abs_error is None or rep.abs_error > threshold:
             failures.append(

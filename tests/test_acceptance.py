@@ -150,14 +150,14 @@ def test_constant_row_limit_norm_matches_sqrt_upper_bound():
         top = vecs[:, -1]
         row = analysis(top, F)
         D = LatticeWindow(np.tile(row, (len(order), 1)))
-        ratio = float(np.linalg.norm(limit_operator(D, F, tail=2))) / sup_row_norm(D)
+        ratio = float(np.linalg.norm(limit_operator(D, F))) / sup_row_norm(D)
         assert ratio == pytest.approx(float(np.sqrt(vals[-1])), abs=1e-6)
 
     # orthonormal special case: the ratio is exactly one
     onb = VectorFamily(vectors=np.eye(4))
     row = analysis(np.eye(4)[0], onb)
     D = LatticeWindow(np.tile(row, (len(order), 1)))
-    ratio = float(np.linalg.norm(limit_operator(D, onb, tail=2))) / sup_row_norm(D)
+    ratio = float(np.linalg.norm(limit_operator(D, onb))) / sup_row_norm(D)
     assert ratio == 1.0
 
 
@@ -207,7 +207,7 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
         assert dist <= (0.25**n) * base + 1e-12, (idx, n, dist)
 
     D = data_matrix(traj, spec.g)
-    report = reconstruct_infinite(D, bundle.smap, tail=2, w_true=spec.w)
+    report = reconstruct_infinite(D, bundle.smap, w_true=spec.w)
     assert report.abs_error <= 1e-6
 
 
@@ -245,14 +245,14 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
             w=w, x0=stationary, xm2=stationary, K=K,
         )
         matrices.append(data_matrix(simulate(spec), g))
-    limit1 = bs_membership(matrices[0], tail=2).limit_row
-    limit2 = bs_membership(matrices[1], tail=2).limit_row
+    limit1 = bs_membership(matrices[0]).limit_row
+    limit2 = bs_membership(matrices[1]).limit_row
     assert float(np.linalg.norm(limit1 - limit2)) <= 1e-10
     # ... in fact the whole data matrices coincide
     assert float(np.abs(matrices[0].values - matrices[1].values).max()) <= 1e-10
 
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(matrices[0], smap, tail=2)
+        reconstruct_infinite(matrices[0], smap)
 
 
 def test_state_formulas_agree_across_random_systems():
@@ -376,7 +376,7 @@ def test_data_matrix_norm_domination_and_tail_decay_rate():
             w=w, x0=x0, xm2=xm2, K=K,
         )
         D = data_matrix(simulate(spec), g)
-        gaps.append(bs_membership(D, tail=2).tail_gap)
+        gaps.append(bs_membership(D).tail_gap)
     slope = np.polyfit(list(Ks), np.log(gaps), 1)[0]
     fitted_rho = float(np.exp(slope / 2.0))  # window edges advance 2 powers per K
     assert abs(fitted_rho - rho) <= 0.1 * rho, (fitted_rho, rho)
@@ -412,7 +412,7 @@ def test_cli_demo_round_trip_and_exit_codes(tmp_path, monkeypatch, capsys):
     ]) == 3
 
     monkeypatch.setattr(
-        cli, "run_scenario", lambda bundle, tail, tol: ({"schema": 1}, ["forced"])
+        cli, "run_scenario", lambda bundle, tol: ({"schema": 1}, ["forced"])
     )
     assert main(["demo", "thm38_onb", "-o", str(tmp_path / "forced")]) == 4
     capsys.readouterr()  # swallow accumulated CLI chatter

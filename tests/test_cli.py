@@ -187,7 +187,7 @@ def test_demo_nondefault_lattice_parameters(tmp_path):
 def test_demo_expectation_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "run_scenario",
-        lambda bundle, tail, tol: ({"schema": 1}, ["forced mismatch"]),
+        lambda bundle, tol: ({"schema": 1}, ["forced mismatch"]),
     )
     code = main(["demo", "thm38_onb", "-o", str(tmp_path)])
     assert code == 4

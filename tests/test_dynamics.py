@@ -205,7 +205,7 @@ def test_bs_membership_constant_rows():
     order = tuple(window(2))
     row = np.array([1.0 + 1j, -2.0])
     D = LatticeWindow(np.tile(row, (len(order), 1)))
-    tl = bs_membership(D, tail=2)
+    tl = bs_membership(D)
     assert tl.member and tl.tail_gap == 0.0
     np.testing.assert_array_equal(tl.limit_row, row)
 
@@ -216,18 +216,20 @@ def test_bs_membership_sees_cross_end_disagreement():
     order = tuple(window(2))
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     rows = [a if i < 4 else b for i in range(len(order))]
-    tl = bs_membership(LatticeWindow(np.array(rows)), tail=2)
+    tl = bs_membership(LatticeWindow(np.array(rows)))
     assert tl.tail_gap == pytest.approx(float(np.linalg.norm(a - b)))
     assert not tl.member
     np.testing.assert_allclose(tl.limit_row, (a + b) / 2)
 
 
-def test_bs_membership_tail_validation():
-    D = LatticeWindow(np.zeros((len(window(1)), 1)))
-    with pytest.raises(ValueError):
-        bs_membership(D, tail=0)
-    with pytest.raises(ValueError, match="window too small"):
-        bs_membership(D, tail=3)
+def test_bs_membership_gap_spans_all_four_rows_of_a_K1_window():
+    # At K = 1 the TAIL = 2 rows of each end are the whole window, so the
+    # widest pair, the two inner rows, sets the gap; the limit row is still
+    # the mean of the outermost rows.
+    D = LatticeWindow(np.array([[0.0], [1.0], [-1.0], [0.0]]))
+    tl = bs_membership(D)
+    assert tl.tail_gap == 2.0
+    np.testing.assert_array_equal(tl.limit_row, [0.0])
 
 
 def test_stationary_deviation():
@@ -238,8 +240,6 @@ def test_stationary_deviation():
     traj = simulate(spec)
     assert stationary_deviation(traj, np.array([2.0])) == pytest.approx(0.0)
     assert stationary_deviation(traj, np.array([1.0])) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        stationary_deviation(traj, np.array([2.0]), tail=5)
 
 
 def test_csv_exports(tmp_path):

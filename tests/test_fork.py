@@ -1,6 +1,7 @@
 """The package's one fork helper: when it forks, and where the child runs."""
 
 import os
+import threading
 
 import pytest
 
@@ -54,10 +55,14 @@ def test_probe_parses_a_command_name_with_spaces_and_parentheses(tmp_path, monke
     assert _fork._probe() == (20, 39)
 
 
-def test_probe_falls_back_to_python_threads_without_proc(tmp_path, monkeypatch):
+def test_no_fork_where_proc_cannot_be_read(tmp_path, monkeypatch, two_cpus):
+    # The Python thread count misses threads that native libraries start,
+    # so where /proc/self/stat cannot be read no child starts.
     monkeypatch.setattr(_fork, "_STAT", str(tmp_path / "missing"))
-    monkeypatch.setattr(_fork.threading, "active_count", lambda: 3)
-    assert _fork._probe() == (3, None)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _fork._probe() == (None, None)
+    assert _run(lambda: b"x") == (False, None)
 
 
 @pytest.mark.parametrize("threads", [2, 5])

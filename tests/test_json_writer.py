@@ -3,8 +3,9 @@
 ``nuds.cli._write_json`` walks dicts and lists itself and hands leaves and
 numeric arrays to the C encoder (see ``nuds.cli._indented_json``).  Every
 text here is compared with ``json.dumps(doc, indent=2, sort_keys=True)``
-(``oracles.indented_json``): random documents, edge documents, the
-documents that only the stdlib takes, and every file the CLI writes.
+(``oracles.indented_json``): random documents, edge documents and every
+file the CLI writes.  The documents the writer refuses (a non-str key, a
+cycle, a leaf that is not JSON) raise and write no file.
 """
 
 import json
@@ -131,18 +132,18 @@ def test_edge_documents_encode_as_the_stdlib_encodes_them(tmp_path, doc):
     assert path.read_bytes() == (want + "\n").encode()
 
 
-def test_a_non_str_key_goes_to_the_stdlib(tmp_path):
-    doc = {
-        "ints": {2: [[3.0, 4.0]], 1: "x"},
-        "floats": {2.5: None, -0.0: []},
-        "bools": {True: 1, False: 0},
-        "none": {None: [[1.0, 2.0]]},
-    }
-    with pytest.raises(TypeError, match="is not a str"):
-        cli._indented_json(doc)
+def test_the_writer_refuses_a_non_str_key(tmp_path):
+    # The stdlib would coerce such a key; no document the package builds has one.
     path = tmp_path / "doc.json"
-    cli._write_json(path, doc)
-    assert path.read_text() == indented_json(doc) + "\n"
+    for doc in (
+        {"ints": {2: [[3.0, 4.0]], 1: "x"}},
+        {"floats": {2.5: None, -0.0: []}},
+        {"bools": {True: 1, False: 0}},
+        {"none": {None: [[1.0, 2.0]]}},
+    ):
+        with pytest.raises(TypeError, match="is not a str"):
+            cli._write_json(path, doc)
+        assert not path.exists()
 
 
 def _error(encode, doc):
@@ -169,14 +170,19 @@ def _list_of_itself():
         {"a": 1, 2: "b"},  # keys that do not sort
         {"x": [[1.0, object()]]},
         {"x": {1j}},
-        _cycle(),
-        _list_of_itself(),
     ],
-    ids=["unsortable keys", "object leaf", "set leaf", "cycle", "list of itself"],
+    ids=["unsortable keys", "object leaf", "set leaf"],
 )
 def test_documents_the_stdlib_rejects_raise_the_stdlib_error(tmp_path, doc):
     want = _error(indented_json, doc)
     assert _error(lambda d: cli._write_json(tmp_path / "doc.json", d), doc) == want
+    assert not (tmp_path / "doc.json").exists()
+
+
+@pytest.mark.parametrize("doc", [_cycle(), _list_of_itself()], ids=["cycle", "list of itself"])
+def test_a_cyclic_document_raises_and_writes_nothing(tmp_path, doc):
+    with pytest.raises(RecursionError):
+        cli._write_json(tmp_path / "doc.json", doc)
     assert not (tmp_path / "doc.json").exists()
 
 
@@ -200,7 +206,6 @@ def written(monkeypatch):
 def _assert_stdlib_text(calls):
     assert calls
     for path, doc in calls:
-        # The package's own documents never need the stdlib fallback.
         assert cli._indented_json(doc) == indented_json(doc)
         assert path.read_bytes() == (indented_json(doc) + "\n").encode()
 

@@ -13,9 +13,13 @@ A second call to ``os.fork`` anywhere in ``src/nuds`` fails the suite.
 
 Every JSON file the package writes goes through ``nuds.cli._write_json``,
 which encodes at C speed.  Before Python 3.13 the stdlib encodes with an
-indent in pure Python, several times slower, so outside the writer's own
-fallback no ``json.dump``/``json.dumps``/``json.JSONEncoder`` call may pass
-``indent=``, and no other function may write JSON.
+indent in pure Python, several times slower, so no ``json.dump``/
+``json.dumps``/``json.JSONEncoder`` call may pass ``indent=``, and no other
+function may write JSON.
+
+Every parameter with a default is set by some call in the package: a
+default that every caller leaves alone is a constant, and one that no
+caller reaches guards a path no input takes.
 """
 
 import ast
@@ -226,7 +230,99 @@ def test_json_scan_finds_indented_encodes_and_json_writers():
 
 
 def test_the_writer_is_the_only_json_write_site():
-    # The writer's one indented call is its fallback for documents that
-    # only the stdlib takes (a non-str key); nothing else indents or writes.
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert json_sites(sources) == (["cli._write_json"], ["cli._write_json"])
+    assert json_sites(sources) == ([], ["cli._write_json"])
+
+
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[tuple[str, int | None]]:
+    """(name, positional index, or None if keyword-only) of each defaulted parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _callee(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _sets(call: ast.Call, name: str, index: int | None, offset: int) -> bool:
+    """Whether ``call`` sets the parameter by keyword, by ``**``, or by a
+    positional or ``*`` argument that reaches its index."""
+    keywords = {k.arg for k in call.keywords}  # None for a ** argument
+    if name in keywords or None in keywords:
+        return True
+    if index is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > index - offset
+
+
+def unused_options(sources: dict[str, str]) -> list[str]:
+    """``module.qualified.function: parameter`` for each default no package call sets.
+
+    Calls match definitions by name.  A method's first parameter takes no
+    argument, and a call of a class is a call of its ``__init__``.
+    """
+    functions = []  # (site, name, offset of the first argument, defaulted parameters)
+
+    def visit(node: ast.AST, scope: list[str], module: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], module, True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                site = ".".join([module] + scope + [child.name])
+                called_as = scope[-1] if in_class and child.name == "__init__" else child.name
+                functions.append((site, called_as, int(in_class), _defaulted(child)))
+                visit(child, scope + [child.name], module, False)
+            else:
+                visit(child, scope, module, in_class)
+
+    trees = [ast.parse(text) for text in sources.values()]
+    for module, tree in zip(sources, trees):
+        visit(tree, [], module, False)
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [
+        f"{site}: {name}"
+        for site, called_as, offset, params in functions
+        for name, index in params
+        if not any(
+            _callee(call) == called_as and _sets(call, name, index, offset) for call in calls
+        )
+    ]
+
+
+def test_options_scan_finds_defaults_no_call_sets():
+    sources = {
+        "a": (
+            "def f(x, y=1, *, z=2):\n    pass\n\n"
+            "def g(x, y=1, z=2):\n    pass\n\n"
+            "def h(x=1, y=2):\n    pass\n\n"
+            "class C:\n"
+            "    def __init__(self, a, b=0, c=0):\n        pass\n\n"
+            "    def m(self, d=None):\n        def inner(e=0):\n            pass\n"
+        ),
+        "b": (
+            "from a import C, f, g, h\n\n"
+            "def run(xs, kw):\n"
+            '    """f(1, 2) in a docstring sets nothing."""\n'
+            "    f(1, z=3)\n    g(1, 2)\n    h(*xs)\n    C(1, 2).m(**kw)\n"
+        ),
+    }
+    # f's y is set only in a docstring, g(1, 2) stops short of z, C(1, 2)
+    # reaches b but not c, and nothing calls inner.
+    assert unused_options(sources) == [
+        "a.f: y", "a.g: z", "a.C.__init__: c", "a.C.m.inner: e"
+    ]
+
+
+def test_every_default_is_set_by_a_package_call():
+    # The console script calls main() with no argv; tests and the
+    # benchmark pass a list.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_options(sources) == ["cli.main: argv"]

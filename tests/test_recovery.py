@@ -156,7 +156,7 @@ def test_limit_operator_constant_rows():
     D = LatticeWindow(np.tile(row, (len(order), 1)))
     G = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     np.testing.assert_allclose(
-        limit_operator(D, G, tail=2), synthesis(row, G), atol=1e-12
+        limit_operator(D, G), synthesis(row, G), atol=1e-12
     )
 
 
@@ -166,7 +166,7 @@ def test_limit_operator_rejects_divergent_rows():
     D = LatticeWindow(np.array(rows))
     G = VectorFamily(vectors=np.array([[1.0]]))
     with pytest.raises(ConditionFailure, match="not convergent"):
-        limit_operator(D, G, tail=2)
+        limit_operator(D, G)
 
 
 def test_finite_recovery_report_contents():
@@ -215,7 +215,7 @@ def test_reconstruct_infinite_recovers_source():
     spec = _stationary_system(rng)
     D = data_matrix(simulate(spec), spec.g)
     smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis)
-    report = reconstruct_infinite(D, smap, tail=2, w_true=spec.w)
+    report = reconstruct_infinite(D, smap, w_true=spec.w)
     assert report.abs_error < 1e-10
     assert report.residual < 1e-10
     assert report.diagnostics["case"] == "limit"
@@ -231,7 +231,7 @@ def test_reconstruct_infinite_requires_adjoint_frame():
     D = data_matrix(simulate(spec), ones_dir)
     smap = stationary_map_from_A(spec.A, ones_dir, spec.W_basis)
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(D, smap, tail=2)
+        reconstruct_infinite(D, smap)
 
 
 def test_reconstruct_infinite_requires_convergent_rows():
@@ -241,7 +241,7 @@ def test_reconstruct_infinite_requires_convergent_rows():
     D = data_matrix(simulate(spec), spec.g)
     smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis)
     with pytest.raises(ConditionFailure, match="not convergent"):
-        reconstruct_infinite(D, smap, tail=2)
+        reconstruct_infinite(D, smap)
 
 
 def test_recovery_report_json_none_error():
