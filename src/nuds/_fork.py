@@ -92,7 +92,7 @@ class Child:
             os.close(write_fd)
             return
         if self.pid == 0:
-            _serve(job, self._pipe, write_fd, None if cpu is None else cpus - {cpu})
+            _serve(job, self._pipe, write_fd, cpus - {cpu})
         os.close(write_fd)
 
     def collect(self) -> bytes | None:
@@ -106,7 +106,7 @@ class Child:
 
 
 def _serve(
-    job: Callable[[], bytes], read_end: BinaryIO, write_fd: int, cpus: set[int] | None
+    job: Callable[[], bytes], read_end: BinaryIO, write_fd: int, cpus: set[int]
 ) -> NoReturn:
     """The child's whole run: move off the parent's CPU, run the job, write, exit.
 
@@ -118,11 +118,10 @@ def _serve(
     status = 1
     try:
         read_end.close()
-        if cpus is not None:
-            try:
-                os.sched_setaffinity(0, cpus)
-            except OSError:
-                pass
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
         data = job()
         with open(write_fd, "wb") as pipe:
             pipe.write(data)

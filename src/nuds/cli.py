@@ -571,8 +571,8 @@ def cmd_recover(args) -> int:
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
     if args.mode == "finite":
-        report = finite_recovery_report(
-            D, LambdaIndex(0, 0), spec.A, spec.g, w_true=spec.w, tol=tol
+        (report,) = finite_recovery_report(
+            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w, tol=tol
         )
         ok = report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
     else:

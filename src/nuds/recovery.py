@@ -56,19 +56,13 @@ class ConditionFailure(Exception):
 
 
 def reconstruct_finite(
-    D: LatticeWindow,
-    at: LambdaIndex,
-    A: Mat,
-    g: VectorFamily,
-    gdual: VectorFamily | None = None,
-    *,
-    tol: Tolerances = DEFAULTS,
+    D: LatticeWindow, at: LambdaIndex, A: Mat, g: VectorFamily, gdual: VectorFamily
 ) -> Vec:
     """Recover the source from the rows at `at` and its successor.
 
     Synthesizes the state u from the row at `at` with the dual family
-    (canonical by default), removes its propagated contribution from the
-    successor row, and synthesizes what remains:
+    gdual of g, removes its propagated contribution from the successor
+    row, and synthesizes what remains:
 
         w_hat = sum_j ( D[succ][j] - <A u, g_j> ) gt_j.
 
@@ -76,16 +70,10 @@ def reconstruct_finite(
     branch of the lattice.
 
     Raises:
-        NotAFrameError: when g is not a frame (no dual exists).
         ValueError: when a needed row is missing from D.
     """
-    A = linalg.as_matrix(A)
-    if gdual is None:
-        gdual = canonical_dual(g, tol=tol)
-    row_at = D.row(at)
-    row_next = D.row(successor(at))
-    u = synthesis(row_at, gdual)
-    return synthesis(row_next - analysis(A @ u, g), gdual)
+    u = synthesis(D.row(at), gdual)
+    return synthesis(D.row(successor(at)) - analysis(linalg.as_matrix(A) @ u, g), gdual)
 
 
 def subspace_condition(
@@ -193,79 +181,85 @@ def limit_operator(D: LatticeWindow, G: VectorFamily, *, tol: Tolerances = DEFAU
     return synthesis(_convergent_limit(D, tol).limit_row, G)
 
 
+def _require_frame(F: VectorFamily, what: str, tol: Tolerances) -> FrameBounds:
+    """The bounds of F; unless F is a frame, ConditionFailure saying ``what``."""
+    bounds = frame_bounds(F, tol=tol)
+    if not bounds.is_frame(tol=tol):
+        raise ConditionFailure(
+            f"not stably recoverable: {what} (alpha = {bounds.alpha:.3e})"
+        )
+    return bounds
+
+
+def _abs_error(w_hat: Vec, w_true: Vec | None) -> float | None:
+    return None if w_true is None else float(np.linalg.norm(w_hat - linalg.as_vector(w_true)))
+
+
 @dataclass
 class RecoveryReport:
     """Outcome of a recovery run.
 
     abs_error is present only when the true source was supplied;
-    residual measures data consistency of the recovered source, and
-    diagnostics carries {alpha, beta, rho, tail_gap, case}.
+    residual measures data consistency of the recovered source.  bounds
+    belong to the family whose dual synthesized the source; case is the
+    lattice branch ("i", "ii", "iii") or "limit".
     """
 
     w_hat: Vec
     abs_error: float | None
     residual: float
-    diagnostics: dict
+    bounds: FrameBounds
+    rho: float
+    tail_gap: float
+    case: str
 
     def to_json(self) -> dict:
-        diag = dict(self.diagnostics)
-        out = {
+        return {
             "schema": 1,
             "w_hat": linalg.vector_to_pairs(self.w_hat),
             "abs_error": None if self.abs_error is None else float(self.abs_error),
             "residual": float(self.residual),
             "diagnostics": {
-                "alpha": float(diag["alpha"]),
-                "beta": float(diag["beta"]),
-                "rho": float(diag["rho"]),
-                "tail_gap": float(diag["tail_gap"]),
-                "case": str(diag["case"]),
+                "alpha": float(self.bounds.alpha),
+                "beta": float(self.bounds.beta),
+                "rho": float(self.rho),
+                "tail_gap": float(self.tail_gap),
+                "case": str(self.case),
             },
         }
-        return out
 
 
 def finite_recovery_report(
     D: LatticeWindow,
-    at: LambdaIndex,
+    cases: tuple[LambdaIndex, ...],
     A: Mat,
     g: VectorFamily,
     w_true: Vec | None = None,
     *,
     tol: Tolerances = DEFAULTS,
-) -> RecoveryReport:
-    """Run finite-step recovery and package the full report.
+) -> list[RecoveryReport]:
+    """Run finite-step recovery from each point of ``cases``; one report each.
 
-    The residual re-predicts the successor row from the recovered source
-    and the synthesized state; it vanishes on exact data.
+    The bounds, the canonical dual and the spectral radius are computed
+    once for all the points.  Each residual re-predicts the successor row
+    from the recovered source and the synthesized state; it vanishes on
+    exact data.
     """
     A = linalg.as_matrix(A)
-    bounds = frame_bounds(g, tol=tol)
-    if not bounds.is_frame(tol=tol):
-        raise ConditionFailure(
-            f"not stably recoverable: sampling family is not a frame "
-            f"(alpha = {bounds.alpha:.3e})"
-        )
+    bounds = _require_frame(g, "sampling family is not a frame", tol)
     gdual = canonical_dual(g, tol=tol)
-    w_hat = reconstruct_finite(D, at, A, g, gdual, tol=tol)
-    u = synthesis(D.row(at), gdual)
-    predicted_next = analysis(A @ u + w_hat, g)
-    residual = float(np.linalg.norm(predicted_next - D.row(successor(at))))
-    abs_error = None
-    if w_true is not None:
-        abs_error = float(np.linalg.norm(w_hat - linalg.as_vector(w_true)))
-    return RecoveryReport(
-        w_hat=w_hat,
-        abs_error=abs_error,
-        residual=residual,
-        diagnostics={
-            "alpha": bounds.alpha,
-            "beta": bounds.beta,
-            "rho": linalg.spectral_radius(A),
-            "tail_gap": 0.0,
-            "case": branch_of(at).value,
-        },
-    )
+    rho = linalg.spectral_radius(A)
+
+    def report(at: LambdaIndex) -> RecoveryReport:
+        w_hat = reconstruct_finite(D, at, A, g, gdual)
+        predicted_next = analysis(A @ synthesis(D.row(at), gdual) + w_hat, g)
+        residual = float(np.linalg.norm(predicted_next - D.row(successor(at))))
+        return RecoveryReport(
+            w_hat=w_hat, abs_error=_abs_error(w_hat, w_true), residual=residual,
+            bounds=bounds, rho=rho, tail_gap=0.0, case=branch_of(at).value,
+        )
+
+    return [report(at) for at in cases]
 
 
 def reconstruct_infinite(
@@ -288,32 +282,23 @@ def reconstruct_infinite(
             family misses the frame condition, or when the rows are not
             convergent at the window edges.
     """
-    bounds = frame_bounds(smap.adjoint_family, tol=tol)
-    if not bounds.is_frame(tol=tol):
-        raise ConditionFailure(
-            f"not stably recoverable: the adjoint family is not a frame for W "
-            f"(alpha = {bounds.alpha:.3e})"
-        )
+    bounds = _require_frame(
+        smap.adjoint_family, "the adjoint family is not a frame for W", tol
+    )
     dual_in_w = canonical_dual(smap.adjoint_family, tol=tol)
     lifted = VectorFamily(vectors=dual_in_w.vectors @ smap.W_basis.T)
     lim = _convergent_limit(D, tol)
     w_hat = synthesis(lim.limit_row, lifted)
     predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, smap.adjoint_family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
-    abs_error = None
-    if w_true is not None:
-        abs_error = float(np.linalg.norm(w_hat - linalg.as_vector(w_true)))
     return RecoveryReport(
         w_hat=w_hat,
-        abs_error=abs_error,
+        abs_error=_abs_error(w_hat, w_true),
         residual=residual,
-        diagnostics={
-            "alpha": bounds.alpha,
-            "beta": bounds.beta,
-            "rho": smap.rho,
-            "tail_gap": lim.tail_gap,
-            "case": "limit",
-        },
+        bounds=bounds,
+        rho=smap.rho,
+        tail_gap=lim.tail_gap,
+        case="limit",
     )
 
 

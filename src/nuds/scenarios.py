@@ -99,6 +99,9 @@ MAX_K = {
     "thm314_counterexample": 4,
 }
 
+# The points finite recovery starts from, one on each branch of the lattice.
+FINITE_CASES = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
+
 # The thm319 source w = 1 at the point 0 and 1/2 at r/N.
 QUARTER_SOURCE = (1.0, 0.5)
 
@@ -144,6 +147,7 @@ class ScenarioBundle:
     spec: SystemSpec
     expectations: ScenarioExpectations
     smap: StationaryMap | None
+    measurements: np.ndarray | None  # thm314's nullified measurements, window order
 
 
 def _scenario_rng(scenario_id: str, params: SpectralParams, K: int) -> np.random.Generator:
@@ -220,7 +224,7 @@ def _build_thm312_diagonal(
         expected_rho=1.0,
         notes=("diagonal restricted to the finite window",),
     )
-    return ScenarioBundle("thm312_diagonal", spec, expectations, smap=None)
+    return ScenarioBundle("thm312_diagonal", spec, expectations, smap=None, measurements=None)
 
 
 def _build_thm38_onb(
@@ -248,7 +252,7 @@ def _build_thm38_onb(
         bounds_of="sampling",
         expected_rho=0.0,
     )
-    return ScenarioBundle("thm38_onb", spec, expectations, smap=smap)
+    return ScenarioBundle("thm38_onb", spec, expectations, smap=smap, measurements=None)
 
 
 def _build_thm314_counterexample(
@@ -261,7 +265,7 @@ def _build_thm314_counterexample(
     g_vec = (np.eye(dim, dtype=complex) - A) @ w
     g = VectorFamily(vectors=g_vec[np.newaxis, :])
     W_basis = (w / np.linalg.norm(w))[:, np.newaxis]
-    x0, xm2, _ = counterexample_nullifier(A, w, K, tol=tol)
+    x0, xm2, measurements = counterexample_nullifier(A, w, K, tol=tol)
     spec = SystemSpec(
         params=params,
         dim=dim,
@@ -288,7 +292,9 @@ def _build_thm314_counterexample(
             "evident power law",
         ),
     )
-    return ScenarioBundle("thm314_counterexample", spec, expectations, smap=smap)
+    return ScenarioBundle(
+        "thm314_counterexample", spec, expectations, smap=smap, measurements=measurements
+    )
 
 
 def _build_thm317_generalized(
@@ -334,7 +340,9 @@ def _build_thm317_generalized(
         expected_rho=2.0,
         notes=("paper-typo-corrected",),
     )
-    return ScenarioBundle("thm317_generalized", spec, expectations, smap=smap)
+    return ScenarioBundle(
+        "thm317_generalized", spec, expectations, smap=smap, measurements=None
+    )
 
 
 def _build_thm319_quarter(
@@ -367,7 +375,7 @@ def _build_thm319_quarter(
         bounds_of="adjoint",
         expected_rho=0.25,
     )
-    return ScenarioBundle("thm319_quarter", spec, expectations, smap=smap)
+    return ScenarioBundle("thm319_quarter", spec, expectations, smap=smap, measurements=None)
 
 
 _BUILDERS = {
@@ -395,8 +403,12 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
     if scenario_id != "thm319_quarter":
         return MIN_K[scenario_id]
     distance = 4.0 / 3.0 * math.hypot(*QUARTER_SOURCE)
-    ratio = max(distance / tol.BS_TOL, 15.0 / 32.0 * distance / LIMIT_ORACLE_TOL, 1.0)
-    steps = math.log(ratio, 4)
+    # In log space: distance / BS_TOL overflows for a subnormal BS_TOL.
+    steps = max(
+        math.log(distance, 4) - math.log(tol.BS_TOL, 4),
+        math.log(15.0 / 32.0 * distance / LIMIT_ORACLE_TOL, 4),
+        0.0,
+    )
     return max(MIN_K[scenario_id], math.ceil(steps / 2) + 1)
 
 
@@ -440,24 +452,13 @@ def _close(a: float, b: float, bound: float) -> bool:
     return abs(a - b) <= bound
 
 
-def _measured_bounds(bundle: ScenarioBundle, tol: Tolerances):
-    kind = bundle.expectations.bounds_of
-    if kind == "sampling":
-        return frame_bounds(bundle.spec.g, tol=tol)
-    if kind == "adjoint":
-        if bundle.smap is None:
-            raise ValueError("scenario has no stationary map to take bounds of")
-        return frame_bounds(bundle.smap.adjoint_family, tol=tol)
-    if kind == "subspace":
-        spec = bundle.spec
-        return subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
-    raise ValueError(f"unknown bounds_of kind {kind!r}")
-
-
 def run_scenario(
     bundle: ScenarioBundle, *, tol: Tolerances = DEFAULTS
 ) -> tuple[dict, list[str]]:
     """Execute the scenario's recovery and check its expectations.
+
+    Each recovery runs once, and the measured bounds are read from the
+    recovery that computed them.
 
     Returns (report document, failures); an empty failure list means
     every expectation held.
@@ -467,11 +468,24 @@ def run_scenario(
     failures: list[str] = []
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
+    finite_reports = []
+    if exp.should_recover_finite:
+        finite_reports = finite_recovery_report(
+            D, FINITE_CASES, spec.A, spec.g, w_true=spec.w, tol=tol
+        )
+    limit = None
+    if bundle.smap is not None:
+        limit = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
 
     rho = linalg.spectral_radius(spec.A)
     if not _close(rho, exp.expected_rho, RHO_ORACLE_TOL):
         failures.append(f"spectral radius {rho:.8g} != expected {exp.expected_rho:.8g}")
-    bounds = _measured_bounds(bundle, tol)
+    if exp.bounds_of == "sampling":
+        bounds = finite_reports[0].bounds
+    elif exp.bounds_of == "adjoint":
+        bounds = limit.bounds
+    else:
+        bounds = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
     if not (
         _close(bounds.alpha, exp.expected_bounds[0], ORACLE_TOL)
         and _close(bounds.beta, exp.expected_bounds[1], ORACLE_TOL)
@@ -494,8 +508,7 @@ def run_scenario(
     }
 
     if bundle.id == "thm314_counterexample":
-        _, _, measurements = counterexample_nullifier(spec.A, spec.w, spec.K, tol=tol)
-        worst = float(np.max(np.abs(measurements)))
+        worst = float(np.max(np.abs(bundle.measurements)))
         if worst > ORACLE_TOL:
             failures.append(f"nullifier measurement of size {worst:.3e} exceeds 1e-8")
         if float(np.linalg.norm(spec.w)) < 1.0:
@@ -508,8 +521,7 @@ def run_scenario(
             failures.append("subspace condition unexpectedly failed")
         # The windowed data is identically zero, so the limit route
         # returns (approximately) nothing while the true source is unit-plus.
-        rep = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
-        if float(np.linalg.norm(rep.w_hat)) > LIMIT_ORACLE_TOL:
+        if float(np.linalg.norm(limit.w_hat)) > LIMIT_ORACLE_TOL:
             failures.append("limit recovery saw a nonzero source in nullified data")
         report["measurements"] = [
             {
@@ -518,30 +530,23 @@ def run_scenario(
                     "eps": idx.eps,
                     "label": index_label(idx, spec.params),
                 },
-                "value": linalg.complex_to_pair(measurements[p]),
+                "value": linalg.complex_to_pair(bundle.measurements[p]),
             }
             for p, idx in enumerate(window(spec.K))
         ]
-        report["recovery"] = rep.to_json()
+        report["recovery"] = limit.to_json()
         report["necessary_condition_only"] = True
         return report, failures
 
     if exp.should_recover_finite:
-        cases = [LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1)]
-        finite_reports = [
-            finite_recovery_report(D, at, spec.A, spec.g, w_true=spec.w, tol=tol)
-            for at in cases
-        ]
-        for at, rep in zip(cases, finite_reports):
+        for at, rep in zip(FINITE_CASES, finite_reports):
             if rep.abs_error is None or rep.abs_error > ORACLE_TOL:
                 failures.append(
                     f"finite recovery at {index_label(at, spec.params)} missed: "
                     f"abs_error = {rep.abs_error}"
                 )
         report["recovery"] = finite_reports[0].to_json()
-        report["finite_cases"] = {
-            rep.diagnostics["case"]: rep.abs_error for rep in finite_reports
-        }
+        report["finite_cases"] = {rep.case: rep.abs_error for rep in finite_reports}
 
     if bundle.id == "thm38_onb":
         limit_vec = limit_operator(D, spec.g, tol=tol)
@@ -551,13 +556,12 @@ def run_scenario(
             failures.append(f"limit operator norm ratio {ratio!r} != 1")
 
     if exp.should_recover_infinite:
-        rep = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
         threshold = LIMIT_ORACLE_TOL if bundle.id == "thm319_quarter" else ORACLE_TOL
-        if rep.abs_error is None or rep.abs_error > threshold:
+        if limit.abs_error is None or limit.abs_error > threshold:
             failures.append(
-                f"limit recovery missed: abs_error = {rep.abs_error} > {threshold}"
+                f"limit recovery missed: abs_error = {limit.abs_error} > {threshold}"
             )
-        report["recovery"] = rep.to_json()
+        report["recovery"] = limit.to_json()
         s_w = bundle.smap.stationary_state(spec.w)
         report["stationary_deviation"] = stationary_deviation(traj, s_w)
 

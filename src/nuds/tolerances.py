@@ -15,6 +15,7 @@ that applies them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 # Hermitian eigendecomposition: max reconstruction residual (relative).
@@ -54,7 +55,9 @@ class Tolerances:
         """Return a copy with the given thresholds replaced.
 
         Unknown keys raise ``ValueError`` (they would otherwise be
-        silently ignored, which hides typos in CLI flags).
+        silently ignored, which hides typos in CLI flags), and so does a
+        value that is not a finite positive number: an infinite threshold
+        would silently turn off the check it names.
         """
         known = set(self.names())
         bad = sorted(set(overrides) - known)
@@ -70,6 +73,8 @@ class Tolerances:
                 raise ValueError(f"tolerance {key} must be a number, got {val!r}") from None
             if not val > 0.0:
                 raise ValueError(f"tolerance {key} must be positive, got {val}")
+            if not math.isfinite(val):
+                raise ValueError(f"tolerance {key} must be finite, got {val}")
             merged[key] = val
         return Tolerances(**merged)
 

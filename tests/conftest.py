@@ -6,7 +6,51 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import types  # noqa: E402
+from collections import Counter  # noqa: E402
+
 import pytest  # noqa: E402
+
+
+class _Proxy(types.SimpleNamespace):
+    """Stands in for a module: the given attributes replaced, the rest forwarded."""
+
+    def __init__(self, target, **replaced):
+        super().__init__(**replaced)
+        object.__setattr__(self, "_target", target)
+
+    def __getattr__(self, name):
+        return getattr(object.__getattribute__(self, "_target"), name)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Count the LAPACK drivers ``nuds.linalg`` reaches: eigh, eigvals, lu_factor.
+
+    Only calls made through ``nuds.linalg``'s own ``np`` and ``scipy``
+    names are counted, so numpy calls made by a test itself are not.
+    """
+    from nuds import linalg
+
+    counts = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    np_linalg, sp_linalg = linalg.np.linalg, linalg.scipy.linalg
+    np_proxy = _Proxy(
+        np_linalg, eigh=counted(np_linalg, "eigh"), eigvals=counted(np_linalg, "eigvals")
+    )
+    sp_proxy = _Proxy(sp_linalg, lu_factor=counted(sp_linalg, "lu_factor"))
+    monkeypatch.setattr(linalg, "np", _Proxy(linalg.np, linalg=np_proxy))
+    monkeypatch.setattr(linalg, "scipy", _Proxy(linalg.scipy, linalg=sp_proxy))
+    return counts
 
 
 @pytest.fixture(autouse=True)

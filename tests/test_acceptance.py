@@ -125,10 +125,9 @@ def test_diagonal_onb_example_recovers_exactly_on_all_branches():
     np.testing.assert_array_equal(spec.xm2, e_minus2)
 
     D = data_matrix(simulate(spec), spec.g)
-    cases = {}
-    for at in (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1)):
-        report = finite_recovery_report(D, at, spec.A, spec.g, w_true=spec.w)
-        cases[report.diagnostics["case"]] = report.abs_error
+    points = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
+    reports = finite_recovery_report(D, points, spec.A, spec.g, w_true=spec.w)
+    cases = {report.case: report.abs_error for report in reports}
     assert set(cases) == {"i", "ii", "iii"}
     assert all(err <= 1e-10 for err in cases.values()), cases
 

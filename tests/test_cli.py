@@ -375,6 +375,20 @@ def test_non_numeric_config_tolerance_names_its_key(tmp_path, capsys, value):
     assert capsys.readouterr().err == expected
 
 
+def test_infinite_tolerance_is_a_config_error(tmp_path, capsys):
+    # An infinite threshold would turn off the check it names.
+    doc = _config_doc()
+    doc["tolerances"] = {"BS_TOL": "INF"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"INF"', "1e999"))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: tolerance BS_TOL must be finite, got inf\n"
+    argv = ["demo", "thm312_diagonal", "-o", str(tmp_path), "--tol-override", "EIG_TOL=inf"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: tolerance EIG_TOL must be finite, got inf\n"
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 def test_config_canonical_round_trip():
     bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
     doc = config_to_json(bundle.spec)
@@ -639,6 +653,15 @@ def test_quarter_minimum_K_follows_bs_tol(tmp_path, capsys, override, k_min):
     assert main(argv + [str(k_min - 1)]) == 2
     assert f"thm319_quarter needs K >= {k_min}, got K = {k_min - 1}" in capsys.readouterr().err
     assert main(argv + [str(k_min)]) == 0
+
+
+@pytest.mark.parametrize("bs_tol, k_min", [("1e-320", 267), ("5e-324", 270)])
+def test_quarter_subnormal_bs_tol_names_its_minimum_K(tmp_path, capsys, bs_tol, k_min):
+    # distance / BS_TOL overflows to inf for a subnormal BS_TOL, so min_K
+    # counts the steps in log space; the request is an ordinary exit 2.
+    argv = ["demo", "thm319_quarter", "-o", str(tmp_path), "--tol-override", f"BS_TOL={bs_tol}"]
+    assert main(argv) == 2
+    assert f"thm319_quarter needs K >= {k_min}, got K = 20" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("r, N", [(1, 1), (1, 2), (3, 2), (3, 4), (5, 16), (31, 16), (7, 9)])

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
-from nuds.frames import VectorFamily, canonical_dual, frame_bounds, synthesis
+from nuds.frames import (
+    FrameBounds,
+    VectorFamily,
+    canonical_dual,
+    frame_bounds,
+    synthesis,
+)
 from nuds.lattice import LambdaIndex, SpectralParams, branch_of, position, window
 from nuds.linalg import NumericalError
 from nuds.recovery import (
@@ -65,7 +71,7 @@ def test_reconstruct_finite_exact_on_each_branch(at):
     rng = np.random.default_rng(10)
     spec = _random_system(rng, dim=4, K=2)
     D = data_matrix(simulate(spec), spec.g)
-    w_hat = reconstruct_finite(D, at, spec.A, spec.g)
+    w_hat = reconstruct_finite(D, at, spec.A, spec.g, canonical_dual(spec.g))
     np.testing.assert_allclose(w_hat, spec.w, atol=1e-9)
 
 
@@ -90,7 +96,7 @@ def test_reconstruct_finite_needs_successor_row():
     D = data_matrix(simulate(spec), spec.g)
     # successor of (0, 1) is (1, 0), outside the K=1 window
     with pytest.raises(ValueError):
-        reconstruct_finite(D, LambdaIndex(0, 1), spec.A, spec.g)
+        reconstruct_finite(D, LambdaIndex(0, 1), spec.A, spec.g, canonical_dual(spec.g))
 
 
 def test_certificate_full_is_frame_bounds():
@@ -173,20 +179,31 @@ def test_finite_recovery_report_contents():
     rng = np.random.default_rng(30)
     spec = _random_system(rng, dim=4, K=2)
     D = data_matrix(simulate(spec), spec.g)
-    report = finite_recovery_report(
-        D, LambdaIndex(-1, 1), spec.A, spec.g, w_true=spec.w
-    )
+    cases = (LambdaIndex(-1, 1), LambdaIndex(0, 0))
+    reports = finite_recovery_report(D, cases, spec.A, spec.g, w_true=spec.w)
+    assert [report.case for report in reports] == ["iii", "i"]
+    report = reports[0]
     assert report.abs_error == pytest.approx(0.0, abs=1e-8)
     assert report.residual == pytest.approx(0.0, abs=1e-8)
-    assert report.diagnostics["case"] == "iii"
-    assert report.diagnostics["alpha"] > 0
-    assert report.diagnostics["tail_gap"] == 0.0
+    assert report.bounds == frame_bounds(spec.g)
+    assert report.bounds.alpha > 0
+    assert report.rho == pytest.approx(np.abs(np.linalg.eigvals(spec.A)).max())
+    assert report.tail_gap == 0.0
+    # One analysis of the family serves every point.
+    assert reports[1].bounds is report.bounds
+    assert reports[1].abs_error == pytest.approx(0.0, abs=1e-8)
 
     doc = report.to_json()
     assert doc["schema"] == 1
     assert doc["abs_error"] == report.abs_error
     assert len(doc["w_hat"]) == spec.dim
-    assert set(doc["diagnostics"]) == {"alpha", "beta", "rho", "tail_gap", "case"}
+    assert doc["diagnostics"] == {
+        "alpha": report.bounds.alpha,
+        "beta": report.bounds.beta,
+        "rho": report.rho,
+        "tail_gap": 0.0,
+        "case": "iii",
+    }
 
 
 def test_finite_recovery_report_requires_frame():
@@ -196,7 +213,7 @@ def test_finite_recovery_report_requires_frame():
     deficient.vectors[:, 0] = 0.0  # kill one direction
     D = data_matrix(simulate(spec), deficient)
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        finite_recovery_report(D, LambdaIndex(0, 0), spec.A, deficient)
+        finite_recovery_report(D, (LambdaIndex(0, 0),), spec.A, deficient)
 
 
 def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
@@ -218,9 +235,10 @@ def test_reconstruct_infinite_recovers_source():
     report = reconstruct_infinite(D, smap, w_true=spec.w)
     assert report.abs_error < 1e-10
     assert report.residual < 1e-10
-    assert report.diagnostics["case"] == "limit"
-    assert report.diagnostics["tail_gap"] < 1e-12
-    assert report.diagnostics["rho"] == pytest.approx(0.5)
+    assert report.case == "limit"
+    assert report.tail_gap < 1e-12
+    assert report.rho == pytest.approx(0.5)
+    assert report.bounds == frame_bounds(smap.adjoint_family)
 
 
 def test_reconstruct_infinite_requires_adjoint_frame():
@@ -249,7 +267,10 @@ def test_recovery_report_json_none_error():
         w_hat=np.array([1.0 + 0j]),
         abs_error=None,
         residual=0.0,
-        diagnostics={"alpha": 1, "beta": 1, "rho": 0, "tail_gap": 0, "case": "i"},
+        bounds=FrameBounds(alpha=1.0, beta=1.0),
+        rho=0.0,
+        tail_gap=0.0,
+        case="i",
     )
     assert report.to_json()["abs_error"] is None
 

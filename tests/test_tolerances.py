@@ -30,6 +30,16 @@ def test_with_overrides():
         Tolerances().with_overrides({"FRAME_TOL": -1e-9})
 
 
+@pytest.mark.parametrize(
+    "value", [float("inf"), "inf", 1e999], ids=["float", "string", "json-overflow"]
+)
+def test_with_overrides_rejects_an_infinite_threshold(value):
+    # An infinite threshold turns off the check it names: BS_TOL = inf
+    # would make every window "convergent".
+    with pytest.raises(ValueError, match="tolerance BS_TOL must be finite, got inf"):
+        Tolerances().with_overrides({"BS_TOL": value})
+
+
 def test_frozen():
     tol = Tolerances()
     with pytest.raises(dataclasses.FrozenInstanceError):
