@@ -31,7 +31,7 @@ from .dynamics import (
     sup_row_norm,
     trajectory_to_csv,
 )
-from .frames import NotAFrameError, VectorFamily, frame_bounds
+from .frames import FrameAnalysis, NotAFrameError, VectorFamily
 from .lattice import LambdaIndex, SpectralParams
 from .linalg import NumericalError
 from .recovery import (
@@ -595,7 +595,7 @@ def cmd_recover(args) -> int:
 def cmd_check(args) -> int:
     spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
     rows: list[tuple[str, str]] = []
-    cert = frame_bounds(spec.g, tol=tol)
+    cert = FrameAnalysis(spec.g, tol=tol).bounds
     rows.append(
         (
             "sampling family bounds",
@@ -613,20 +613,22 @@ def cmd_check(args) -> int:
         )
     except NumericalError as exc:
         rows.append(("subspace condition bounds (necessary only)", f"unavailable: {exc}"))
-    rho = linalg.spectral_radius(spec.A)
-    rows.append(("spectral radius", f"{rho:.8g}"))
+    # The stationary map computes the spectral radius before anything
+    # else, so only a refused map leaves it to be computed here.
     try:
         smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
-        adj = frame_bounds(smap.adjoint_family, tol=tol)
-        rows.append(
-            (
-                "adjoint family bounds on W",
-                f"alpha={adj.alpha:.8g} beta={adj.beta:.8g} "
-                f"frame={'yes' if adj.is_frame(tol=tol) else 'no'}",
-            )
-        )
     except ConditionFailure as exc:
-        rows.append(("adjoint family bounds on W", f"unavailable: {exc}"))
+        rho = linalg.spectral_radius(spec.A)
+        adjoint_row = f"unavailable: {exc}"
+    else:
+        rho = smap.rho
+        adj = FrameAnalysis(smap.adjoint_family, tol=tol).bounds
+        adjoint_row = (
+            f"alpha={adj.alpha:.8g} beta={adj.beta:.8g} "
+            f"frame={'yes' if adj.is_frame(tol=tol) else 'no'}"
+        )
+    rows.append(("spectral radius", f"{rho:.8g}"))
+    rows.append(("adjoint family bounds on W", adjoint_row))
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
     lim = bs_membership(D, tol=tol)

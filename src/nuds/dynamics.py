@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames, linalg
+from . import linalg
 from ._fork import Child
 from .frames import VectorFamily
 from .lattice import (
@@ -101,10 +101,6 @@ class SystemSpec:
             raise ValueError(
                 f"source w must lie in W: component outside W has norm {out_of_W:.3e}"
             )
-        # Record the Bessel bound of the sampling family (always finite
-        # at finite dimension, but callers want it on file).  A spec
-        # carries no tolerances, so this one is taken at the defaults.
-        self.g_beta = frames.frame_bounds(self.g).beta
 
 
 @dataclass(frozen=True)

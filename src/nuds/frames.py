@@ -5,6 +5,7 @@ A family {f_k} in C^d is a frame when alpha ||f||^2 <= sum_k |<f, f_k>|^2
 Bessel (beta finite).  The optimal bounds are the extreme eigenvalues of
 the frame operator Theta f = sum_k <f, f_k> f_k, and the canonical dual
 {Theta^-1 f_k} realizes the minimal-norm reconstruction coefficients.
+:class:`FrameAnalysis` reads both from one eigendecomposition of Theta.
 """
 
 from __future__ import annotations
@@ -78,34 +79,47 @@ def frame_operator(F: VectorFamily) -> Mat:
     return (theta + theta.conj().T) / 2.0
 
 
-def frame_bounds(F: VectorFamily, *, tol: Tolerances = DEFAULTS) -> FrameBounds:
-    """Optimal bounds: extreme eigenvalues of the frame operator.
+class FrameAnalysis:
+    """The frame operator of a family, eigendecomposed once.
 
-    Args:
-        F: the family to analyze.
+    One validated decomposition Theta = V diag(lam) V* gives both the
+    optimal bounds and the canonical dual, so no caller decomposes the
+    same Theta twice.
 
-    Returns:
-        FrameBounds with alpha = smallest and beta = largest eigenvalue
-        (tiny negative eigenvalues from rounding are clipped to zero).
-        The family is a frame iff alpha clears ``tol.FRAME_TOL``.
+    Attributes:
+        family: the analyzed family F.
+        bounds: alpha = smallest eigenvalue of Theta (tiny negative
+            values from rounding are clipped to zero), beta = largest.
+            F is a frame iff alpha clears ``tol.FRAME_TOL``.
     """
-    eigs = linalg.hermitian_eigs(frame_operator(F), tol=tol)
-    return FrameBounds(alpha=max(float(eigs[0]), 0.0), beta=max(float(eigs[-1]), 0.0))
 
+    def __init__(self, F: VectorFamily, *, tol: Tolerances = DEFAULTS):
+        self.family = F
+        self._tol = tol
+        self._theta = frame_operator(F)
+        self._lam, self._V = linalg.hermitian_eigs(self._theta, tol=tol)
+        self.bounds = FrameBounds(
+            alpha=max(float(self._lam[0]), 0.0), beta=max(float(self._lam[-1]), 0.0)
+        )
 
-def canonical_dual(F: VectorFamily, *, tol: Tolerances = DEFAULTS) -> VectorFamily:
-    """The canonical dual family {Theta^-1 f_k}, aligned with F.
+    def dual(self) -> VectorFamily:
+        """The canonical dual family {Theta^-1 f_k} = {V diag(1/lam) V* f_k}.
 
-    Raises:
-        NotAFrameError: when alpha does not clear ``tol.FRAME_TOL``,
-            carrying the offending alpha.
-    """
-    bounds = frame_bounds(F, tol=tol)
-    if not bounds.is_frame(tol=tol):
-        raise NotAFrameError(bounds.alpha)
-    theta = frame_operator(F)
-    duals = linalg.solve(theta, F.vectors.T, tol=tol).T
-    return VectorFamily(vectors=duals)
+        The dual solves Theta X = [f_k] to ``tol.SOLVE_TOL``, as a linear
+        solve would.
+
+        Raises:
+            NotAFrameError: when alpha does not clear ``tol.FRAME_TOL``,
+                carrying the offending alpha.
+            NumericalError: when the solve residual exceeds its bound.
+        """
+        if not self.bounds.is_frame(tol=self._tol):
+            raise NotAFrameError(self.bounds.alpha)
+        rhs = self.family.vectors.T
+        V = self._V
+        X = (V / self._lam) @ (V.conj().T @ rhs)
+        linalg.require_solution(self._theta, X, rhs, tol=self._tol)
+        return VectorFamily(vectors=X.T)
 
 
 def analysis(f: Vec, F: VectorFamily) -> np.ndarray:

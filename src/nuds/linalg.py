@@ -66,12 +66,14 @@ def inner(u: Vec, v: Vec) -> complex:
     return complex(np.vdot(v, u))
 
 
-def hermitian_eigs(M: Mat, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, real and ascending.
+def hermitian_eigs(M: Mat, *, tol: Tolerances = DEFAULTS) -> tuple[np.ndarray, Mat]:
+    """Eigendecomposition M = V diag(vals) V* of a Hermitian matrix.
 
-    Rejects inputs farther than ``tol.HERM_TOL`` (relative) from their
-    own conjugate transpose, and checks that the decomposition
-    reproduces the matrix to ``tol.EIG_TOL`` (relative).
+    Returns (vals, V): the eigenvalues real and ascending, V unitary with
+    the matching eigenvectors as columns.  Rejects inputs farther than
+    ``tol.HERM_TOL`` (relative) from their own conjugate transpose, and
+    checks that the decomposition reproduces the matrix to
+    ``tol.EIG_TOL`` (relative).
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -89,7 +91,7 @@ def hermitian_eigs(M: Mat, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
         raise NumericalError(
             f"eigendecomposition residual {resid:.3e} exceeds {tol.EIG_TOL:.1e} * scale"
         )
-    return vals
+    return vals, vecs
 
 
 def solve(M: Mat, b: Vec, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
@@ -121,6 +123,15 @@ def solve(M: Mat, b: Vec, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
             pivot_index=k,
         )
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    require_solution(M, x, b, tol=tol)
+    return x
+
+
+def require_solution(M: Mat, x: np.ndarray, b: np.ndarray, *, tol: Tolerances) -> None:
+    """Raise :class:`NumericalError` unless x solves M x = b to ``tol.SOLVE_TOL``.
+
+    The bound is ``tol.SOLVE_TOL * (||M|| ||x|| + ||b||)`` on ``||M x - b||``.
+    """
     resid = float(np.linalg.norm(M @ x - b))
     bound = tol.SOLVE_TOL * (
         float(np.linalg.norm(M)) * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
@@ -129,7 +140,6 @@ def solve(M: Mat, b: Vec, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
         raise NumericalError(
             f"solve residual {resid:.3e} exceeds tolerance bound {bound:.3e}"
         )
-    return x
 
 
 def spectral_radius(A: Mat) -> float:

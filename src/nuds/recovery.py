@@ -34,14 +34,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import LatticeWindow, TailLimit, bs_membership
-from .frames import (
-    FrameBounds,
-    VectorFamily,
-    analysis,
-    canonical_dual,
-    frame_bounds,
-    synthesis,
-)
+from .frames import FrameAnalysis, FrameBounds, VectorFamily, analysis, synthesis
 from .lattice import LambdaIndex, branch_of, position, power_of, successor, window
 from .linalg import Mat, NumericalError, SingularMatrixError, Vec
 from .tolerances import DEFAULTS, Tolerances
@@ -100,7 +93,7 @@ def subspace_condition(
             f"(I - A* is singular at pivot {exc.pivot_index})"
         ) from exc
     in_w_coords = Z.T @ B.conj()
-    return frame_bounds(VectorFamily(vectors=in_w_coords), tol=tol)
+    return FrameAnalysis(VectorFamily(vectors=in_w_coords), tol=tol).bounds
 
 
 @dataclass(frozen=True)
@@ -181,14 +174,14 @@ def limit_operator(D: LatticeWindow, G: VectorFamily, *, tol: Tolerances = DEFAU
     return synthesis(_convergent_limit(D, tol).limit_row, G)
 
 
-def _require_frame(F: VectorFamily, what: str, tol: Tolerances) -> FrameBounds:
-    """The bounds of F; unless F is a frame, ConditionFailure saying ``what``."""
-    bounds = frame_bounds(F, tol=tol)
-    if not bounds.is_frame(tol=tol):
+def _require_frame(F: VectorFamily, what: str, tol: Tolerances) -> FrameAnalysis:
+    """The analysis of F; unless F is a frame, ConditionFailure saying ``what``."""
+    frame = FrameAnalysis(F, tol=tol)
+    if not frame.bounds.is_frame(tol=tol):
         raise ConditionFailure(
-            f"not stably recoverable: {what} (alpha = {bounds.alpha:.3e})"
+            f"not stably recoverable: {what} (alpha = {frame.bounds.alpha:.3e})"
         )
-    return bounds
+    return frame
 
 
 def _abs_error(w_hat: Vec, w_true: Vec | None) -> float | None:
@@ -240,14 +233,15 @@ def finite_recovery_report(
 ) -> list[RecoveryReport]:
     """Run finite-step recovery from each point of ``cases``; one report each.
 
-    The bounds, the canonical dual and the spectral radius are computed
-    once for all the points.  Each residual re-predicts the successor row
+    One eigendecomposition of the frame operator of g gives the bounds
+    and the canonical dual for all the points, and the spectral radius is
+    computed once.  Each residual re-predicts the successor row
     from the recovered source and the synthesized state; it vanishes on
     exact data.
     """
     A = linalg.as_matrix(A)
-    bounds = _require_frame(g, "sampling family is not a frame", tol)
-    gdual = canonical_dual(g, tol=tol)
+    frame = _require_frame(g, "sampling family is not a frame", tol)
+    gdual = frame.dual()
     rho = linalg.spectral_radius(A)
 
     def report(at: LambdaIndex) -> RecoveryReport:
@@ -256,7 +250,7 @@ def finite_recovery_report(
         residual = float(np.linalg.norm(predicted_next - D.row(successor(at))))
         return RecoveryReport(
             w_hat=w_hat, abs_error=_abs_error(w_hat, w_true), residual=residual,
-            bounds=bounds, rho=rho, tail_gap=0.0, case=branch_of(at).value,
+            bounds=frame.bounds, rho=rho, tail_gap=0.0, case=branch_of(at).value,
         )
 
     return [report(at) for at in cases]
@@ -282,11 +276,10 @@ def reconstruct_infinite(
             family misses the frame condition, or when the rows are not
             convergent at the window edges.
     """
-    bounds = _require_frame(
+    frame = _require_frame(
         smap.adjoint_family, "the adjoint family is not a frame for W", tol
     )
-    dual_in_w = canonical_dual(smap.adjoint_family, tol=tol)
-    lifted = VectorFamily(vectors=dual_in_w.vectors @ smap.W_basis.T)
+    lifted = VectorFamily(vectors=frame.dual().vectors @ smap.W_basis.T)
     lim = _convergent_limit(D, tol)
     w_hat = synthesis(lim.limit_row, lifted)
     predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, smap.adjoint_family)
@@ -295,7 +288,7 @@ def reconstruct_infinite(
         w_hat=w_hat,
         abs_error=_abs_error(w_hat, w_true),
         residual=residual,
-        bounds=bounds,
+        bounds=frame.bounds,
         rho=smap.rho,
         tail_gap=lim.tail_gap,
         case="limit",

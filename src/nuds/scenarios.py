@@ -40,7 +40,7 @@ from .dynamics import (
     stationary_deviation,
     sup_row_norm,
 )
-from .frames import VectorFamily, frame_bounds
+from .frames import FrameAnalysis, VectorFamily
 from .lattice import (
     LambdaIndex,
     SpectralParams,
@@ -457,8 +457,8 @@ def run_scenario(
 ) -> tuple[dict, list[str]]:
     """Execute the scenario's recovery and check its expectations.
 
-    Each recovery runs once, and the measured bounds are read from the
-    recovery that computed them.
+    Each recovery runs once, and the measured bounds and spectral radius
+    are read from the recovery that computed them.
 
     Returns (report document, failures); an empty failure list means
     every expectation held.
@@ -477,7 +477,12 @@ def run_scenario(
     if bundle.smap is not None:
         limit = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
 
-    rho = linalg.spectral_radius(spec.A)
+    if finite_reports:
+        rho = finite_reports[0].rho
+    elif limit is not None:
+        rho = limit.rho
+    else:
+        rho = linalg.spectral_radius(spec.A)
     if not _close(rho, exp.expected_rho, RHO_ORACLE_TOL):
         failures.append(f"spectral radius {rho:.8g} != expected {exp.expected_rho:.8g}")
     if exp.bounds_of == "sampling":
@@ -513,7 +518,7 @@ def run_scenario(
             failures.append(f"nullifier measurement of size {worst:.3e} exceeds 1e-8")
         if float(np.linalg.norm(spec.w)) < 1.0:
             failures.append("source norm fell below 1")
-        if frame_bounds(spec.g, tol=tol).is_frame(tol=tol):
+        if FrameAnalysis(spec.g, tol=tol).bounds.is_frame(tol=tol):
             failures.append(
                 "sampling family unexpectedly a frame for the ambient space"
             )

@@ -3,7 +3,9 @@
 Each one recomputes a quantity by a route the package does not take: the
 exact rational value of a lattice point, states from their closed forms
 instead of the recurrence, the recurrence residual of a trajectory, the
-exact dual-pair residual, the min-norm gap of a coefficient vector,
+canonical dual by an LU solve instead of the eigendecomposition of the
+frame operator, the exact dual-pair residual, the min-norm gap of a
+coefficient vector,
 finite-step recovery through the coupling coefficients instead of
 re-analyzing the synthesized state, and the text of a JSON output from
 the stdlib's own indented encoder.
@@ -19,7 +21,7 @@ import numpy as np
 
 from nuds import linalg
 from nuds.dynamics import LatticeWindow, SystemSpec, _orbit_positions
-from nuds.frames import VectorFamily, analysis, canonical_dual, synthesis
+from nuds.frames import NotAFrameError, VectorFamily, analysis, frame_operator, synthesis
 from nuds.lattice import LambdaIndex, SpectralParams, power_of, successor
 from nuds.linalg import Mat, NumericalError, Vec
 from nuds.tolerances import DEFAULTS, Tolerances
@@ -98,6 +100,23 @@ def closed_form_resolvent_state(
 
 # --- frames -------------------------------------------------------------------
 
+def lu_dual(F: VectorFamily, *, tol: Tolerances = DEFAULTS) -> VectorFamily:
+    """The canonical dual {Theta^-1 f_k} by one LU solve of Theta X = [f_k].
+
+    The frame test reads alpha from numpy's own eigenvalue routine, not
+    from ``nuds.frames.FrameAnalysis``, whose eigenvectors give the
+    package's dual.
+
+    Raises:
+        NotAFrameError: when alpha does not clear ``tol.FRAME_TOL``.
+    """
+    theta = frame_operator(F)
+    alpha = max(float(np.linalg.eigvalsh(theta)[0]), 0.0)
+    if not alpha > tol.FRAME_TOL:
+        raise NotAFrameError(alpha)
+    return VectorFamily(vectors=linalg.solve(theta, F.vectors.T, tol=tol).T)
+
+
 def verify_dual_pair(F: VectorFamily, G: VectorFamily) -> float:
     """The exact worst-case residual ||I - sum_k f_k g_k*||_2.
 
@@ -144,7 +163,7 @@ def min_norm_gap(f: Vec, F: VectorFamily, c, *, tol: Tolerances = DEFAULTS) -> f
         raise ValueError(
             f"coefficients do not represent f: ||sum c_k f_k - f|| = {mismatch:.3e}"
         )
-    dual = canonical_dual(F, tol=tol)
+    dual = lu_dual(F, tol=tol)
     canon = analysis(f, dual)
     return float(np.sum(np.abs(c) ** 2) - np.sum(np.abs(canon) ** 2))
 
@@ -211,7 +230,7 @@ def reconstruct_finite_coupling(
     state.  Kept as an independent route so the two can be cross-checked.
     """
     if gdual is None:
-        gdual = canonical_dual(g, tol=tol)
+        gdual = lu_dual(g, tol=tol)
     if coupling is None:
         coupling = coupling_matrix(A, g, gdual, tol=tol)
     row_at = D.row(at)

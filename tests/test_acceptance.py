@@ -22,10 +22,9 @@ from nuds.dynamics import (
     sup_row_norm,
 )
 from nuds.frames import (
+    FrameAnalysis,
     VectorFamily,
     analysis,
-    canonical_dual,
-    frame_bounds,
     frame_operator,
     synthesis,
 )
@@ -69,7 +68,7 @@ def _frame_with_alpha(rng, count, d, alpha_min=0.1):
         g = VectorFamily(
             vectors=rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
         )
-        if frame_bounds(g).alpha >= alpha_min:
+        if FrameAnalysis(g).bounds.alpha >= alpha_min:
             return g
     raise AssertionError(f"could not draw a frame with alpha >= {alpha_min}")
 
@@ -98,7 +97,7 @@ def test_finite_recovery_round_trip_on_random_frames():
             K=K,
         )
         D = data_matrix(simulate(spec), spec.g)
-        dual = canonical_dual(g)
+        dual = FrameAnalysis(g).dual()
         w_norm = float(np.linalg.norm(spec.w))
         for at in window(K - 1):
             w_hat = reconstruct_finite(D, at, spec.A, spec.g, dual)
@@ -228,7 +227,7 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     g = VectorFamily(vectors=g_vec)
 
     smap = stationary_map_from_A(A, g, B)
-    assert frame_bounds(smap.adjoint_family).alpha <= 1e-12
+    assert FrameAnalysis(smap.adjoint_family).bounds.alpha <= 1e-12
 
     w1 = np.zeros(d, dtype=complex)
     w1[p0] = 1.0
@@ -298,7 +297,7 @@ def test_frame_toolkit_randomized_properties():
 
     for _ in range(200):  # frame-bound bracket
         F = draw(9, 5)
-        b = frame_bounds(F)
+        b = FrameAnalysis(F).bounds
         f = _random_vec(rng, 5)
         energy = float(np.sum(np.abs(analysis(f, F)) ** 2))
         n2 = float(np.linalg.norm(f) ** 2)
@@ -306,7 +305,7 @@ def test_frame_toolkit_randomized_properties():
 
     for _ in range(200):  # dual-pair identity
         F = draw(8, 4)
-        dual = canonical_dual(F)
+        dual = FrameAnalysis(F).dual()
         f = _random_vec(rng, 4)
         resid = float(np.linalg.norm(synthesis(analysis(f, dual), F) - f))
         assert resid <= 1e-8
@@ -314,7 +313,7 @@ def test_frame_toolkit_randomized_properties():
     for _ in range(200):  # min-norm gap: >= -1e-10, equality only at canonical
         F = draw(7, 4)
         f = _random_vec(rng, 4)
-        canon = analysis(f, canonical_dual(F))
+        canon = analysis(f, FrameAnalysis(F).dual())
         assert abs(min_norm_gap(f, F, canon)) <= 1e-10
         kernel = np.linalg.svd(F.vectors.T)[2].conj().T[:, 4:]
         z = kernel @ _random_vec(rng, kernel.shape[1])
@@ -328,9 +327,9 @@ def test_frame_toolkit_randomized_properties():
         vals, vecs = np.linalg.eigh(frame_operator(F))
         whitener = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
         P = VectorFamily(vectors=F.vectors @ whitener.T)
-        b = frame_bounds(P)
+        b = FrameAnalysis(P).bounds
         assert (b.alpha, b.beta) == pytest.approx((1.0, 1.0), abs=1e-10)
-        np.testing.assert_allclose(canonical_dual(P).vectors, P.vectors, atol=1e-8)
+        np.testing.assert_allclose(FrameAnalysis(P).dual().vectors, P.vectors, atol=1e-8)
         assert verify_dual_pair(P, P) <= 1e-8
 
 

@@ -119,6 +119,24 @@ def test_recover_condition_failure_exits_3(tmp_path, config_path, capsys):
     assert "not stably recoverable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, family",
+    [("finite", "sampling family is not a frame"),
+     ("infinite", "the adjoint family is not a frame for W")],
+)
+def test_recover_names_the_family_that_is_not_a_frame(tmp_path, capsys, mode, family):
+    # e1 twice and no e8: the frame operator diag(2, 1, ..., 1, 0) has an
+    # exact zero eigenvalue, and so does the adjoint family's.
+    doc = _config_doc()
+    doc["g"] = vector_to_pairs(np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 6, 0]])
+    path = tmp_path / "not_a_frame.json"
+    path.write_text(json.dumps(doc))
+    assert main(["recover", str(path), "--mode", mode, "-o", str(tmp_path)]) == 3
+    expected = f"condition failure: not stably recoverable: {family} (alpha = 0.000e+00)\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_check_prints_condition_table(config_path, capsys):
     assert main(["check", str(config_path)]) == 0
     out = capsys.readouterr().out

@@ -18,7 +18,7 @@ from nuds.dynamics import (
     sup_row_norm,
     trajectory_to_csv,
 )
-from nuds.frames import VectorFamily, analysis
+from nuds.frames import FrameAnalysis, VectorFamily, analysis
 from nuds.lattice import (
     Branch,
     LambdaIndex,
@@ -65,7 +65,7 @@ def _random_spec(rng, dim, K, spectral_scale=0.8):
 
 def test_spec_validation():
     spec = _spec_1d()
-    assert spec.g_beta == pytest.approx(1.0)
+    assert FrameAnalysis(spec.g).bounds.beta == pytest.approx(1.0)
     with pytest.raises(ValueError, match="orthonormal"):
         SystemSpec(
             params=spec.params, dim=1, A=[[0.5]], g=spec.g,

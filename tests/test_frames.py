@@ -2,24 +2,86 @@ import numpy as np
 import pytest
 
 from nuds.frames import (
+    FrameAnalysis,
     FrameBounds,
     NotAFrameError,
     VectorFamily,
     analysis,
-    canonical_dual,
-    frame_bounds,
     frame_operator,
     synthesis,
 )
-from nuds.linalg import inner
+from nuds.linalg import NumericalError, inner
 from nuds.recovery import subspace_condition
+from nuds.tolerances import Tolerances
 
-from oracles import min_norm_gap, verify_dual_pair
+from oracles import lu_dual, min_norm_gap, verify_dual_pair
 
 
 def _random_family(rng, count, dim):
     v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return VectorFamily(vectors=v)
+
+
+def _family_with_spectrum(rng, lam, count):
+    """`count` vectors whose frame operator is U diag(lam) U* for a random unitary U.
+
+    With Q (count x d) having orthonormal columns, the rows of
+    conj(Q) diag(sqrt lam) U^T give Theta = U diag(lam) U*.
+    """
+    d = len(lam)
+    U = np.linalg.qr(_random_family(rng, d, d).vectors)[0]
+    Q = np.linalg.qr(_random_family(rng, count, d).vectors)[0]
+    return VectorFamily(vectors=Q.conj() @ (np.sqrt(lam)[:, None] * U.T))
+
+
+def _dual_oracle_cases():
+    rng = np.random.default_rng(64)
+    d = 64
+    return {
+        "redundant": _random_family(rng, 2 * d, d),
+        "orthonormal": VectorFamily(vectors=np.linalg.qr(_random_family(rng, d, d).vectors)[0]),
+        "near-singular": _family_with_spectrum(rng, np.geomspace(1e-6, 1.0, d), 2 * d),
+    }
+
+
+@pytest.mark.parametrize("case", ["redundant", "orthonormal", "near-singular"])
+def test_eigen_dual_matches_the_lu_oracle(case):
+    # Both routes solve Theta X = [f_k] backward stably, so they agree, and
+    # each dual pair reproduces the identity, to d * eps * (beta / alpha).
+    F = _dual_oracle_cases()[case]
+    frame = FrameAnalysis(F)
+    if case == "near-singular":
+        assert frame.bounds.alpha == pytest.approx(1e-6, rel=1e-6)
+    bound = F.dim * np.finfo(float).eps * frame.bounds.beta / frame.bounds.alpha
+    dual = frame.dual()
+    oracle = lu_dual(F)
+    gap = np.linalg.norm(dual.vectors - oracle.vectors) / np.linalg.norm(oracle.vectors)
+    assert gap <= bound
+    assert verify_dual_pair(F, dual) <= bound
+    assert verify_dual_pair(F, oracle) <= bound
+    if case == "orthonormal":
+        np.testing.assert_allclose(dual.vectors, F.vectors, atol=bound)
+
+
+def test_dual_checks_its_solve_residual():
+    # No float solve of Theta X = [f_k] meets a residual bound of 1e-300
+    # relative, so the check must fire; the bounds need no solve.
+    F = _dual_oracle_cases()["redundant"]
+    frame = FrameAnalysis(F, tol=Tolerances(SOLVE_TOL=1e-300))
+    assert frame.bounds == FrameAnalysis(F).bounds
+    with pytest.raises(NumericalError, match="solve residual"):
+        frame.dual()
+
+
+def test_dual_refuses_a_family_just_below_frame_tol():
+    # alpha = 1e-11 against FRAME_TOL = 1e-10: both routes refuse it.
+    F = _family_with_spectrum(np.random.default_rng(11), np.geomspace(1e-11, 1.0, 8), 16)
+    frame = FrameAnalysis(F)
+    assert frame.bounds.alpha == pytest.approx(1e-11, rel=1e-3)
+    for dual in (frame.dual, lambda: lu_dual(F)):
+        with pytest.raises(NotAFrameError) as exc:
+            dual()
+        assert exc.value.alpha == pytest.approx(frame.bounds.alpha, rel=1e-3)
 
 
 def test_family_validation():
@@ -33,7 +95,7 @@ def test_frame_operator_hand_checked():
     # {e1, e1, e2} in C^2: Theta = diag(2, 1)
     F = VectorFamily(vectors=np.array([[1, 0], [1, 0], [0, 1]], dtype=float))
     np.testing.assert_allclose(frame_operator(F), np.diag([2.0, 1.0]), atol=1e-15)
-    b = frame_bounds(F)
+    b = FrameAnalysis(F).bounds
     assert (b.alpha, b.beta) == pytest.approx((1.0, 2.0))
     assert b.is_frame()
 
@@ -41,7 +103,7 @@ def test_frame_operator_hand_checked():
 def test_canonical_dual_hand_checked():
     # Dual of {e1, e1, e2} is {e1/2, e1/2, e2}
     F = VectorFamily(vectors=np.array([[1, 0], [1, 0], [0, 1]], dtype=float))
-    dual = canonical_dual(F)
+    dual = FrameAnalysis(F).dual()
     np.testing.assert_allclose(
         dual.vectors, [[0.5, 0], [0.5, 0], [0, 1]], atol=1e-12
     )
@@ -63,7 +125,7 @@ def test_min_norm_gap_hand_checked():
 def test_bounds_bracket_analysis_energy():
     rng = np.random.default_rng(21)
     F = _random_family(rng, 9, 4)
-    b = frame_bounds(F)
+    b = FrameAnalysis(F).bounds
     for _ in range(50):
         f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         energy = float(np.sum(np.abs(analysis(f, F)) ** 2))
@@ -77,7 +139,7 @@ def test_bounds_are_tight():
     rng = np.random.default_rng(33)
     F = _random_family(rng, 7, 5)
     theta = frame_operator(F)
-    b = frame_bounds(F)
+    b = FrameAnalysis(F).bounds
     vals, vecs = np.linalg.eigh(theta)
     lo, hi = vecs[:, 0], vecs[:, -1]
     assert float(np.sum(np.abs(analysis(lo, F)) ** 2)) == pytest.approx(
@@ -98,7 +160,7 @@ def test_frame_bounds_validation():
 def test_canonical_dual_reconstructs_both_ways():
     rng = np.random.default_rng(4)
     F = _random_family(rng, 10, 6)
-    dual = canonical_dual(F)
+    dual = FrameAnalysis(F).dual()
     assert verify_dual_pair(F, dual) < 1e-10
     assert verify_dual_pair(dual, F) < 1e-10
     f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -109,18 +171,18 @@ def test_canonical_dual_reconstructs_both_ways():
 def test_canonical_dual_requires_frame():
     # two vectors cannot span C^3
     F = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    assert not frame_bounds(F).is_frame()
+    assert not FrameAnalysis(F).bounds.is_frame()
     with pytest.raises(NotAFrameError) as exc:
-        canonical_dual(F)
+        FrameAnalysis(F).dual()
     assert exc.value.alpha == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parseval_family_is_self_dual():
     # Orthonormal rows give alpha = beta = 1 and dual == family.
     F = VectorFamily(vectors=np.eye(4))
-    b = frame_bounds(F)
+    b = FrameAnalysis(F).bounds
     assert (b.alpha, b.beta) == pytest.approx((1.0, 1.0))
-    np.testing.assert_allclose(canonical_dual(F).vectors, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(FrameAnalysis(F).dual().vectors, np.eye(4), atol=1e-12)
 
 
 def test_analysis_synthesis_adjoint_identity():
@@ -169,7 +231,7 @@ def test_min_norm_gap_random_perturbations():
     # representation valid and the gap equals the perturbation energy.
     rng = np.random.default_rng(92)
     F = _random_family(rng, 9, 4)
-    dual = canonical_dual(F)
+    dual = FrameAnalysis(F).dual()
     f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     canon = analysis(f, dual)
     # kernel of synthesis = null space of V.T
@@ -185,7 +247,7 @@ def test_subspace_bounds_hand_checked():
     # frame of W = span{e1, e2}.  With A = 0 the subspace condition takes
     # the bounds of exactly this projected family.
     F = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    assert frame_bounds(F).alpha == pytest.approx(0.0, abs=1e-12)
+    assert FrameAnalysis(F).bounds.alpha == pytest.approx(0.0, abs=1e-12)
     B = np.array([[1.0, 0], [0, 1.0], [0, 0]])
     b = subspace_condition(np.zeros((3, 3)), F, B)
     assert (b.alpha, b.beta) == pytest.approx((1.0, 1.0))

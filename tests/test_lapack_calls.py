@@ -1,11 +1,10 @@
 """How many LAPACK factorizations each command makes.
 
 The counts are those of ``nuds.linalg``'s calls to ``eigh``, ``eigvals``
-and ``lu_factor`` (see the ``lapack_calls`` fixture).  ``demo`` runs each
-recovery once and reads every measured number from the recovery that
-computed it.  ``recover`` makes exactly the calls that the benchmark's
-self-check (``bench/selfcheck.py``) pins, so a change to them shows here
-first.
+and ``lu_factor`` (see the ``lapack_calls`` fixture).  Each frame operator
+is eigendecomposed once, and that one decomposition gives both its bounds
+and its canonical dual.  ``demo`` runs each recovery once and reads every
+measured number from the recovery that computed it.
 """
 
 import pytest
@@ -16,17 +15,17 @@ from nuds.scenarios import SCENARIO_IDS
 
 # (eigh, eigvals, lu_factor) per demo at the default K, build included.
 DEMO_CALLS = {
-    "thm312_diagonal": (3, 2, 1),
-    "thm38_onb": (5, 3, 4),
-    "thm314_counterexample": (5, 2, 6),
-    "thm317_generalized": (5, 2, 2),
-    "thm319_quarter": (5, 3, 4),
+    "thm312_diagonal": (1, 1, 0),
+    "thm38_onb": (2, 2, 2),
+    "thm314_counterexample": (3, 1, 5),
+    "thm317_generalized": (2, 1, 0),
+    "thm319_quarter": (2, 2, 2),
 }
 
-# recover: the eager frame bounds of the config's family, the recovery's
-# own bounds and the dual's; one spectral radius; one LU for the dual, and
-# two more for the stationary map in infinite mode.
-RECOVER_CALLS = {"finite": (3, 1, 1), "infinite": (3, 1, 3)}
+# recover: one analysis of the recovering family (the sampling family, or
+# the adjoint family in infinite mode) and one spectral radius; the
+# stationary map adds two LU solves in infinite mode.
+RECOVER_CALLS = {"finite": (1, 1, 0), "infinite": (1, 1, 2)}
 
 
 def _triple(counts):
@@ -52,11 +51,23 @@ def test_counterexample_demo_solves_the_nullifier_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("mode", sorted(RECOVER_CALLS))
-def test_recover_factorizations_match_the_benchmark_pin(tmp_path, lapack_calls, mode):
+def _quarter_config(tmp_path):
     argv = ["demo", "thm319_quarter", "-K", "7", "-o", str(tmp_path), "--emit-config"]
     assert main(argv) == 0
+    return str(tmp_path / "thm319_quarter_config.json")
+
+
+@pytest.mark.parametrize("mode", sorted(RECOVER_CALLS))
+def test_recover_factorizations_match_the_benchmark_pin(tmp_path, lapack_calls, mode):
+    config = _quarter_config(tmp_path)
     lapack_calls.clear()
-    config = tmp_path / "thm319_quarter_config.json"
-    assert main(["recover", str(config), "--mode", mode, "-o", str(tmp_path)]) == 0
+    assert main(["recover", config, "--mode", mode, "-o", str(tmp_path)]) == 0
     assert _triple(lapack_calls) == RECOVER_CALLS[mode]
+
+
+def test_simulate_factorizes_nothing(tmp_path, lapack_calls):
+    # Reading a config builds a SystemSpec, which computes no frame bound.
+    config = _quarter_config(tmp_path)
+    lapack_calls.clear()
+    assert main(["simulate", config, "-o", str(tmp_path)]) == 0
+    assert _triple(lapack_calls) == (0, 0, 0)

@@ -53,16 +53,21 @@ def test_inner_conjugate_linearity():
 
 def test_hermitian_eigs_hand_checked():
     # [[2, 1], [1, 2]] has eigenvalues 1 and 3
-    vals = hermitian_eigs(as_matrix([[2, 1], [1, 2]]))
+    vals, V = hermitian_eigs(as_matrix([[2, 1], [1, 2]]))
     np.testing.assert_allclose(vals, [1.0, 3.0], atol=1e-12)
+    # the eigenvectors (1, -1)/sqrt 2 and (1, 1)/sqrt 2, up to a phase each
+    np.testing.assert_allclose(np.abs(V), np.full((2, 2), 0.5**0.5), atol=1e-12)
+    np.testing.assert_allclose(V[0] * V[1].conj(), [-0.5, 0.5], atol=1e-12)
 
 
 def test_hermitian_eigs_trace_and_det_invariants():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = a @ a.conj().T
-    vals = hermitian_eigs(h)
+    vals, V = hermitian_eigs(h)
     assert np.all(np.diff(vals) >= 0)
+    np.testing.assert_allclose(V.conj().T @ V, np.eye(6), atol=1e-12)
+    np.testing.assert_allclose(h @ V, V * vals, atol=1e-10 * float(np.linalg.norm(h)))
     assert float(np.sum(vals)) == pytest.approx(float(np.trace(h).real), rel=1e-12)
     sign, logdet = np.linalg.slogdet(h)
     assert float(np.sum(np.log(vals))) == pytest.approx(float(logdet), rel=1e-10)
@@ -77,7 +82,7 @@ def test_herm_tol_override_reaches_hermitian_eigs():
     # ||M - M*|| = 1.4e-12 against a scale of ~3.2: inside the default
     # HERM_TOL (1e-10), outside an override of 1e-14.
     M = as_matrix([[2, 1], [1 + 1e-12, 2]])
-    np.testing.assert_allclose(hermitian_eigs(M), [1.0, 3.0], atol=1e-11)
+    np.testing.assert_allclose(hermitian_eigs(M)[0], [1.0, 3.0], atol=1e-11)
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigs(M, tol=Tolerances(HERM_TOL=1e-14))
 

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
-from nuds.frames import (
-    FrameBounds,
-    VectorFamily,
-    canonical_dual,
-    frame_bounds,
-    synthesis,
-)
+from nuds.frames import FrameAnalysis, FrameBounds, VectorFamily, synthesis
 from nuds.lattice import LambdaIndex, SpectralParams, branch_of, position, window
 from nuds.linalg import NumericalError
 from nuds.recovery import (
@@ -71,7 +65,7 @@ def test_reconstruct_finite_exact_on_each_branch(at):
     rng = np.random.default_rng(10)
     spec = _random_system(rng, dim=4, K=2)
     D = data_matrix(simulate(spec), spec.g)
-    w_hat = reconstruct_finite(D, at, spec.A, spec.g, canonical_dual(spec.g))
+    w_hat = reconstruct_finite(D, at, spec.A, spec.g, FrameAnalysis(spec.g).dual())
     np.testing.assert_allclose(w_hat, spec.w, atol=1e-9)
 
 
@@ -79,7 +73,7 @@ def test_coupling_route_agrees_with_operator_route():
     rng = np.random.default_rng(77)
     spec = _random_system(rng, dim=6, K=3)
     D = data_matrix(simulate(spec), spec.g)
-    dual = canonical_dual(spec.g)
+    dual = FrameAnalysis(spec.g).dual()
     coup = coupling_matrix(spec.A, spec.g, dual)
     for at in window(spec.K - 1):
         direct = reconstruct_finite(D, at, spec.A, spec.g, dual)
@@ -96,12 +90,12 @@ def test_reconstruct_finite_needs_successor_row():
     D = data_matrix(simulate(spec), spec.g)
     # successor of (0, 1) is (1, 0), outside the K=1 window
     with pytest.raises(ValueError):
-        reconstruct_finite(D, LambdaIndex(0, 1), spec.A, spec.g, canonical_dual(spec.g))
+        reconstruct_finite(D, LambdaIndex(0, 1), spec.A, spec.g, FrameAnalysis(spec.g).dual())
 
 
 def test_certificate_full_is_frame_bounds():
     fam = VectorFamily(vectors=np.array([[1.0, 0], [1.0, 0], [0, 1.0]]))
-    b = frame_bounds(fam)
+    b = FrameAnalysis(fam).bounds
     assert (b.alpha, b.beta) == pytest.approx((1.0, 2.0))
 
 
@@ -185,7 +179,7 @@ def test_finite_recovery_report_contents():
     report = reports[0]
     assert report.abs_error == pytest.approx(0.0, abs=1e-8)
     assert report.residual == pytest.approx(0.0, abs=1e-8)
-    assert report.bounds == frame_bounds(spec.g)
+    assert report.bounds == FrameAnalysis(spec.g).bounds
     assert report.bounds.alpha > 0
     assert report.rho == pytest.approx(np.abs(np.linalg.eigvals(spec.A)).max())
     assert report.tail_gap == 0.0
@@ -238,7 +232,7 @@ def test_reconstruct_infinite_recovers_source():
     assert report.case == "limit"
     assert report.tail_gap < 1e-12
     assert report.rho == pytest.approx(0.5)
-    assert report.bounds == frame_bounds(smap.adjoint_family)
+    assert report.bounds == FrameAnalysis(smap.adjoint_family).bounds
 
 
 def test_reconstruct_infinite_requires_adjoint_frame():
@@ -342,7 +336,7 @@ def test_nullifier_zeroes_all_window_measurements(K):
     assert cond.alpha == pytest.approx(norm_w**2, rel=1e-10)
     assert cond.alpha > 0
     # ... while the certificate that would make recovery possible fails
-    assert not frame_bounds(g).is_frame()
+    assert not FrameAnalysis(g).bounds.is_frame()
 
 
 def test_nullifier_input_validation():
