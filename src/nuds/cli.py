@@ -572,7 +572,8 @@ def cmd_recover(args) -> int:
     D = data_matrix(traj, spec.g)
     if args.mode == "finite":
         (report,) = finite_recovery_report(
-            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w, tol=tol
+            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w,
+            rho=linalg.spectral_radius(spec.A), tol=tol,
         )
         ok = report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
     else:
@@ -603,30 +604,27 @@ def cmd_check(args) -> int:
             f"frame={'yes' if cert.is_frame(tol=tol) else 'no'}",
         )
     )
-    try:
-        sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
-        rows.append(
-            (
-                "subspace condition bounds (necessary only)",
-                f"alpha={sub.alpha:.8g} beta={sub.beta:.8g}",
-            )
-        )
-    except NumericalError as exc:
-        rows.append(("subspace condition bounds (necessary only)", f"unavailable: {exc}"))
     # The stationary map computes the spectral radius before anything
-    # else, so only a refused map leaves it to be computed here.
+    # else, so only a refused map leaves it to be computed here.  Its
+    # adjoint family is the subspace family {P_W (I - A*)^-1 g_j}, so one
+    # analysis gives both rows.
     try:
         smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
     except ConditionFailure as exc:
         rho = linalg.spectral_radius(spec.A)
         adjoint_row = f"unavailable: {exc}"
+        try:
+            sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
+        except NumericalError as err:
+            subspace_row = f"unavailable: {err}"
+        else:
+            subspace_row = f"alpha={sub.alpha:.8g} beta={sub.beta:.8g}"
     else:
         rho = smap.rho
         adj = FrameAnalysis(smap.adjoint_family, tol=tol).bounds
-        adjoint_row = (
-            f"alpha={adj.alpha:.8g} beta={adj.beta:.8g} "
-            f"frame={'yes' if adj.is_frame(tol=tol) else 'no'}"
-        )
+        subspace_row = f"alpha={adj.alpha:.8g} beta={adj.beta:.8g}"
+        adjoint_row = f"{subspace_row} frame={'yes' if adj.is_frame(tol=tol) else 'no'}"
+    rows.append(("subspace condition bounds (necessary only)", subspace_row))
     rows.append(("spectral radius", f"{rho:.8g}"))
     rows.append(("adjoint family bounds on W", adjoint_row))
     traj = simulate(spec)

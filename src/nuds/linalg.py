@@ -56,16 +56,6 @@ def as_matrix(entries) -> Mat:
     return m
 
 
-def inner(u: Vec, v: Vec) -> complex:
-    """Inner product sum(u_k * conj(v_k)); conjugate-linear in v."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"length mismatch in inner product: {u.shape} vs {v.shape}")
-    # np.vdot conjugates its first argument.
-    return complex(np.vdot(v, u))
-
-
 def hermitian_eigs(M: Mat, *, tol: Tolerances = DEFAULTS) -> tuple[np.ndarray, Mat]:
     """Eigendecomposition M = V diag(vals) V* of a Hermitian matrix.
 

@@ -21,9 +21,9 @@ the frame condition the source is not stably recoverable — two sources
 can share identical limit data.
 
 The subspace condition on {P_W (I - A*)^-1 g_j} is necessary for
-finite-window recovery but not sufficient: the nullifier construction
-produces initial states making every windowed measurement vanish for a
-nonzero source, even while that condition holds.
+finite-window recovery but not sufficient: the nullifier, one
+least-squares solve, gives an initial state from which every windowed
+sample vanishes for a nonzero source, even while that condition holds.
 """
 
 from __future__ import annotations
@@ -35,13 +35,9 @@ import numpy as np
 from . import linalg
 from .dynamics import LatticeWindow, TailLimit, bs_membership
 from .frames import FrameAnalysis, FrameBounds, VectorFamily, analysis, synthesis
-from .lattice import LambdaIndex, branch_of, position, power_of, successor, window
+from .lattice import LambdaIndex, branch_of, successor
 from .linalg import Mat, NumericalError, SingularMatrixError, Vec
 from .tolerances import DEFAULTS, Tolerances
-
-# The nullifier needs an exactly diagonal, real operator; off-diagonal
-# mass or imaginary parts above rounding level (relative) are rejected.
-DIAGONAL_TOL = 1e-12
 
 
 class ConditionFailure(Exception):
@@ -76,7 +72,8 @@ def subspace_condition(
 
     This is a necessary condition for recovering sources in W from
     windowed data; it is NOT sufficient (see
-    :func:`counterexample_nullifier`).
+    :func:`counterexample_nullifier`).  The family is the adjoint family
+    of :func:`stationary_map_from_A`, which builds it by the same solve.
 
     Raises:
         NumericalError: when 1 is in the spectrum of A (resolvent fails).
@@ -229,20 +226,20 @@ def finite_recovery_report(
     g: VectorFamily,
     w_true: Vec | None = None,
     *,
+    rho: float,
     tol: Tolerances = DEFAULTS,
 ) -> list[RecoveryReport]:
     """Run finite-step recovery from each point of ``cases``; one report each.
 
     One eigendecomposition of the frame operator of g gives the bounds
-    and the canonical dual for all the points, and the spectral radius is
-    computed once.  Each residual re-predicts the successor row
-    from the recovered source and the synthesized state; it vanishes on
-    exact data.
+    and the canonical dual for all the points.  ``rho``, the spectral
+    radius of A, is the caller's: it often holds it already.  Each
+    residual re-predicts the successor row from the recovered source and
+    the synthesized state; it vanishes on exact data.
     """
     A = linalg.as_matrix(A)
     frame = _require_frame(g, "sampling family is not a frame", tol)
     gdual = frame.dual()
-    rho = linalg.spectral_radius(A)
 
     def report(at: LambdaIndex) -> RecoveryReport:
         w_hat = reconstruct_finite(D, at, A, g, gdual)
@@ -295,102 +292,27 @@ def reconstruct_infinite(
     )
 
 
-def counterexample_nullifier(
-    A: Mat, w: Vec, K: int, *, tol: Tolerances = DEFAULTS
-) -> tuple[Vec, Vec, np.ndarray]:
-    """Initial states that zero out every windowed measurement.
+def counterexample_nullifier(A: Mat, g: VectorFamily, w: Vec, K: int) -> Vec:
+    """An initial state from which no windowed sample sees the source.
 
-    For a diagonal evolution operator with distinct entries in (0, 1),
-    the single sampling vector g = (I - A) w, and the structured source
-    w (all coordinates nonzero), this solves two 2K x 2K power-weighted
-    systems — one per orbit half — so that x0 (supported on the
-    nonnegative half of the window coordinates) and xm2 (negative half)
-    make all 4K measurements <x_lambda, g> vanish while the source does
-    not.  In exact arithmetic the systems are nonsingular: each is a
-    Vandermonde matrix on distinct nodes with nonzero column scalings.
-    In floating point their conditioning grows exponentially with K: on
-    the thm314 nodes (2K geometric points in [0.1, 0.9]) the solution
-    zeroes the measurements to rounding level only up to K = 4, and the
-    solve fails from K = 7 on (see ``scenarios.MAX_K``).
-
-    Returns:
-        (x0, xm2, measurements) with measurements in window order,
-        recomputed from the closed-form states for verification.
-
-    Raises:
-        ValueError: when A is not diagonal with distinct entries in
-            (0, 1) or some coordinate of (I - A) w vanishes.
-        NumericalError: when a system solve is singular to working
-            precision (carries a determinant estimate), as it is for
-            nodes too ill-conditioned for floating point.
+    Both orbits run x -> A x + w for 2K steps, so n steps from the initial
+    state x the samples are G* A^n x + G* S_n w, with G* the rows g_j* and
+    S_n = A^0 + ... + A^(n-1).  Stacking the rows G* A^n into O and the
+    terms G* S_n w into t for n < 2K, the minimum-norm least-squares
+    solution x = -O^+ t zeroes every sample of both orbits when they start
+    from x, as long as O x = -t is consistent: always when O has full row
+    rank, which needs 2K m <= dim for m sampling vectors.  The caller
+    judges the outcome on the simulated data.
     """
     A = linalg.as_matrix(A)
     w = linalg.as_vector(w)
-    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
-        raise ValueError(f"K must be a positive integer, got {K!r}")
-    d = 4 * K
-    if A.shape != (d, d) or w.shape[0] != d:
-        raise ValueError(
-            f"expected A of shape ({d}, {d}) and w of length {d} for K={K}, "
-            f"got {A.shape} and {w.shape[0]}"
-        )
-    diag = np.diag(A)
-    off = A - np.diag(diag)
-    if float(np.linalg.norm(off)) > DIAGONAL_TOL * max(1.0, float(np.linalg.norm(A))):
-        raise ValueError("A must be diagonal")
-    if float(np.max(np.abs(diag.imag))) > DIAGONAL_TOL:
-        raise ValueError("A must have real diagonal entries")
-    lam = diag.real
-    if np.any(lam <= 0.0) or np.any(lam >= 1.0):
-        raise ValueError("diagonal entries must lie strictly inside (0, 1)")
-    if len(set(lam.tolist())) != d:
-        raise ValueError("diagonal entries must be pairwise distinct")
-    g = (np.eye(d, dtype=complex) - A) @ w
-    if float(np.min(np.abs(g))) == 0.0:
-        raise ValueError(
-            "nullifier construction needs every coordinate of (I - A) w nonzero"
-        )
-
-    win = window(K)
-    # b[n] = <(A^0 + ... + A^(n-1)) w, g> depends only on the step count.
-    b = np.zeros(2 * K, dtype=complex)
-    geom = np.zeros(d, dtype=complex)
-    for n in range(2 * K):
-        b[n] = linalg.inner(geom, g)
-        geom = A @ geom + w
-
-    def half_solve(positions: list[int]) -> np.ndarray:
-        lam_half = lam[positions]
-        g_half = g[positions]
-        M = np.array(
-            [[lam_half[c] ** n * np.conj(g_half[c]) for c in range(2 * K)]
-             for n in range(2 * K)],
-            dtype=complex,
-        )
-        try:
-            return linalg.solve(M, -b, tol=tol)
-        except SingularMatrixError as exc:
-            sign, logdet = np.linalg.slogdet(M)
-            raise NumericalError(
-                f"nullifier system is singular (pivot {exc.pivot_index}, "
-                f"slogdet = ({sign:.3g}, {logdet:.3g}))"
-            ) from exc
-
-    pos_positions = [position(idx, K) for idx in win if idx.m >= 0]
-    neg_positions = [position(idx, K) for idx in win if idx.m < 0]
-    x0 = np.zeros(d, dtype=complex)
-    xm2 = np.zeros(d, dtype=complex)
-    x0[pos_positions] = half_solve(pos_positions)
-    xm2[neg_positions] = half_solve(neg_positions)
-
-    # Recompute every measurement from the closed-form states.
-    measurements = np.zeros(len(win), dtype=complex)
-    for p, idx in enumerate(win):
-        n = power_of(idx)
-        x_init = x0 if idx.m >= 0 else xm2
-        state = (lam.astype(complex) ** n) * x_init
-        geom = np.zeros(d, dtype=complex)
-        for _ in range(n):
-            geom = A @ geom + w
-        measurements[p] = linalg.inner(state + geom, g)
-    return x0, xm2, measurements
+    G = g.vectors.conj()
+    rows, terms = [], []
+    power, partial = G, np.zeros_like(w)  # G* A^n and S_n w
+    for _ in range(2 * K):
+        rows.append(power)
+        terms.append(G @ partial)
+        power = power @ A
+        partial = A @ partial + w
+    O, t = np.concatenate(rows), np.concatenate(terms)
+    return -np.linalg.lstsq(O, t, rcond=None)[0]

@@ -57,7 +57,6 @@ from .recovery import (
     limit_operator,
     reconstruct_infinite,
     stationary_map_from_A,
-    subspace_condition,
 )
 from .tolerances import DEFAULTS, Tolerances
 
@@ -89,14 +88,12 @@ MIN_K = {
 }
 
 # Largest window each scenario runs on in floating point; scenarios not
-# named have none.  The thm314 nullifier solves two Vandermonde systems on
-# 2K geometric nodes in [0.1, 0.9], whose conditioning grows exponentially
-# in K: its float solution leaves measurements of 4.4e-6 and 9.8e-4 at
-# K = 5 and 6, far above ORACLE_TOL, and the systems are singular to
-# working precision from K = 7 on.  An exact rational solve would lift
-# the cap.
+# named have none.  The thm314 nullifier is a least-squares witness whose
+# rows g* A^n decay like 0.1^n to 0.9^n over n < 2K, so its conditioning
+# grows exponentially in K: its largest simulated sample is 1e-15 at
+# K = 2, 9.3e-10 at K = 8 and 3.0e-7, above ORACLE_TOL, at K = 9.
 MAX_K = {
-    "thm314_counterexample": 4,
+    "thm314_counterexample": 8,
 }
 
 # The points finite recovery starts from, one on each branch of the lattice.
@@ -108,7 +105,7 @@ QUARTER_SOURCE = (1.0, 0.5)
 # Expectation oracles.  They judge the outcome and so stay fixed under
 # tolerance overrides: an override must not be able to pass a scenario.
 # Bounds, finite and exact-data limit errors, the limit norm ratio and
-# the nullified measurements: exact data, so rounding level.
+# the nullified samples: exact data, so rounding level.
 ORACLE_TOL = 1e-8
 # Spectral radius, from a nonsymmetric eigensolver.
 RHO_ORACLE_TOL = 1e-6
@@ -147,7 +144,6 @@ class ScenarioBundle:
     spec: SystemSpec
     expectations: ScenarioExpectations
     smap: StationaryMap | None
-    measurements: np.ndarray | None  # thm314's nullified measurements, window order
 
 
 def _scenario_rng(scenario_id: str, params: SpectralParams, K: int) -> np.random.Generator:
@@ -174,9 +170,8 @@ def counterexample_source(K: int) -> Vec:
     Coordinates over the window layout: at even points 2m the value is 1
     at m = 0, 1/2^m for m > 0 and -1/2^|m| for m < 0; at offset points
     2m + r/N it is 1/3^(m+1) for m >= 0 and -1/3^|m| for m < 0.  All
-    coordinates are nonzero, which the nullifier construction requires.
-    The pattern beyond the innermost coordinates extends the printed
-    ones by the evident power law.
+    coordinates are nonzero.  The pattern beyond the innermost
+    coordinates extends the printed ones by the evident power law.
     """
     w = np.zeros(4 * K, dtype=complex)
     for idx in window(K):
@@ -224,7 +219,7 @@ def _build_thm312_diagonal(
         expected_rho=1.0,
         notes=("diagonal restricted to the finite window",),
     )
-    return ScenarioBundle("thm312_diagonal", spec, expectations, smap=None, measurements=None)
+    return ScenarioBundle("thm312_diagonal", spec, expectations, smap=None)
 
 
 def _build_thm38_onb(
@@ -252,7 +247,7 @@ def _build_thm38_onb(
         bounds_of="sampling",
         expected_rho=0.0,
     )
-    return ScenarioBundle("thm38_onb", spec, expectations, smap=smap, measurements=None)
+    return ScenarioBundle("thm38_onb", spec, expectations, smap=smap)
 
 
 def _build_thm314_counterexample(
@@ -265,7 +260,7 @@ def _build_thm314_counterexample(
     g_vec = (np.eye(dim, dtype=complex) - A) @ w
     g = VectorFamily(vectors=g_vec[np.newaxis, :])
     W_basis = (w / np.linalg.norm(w))[:, np.newaxis]
-    x0, xm2, measurements = counterexample_nullifier(A, w, K, tol=tol)
+    x0 = counterexample_nullifier(A, g, w, K)
     spec = SystemSpec(
         params=params,
         dim=dim,
@@ -274,7 +269,7 @@ def _build_thm314_counterexample(
         W_basis=W_basis,
         w=w,
         x0=x0,
-        xm2=xm2,
+        xm2=x0.copy(),
         K=K,
     )
     smap = stationary_map_from_A(A, g, W_basis, tol=tol)
@@ -292,9 +287,7 @@ def _build_thm314_counterexample(
             "evident power law",
         ),
     )
-    return ScenarioBundle(
-        "thm314_counterexample", spec, expectations, smap=smap, measurements=measurements
-    )
+    return ScenarioBundle("thm314_counterexample", spec, expectations, smap=smap)
 
 
 def _build_thm317_generalized(
@@ -330,7 +323,7 @@ def _build_thm317_generalized(
         apply=-B,
         adjoint_family=VectorFamily(vectors=-(g.vectors @ B.conj())),
         W_basis=B,
-        rho=2.0,
+        rho=linalg.spectral_radius(A),
     )
     expectations = ScenarioExpectations(
         should_recover_finite=True,
@@ -340,9 +333,7 @@ def _build_thm317_generalized(
         expected_rho=2.0,
         notes=("paper-typo-corrected",),
     )
-    return ScenarioBundle(
-        "thm317_generalized", spec, expectations, smap=smap, measurements=None
-    )
+    return ScenarioBundle("thm317_generalized", spec, expectations, smap=smap)
 
 
 def _build_thm319_quarter(
@@ -375,7 +366,7 @@ def _build_thm319_quarter(
         bounds_of="adjoint",
         expected_rho=0.25,
     )
-    return ScenarioBundle("thm319_quarter", spec, expectations, smap=smap, measurements=None)
+    return ScenarioBundle("thm319_quarter", spec, expectations, smap=smap)
 
 
 _BUILDERS = {
@@ -441,8 +432,8 @@ def build(
     if largest is not None and K > largest:
         raise ValueError(
             f"{scenario_id} needs K <= {largest}, got K = {K}: beyond it the "
-            f"nullifier's Vandermonde systems on 2K geometric nodes are too "
-            f"ill-conditioned for float arithmetic to zero the measurements "
+            f"nullifier's least-squares witness is too ill-conditioned for "
+            f"float arithmetic to zero the simulated samples "
             f"to {ORACLE_TOL:.0e}"
         )
     return builder(params, K, tol)
@@ -457,8 +448,9 @@ def run_scenario(
 ) -> tuple[dict, list[str]]:
     """Execute the scenario's recovery and check its expectations.
 
-    Each recovery runs once, and the measured bounds and spectral radius
-    are read from the recovery that computed them.
+    Each recovery runs once, and the measured bounds are read from the
+    recovery that computed them; the spectral radius is the stationary
+    map's when there is one.  thm314 is judged on the simulated data.
 
     Returns (report document, failures); an empty failure list means
     every expectation held.
@@ -468,29 +460,22 @@ def run_scenario(
     failures: list[str] = []
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
+    rho = bundle.smap.rho if bundle.smap is not None else linalg.spectral_radius(spec.A)
     finite_reports = []
     if exp.should_recover_finite:
         finite_reports = finite_recovery_report(
-            D, FINITE_CASES, spec.A, spec.g, w_true=spec.w, tol=tol
+            D, FINITE_CASES, spec.A, spec.g, w_true=spec.w, rho=rho, tol=tol
         )
     limit = None
     if bundle.smap is not None:
         limit = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
 
-    if finite_reports:
-        rho = finite_reports[0].rho
-    elif limit is not None:
-        rho = limit.rho
-    else:
-        rho = linalg.spectral_radius(spec.A)
     if not _close(rho, exp.expected_rho, RHO_ORACLE_TOL):
         failures.append(f"spectral radius {rho:.8g} != expected {exp.expected_rho:.8g}")
-    if exp.bounds_of == "sampling":
-        bounds = finite_reports[0].bounds
-    elif exp.bounds_of == "adjoint":
-        bounds = limit.bounds
-    else:
-        bounds = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
+    # thm314's map comes from stationary_map_from_A, whose adjoint family
+    # is the subspace family {P_W (I - A*)^-1 g_j}: the limit recovery
+    # holds its bounds.
+    bounds = finite_reports[0].bounds if exp.bounds_of == "sampling" else limit.bounds
     if not (
         _close(bounds.alpha, exp.expected_bounds[0], ORACLE_TOL)
         and _close(bounds.beta, exp.expected_bounds[1], ORACLE_TOL)
@@ -513,9 +498,10 @@ def run_scenario(
     }
 
     if bundle.id == "thm314_counterexample":
-        worst = float(np.max(np.abs(bundle.measurements)))
+        samples = D.values[:, 0]
+        worst = float(np.max(np.abs(samples)))
         if worst > ORACLE_TOL:
-            failures.append(f"nullifier measurement of size {worst:.3e} exceeds 1e-8")
+            failures.append(f"nullified sample of size {worst:.3e} exceeds 1e-8")
         if float(np.linalg.norm(spec.w)) < 1.0:
             failures.append("source norm fell below 1")
         if FrameAnalysis(spec.g, tol=tol).bounds.is_frame(tol=tol):
@@ -535,9 +521,9 @@ def run_scenario(
                     "eps": idx.eps,
                     "label": index_label(idx, spec.params),
                 },
-                "value": linalg.complex_to_pair(bundle.measurements[p]),
+                "value": linalg.complex_to_pair(value),
             }
-            for p, idx in enumerate(window(spec.K))
+            for idx, value in zip(D.order, samples)
         ]
         report["recovery"] = limit.to_json()
         report["necessary_condition_only"] = True

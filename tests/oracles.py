@@ -1,6 +1,7 @@
 """Independent oracles the tests check the package against.
 
-Each one recomputes a quantity by a route the package does not take: the
+Each one recomputes a quantity by a route the package does not take: one
+inner product at a time instead of a matrix product, the
 exact rational value of a lattice point, states from their closed forms
 instead of the recurrence, the recurrence residual of a trajectory, the
 canonical dual by an LU solve instead of the eigendecomposition of the
@@ -25,6 +26,18 @@ from nuds.frames import NotAFrameError, VectorFamily, analysis, frame_operator, 
 from nuds.lattice import LambdaIndex, SpectralParams, power_of, successor
 from nuds.linalg import Mat, NumericalError, Vec
 from nuds.tolerances import DEFAULTS, Tolerances
+
+
+# --- linear algebra -----------------------------------------------------------
+
+def inner(u: Vec, v: Vec) -> complex:
+    """Inner product sum(u_k * conj(v_k)); conjugate-linear in v."""
+    u = np.asarray(u)
+    v = np.asarray(v)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError(f"length mismatch in inner product: {u.shape} vs {v.shape}")
+    # np.vdot conjugates its first argument.
+    return complex(np.vdot(v, u))
 
 
 # --- lattice ------------------------------------------------------------------

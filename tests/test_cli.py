@@ -11,7 +11,7 @@ from nuds.cli import config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
 from nuds.linalg import NumericalError, complex_to_pair, pair_to_complex, vector_to_pairs
-from nuds.scenarios import DEFAULT_K, SCENARIO_IDS, build, min_K
+from nuds.scenarios import DEFAULT_K, MAX_K, SCENARIO_IDS, build, min_K
 from nuds.lattice import SpectralParams
 from nuds.tolerances import Tolerances
 
@@ -685,15 +685,29 @@ def test_quarter_subnormal_bs_tol_names_its_minimum_K(tmp_path, capsys, bs_tol, 
 @pytest.mark.parametrize("r, N", [(1, 1), (1, 2), (3, 2), (3, 4), (5, 16), (31, 16), (7, 9)])
 def test_counterexample_runs_up_to_its_maximum_K(tmp_path, r, N):
     argv = ["demo", "thm314_counterexample", "--r", str(r), "--N", str(N), "-o", str(tmp_path)]
-    assert main(argv + ["-K", "4"]) == 0
+    for K in range(1, MAX_K["thm314_counterexample"] + 1):
+        assert main(argv + ["-K", str(K)]) == 0, K
 
 
-@pytest.mark.parametrize("K", [5, 8])
+@pytest.mark.parametrize("K", range(1, MAX_K["thm314_counterexample"] + 1))
+def test_counterexample_config_simulates_to_zero_data(tmp_path, K):
+    # The emitted config, run through simulate, samples nothing: every
+    # entry of its data matrix stays within the 1e-8 oracle.
+    argv = ["demo", "thm314_counterexample", "-K", str(K), "-o", str(tmp_path), "--emit-config"]
+    assert main(argv) == 0
+    config = str(tmp_path / "thm314_counterexample_config.json")
+    assert main(["simulate", config, "-o", str(tmp_path / "sim")]) == 0
+    with open(tmp_path / "sim" / "data_matrix.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * K
+    assert max(abs(complex(float(r["re"]), float(r["im"]))) for r in rows) <= 1e-8
+
+
+@pytest.mark.parametrize("K", [9, 12])
 def test_counterexample_rejects_K_beyond_float_range(tmp_path, capsys, K):
-    # K = 5 and 6 used to exit 4 (measurements 4.4e-6, 9.8e-4 > 1e-8) and
-    # K >= 7 exit 1 ("nullifier system is singular").
+    # K = 9 leaves a simulated sample of 3.0e-7 > 1e-8.
     argv = ["demo", "thm314_counterexample", "-K", str(K), "-o", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"thm314_counterexample needs K <= 4, got K = {K}" in err
-    assert "Vandermonde systems on 2K geometric nodes" in err
+    assert f"thm314_counterexample needs K <= 8, got K = {K}" in err
+    assert "least-squares witness" in err

@@ -10,11 +10,11 @@ from nuds.frames import (
     frame_operator,
     synthesis,
 )
-from nuds.linalg import NumericalError, inner
+from nuds.linalg import NumericalError
 from nuds.recovery import subspace_condition
 from nuds.tolerances import Tolerances
 
-from oracles import lu_dual, min_norm_gap, verify_dual_pair
+from oracles import inner, lu_dual, min_norm_gap, verify_dual_pair
 
 
 def _random_family(rng, count, dim):

@@ -5,7 +5,8 @@ as API: it belongs in ``tests/oracles.py`` or nowhere.  The scan reads the
 source of ``src/nuds/*.py`` and counts a name as used when some package
 code outside the name's own definition refers to it as a name or as an
 attribute.  Text in docstrings and comments is not code and does not
-count, and neither does an import that nothing then reads.
+count, and neither does an import that nothing then reads, nor a
+function's own parameter or local variable of the same name.
 
 The package also forks in exactly one function, ``nuds._fork.Child.start``,
 which checks that a fork is safe and moves the child off the parent's CPU.
@@ -37,13 +38,37 @@ def _public_definitions(tree: ast.Module):
             yield node
 
 
-def _references(tree: ast.AST) -> set[str]:
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
+    """Names a function binds itself: its parameters and assignment targets."""
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    names = {a.arg for a in params if a is not None}
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            continue  # a nested scope binds its own names
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node: ast.AST, local: frozenset[str] = frozenset()) -> set[str]:
+    """Names and attributes ``node`` reads, less the names local to a function."""
+    if isinstance(node, FUNCTIONS):
+        local = local | _bound(node)
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            if child.id not in local:
+                names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        names |= _references(child, local)
     return names
 
 
@@ -75,10 +100,18 @@ def test_scan_sees_only_code_references():
             "def _private():\n    pass\n"
         ),
         "b": "from a import leaf\n\n\ndef orphan():\n    pass\n",
+        "c": (
+            "def shadowed():\n    pass\n\n"
+            "def _local(xs):\n    shadowed = xs[0]\n    return shadowed\n\n"
+            "def _param(shadowed):\n    return [shadowed for _ in ()]\n"
+        ),
     }
     # `leaf` is named only in an import nothing reads, `orphan` only in a
-    # docstring, `recursive` and `Node` only inside their own definitions.
-    assert unused_public_names(sources) == ["a.leaf", "a.recursive", "a.Node", "b.orphan"]
+    # docstring, `recursive` and `Node` only inside their own definitions,
+    # and `shadowed` only as a local variable or a parameter.
+    assert unused_public_names(sources) == [
+        "a.leaf", "a.recursive", "a.Node", "b.orphan", "c.shadowed"
+    ]
 
 
 def test_every_public_definition_is_used_by_the_package():

@@ -3,8 +3,8 @@ import pytest
 
 from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
 from nuds.frames import FrameAnalysis, FrameBounds, VectorFamily, synthesis
-from nuds.lattice import LambdaIndex, SpectralParams, branch_of, position, window
-from nuds.linalg import NumericalError
+from nuds.lattice import LambdaIndex, SpectralParams, branch_of, window
+from nuds.linalg import NumericalError, spectral_radius
 from nuds.recovery import (
     ConditionFailure,
     RecoveryReport,
@@ -174,7 +174,9 @@ def test_finite_recovery_report_contents():
     spec = _random_system(rng, dim=4, K=2)
     D = data_matrix(simulate(spec), spec.g)
     cases = (LambdaIndex(-1, 1), LambdaIndex(0, 0))
-    reports = finite_recovery_report(D, cases, spec.A, spec.g, w_true=spec.w)
+    reports = finite_recovery_report(
+        D, cases, spec.A, spec.g, w_true=spec.w, rho=spectral_radius(spec.A)
+    )
     assert [report.case for report in reports] == ["iii", "i"]
     report = reports[0]
     assert report.abs_error == pytest.approx(0.0, abs=1e-8)
@@ -207,7 +209,7 @@ def test_finite_recovery_report_requires_frame():
     deficient.vectors[:, 0] = 0.0  # kill one direction
     D = data_matrix(simulate(spec), deficient)
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        finite_recovery_report(D, (LambdaIndex(0, 0),), spec.A, deficient)
+        finite_recovery_report(D, (LambdaIndex(0, 0),), spec.A, deficient, rho=0.8)
 
 
 def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
@@ -271,85 +273,53 @@ def test_recovery_report_json_none_error():
 
 # --- nullifier construction --------------------------------------------------
 
-def _nullifier_inputs(K, seed=0):
-    d = 4 * K
-    rng = np.random.default_rng(seed)
-    lam = np.linspace(0.1, 0.9, d)
-    A = np.diag(lam)
-    w = rng.uniform(0.5, 1.5, size=d) + 0j
-    return A, w
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_nullifier_k1_against_cramer():
-    # K=1 reduces each half to a 2x2 system solvable by Cramer's rule.
-    A, w = _nullifier_inputs(1)
-    lam = np.diag(A).real
-    g = (np.eye(4) - A) @ w
-    x0, xm2, meas = counterexample_nullifier(A, w, 1)
+    # At K = 1 each orbit takes two samples, <x, g> and <A x + w, g>, so the
+    # witness is x = -O*(OO*)^-1 t with O = [g*; g* A] and t = [0, <w, g>];
+    # the 2 x 2 inverse comes from Cramer's rule.
+    rng = np.random.default_rng(0)
+    A, g, w = _complex(rng, 4, 4), _complex(rng, 4), _complex(rng, 4)
+    x = counterexample_nullifier(A, VectorFamily(vectors=g[None, :]), w, 1)
 
-    b1 = np.vdot(g, w)  # <w, g> after one step from zero
-    for positions, x in ((
-        [position(LambdaIndex(0, 0), 1), position(LambdaIndex(0, 1), 1)], x0,
-    ), (
-        [position(LambdaIndex(-1, 0), 1), position(LambdaIndex(-1, 1), 1)], xm2,
-    )):
-        c0, c1 = positions
-        gs = np.conj(g)
-        det = gs[c0] * gs[c1] * (lam[c1] - lam[c0])
-        # rows: [gs[c0], gs[c1]] . x = 0 and [lam[c0] gs[c0], lam[c1] gs[c1]] . x = -b1
-        expected0 = gs[c1] * b1 / det
-        expected1 = -gs[c0] * b1 / det
-        assert x[c0] == pytest.approx(expected0, abs=1e-10)
-        assert x[c1] == pytest.approx(expected1, abs=1e-10)
-    np.testing.assert_allclose(meas, 0, atol=1e-12)
+    O = np.array([g.conj(), g.conj() @ A])
+    t = np.array([0.0, np.vdot(g, w)])
+    (a, b), (c, e) = O @ O.conj().T
+    gram_inv = np.array([[e, -b], [-c, a]]) / (a * e - b * c)
+    np.testing.assert_allclose(x, -O.conj().T @ gram_inv @ t, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_nullifier_zeroes_all_window_measurements(K):
-    A, w = _nullifier_inputs(K, seed=K)
-    x0, xm2, meas = counterexample_nullifier(A, w, K)
-    assert meas.shape == (4 * K,)
-    np.testing.assert_allclose(meas, 0, atol=1e-9)
-    assert float(np.linalg.norm(w)) > 1.0
+    # A non-diagonal complex operator, two sampling vectors and d = 4K + 2,
+    # so the 2K * 2 equations in d unknowns have full row rank.
+    rng = np.random.default_rng(K)
+    d = 4 * K + 2
+    A = _complex(rng, d, d)
+    A *= 0.8 / np.abs(np.linalg.eigvals(A)).max()
+    g = VectorFamily(vectors=_complex(rng, 2, d))
+    w = _complex(rng, d)
+    x = counterexample_nullifier(A, g, w, K)
 
-    # supports sit on opposite halves of the coordinate window
-    for p, idx in enumerate(window(K)):
-        if idx.m >= 0:
-            assert xm2[p] == 0
-        else:
-            assert x0[p] == 0
+    # The equations, stacked independently: n steps from x, the samples
+    # are G* A^n x + G* (A^0 + ... + A^(n-1)) w.
+    G = g.vectors.conj()
+    powers = [np.linalg.matrix_power(A, n) for n in range(2 * K)]
+    O = np.concatenate([G @ P for P in powers])
+    t = np.concatenate([G @ sum(powers[:n], np.zeros((d, d))) @ w for n in range(2 * K)])
+    scale = np.linalg.norm(O, 2) * np.linalg.norm(x) + np.linalg.norm(t)
 
-    # end-to-end: a simulated system with these states yields a zero data
-    # matrix though the source is far from zero.
-    g = VectorFamily(vectors=((np.eye(4 * K) - A) @ w)[None, :])
     spec = SystemSpec(
-        params=PARAMS, dim=4 * K, A=A, g=g, W_basis=np.eye(4 * K),
-        w=w, x0=x0, xm2=xm2, K=K,
+        params=PARAMS, dim=d, A=A, g=g, W_basis=np.eye(d),
+        w=w, x0=x, xm2=x.copy(), K=K,
     )
     D = data_matrix(simulate(spec), g)
-    assert float(np.abs(D.values).max()) < 1e-9
-
-    # The necessary subspace condition holds over W = span{w}: for real
-    # diagonal A, (I - A*)^-1 g = w, so both bounds equal ||w||^2 ...
-    norm_w = float(np.linalg.norm(w))
-    cond = subspace_condition(A, g, (w / norm_w)[:, None])
-    assert cond.alpha == pytest.approx(norm_w**2, rel=1e-10)
-    assert cond.alpha > 0
-    # ... while the certificate that would make recovery possible fails
+    assert D.values.shape == (4 * K, 2)
+    assert float(np.abs(D.values).max()) <= 1e-13 * scale
+    assert float(np.linalg.norm(w)) > 1.0
+    # The sampling family of two vectors is no frame for C^d, so no
+    # recovery can see the source that the data misses.
     assert not FrameAnalysis(g).bounds.is_frame()
-
-
-def test_nullifier_input_validation():
-    A, w = _nullifier_inputs(1)
-    with pytest.raises(ValueError, match="diagonal"):
-        counterexample_nullifier(np.full((4, 4), 0.2), w, 1)
-    with pytest.raises(ValueError, match="inside"):
-        counterexample_nullifier(np.diag([0.1, 0.4, 0.7, 1.0]), w, 1)
-    with pytest.raises(ValueError, match="distinct"):
-        counterexample_nullifier(np.diag([0.2, 0.2, 0.5, 0.7]), w, 1)
-    with pytest.raises(ValueError, match="nonzero"):
-        w0 = w.copy()
-        w0[2] = 0.0
-        counterexample_nullifier(A, w0, 1)
-    with pytest.raises(ValueError, match="shape"):
-        counterexample_nullifier(A, w, 2)

@@ -47,11 +47,11 @@ def test_build_is_deterministic(scenario_id):
 
 
 def test_counterexample_maximum_K_is_where_float_nullifier_holds():
-    assert MAX_K == {"thm314_counterexample": 4}
-    report, failures = run_scenario(build("thm314_counterexample", PARAMS, 4))
+    assert MAX_K == {"thm314_counterexample": 8}
+    report, failures = run_scenario(build("thm314_counterexample", PARAMS, 8))
     assert failures == []
-    for K in (5, 8):
-        with pytest.raises(ValueError, match=f"needs K <= 4, got K = {K}"):
+    for K in (9, 12):
+        with pytest.raises(ValueError, match=f"needs K <= 8, got K = {K}"):
             build("thm314_counterexample", PARAMS, K)
 
 
@@ -154,6 +154,13 @@ def test_run_scenario_reports_expectation_mismatch():
     )
     _, failures = run_scenario(bundle)
     assert any("bounds" in f for f in failures)
+
+    # thm314 is judged on the data it simulates: a nudged initial state
+    # leaves samples of 2.9e-7.
+    bundle = build("thm314_counterexample", PARAMS, 3)
+    bundle.spec = dataclasses.replace(bundle.spec, x0=bundle.spec.x0 + 1e-6)
+    _, failures = run_scenario(bundle)
+    assert failures == ["nullified sample of size 2.894e-07 exceeds 1e-8"]
 
 
 def test_scenarios_work_for_other_lattice_parameters():
