@@ -26,10 +26,9 @@ from .dynamics import (
     SystemSpec,
     bs_membership,
     data_matrix,
-    data_matrix_to_csv,
     simulate,
     sup_row_norm,
-    trajectory_to_csv,
+    window_to_csv,
 )
 from .frames import FrameAnalysis, NotAFrameError, VectorFamily
 from .lattice import LambdaIndex, SpectralParams
@@ -317,20 +316,6 @@ def _convert(text: str, jobs: list[_Member], dim: int) -> bytes:
     )
 
 
-def _convert_own(members: list[_Member], dim: int) -> None:
-    """Parse this process's array fields while the child still works.
-
-    A field that fails to parse keeps its decoded value, so that
-    parse_config meets the error in its own order of checks.
-    """
-    for m in members:
-        if m.key in _CONVERTERS:
-            try:
-                m.value = _Converted(_CONVERTERS[m.key](m.value, dim))
-            except ValueError:
-                pass
-
-
 def _split(members: list[_Member]) -> tuple[list[_Member], list[_Member]]:
     """The array members as (the child's share, this process's share).
 
@@ -359,7 +344,7 @@ def _decode_split(text: str) -> dict | None:
     None unless the walk follows the whole object, ``dim`` is a positive
     integer, a child starts (see :meth:`nuds._fork.Child.start`; the
     floor is ``FORK_MIN_CONFIG_CHARS``), every array ends where the walk
-    expects, and the child parses every field it took.
+    expects, and both processes parse every field they took.
     """
     try:
         members = _walk(text)
@@ -379,7 +364,12 @@ def _decode_split(text: str) -> dict | None:
         )
         if child.pid is None or not _decode_arrays(text, mine):
             return None
-        _convert_own(mine, dim)
+        try:
+            for m in mine:
+                if m.key in _CONVERTERS:
+                    m.value = _Converted(_CONVERTERS[m.key](m.value, dim))
+        except ValueError:
+            return None
         data = child.collect()
     if data is None:
         return None
@@ -560,8 +550,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     traj_path = out / "trajectory.csv"
     dm_path = out / "data_matrix.csv"
-    trajectory_to_csv(traj, spec.params, traj_path)
-    data_matrix_to_csv(D, spec.params, dm_path)
+    window_to_csv(traj, spec.params, traj_path)
+    window_to_csv(D, spec.params, dm_path)
     print(f"wrote {traj_path} and {dm_path} ({traj.values.shape[0]} window rows)")
     return EXIT_OK
 
@@ -606,8 +596,8 @@ def cmd_check(args) -> int:
     )
     # The stationary map computes the spectral radius before anything
     # else, so only a refused map leaves it to be computed here.  Its
-    # adjoint family is the subspace family {P_W (I - A*)^-1 g_j}, so one
-    # analysis gives both rows.
+    # adjoint family S* g_j = X* g_j, X = (I - A)^-1 B, is the subspace
+    # family {P_W (I - A*)^-1 g_j}, so one analysis gives both rows.
     try:
         smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
     except ConditionFailure as exc:
@@ -644,7 +634,7 @@ def cmd_check(args) -> int:
 
 def cmd_demo(args) -> int:
     scenario_id = args.scenario
-    K = args.K if args.K is not None else DEFAULT_K.get(scenario_id, 3)
+    K = args.K if args.K is not None else DEFAULT_K.get(scenario_id)
     params = SpectralParams(N=args.N, r=args.r)
     tol = DEFAULTS.with_overrides(_parse_tol_flags(args.tol_override))
     bundle = build(scenario_id, params, K, tol=tol)

@@ -245,8 +245,8 @@ def _row_blocks(labels: list[str], values: np.ndarray) -> Iterator[bytes]:
         ]).encode()
 
 
-def _write_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
-    """Write ``lambda,j,re,im`` lines in window order, one row block at a time.
+def window_to_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
+    """Write a trajectory or a data matrix as ``lambda,j,re,im`` lines in window order.
 
     The rows split into a front and a back half.  Where a child pays (see
     :meth:`nuds._fork.Child.start`; the floor is ``FORK_MIN_ENTRIES``), a
@@ -270,12 +270,3 @@ def _write_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
         else:
             fh.write(data)
 
-
-def data_matrix_to_csv(D: LatticeWindow, params: SpectralParams, path) -> None:
-    """Write rows as ``lambda,j,re,im`` in window order."""
-    _write_csv(D, params, path)
-
-
-def trajectory_to_csv(traj: LatticeWindow, params: SpectralParams, path) -> None:
-    """Write state coordinates as ``lambda,j,re,im`` in window order."""
-    _write_csv(traj, params, path)

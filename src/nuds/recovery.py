@@ -24,6 +24,8 @@ The subspace condition on {P_W (I - A*)^-1 g_j} is necessary for
 finite-window recovery but not sufficient: the nullifier, one
 least-squares solve, gives an initial state from which every windowed
 sample vanishes for a nonzero source, even while that condition holds.
+The two conditions judge one family, from one solve: with X = (I - A)^-1 B
+for the orthonormal basis B of W, S* g_j = B* (I - A*)^-1 g_j = X* g_j.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ def reconstruct_finite(
     return synthesis(D.row(successor(at)) - analysis(linalg.as_matrix(A) @ u, g), gdual)
 
 
+def _resolvent_family(
+    A: Mat, g: VectorFamily, B: Mat, tol: Tolerances
+) -> tuple[Mat, VectorFamily]:
+    """X = (I - A)^-1 B and the family {X* g_j} in W-coordinates, by one LU solve."""
+    X = linalg.solve(np.eye(A.shape[0], dtype=complex) - A, B, tol=tol)
+    return X, VectorFamily(vectors=g.vectors @ X.conj())
+
+
 def subspace_condition(
     A: Mat, g: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
 ) -> FrameBounds:
@@ -73,24 +83,20 @@ def subspace_condition(
     This is a necessary condition for recovering sources in W from
     windowed data; it is NOT sufficient (see
     :func:`counterexample_nullifier`).  The family is the adjoint family
-    of :func:`stationary_map_from_A`, which builds it by the same solve.
+    S* g_j = X* g_j of :func:`stationary_map_from_A`, by the same solve.
 
     Raises:
         NumericalError: when 1 is in the spectrum of A (resolvent fails).
     """
     A = linalg.as_matrix(A)
-    B = linalg.as_matrix(W_basis)
-    eye = np.eye(A.shape[0], dtype=complex)
     try:
-        # Columns of Z solve (I - A*) z_j = g_j.
-        Z = linalg.solve(eye - A.conj().T, g.vectors.T, tol=tol)
+        _, family = _resolvent_family(A, g, linalg.as_matrix(W_basis), tol)
     except SingularMatrixError as exc:
         raise NumericalError(
             f"subspace condition unavailable: 1 is in the spectrum of A "
-            f"(I - A* is singular at pivot {exc.pivot_index})"
+            f"(I - A is singular at pivot {exc.pivot_index})"
         ) from exc
-    in_w_coords = Z.T @ B.conj()
-    return FrameAnalysis(VectorFamily(vectors=in_w_coords), tol=tol).bounds
+    return FrameAnalysis(family, tol=tol).bounds
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,8 @@ def stationary_map_from_A(
     """Stationary map of the linear dynamics when the spectral radius is < 1.
 
     In that regime both orbits converge to (I - A)^-1 w from any initial
-    states, so S = (I - A)^-1 restricted to W and S* = P_W (I - A*)^-1.
+    states.  One LU solve gives S = X = (I - A)^-1 W_basis in W-coordinates
+    and its adjoint family S* g_j = P_W (I - A*)^-1 g_j = X* g_j.
 
     Raises:
         ConditionFailure: when rho(A) >= 1 - tol.RHO_MARGIN, naming the radius.
@@ -136,15 +143,8 @@ def stationary_map_from_A(
             f"stationary map requires spectral radius below 1: rho(A) = {rho:.6g} "
             f"(margin {tol.RHO_MARGIN:.1e})"
         )
-    eye = np.eye(A.shape[0], dtype=complex)
-    apply = linalg.solve(eye - A, B, tol=tol)
-    adjoint = linalg.solve(eye - A.conj().T, g.vectors.T, tol=tol).T @ B.conj()
-    return StationaryMap(
-        apply=apply,
-        adjoint_family=VectorFamily(vectors=adjoint),
-        W_basis=B,
-        rho=rho,
-    )
+    apply, adjoint = _resolvent_family(A, g, B, tol)
+    return StationaryMap(apply=apply, adjoint_family=adjoint, W_basis=B, rho=rho)
 
 
 def _convergent_limit(D: LatticeWindow, tol: Tolerances) -> TailLimit:

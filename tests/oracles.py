@@ -8,8 +8,9 @@ canonical dual by an LU solve instead of the eigendecomposition of the
 frame operator, the exact dual-pair residual, the min-norm gap of a
 coefficient vector,
 finite-step recovery through the coupling coefficients instead of
-re-analyzing the synthesized state, and the text of a JSON output from
-the stdlib's own indented encoder.
+re-analyzing the synthesized state, the subspace family by a solve with
+I - A* instead of reading it off the solve with I - A, and the text of a
+JSON output from the stdlib's own indented encoder.
 """
 
 from __future__ import annotations
@@ -250,6 +251,22 @@ def reconstruct_finite_coupling(
     row_next = D.row(successor(at))
     propagated = row_at @ coupling.entries.conj()
     return synthesis(row_next - propagated, gdual)
+
+
+def subspace_family_by_adjoint_solve(
+    A: Mat, g: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
+) -> VectorFamily:
+    """{P_W (I - A*)^-1 g_j} in W-coordinates, by a solve with I - A*.
+
+    Columns of Z solve (I - A*) z_j = g_j, and row j of the family is
+    z_j^T conj(B) = (B* z_j)^T.  ``nuds.recovery`` reads the same family
+    off its solve X = (I - A)^-1 B instead, as S* g_j = X* g_j.
+    """
+    A = linalg.as_matrix(A)
+    B = linalg.as_matrix(W_basis)
+    eye = np.eye(A.shape[0], dtype=complex)
+    Z = linalg.solve(eye - A.conj().T, g.vectors.T, tol=tol)
+    return VectorFamily(vectors=Z.T @ B.conj())
 
 
 # --- output -------------------------------------------------------------------

@@ -465,7 +465,7 @@ def test_demo_emits_the_tolerances_in_effect(tmp_path):
 
 
 def test_check_passes_tolerances_to_subspace_condition(tmp_path, capsys):
-    # I - A* = diag(-0.5, ..., -7.5): its smallest pivot is 1/15 of the
+    # I - A = diag(-0.5, ..., -7.5): its smallest pivot is 1/15 of the
     # largest, so PIVOT_TOL = 0.1 makes the resolvent singular.
     doc = _config_doc()
     doc["A"] = {"generator": "diag", "entries": [[1.5 + i, 0.0] for i in range(8)]}

@@ -12,11 +12,10 @@ from nuds.dynamics import (
     SystemSpec,
     bs_membership,
     data_matrix,
-    data_matrix_to_csv,
     simulate,
     stationary_deviation,
     sup_row_norm,
-    trajectory_to_csv,
+    window_to_csv,
 )
 from nuds.frames import FrameAnalysis, VectorFamily, analysis
 from nuds.lattice import (
@@ -250,8 +249,8 @@ def test_csv_exports(tmp_path):
 
     tpath = tmp_path / "traj.csv"
     dpath = tmp_path / "data.csv"
-    trajectory_to_csv(traj, spec.params, tpath)
-    data_matrix_to_csv(D, spec.params, dpath)
+    window_to_csv(traj, spec.params, tpath)
+    window_to_csv(D, spec.params, dpath)
 
     with open(tpath, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -294,10 +293,10 @@ def _extreme_window(shape, seed=17):
     return LatticeWindow(values)
 
 
-def _assert_matches_reference(tmp_path, write, rows):
+def _assert_matches_reference(tmp_path, rows):
     params = SpectralParams(N=3, r=5)
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    write(rows, params, out)
+    window_to_csv(rows, params, out)
     _csv_module_reference(rows, params, ref)
     data = out.read_bytes()
     assert data == ref.read_bytes()
@@ -307,9 +306,8 @@ def _assert_matches_reference(tmp_path, write, rows):
     assert data.endswith(f",{rows.values.shape[1] - 1},-0.0,1e-300\r\n".encode())
 
 
-@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
-def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path, write):
-    _assert_matches_reference(tmp_path, write, _extreme_window((12, 11)))  # K = 3
+def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path):
+    _assert_matches_reference(tmp_path, _extreme_window((12, 11)))  # K = 3
 
 
 # A K = 3 window just above the size floor, so that its back half is
@@ -348,11 +346,10 @@ def exit_codes(monkeypatch):
     return codes
 
 
-@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
-def test_two_process_writer_matches_csv_module(tmp_path, forks, exit_codes, write):
+def test_two_process_writer_matches_csv_module(tmp_path, forks, exit_codes):
     rows = _extreme_window(LARGE)
     assert rows.values.size >= FORK_MIN_ENTRIES
-    _assert_matches_reference(tmp_path, write, rows)
+    _assert_matches_reference(tmp_path, rows)
     assert len(forks) == 1 and exit_codes == [0]
 
 
@@ -365,7 +362,7 @@ def test_writer_falls_back_when_fork_fails(tmp_path, monkeypatch):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", refuse)
-    _assert_matches_reference(tmp_path, data_matrix_to_csv, _extreme_window(LARGE))
+    _assert_matches_reference(tmp_path, _extreme_window(LARGE))
     assert calls == [1]
 
 
@@ -379,7 +376,7 @@ def test_writer_falls_back_when_the_child_fails(tmp_path, monkeypatch, forks, ex
             yield block
 
     monkeypatch.setattr(dynamics, "_row_blocks", blocks_failing_in_child)
-    _assert_matches_reference(tmp_path, data_matrix_to_csv, _extreme_window(LARGE))
+    _assert_matches_reference(tmp_path, _extreme_window(LARGE))
     assert len(forks) == 1 and exit_codes == [1]
 
 
@@ -395,7 +392,7 @@ def test_writer_reaps_the_child_when_the_parent_fails(tmp_path, monkeypatch, for
 
     monkeypatch.setattr(dynamics, "_row_blocks", blocks_failing_in_parent)
     with pytest.raises(interrupt):
-        data_matrix_to_csv(_extreme_window(LARGE), SpectralParams(N=3, r=5), tmp_path / "x.csv")
+        window_to_csv(_extreme_window(LARGE), SpectralParams(N=3, r=5), tmp_path / "x.csv")
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -416,6 +413,6 @@ def test_writer_does_not_fork_where_it_cannot_pay(tmp_path, monkeypatch, cpus, s
     rows = _extreme_window(shape)
     params = SpectralParams(N=3, r=5)
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    data_matrix_to_csv(rows, params, out)
+    window_to_csv(rows, params, out)
     _csv_module_reference(rows, params, ref)
     assert out.read_bytes() == ref.read_bytes()

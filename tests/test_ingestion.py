@@ -190,7 +190,7 @@ def _with_nulls(doc, keys):
 
 @pytest.mark.parametrize("side", ["child", "parent", "both"])
 def test_a_null_in_a_pair_gives_the_serial_message(
-    tmp_path, capsys, doc, texts, forks, side
+    tmp_path, capsys, monkeypatch, doc, texts, forks, side
 ):
     theirs, mine = _shares(texts["compact"])
     # The first error in parse order is the one reported.  With both
@@ -202,8 +202,17 @@ def test_a_null_in_a_pair_gives_the_serial_message(
     path = _write(tmp_path, _text(_with_nulls(doc, keys[side]).items()))
     code, err = _serial_outcome(path)
     assert err.startswith(f"config error: {keys[side][0]}: ")
+    # A field that either process cannot parse sends the whole text down
+    # the serial path: one json.load, whichever side holds the field.
+    real_load, loads = json.load, []
+
+    def counted_load(fh, *args, **kwargs):
+        loads.append(fh)
+        return real_load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted_load)
     assert _outcome(path, capsys) == (code, err)
-    assert len(forks) == 1
+    assert len(forks) == 1 and len(loads) == 1
 
 
 def test_refused_fork_gives_the_serial_result(tmp_path, monkeypatch, texts):

@@ -5,9 +5,10 @@ and ``lu_factor`` (see the ``lapack_calls`` fixture).  Each frame operator
 is eigendecomposed once, and that one decomposition gives both its bounds
 and its canonical dual.  ``demo`` runs each recovery once and reads every
 measured number from the recovery that computed it, and the spectral
-radius from the stationary map when there is one.  The stationary map's
-adjoint family is the subspace family, so neither ``demo`` nor ``check``
-builds that family a second time.
+radius from the stationary map when there is one.  The stationary map
+makes one LU factorization, of I - A: its solve X = (I - A)^-1 B gives
+the map and its adjoint family S* g_j = X* g_j, which is also the
+subspace family, so neither ``demo`` nor ``check`` factors I - A*.
 """
 
 import pytest
@@ -19,16 +20,16 @@ from nuds.scenarios import SCENARIO_IDS
 # (eigh, eigvals, lu_factor) per demo at the default K, build included.
 DEMO_CALLS = {
     "thm312_diagonal": (1, 1, 0),
-    "thm38_onb": (2, 1, 2),
-    "thm314_counterexample": (2, 1, 2),
+    "thm38_onb": (2, 1, 1),
+    "thm314_counterexample": (2, 1, 1),
     "thm317_generalized": (2, 1, 0),
-    "thm319_quarter": (2, 1, 2),
+    "thm319_quarter": (2, 1, 1),
 }
 
 # recover: one analysis of the recovering family (the sampling family, or
 # the adjoint family in infinite mode) and one spectral radius; the
-# stationary map adds two LU solves in infinite mode.
-RECOVER_CALLS = {"finite": (1, 1, 0), "infinite": (1, 1, 2)}
+# stationary map adds one LU solve in infinite mode.
+RECOVER_CALLS = {"finite": (1, 1, 0), "infinite": (1, 1, 1)}
 
 
 def _triple(counts):
@@ -70,11 +71,11 @@ def test_recover_factorizations_match_the_benchmark_pin(tmp_path, lapack_calls, 
 
 def test_check_builds_the_subspace_family_once(tmp_path, lapack_calls):
     # The sampling and adjoint families are analysed once each; the map
-    # makes the radius and two LU solves.
+    # makes the radius and one LU solve.
     config = _quarter_config(tmp_path)
     lapack_calls.clear()
     assert main(["check", config]) == 0
-    assert _triple(lapack_calls) == (2, 1, 2)
+    assert _triple(lapack_calls) == (2, 1, 1)
 
 
 def test_simulate_factorizes_nothing(tmp_path, lapack_calls):
