@@ -26,9 +26,10 @@ from .dynamics import (
     SystemSpec,
     bs_membership,
     data_matrix,
+    data_matrix_to_csv,
     simulate,
     sup_row_norm,
-    window_to_csv,
+    trajectory_to_csv,
 )
 from .frames import FrameAnalysis, NotAFrameError, VectorFamily
 from .lattice import LambdaIndex, SpectralParams
@@ -550,8 +551,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     traj_path = out / "trajectory.csv"
     dm_path = out / "data_matrix.csv"
-    window_to_csv(traj, spec.params, traj_path)
-    window_to_csv(D, spec.params, dm_path)
+    trajectory_to_csv(traj, spec.params, traj_path)
+    data_matrix_to_csv(D, spec.params, dm_path)
     print(f"wrote {traj_path} and {dm_path} ({traj.values.shape[0]} window rows)")
     return EXIT_OK
 

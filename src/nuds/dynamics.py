@@ -270,3 +270,12 @@ def window_to_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
         else:
             fh.write(data)
 
+
+def data_matrix_to_csv(D: LatticeWindow, params: SpectralParams, path) -> None:
+    """Write rows as ``lambda,j,re,im`` in window order."""
+    window_to_csv(D, params, path)
+
+
+def trajectory_to_csv(traj: LatticeWindow, params: SpectralParams, path) -> None:
+    """Write state coordinates as ``lambda,j,re,im`` in window order."""
+    window_to_csv(traj, params, path)

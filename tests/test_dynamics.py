@@ -12,9 +12,11 @@ from nuds.dynamics import (
     SystemSpec,
     bs_membership,
     data_matrix,
+    data_matrix_to_csv,
     simulate,
     stationary_deviation,
     sup_row_norm,
+    trajectory_to_csv,
     window_to_csv,
 )
 from nuds.frames import FrameAnalysis, VectorFamily, analysis
@@ -249,8 +251,8 @@ def test_csv_exports(tmp_path):
 
     tpath = tmp_path / "traj.csv"
     dpath = tmp_path / "data.csv"
-    window_to_csv(traj, spec.params, tpath)
-    window_to_csv(D, spec.params, dpath)
+    trajectory_to_csv(traj, spec.params, tpath)
+    data_matrix_to_csv(D, spec.params, dpath)
 
     with open(tpath, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -293,10 +295,10 @@ def _extreme_window(shape, seed=17):
     return LatticeWindow(values)
 
 
-def _assert_matches_reference(tmp_path, rows):
+def _assert_matches_reference(tmp_path, rows, write=window_to_csv):
     params = SpectralParams(N=3, r=5)
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    window_to_csv(rows, params, out)
+    write(rows, params, out)
     _csv_module_reference(rows, params, ref)
     data = out.read_bytes()
     assert data == ref.read_bytes()
@@ -306,8 +308,9 @@ def _assert_matches_reference(tmp_path, rows):
     assert data.endswith(f",{rows.values.shape[1] - 1},-0.0,1e-300\r\n".encode())
 
 
-def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path):
-    _assert_matches_reference(tmp_path, _extreme_window((12, 11)))  # K = 3
+@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
+def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path, write):
+    _assert_matches_reference(tmp_path, _extreme_window((12, 11)), write)  # K = 3
 
 
 # A K = 3 window just above the size floor, so that its back half is
@@ -346,10 +349,11 @@ def exit_codes(monkeypatch):
     return codes
 
 
-def test_two_process_writer_matches_csv_module(tmp_path, forks, exit_codes):
+@pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
+def test_two_process_writer_matches_csv_module(tmp_path, forks, exit_codes, write):
     rows = _extreme_window(LARGE)
     assert rows.values.size >= FORK_MIN_ENTRIES
-    _assert_matches_reference(tmp_path, rows)
+    _assert_matches_reference(tmp_path, rows, write)
     assert len(forks) == 1 and exit_codes == [0]
 
 
