@@ -38,10 +38,11 @@ from .recovery import (
     ConditionFailure,
     finite_recovery_report,
     reconstruct_infinite,
+    require_radius_below_one,
     stationary_map_from_A,
     subspace_condition,
 )
-from .scenarios import DEFAULT_K, build, run_scenario
+from .scenarios import build, run_scenario
 from .tolerances import DEFAULTS, Tolerances
 
 EXIT_OK = 0
@@ -140,7 +141,7 @@ def parse_config(
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     schema = doc.get("schema", 1)
-    if schema != 1:
+    if schema != 1 or isinstance(schema, bool):
         raise ValueError(f"config schema version must be 1, got {schema!r}")
     params_doc = _require(doc, "params")
     params = SpectralParams(
@@ -296,25 +297,25 @@ def _walk(text: str) -> list[_Member] | None:
     return members
 
 
-def _decode_arrays(text: str, members: list[_Member]) -> bool:
-    """Decode each member's array in place; False if one is invalid or ends elsewhere."""
-    try:
-        for member in members:
-            member.value, end = _scan(text, member.start)
-            if end != member.end:
-                return False
-    except (StopIteration, ValueError, RecursionError):
-        return False
-    return True
+def _parse_share(text: str, share: list[_Member], dim: int) -> list:
+    """The values of ``share``'s array members, in order.
 
-
-def _convert(text: str, jobs: list[_Member], dim: int) -> bytes:
-    """A child's job: decode and parse its array fields, pickled in order."""
-    if not _decode_arrays(text, jobs):
-        raise ValueError("an array is invalid or does not end where the walk expects")
-    return pickle.dumps(
-        [_CONVERTERS[m.key](m.value, dim) for m in jobs], protocol=pickle.HIGHEST_PROTOCOL
-    )
+    Each array is decoded at its offset and must end where the walk
+    expects.  A key of ``_CONVERTERS`` is then parsed as parse_config
+    parses it and marked ``_Converted``; any other key keeps the decoded
+    array.  Raises ``ValueError`` on any failure.
+    """
+    values = []
+    for m in share:
+        try:
+            raw, end = _scan(text, m.start)
+        except RecursionError:
+            raise ValueError(f"{m.key} nests too deeply") from None
+        if end != m.end:
+            raise ValueError(f"{m.key} does not end where the walk expects")
+        parse = _CONVERTERS.get(m.key)
+        values.append(raw if parse is None else _Converted(parse(raw, dim)))
+    return values
 
 
 def _split(members: list[_Member]) -> tuple[list[_Member], list[_Member]]:
@@ -359,23 +360,23 @@ def _decode_split(text: str) -> dict | None:
     theirs, mine = _split(members)
     with Child() as child:
         child.start(
-            lambda: _convert(text, theirs, dim),
+            lambda: pickle.dumps(
+                _parse_share(text, theirs, dim), protocol=pickle.HIGHEST_PROTOCOL
+            ),
             sum(m.size for m in theirs),
             FORK_MIN_CONFIG_CHARS,
         )
-        if child.pid is None or not _decode_arrays(text, mine):
+        if child.pid is None:
             return None
         try:
-            for m in mine:
-                if m.key in _CONVERTERS:
-                    m.value = _Converted(_CONVERTERS[m.key](m.value, dim))
+            values = _parse_share(text, mine, dim)
         except ValueError:
             return None
         data = child.collect()
     if data is None:
         return None
-    for member, value in zip(theirs, pickle.loads(data)):
-        member.value = _Converted(value)
+    for member, value in zip(theirs + mine, pickle.loads(data) + values):
+        member.value = value
     return {m.key: m.value for m in members}
 
 
@@ -586,47 +587,37 @@ def cmd_recover(args) -> int:
 
 def cmd_check(args) -> int:
     spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    rows: list[tuple[str, str]] = []
     cert = FrameAnalysis(spec.g, tol=tol).bounds
-    rows.append(
+    # The subspace family {P_W (I - A*)^-1 g_j} is the stationary map's
+    # adjoint family S* g_j = X* g_j, X = (I - A)^-1 B, so one analysis
+    # gives both rows; the adjoint row also needs the map's radius.
+    rho = linalg.spectral_radius(spec.A)
+    try:
+        sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
+    except NumericalError as exc:
+        subspace_row = adjoint_row = f"unavailable: {exc}"
+    else:
+        subspace_row = f"alpha={sub.alpha:.8g} beta={sub.beta:.8g}"
+        adjoint_row = f"{subspace_row} frame={'yes' if sub.is_frame(tol=tol) else 'no'}"
+    try:
+        require_radius_below_one(rho, tol=tol)
+    except ConditionFailure as exc:
+        adjoint_row = f"unavailable: {exc}"
+    lim = bs_membership(data_matrix(simulate(spec), spec.g), tol=tol)
+    rows = [
         (
             "sampling family bounds",
             f"alpha={cert.alpha:.8g} beta={cert.beta:.8g} "
             f"frame={'yes' if cert.is_frame(tol=tol) else 'no'}",
-        )
-    )
-    # The stationary map computes the spectral radius before anything
-    # else, so only a refused map leaves it to be computed here.  Its
-    # adjoint family S* g_j = X* g_j, X = (I - A)^-1 B, is the subspace
-    # family {P_W (I - A*)^-1 g_j}, so one analysis gives both rows.
-    try:
-        smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
-    except ConditionFailure as exc:
-        rho = linalg.spectral_radius(spec.A)
-        adjoint_row = f"unavailable: {exc}"
-        try:
-            sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
-        except NumericalError as err:
-            subspace_row = f"unavailable: {err}"
-        else:
-            subspace_row = f"alpha={sub.alpha:.8g} beta={sub.beta:.8g}"
-    else:
-        rho = smap.rho
-        adj = FrameAnalysis(smap.adjoint_family, tol=tol).bounds
-        subspace_row = f"alpha={adj.alpha:.8g} beta={adj.beta:.8g}"
-        adjoint_row = f"{subspace_row} frame={'yes' if adj.is_frame(tol=tol) else 'no'}"
-    rows.append(("subspace condition bounds (necessary only)", subspace_row))
-    rows.append(("spectral radius", f"{rho:.8g}"))
-    rows.append(("adjoint family bounds on W", adjoint_row))
-    traj = simulate(spec)
-    D = data_matrix(traj, spec.g)
-    lim = bs_membership(D, tol=tol)
-    rows.append(
+        ),
+        ("subspace condition bounds (necessary only)", subspace_row),
+        ("spectral radius", f"{rho:.8g}"),
+        ("adjoint family bounds on W", adjoint_row),
         (
             "row-convergence tail gap",
             f"{lim.tail_gap:.3e} ({'convergent' if lim.member else 'not convergent'})",
-        )
-    )
+        ),
+    ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name.ljust(width)}  {value}")
@@ -635,10 +626,9 @@ def cmd_check(args) -> int:
 
 def cmd_demo(args) -> int:
     scenario_id = args.scenario
-    K = args.K if args.K is not None else DEFAULT_K.get(scenario_id)
     params = SpectralParams(N=args.N, r=args.r)
     tol = DEFAULTS.with_overrides(_parse_tol_flags(args.tol_override))
-    bundle = build(scenario_id, params, K, tol=tol)
+    bundle = build(scenario_id, params, args.K, tol=tol)
     report, failures = run_scenario(bundle, tol=tol)
     out = _out_dir(args)
     report_path = out / f"{scenario_id}_report.json"
@@ -654,7 +644,7 @@ def cmd_demo(args) -> int:
         for line in failures:
             print(f"expectation failed: {line}", file=sys.stderr)
         return EXIT_EXPECTATION
-    print(f"scenario {scenario_id} (K={K}): all expectations met")
+    print(f"scenario {scenario_id} (K={bundle.spec.K}): all expectations met")
     return EXIT_OK
 
 

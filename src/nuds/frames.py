@@ -74,9 +74,12 @@ class FrameBounds:
 def frame_operator(F: VectorFamily) -> Mat:
     """The rank-one sum Theta = sum_k f_k f_k* (Hermitian PSD)."""
     V = F.vectors
-    theta = V.T @ V.conj()
-    # Symmetrize away the last-bit asymmetry of the accumulation.
-    return (theta + theta.conj().T) / 2.0
+    # Vectors too large for float arithmetic give a non-finite Theta, which
+    # linalg.hermitian_eigs rejects; numpy's warning would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = V.T @ V.conj()
+        # Symmetrize away the last-bit asymmetry of the accumulation.
+        return (theta + theta.conj().T) / 2.0
 
 
 class FrameAnalysis:

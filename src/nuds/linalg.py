@@ -63,21 +63,26 @@ def hermitian_eigs(M: Mat, *, tol: Tolerances = DEFAULTS) -> tuple[np.ndarray, M
     the matching eigenvectors as columns.  Rejects inputs farther than
     ``tol.HERM_TOL`` (relative) from their own conjugate transpose, and
     checks that the decomposition reproduces the matrix to
-    ``tol.EIG_TOL`` (relative).
+    ``tol.EIG_TOL`` (relative).  A matrix with a non-finite entry raises
+    :class:`NumericalError` before either check.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericalError(
+            "matrix to eigendecompose has non-finite entries: it overflowed or holds NaN"
+        )
     scale = max(1.0, float(np.linalg.norm(M)))
     asym = float(np.linalg.norm(M - M.conj().T))
-    if asym > tol.HERM_TOL * scale:
+    if not asym <= tol.HERM_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: ||M - M*|| = {asym:.3e} exceeds "
             f"{tol.HERM_TOL:.1e} * scale"
         )
     vals, vecs = np.linalg.eigh(M)
     resid = float(np.linalg.norm((vecs * vals) @ vecs.conj().T - M))
-    if resid > tol.EIG_TOL * scale:
+    if not resid <= tol.EIG_TOL * scale:
         raise NumericalError(
             f"eigendecomposition residual {resid:.3e} exceeds {tol.EIG_TOL:.1e} * scale"
         )
@@ -126,7 +131,7 @@ def require_solution(M: Mat, x: np.ndarray, b: np.ndarray, *, tol: Tolerances) -
     bound = tol.SOLVE_TOL * (
         float(np.linalg.norm(M)) * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
     )
-    if resid > bound:
+    if not resid <= bound:
         raise NumericalError(
             f"solve residual {resid:.3e} exceeds tolerance bound {bound:.3e}"
         )

@@ -26,6 +26,8 @@ least-squares solve, gives an initial state from which every windowed
 sample vanishes for a nonzero source, even while that condition holds.
 The two conditions judge one family, from one solve: with X = (I - A)^-1 B
 for the orthonormal basis B of W, S* g_j = B* (I - A*)^-1 g_j = X* g_j.
+The family needs only I - A to be invertible; the map also needs
+rho(A) < 1 (:func:`require_radius_below_one`).
 """
 
 from __future__ import annotations
@@ -83,10 +85,12 @@ def subspace_condition(
     This is a necessary condition for recovering sources in W from
     windowed data; it is NOT sufficient (see
     :func:`counterexample_nullifier`).  The family is the adjoint family
-    S* g_j = X* g_j of :func:`stationary_map_from_A`, by the same solve.
+    S* g_j = X* g_j of :func:`stationary_map_from_A`, by the same solve,
+    but it needs only I - A to be invertible, not rho(A) < 1.
 
     Raises:
-        NumericalError: when 1 is in the spectrum of A (resolvent fails).
+        NumericalError: when 1 is in the spectrum of A (resolvent fails),
+            or a kernel misses its accuracy contract.
     """
     A = linalg.as_matrix(A)
     try:
@@ -123,6 +127,15 @@ class StationaryMap:
         return self.apply @ (self.W_basis.conj().T @ w)
 
 
+def require_radius_below_one(rho: float, *, tol: Tolerances) -> None:
+    """Raise ConditionFailure unless rho < 1 - tol.RHO_MARGIN, as the stationary map needs."""
+    if not rho < 1.0 - tol.RHO_MARGIN:
+        raise ConditionFailure(
+            f"stationary map requires spectral radius below 1: rho(A) = {rho:.6g} "
+            f"(margin {tol.RHO_MARGIN:.1e})"
+        )
+
+
 def stationary_map_from_A(
     A: Mat, g: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
 ) -> StationaryMap:
@@ -138,11 +151,7 @@ def stationary_map_from_A(
     A = linalg.as_matrix(A)
     B = linalg.as_matrix(W_basis)
     rho = linalg.spectral_radius(A)
-    if rho >= 1.0 - tol.RHO_MARGIN:
-        raise ConditionFailure(
-            f"stationary map requires spectral radius below 1: rho(A) = {rho:.6g} "
-            f"(margin {tol.RHO_MARGIN:.1e})"
-        )
+    require_radius_below_one(rho, tol=tol)
     apply, adjoint = _resolvent_family(A, g, B, tol)
     return StationaryMap(apply=apply, adjoint_family=adjoint, W_basis=B, rho=rho)
 

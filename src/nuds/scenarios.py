@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,42 +61,6 @@ from .recovery import (
 )
 from .tolerances import DEFAULTS, Tolerances
 
-SCENARIO_IDS = (
-    "thm312_diagonal",
-    "thm38_onb",
-    "thm314_counterexample",
-    "thm317_generalized",
-    "thm319_quarter",
-)
-
-DEFAULT_K = {
-    "thm312_diagonal": 4,
-    "thm38_onb": 3,
-    "thm314_counterexample": 3,
-    "thm317_generalized": 5,
-    "thm319_quarter": 20,
-}
-
-# Smallest window each scenario runs on: the finite cases at 0 and r/N
-# read the row at 2, which the window holds from K = 2 on (thm314 runs no
-# finite recovery).  thm319 may need more; see min_K.
-MIN_K = {
-    "thm312_diagonal": 2,
-    "thm38_onb": 2,
-    "thm314_counterexample": 1,
-    "thm317_generalized": 2,
-    "thm319_quarter": 2,
-}
-
-# Largest window each scenario runs on in floating point; scenarios not
-# named have none.  The thm314 nullifier is a least-squares witness whose
-# rows g* A^n decay like 0.1^n to 0.9^n over n < 2K, so its conditioning
-# grows exponentially in K: its largest simulated sample is 1e-15 at
-# K = 2, 9.3e-10 at K = 8 and 3.0e-7, above ORACLE_TOL, at K = 9.
-MAX_K = {
-    "thm314_counterexample": 8,
-}
-
 # The points finite recovery starts from, one on each branch of the lattice.
 FINITE_CASES = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
 
@@ -126,17 +91,6 @@ class ScenarioExpectations:
     bounds_of: str  # which family the bounds describe: sampling|adjoint|subspace
     expected_rho: float
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "should_recover_finite": self.should_recover_finite,
-            "should_recover_infinite": self.should_recover_infinite,
-            "expected_bounds": [self.expected_bounds[0], self.expected_bounds[1]],
-            "bounds_of": self.bounds_of,
-            "expected_rho": self.expected_rho,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass
 class ScenarioBundle:
@@ -370,12 +324,29 @@ def _build_thm319_quarter(
     return ScenarioBundle("thm319_quarter", spec, expectations, smap=smap)
 
 
-_BUILDERS = {
-    "thm312_diagonal": _build_thm312_diagonal,
-    "thm38_onb": _build_thm38_onb,
-    "thm314_counterexample": _build_thm314_counterexample,
-    "thm317_generalized": _build_thm317_generalized,
-    "thm319_quarter": _build_thm319_quarter,
+@dataclass(frozen=True)
+class Scenario:
+    """A packaged scenario: its builder and its default, smallest and largest K."""
+
+    build: Callable[[SpectralParams, int, Tolerances], ScenarioBundle]
+    default_K: int
+    min_K: int  # thm319 may need more; see min_K()
+    max_K: int | None  # None: no largest K
+
+
+# Scenario(build, default_K, min_K, max_K).  The finite cases at 0 and r/N
+# read the row at 2, which the window holds from K = 2 on; thm314 runs no
+# finite recovery.  Only thm314 has a largest K: its nullifier is a
+# least-squares witness whose rows g* A^n decay like 0.1^n to 0.9^n over
+# n < 2K, so its conditioning grows exponentially in K: its largest
+# simulated sample is 1e-15 at K = 2, 9.3e-10 at K = 8 and 3.0e-7, above
+# ORACLE_TOL, at K = 9.
+SCENARIOS = {
+    "thm312_diagonal": Scenario(_build_thm312_diagonal, 4, 2, None),
+    "thm38_onb": Scenario(_build_thm38_onb, 3, 2, None),
+    "thm314_counterexample": Scenario(_build_thm314_counterexample, 3, 1, 8),
+    "thm317_generalized": Scenario(_build_thm317_generalized, 5, 2, None),
+    "thm319_quarter": Scenario(_build_thm319_quarter, 20, 2, None),
 }
 
 
@@ -392,8 +363,9 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
       along the ray, and the recovered source misses w by 3/4 of that
       (S^-1 = 3/4 on W), which must clear the fixed LIMIT_ORACLE_TOL.
     """
+    smallest = SCENARIOS[scenario_id].min_K
     if scenario_id != "thm319_quarter":
-        return MIN_K[scenario_id]
+        return smallest
     distance = 4.0 / 3.0 * math.hypot(*QUARTER_SOURCE)
     # In log space: distance / BS_TOL overflows for a subnormal BS_TOL.
     steps = max(
@@ -401,23 +373,26 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
         math.log(15.0 / 32.0 * distance / LIMIT_ORACLE_TOL, 4),
         0.0,
     )
-    return max(MIN_K[scenario_id], math.ceil(steps / 2) + 1)
+    return max(smallest, math.ceil(steps / 2) + 1)
 
 
 def build(
-    scenario_id: str, params: SpectralParams, K: int, *, tol: Tolerances = DEFAULTS
+    scenario_id: str, params: SpectralParams, K: int | None, *, tol: Tolerances = DEFAULTS
 ) -> ScenarioBundle:
     """Build a scenario system deterministically from (id, r, N, K).
 
-    Raises ``ValueError`` for a K below :func:`min_K` or above the
-    scenario's :data:`MAX_K`, naming that limit.
+    A K of None is the scenario's ``default_K``.  Raises ``ValueError``
+    for an unknown id, or for a K below :func:`min_K` or above the
+    scenario's ``max_K``, naming that limit.
     """
     try:
-        builder = _BUILDERS[scenario_id]
+        scenario = SCENARIOS[scenario_id]
     except KeyError:
         raise ValueError(
-            f"unknown scenario id {scenario_id!r}; known ids: {', '.join(SCENARIO_IDS)}"
+            f"unknown scenario id {scenario_id!r}; known ids: {', '.join(SCENARIOS)}"
         ) from None
+    if K is None:
+        K = scenario.default_K
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
     smallest = min_K(scenario_id, tol=tol)
@@ -429,15 +404,14 @@ def build(
             else "finite recovery at r/N reads the row at 2"
         )
         raise ValueError(f"{scenario_id} needs K >= {smallest}, got K = {K}: {why}")
-    largest = MAX_K.get(scenario_id)
-    if largest is not None and K > largest:
+    if scenario.max_K is not None and K > scenario.max_K:
         raise ValueError(
-            f"{scenario_id} needs K <= {largest}, got K = {K}: beyond it the "
+            f"{scenario_id} needs K <= {scenario.max_K}, got K = {K}: beyond it the "
             f"nullifier's least-squares witness is too ill-conditioned for "
             f"float arithmetic to zero the simulated samples "
             f"to {ORACLE_TOL:.0e}"
         )
-    return builder(params, K, tol)
+    return scenario.build(params, K, tol)
 
 
 def _close(a: float, b: float, bound: float) -> bool:
@@ -491,7 +465,7 @@ def run_scenario(
         "scenario": bundle.id,
         "params": {"N": spec.params.N, "r": spec.params.r},
         "K": spec.K,
-        "expectations": exp.to_json(),
+        "expectations": asdict(exp),
         "measured": {
             "rho": rho,
             "bounds": [bounds.alpha, bounds.beta],

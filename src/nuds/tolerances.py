@@ -68,6 +68,8 @@ class Tolerances:
         merged = {name: getattr(self, name) for name in known}
         for key, val in overrides.items():
             try:
+                if isinstance(val, bool):  # JSON true would read as 1.0
+                    raise TypeError
                 val = float(val)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"tolerance {key} must be a number, got {val!r}") from None

@@ -47,7 +47,7 @@ from nuds.recovery import (
     stationary_map_from_A,
     subspace_condition,
 )
-from nuds.scenarios import SCENARIO_IDS, build, counterexample_source
+from nuds.scenarios import SCENARIOS, build, counterexample_source
 
 from oracles import (
     closed_form_resolvent_state,
@@ -384,7 +384,7 @@ def test_cli_demo_round_trip_and_exit_codes(tmp_path, monkeypatch, capsys):
     # every packaged scenario demo succeeds; an emitted config drives the
     # other subcommands unchanged; and the exit codes keep their contract
     # (0 ok, 2 config, 3 condition, 4 expectation mismatch).
-    for scenario_id in SCENARIO_IDS:
+    for scenario_id in SCENARIOS:
         out = tmp_path / scenario_id
         assert main(["demo", scenario_id, "-o", str(out)]) == 0, scenario_id
         doc = json.loads((out / f"{scenario_id}_report.json").read_text())

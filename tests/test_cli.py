@@ -11,7 +11,7 @@ from nuds.cli import config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
 from nuds.linalg import NumericalError, complex_to_pair, pair_to_complex, vector_to_pairs
-from nuds.scenarios import DEFAULT_K, MAX_K, SCENARIO_IDS, build, min_K
+from nuds.scenarios import SCENARIOS, build, min_K
 from nuds.lattice import SpectralParams
 from nuds.tolerances import Tolerances
 
@@ -166,7 +166,72 @@ def test_check_marks_unavailable_conditions(tmp_path, capsys):
     assert "not convergent" in tailgap
 
 
-@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+_REFUSED_MAP = (
+    "subspace condition bounds (necessary only)  unavailable: subspace condition "
+    "unavailable: 1 is in the spectrum of A (I - A is singular at pivot 8)\n"
+    "spectral radius                             {rho}\n"
+    "adjoint family bounds on W                  unavailable: stationary map requires "
+    "spectral radius below 1: rho(A) = {rho} (margin 1.0e-06)\n"
+)
+_ONB_ROW = "sampling family bounds                      alpha=1 beta=1 frame=yes\n"
+
+# check's whole output on each emitted default-K config at (r, N) = (1, 2).
+CHECK_STDOUT = {
+    "thm312_diagonal": _ONB_ROW + _REFUSED_MAP.format(rho=1)
+    + "row-convergence tail gap                    4.819e-01 (not convergent)\n",
+    "thm38_onb": _ONB_ROW
+    + "subspace condition bounds (necessary only)  alpha=1 beta=1\n"
+    "spectral radius                             0\n"
+    "adjoint family bounds on W                  alpha=1 beta=1 frame=yes\n"
+    "row-convergence tail gap                    0.000e+00 (convergent)\n",
+    "thm314_counterexample": (
+        "sampling family bounds                      alpha=0 beta=0.833836 frame=no\n"
+        "subspace condition bounds (necessary only)  alpha=1.8902821 beta=1.8902821\n"
+        "spectral radius                             0.9\n"
+        "adjoint family bounds on W                  alpha=1.8902821 beta=1.8902821 "
+        "frame=yes\n"
+        "row-convergence tail gap                    2.220e-16 (convergent)\n"
+    ),
+    "thm317_generalized": _ONB_ROW + _REFUSED_MAP.format(rho=2)
+    + "row-convergence tail gap                    0.000e+00 (convergent)\n",
+    "thm319_quarter": _ONB_ROW
+    + "subspace condition bounds (necessary only)  alpha=1.7777778 beta=1.7777778\n"
+    "spectral radius                             0.25\n"
+    "adjoint family bounds on W                  alpha=1.7777778 beta=1.7777778 frame=yes\n"
+    "row-convergence tail gap                    0.000e+00 (convergent)\n",
+}
+
+
+@pytest.mark.parametrize("scenario_id", sorted(CHECK_STDOUT))
+def test_check_prints_the_same_table_on_each_emitted_config(tmp_path, capsys, scenario_id):
+    assert main(["demo", scenario_id, "-o", str(tmp_path), "--emit-config"]) == 0
+    capsys.readouterr()
+    assert main(["check", str(tmp_path / f"{scenario_id}_config.json")]) == 0
+    assert capsys.readouterr().out == CHECK_STDOUT[scenario_id]
+
+
+def test_check_marks_both_rows_unavailable_when_the_lu_refuses_i_minus_a(tmp_path, capsys):
+    # rho(A) = 0.95 clears RHO_MARGIN, but the smallest pivot of
+    # I - A = diag(1 - 0.95 i/7) is 0.05 < PIVOT_TOL = 0.1: the map is
+    # refused like the subspace family, not a numerical failure.
+    doc = _config_doc()
+    doc["A"] = {"generator": "diag", "entries": [[0.95 * i / 7, 0.0] for i in range(8)]}
+    path = tmp_path / "pivot.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--tol-override", "PIVOT_TOL=0.1"]) == 0
+    out, err = capsys.readouterr()
+    unavailable = (
+        "unavailable: subspace condition unavailable: 1 is in the spectrum of A "
+        "(I - A is singular at pivot 7)"
+    )
+    rows = dict(line.split("  ", 1) for line in out.splitlines())
+    assert rows["subspace condition bounds (necessary only)"].strip() == unavailable
+    assert rows["adjoint family bounds on W"].strip() == unavailable
+    assert rows["spectral radius"].strip() == "0.95"
+    assert err == ""
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_demo_scenarios_meet_expectations(tmp_path, scenario_id):
     out = tmp_path / scenario_id
     assert main(["demo", scenario_id, "-o", str(out)]) == 0
@@ -407,6 +472,42 @@ def test_infinite_tolerance_is_a_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*_report.json"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["recover"], ["recover", "--mode", "infinite"], ["check"]],
+    ids=["finite", "infinite", "check"],
+)
+def test_overflowing_frame_operator_is_a_numerical_failure(tmp_path, capsys, argv):
+    # g = 1e200 I is finite JSON, but its frame operator overflows to inf.
+    doc = _config_doc()
+    doc["g"] = [vector_to_pairs(1e200 * row) for row in np.eye(8)]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    flags = ["-o", str(tmp_path)] if argv[0] == "recover" else []
+    assert main([argv[0], str(path), *argv[1:], *flags]) == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: matrix to eigendecompose has non-finite entries: "
+        "it overflowed or holds NaN\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("schema", True, "config schema version must be 1, got True"),
+        ("tolerances", {"FRAME_TOL": True}, "tolerance FRAME_TOL must be a number, got True"),
+    ],
+    ids=["schema", "tolerance"],
+)
+def test_json_true_is_not_a_number(tmp_path, capsys, key, value, message):
+    doc = _config_doc()
+    doc[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_config_canonical_round_trip():
     bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
     doc = config_to_json(bundle.spec)
@@ -610,10 +711,10 @@ def test_load_config_restores_the_collector_state(tmp_path, enabled, content):
         gc.enable() if was_enabled else gc.disable()
 
 
-@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_emitted_config_matches_the_per_entry_encoding(tmp_path, scenario_id):
     assert main(["demo", scenario_id, "-o", str(tmp_path), "--emit-config"]) == 0
-    spec = build(scenario_id, SpectralParams(N=2, r=1), DEFAULT_K[scenario_id]).spec
+    spec = build(scenario_id, SpectralParams(N=2, r=1), None).spec
 
     def pairs(v):
         return [complex_to_pair(z) for z in v]
@@ -637,7 +738,7 @@ def test_emitted_config_matches_the_per_entry_encoding(tmp_path, scenario_id):
         assert "-0.0" in text
 
 
-@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_demo_runs_from_the_minimum_K_and_rejects_below_it(tmp_path, capsys, scenario_id):
     k_min = min_K(scenario_id)
     assert main(["demo", scenario_id, "-K", str(k_min), "-o", str(tmp_path)]) == 0
@@ -685,11 +786,11 @@ def test_quarter_subnormal_bs_tol_names_its_minimum_K(tmp_path, capsys, bs_tol, 
 @pytest.mark.parametrize("r, N", [(1, 1), (1, 2), (3, 2), (3, 4), (5, 16), (31, 16), (7, 9)])
 def test_counterexample_runs_up_to_its_maximum_K(tmp_path, r, N):
     argv = ["demo", "thm314_counterexample", "--r", str(r), "--N", str(N), "-o", str(tmp_path)]
-    for K in range(1, MAX_K["thm314_counterexample"] + 1):
+    for K in range(1, SCENARIOS["thm314_counterexample"].max_K + 1):
         assert main(argv + ["-K", str(K)]) == 0, K
 
 
-@pytest.mark.parametrize("K", range(1, MAX_K["thm314_counterexample"] + 1))
+@pytest.mark.parametrize("K", range(1, SCENARIOS["thm314_counterexample"].max_K + 1))
 def test_counterexample_config_simulates_to_zero_data(tmp_path, K):
     # The emitted config, run through simulate, samples nothing: every
     # entry of its data matrix stays within the 1e-8 oracle.

@@ -10,6 +10,7 @@ for invalid input the same exit code and message.
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -227,10 +228,11 @@ def test_refused_fork_gives_the_serial_result(tmp_path, monkeypatch, texts):
 
 
 def test_failing_child_gives_the_serial_result(tmp_path, monkeypatch, texts, forks):
-    def fail(*args):
-        raise MemoryError("the child could not convert")
+    # Only the child pickles, so only the child fails.
+    def fail(*args, **kwargs):
+        raise MemoryError("the child could not pickle its share")
 
-    monkeypatch.setattr(cli, "_convert", fail)
+    monkeypatch.setattr(pickle, "dumps", fail)
     path = _write(tmp_path, texts["compact"])
     got = cli._load_config(str(path), {})
     assert [code for _, code in forks] == [1]

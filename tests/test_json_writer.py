@@ -21,7 +21,7 @@ from nuds.cli import config_to_json, main
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
 from nuds.lattice import SpectralParams
-from nuds.scenarios import SCENARIO_IDS
+from nuds.scenarios import SCENARIOS
 
 from oracles import indented_json
 
@@ -237,7 +237,7 @@ def test_recover_report_is_the_stdlib_text(tmp_path, written, d64_config, mode, 
     _assert_stdlib_text(written)
 
 
-@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_demo_report_and_config_are_the_stdlib_text(tmp_path, written, scenario_id, capsys):
     assert main(["demo", scenario_id, "--emit-config", "-o", str(tmp_path)]) == 0
     assert [path.name for path, _ in written] == [

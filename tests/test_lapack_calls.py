@@ -9,13 +9,16 @@ radius from the stationary map when there is one.  The stationary map
 makes one LU factorization, of I - A: its solve X = (I - A)^-1 B gives
 the map and its adjoint family S* g_j = X* g_j, which is also the
 subspace family, so neither ``demo`` nor ``check`` factors I - A*.
+``check`` computes the spectral radius once and the subspace family once,
+by ``subspace_condition``, whether or not the radius admits a stationary
+map.
 """
 
 import pytest
 
 from nuds import scenarios
 from nuds.cli import main
-from nuds.scenarios import SCENARIO_IDS
+from nuds.scenarios import SCENARIOS
 
 # (eigh, eigvals, lu_factor) per demo at the default K, build included.
 DEMO_CALLS = {
@@ -36,7 +39,7 @@ def _triple(counts):
     return counts["eigh"], counts["eigvals"], counts["lu_factor"]
 
 
-@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_demo_factorizes_each_quantity_once(tmp_path, lapack_calls, scenario_id):
     assert main(["demo", scenario_id, "-o", str(tmp_path)]) == 0
     assert _triple(lapack_calls) == DEMO_CALLS[scenario_id]
@@ -70,12 +73,23 @@ def test_recover_factorizations_match_the_benchmark_pin(tmp_path, lapack_calls, 
 
 
 def test_check_builds_the_subspace_family_once(tmp_path, lapack_calls):
-    # The sampling and adjoint families are analysed once each; the map
-    # makes the radius and one LU solve.
+    # The sampling and subspace families are analysed once each, beside
+    # one spectral radius and one LU solve.
     config = _quarter_config(tmp_path)
     lapack_calls.clear()
     assert main(["check", config]) == 0
     assert _triple(lapack_calls) == (2, 1, 1)
+
+
+def test_check_on_a_refused_map_computes_the_radius_once(tmp_path, lapack_calls):
+    # thm317's radius 2 refuses the map; its I - A is singular, so the
+    # subspace family is never analysed: the sampling family's eigh, one
+    # eigvals and the refused LU.
+    argv = ["demo", "thm317_generalized", "-o", str(tmp_path), "--emit-config"]
+    assert main(argv) == 0
+    lapack_calls.clear()
+    assert main(["check", str(tmp_path / "thm317_generalized_config.json")]) == 0
+    assert _triple(lapack_calls) == (1, 1, 1)
 
 
 def test_simulate_factorizes_nothing(tmp_path, lapack_calls):

@@ -10,6 +10,7 @@ from nuds.linalg import (
     hermitian_eigs,
     matrix_from_pairs,
     pair_to_complex,
+    require_solution,
     solve,
     spectral_radius,
     vector_from_pairs,
@@ -77,6 +78,28 @@ def test_hermitian_eigs_trace_and_det_invariants():
 def test_hermitian_eigs_rejects_non_hermitian():
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         hermitian_eigs(as_matrix([[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_hermitian_eigs_rejects_non_finite_input(bad):
+    # NaN passes a comparison such as `asym > bound`, so the input is
+    # checked for finiteness before either tolerance check.
+    with pytest.raises(NumericalError, match="non-finite entries"):
+        hermitian_eigs(np.array([[bad, 0], [0, 1]], dtype=complex))
+
+
+def test_hermitian_eigs_rejects_a_nan_decomposition(monkeypatch):
+    def nan_eigh(M):
+        return np.full(2, np.nan), np.full((2, 2), np.nan, dtype=complex)
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+    with pytest.raises(NumericalError, match="eigendecomposition residual nan"):
+        hermitian_eigs(as_matrix([[2, 1], [1, 2]]))
+
+
+def test_require_solution_rejects_a_nan_solution():
+    with pytest.raises(NumericalError, match="solve residual nan"):
+        require_solution(np.eye(2), np.array([np.nan, 0.0]), np.ones(2), tol=Tolerances())
 
 
 def test_herm_tol_override_reaches_hermitian_eigs():

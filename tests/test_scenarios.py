@@ -7,9 +7,7 @@ import pytest
 from nuds.lattice import LambdaIndex, SpectralParams, position
 from nuds.linalg import spectral_radius
 from nuds.scenarios import (
-    DEFAULT_K,
-    MAX_K,
-    SCENARIO_IDS,
+    SCENARIOS,
     build,
     counterexample_source,
     min_K,
@@ -20,8 +18,9 @@ PARAMS = SpectralParams(N=2, r=1)
 
 
 def test_scenario_ids_and_defaults_align():
-    assert set(DEFAULT_K) == set(SCENARIO_IDS)
-    assert all(k >= 1 for k in DEFAULT_K.values())
+    for scenario in SCENARIOS.values():
+        assert 1 <= scenario.min_K <= scenario.default_K
+        assert scenario.max_K is None or scenario.default_K <= scenario.max_K
 
 
 def test_build_rejects_unknown_id():
@@ -31,7 +30,7 @@ def test_build_rejects_unknown_id():
         build("thm312_diagonal", PARAMS, 0)
 
 
-@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_build_is_deterministic(scenario_id):
     K = max(3, min_K(scenario_id))
     a = build(scenario_id, PARAMS, K)
@@ -47,7 +46,8 @@ def test_build_is_deterministic(scenario_id):
 
 
 def test_counterexample_maximum_K_is_where_float_nullifier_holds():
-    assert MAX_K == {"thm314_counterexample": 8}
+    limits = {sid: s.max_K for sid, s in SCENARIOS.items() if s.max_K is not None}
+    assert limits == {"thm314_counterexample": 8}
     report, failures = run_scenario(build("thm314_counterexample", PARAMS, 8))
     assert failures == []
     for K in (9, 12):
@@ -55,9 +55,9 @@ def test_counterexample_maximum_K_is_where_float_nullifier_holds():
             build("thm314_counterexample", PARAMS, K)
 
 
-@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_scenarios_meet_their_expectations(scenario_id):
-    bundle = build(scenario_id, PARAMS, DEFAULT_K[scenario_id])
+    bundle = build(scenario_id, PARAMS, None)
     report, failures = run_scenario(bundle)
     assert failures == []
     assert report["scenario"] == scenario_id
@@ -81,7 +81,7 @@ def test_diagonal_scenario_details():
 
 
 def test_onb_scenario_norm_ratio():
-    bundle = build("thm38_onb", PARAMS, DEFAULT_K["thm38_onb"])
+    bundle = build("thm38_onb", PARAMS, None)
     report, failures = run_scenario(bundle)
     assert failures == []
     assert report["limit_norm_ratio"] == pytest.approx(1.0, abs=1e-10)
@@ -121,7 +121,7 @@ def test_counterexample_scenario_report():
 
 
 def test_generalized_scenario_expanding_operator():
-    bundle = build("thm317_generalized", PARAMS, DEFAULT_K["thm317_generalized"])
+    bundle = build("thm317_generalized", PARAMS, None)
     assert "paper-typo-corrected" in bundle.expectations.notes
     assert spectral_radius(bundle.spec.A) == pytest.approx(2.0)
     report, failures = run_scenario(bundle)
@@ -133,7 +133,7 @@ def test_generalized_scenario_expanding_operator():
 
 
 def test_quarter_scenario_geometric_convergence():
-    bundle = build("thm319_quarter", PARAMS, DEFAULT_K["thm319_quarter"])
+    bundle = build("thm319_quarter", PARAMS, None)
     report, failures = run_scenario(bundle)
     assert failures == []
     assert report["convergence_excess"] <= 1e-12
@@ -165,8 +165,8 @@ def test_run_scenario_reports_expectation_mismatch():
 
 def test_scenarios_work_for_other_lattice_parameters():
     params = SpectralParams(N=4, r=3)
-    for scenario_id in SCENARIO_IDS:
-        bundle = build(scenario_id, params, DEFAULT_K[scenario_id])
+    for scenario_id in SCENARIOS:
+        bundle = build(scenario_id, params, None)
         report, failures = run_scenario(bundle)
         assert failures == [], f"{scenario_id} under N=4, r=3: {failures}"
         assert report["params"] == {"N": 4, "r": 3}
