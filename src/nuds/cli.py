@@ -33,7 +33,7 @@ from .dynamics import (
 )
 from .frames import FrameAnalysis, NotAFrameError, VectorFamily
 from .lattice import LambdaIndex, SpectralParams
-from .linalg import NumericalError
+from .linalg import NumericalError, SingularMatrixError
 from .recovery import (
     ConditionFailure,
     finite_recovery_report,
@@ -309,8 +309,8 @@ def _parse_share(text: str, share: list[_Member], dim: int) -> list:
     for m in share:
         try:
             raw, end = _scan(text, m.start)
-        except RecursionError:
-            raise ValueError(f"{m.key} nests too deeply") from None
+        except (StopIteration, RecursionError):  # StopIteration: a bad token
+            raise ValueError(f"{m.key} is not a JSON array this walk can decode") from None
         if end != m.end:
             raise ValueError(f"{m.key} does not end where the walk expects")
         parse = _CONVERTERS.get(m.key)
@@ -537,11 +537,7 @@ def _indented_json(doc) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline to ``path``.
-
-    A document :func:`_indented_json` refuses raises its error, and no
-    file is written.
-    """
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; on error, nothing."""
     path.write_text(_indented_json(doc) + "\n")
 
 
@@ -592,17 +588,28 @@ def cmd_check(args) -> int:
     # adjoint family S* g_j = X* g_j, X = (I - A)^-1 B, so one analysis
     # gives both rows; the adjoint row also needs the map's radius.
     rho = linalg.spectral_radius(spec.A)
-    try:
-        sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
-    except NumericalError as exc:
-        subspace_row = adjoint_row = f"unavailable: {exc}"
-    else:
-        subspace_row = f"alpha={sub.alpha:.8g} beta={sub.beta:.8g}"
-        adjoint_row = f"{subspace_row} frame={'yes' if sub.is_frame(tol=tol) else 'no'}"
+    refusal = None
     try:
         require_radius_below_one(rho, tol=tol)
     except ConditionFailure as exc:
-        adjoint_row = f"unavailable: {exc}"
+        refusal = f"unavailable: {exc}"
+    try:
+        sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
+    except SingularMatrixError as exc:
+        # With rho(A) < 1, 1 is not in the spectrum: only the pivot was refused.
+        subspace_row = adjoint_row = f"unavailable: {exc}" if refusal else (
+            f"unavailable: the LU of I - A fell below PIVOT_TOL = "
+            f"{tol.PIVOT_TOL:.1e} at pivot {exc.pivot_index}"
+        )
+    except NumericalError as exc:
+        if refusal is None:  # a map the radius admits must meet the accuracy contract
+            raise
+        subspace_row = f"unavailable: {exc}"
+    else:
+        subspace_row = f"alpha={sub.alpha:.8g} beta={sub.beta:.8g}"
+        adjoint_row = f"{subspace_row} frame={'yes' if sub.is_frame(tol=tol) else 'no'}"
+    if refusal is not None:
+        adjoint_row = refusal
     lim = bs_membership(data_matrix(simulate(spec), spec.g), tol=tol)
     rows = [
         (

@@ -89,16 +89,18 @@ def subspace_condition(
     but it needs only I - A to be invertible, not rho(A) < 1.
 
     Raises:
-        NumericalError: when 1 is in the spectrum of A (resolvent fails),
-            or a kernel misses its accuracy contract.
+        SingularMatrixError: when the solve refuses I - A: 1 is in the
+            spectrum of A, or a pivot is below ``tol.PIVOT_TOL``.
+        NumericalError: when a kernel misses its accuracy contract.
     """
     A = linalg.as_matrix(A)
     try:
         _, family = _resolvent_family(A, g, linalg.as_matrix(W_basis), tol)
     except SingularMatrixError as exc:
-        raise NumericalError(
+        raise SingularMatrixError(
             f"subspace condition unavailable: 1 is in the spectrum of A "
-            f"(I - A is singular at pivot {exc.pivot_index})"
+            f"(I - A is singular at pivot {exc.pivot_index})",
+            exc.pivot_index,
         ) from exc
     return FrameAnalysis(family, tol=tol).bounds
 
@@ -291,13 +293,8 @@ def reconstruct_infinite(
     predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, smap.adjoint_family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
     return RecoveryReport(
-        w_hat=w_hat,
-        abs_error=_abs_error(w_hat, w_true),
-        residual=residual,
-        bounds=frame.bounds,
-        rho=smap.rho,
-        tail_gap=lim.tail_gap,
-        case="limit",
+        w_hat=w_hat, abs_error=_abs_error(w_hat, w_true), residual=residual,
+        bounds=frame.bounds, rho=smap.rho, tail_gap=lim.tail_gap, case="limit",
     )
 
 

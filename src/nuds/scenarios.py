@@ -326,15 +326,15 @@ def _build_thm319_quarter(
 
 @dataclass(frozen=True)
 class Scenario:
-    """A packaged scenario: its builder and its default, smallest and largest K."""
+    """A packaged scenario: its builder, its default and largest K, and a floor."""
 
     build: Callable[[SpectralParams, int, Tolerances], ScenarioBundle]
     default_K: int
-    min_K: int  # thm319 may need more; see min_K()
+    floor_K: int  # the smallest K is min_K(), which may raise thm319's
     max_K: int | None  # None: no largest K
 
 
-# Scenario(build, default_K, min_K, max_K).  The finite cases at 0 and r/N
+# Scenario(build, default_K, floor_K, max_K).  The finite cases at 0 and r/N
 # read the row at 2, which the window holds from K = 2 on; thm314 runs no
 # finite recovery.  Only thm314 has a largest K: its nullifier is a
 # least-squares witness whose rows g* A^n decay like 0.1^n to 0.9^n over
@@ -363,7 +363,7 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
       along the ray, and the recovered source misses w by 3/4 of that
       (S^-1 = 3/4 on W), which must clear the fixed LIMIT_ORACLE_TOL.
     """
-    smallest = SCENARIOS[scenario_id].min_K
+    smallest = SCENARIOS[scenario_id].floor_K
     if scenario_id != "thm319_quarter":
         return smallest
     distance = 4.0 / 3.0 * math.hypot(*QUARTER_SOURCE)
@@ -466,10 +466,7 @@ def run_scenario(
         "params": {"N": spec.params.N, "r": spec.params.r},
         "K": spec.K,
         "expectations": asdict(exp),
-        "measured": {
-            "rho": rho,
-            "bounds": [bounds.alpha, bounds.beta],
-        },
+        "measured": {"rho": rho, "bounds": [bounds.alpha, bounds.beta]},
     }
 
     if bundle.id == "thm314_counterexample":

@@ -213,22 +213,48 @@ def test_check_prints_the_same_table_on_each_emitted_config(tmp_path, capsys, sc
 def test_check_marks_both_rows_unavailable_when_the_lu_refuses_i_minus_a(tmp_path, capsys):
     # rho(A) = 0.95 clears RHO_MARGIN, but the smallest pivot of
     # I - A = diag(1 - 0.95 i/7) is 0.05 < PIVOT_TOL = 0.1: the map is
-    # refused like the subspace family, not a numerical failure.
+    # refused like the subspace family, not a numerical failure, and the
+    # row names the refused pivot rather than the spectrum.
     doc = _config_doc()
     doc["A"] = {"generator": "diag", "entries": [[0.95 * i / 7, 0.0] for i in range(8)]}
     path = tmp_path / "pivot.json"
     path.write_text(json.dumps(doc))
     assert main(["check", str(path), "--tol-override", "PIVOT_TOL=0.1"]) == 0
     out, err = capsys.readouterr()
-    unavailable = (
-        "unavailable: subspace condition unavailable: 1 is in the spectrum of A "
-        "(I - A is singular at pivot 7)"
-    )
+    unavailable = "unavailable: the LU of I - A fell below PIVOT_TOL = 1.0e-01 at pivot 7"
     rows = dict(line.split("  ", 1) for line in out.splitlines())
     assert rows["subspace condition bounds (necessary only)"].strip() == unavailable
     assert rows["adjoint family bounds on W"].strip() == unavailable
     assert rows["spectral radius"].strip() == "0.95"
     assert err == ""
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+def test_check_exits_1_on_an_accuracy_failure_the_radius_admits(
+    tmp_path, capsys, monkeypatch, scale
+):
+    # Only a refused pivot reads as unavailable while rho(A) < 1; with the
+    # map refused by its radius, any failure of the family does.
+    def missed(*args, **kwargs):
+        raise NumericalError("solve residual 1e-3 exceeds its bound")
+
+    monkeypatch.setattr(cli, "subspace_condition", missed)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config_doc(scale=scale)))
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    if scale < 1.0:
+        assert (code, out) == (1, "")
+        assert err == "numerical failure: solve residual 1e-3 exceeds its bound\n"
+    else:
+        assert code == 0 and err == ""
+        rows = dict(line.split("  ", 1) for line in out.splitlines())
+        assert rows["subspace condition bounds (necessary only)"].strip() == (
+            "unavailable: solve residual 1e-3 exceeds its bound"
+        )
+        assert rows["adjoint family bounds on W"].strip().startswith(
+            "unavailable: stationary map requires spectral radius below 1"
+        )
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIOS)

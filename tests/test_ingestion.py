@@ -124,6 +124,9 @@ def texts(doc):
     text = _text(items)
     A = text.index('"A":')
     A_end = text.index("]]]", A) + 3
+    # The largest array this process keeps parses after the fork.
+    _, mine = cli._split(cli._walk(text))
+    kept = max(mine, key=lambda m: m.size)
     return {
         "compact": text,
         "indent": _text(items, indent=2),
@@ -137,6 +140,9 @@ def texts(doc):
         "extra-bracket": text[:A_end] + "]" + text[A_end:],
         # A pair holding a string shaped like the start of a member.
         "string-in-array": text[: A_end - 2] + '],["\\"g\\": ",0' + text[A_end - 2 :],
+        # A trailing comma, a token the scanner rejects with StopIteration,
+        # in an array that this process decodes.
+        "trailing-comma-kept": text[: kept.end - 1] + "," + text[kept.end - 1 :],
     }
 
 
@@ -169,15 +175,23 @@ def _serial_outcome(path):
 
 @pytest.mark.parametrize(
     "case",
-    ["trailing-data", "bom", "truncated", "missing-comma", "extra-bracket", "string-in-array"],
+    [
+        "trailing-data", "bom", "truncated", "missing-comma", "extra-bracket",
+        "string-in-array", "trailing-comma-kept",
+    ],
 )
 def test_invalid_input_reads_as_json_load_reads_it(tmp_path, capsys, texts, forks, case):
     path = _write(tmp_path, texts[case])
     assert _outcome(path, capsys) == _serial_outcome(path)
-    # The walk rejects every case but one before it forks.  An extra
+    # The walk rejects every case but two before it forks.  An extra
     # bracket after A passes the walk; the child, which decodes A, finds
-    # that A ends one character early and fails.
-    assert [code for _, code in forks] == ([1] if case == "extra-bracket" else [])
+    # that A ends one character early and fails.  A trailing comma in an
+    # array this process keeps also passes the walk: this process fails
+    # to decode it and ends the child, whatever the child made of its share.
+    if case == "extra-bracket":
+        assert [code for _, code in forks] == [1]
+    else:
+        assert len(forks) == (case == "trailing-comma-kept")
 
 
 def _with_nulls(doc, keys):

@@ -18,8 +18,8 @@ PARAMS = SpectralParams(N=2, r=1)
 
 
 def test_scenario_ids_and_defaults_align():
-    for scenario in SCENARIOS.values():
-        assert 1 <= scenario.min_K <= scenario.default_K
+    for scenario_id, scenario in SCENARIOS.items():
+        assert 1 <= scenario.floor_K <= min_K(scenario_id) <= scenario.default_K
         assert scenario.max_K is None or scenario.default_K <= scenario.max_K
 
 
