@@ -537,7 +537,11 @@ def _indented_json(doc) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; on error, nothing."""
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline to ``path``.
+
+    A document :func:`_indented_json` refuses raises its error, and no
+    file is written.
+    """
     path.write_text(_indented_json(doc) + "\n")
 
 

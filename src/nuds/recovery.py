@@ -293,8 +293,13 @@ def reconstruct_infinite(
     predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, smap.adjoint_family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
     return RecoveryReport(
-        w_hat=w_hat, abs_error=_abs_error(w_hat, w_true), residual=residual,
-        bounds=frame.bounds, rho=smap.rho, tail_gap=lim.tail_gap, case="limit",
+        w_hat=w_hat,
+        abs_error=_abs_error(w_hat, w_true),
+        residual=residual,
+        bounds=frame.bounds,
+        rho=smap.rho,
+        tail_gap=lim.tail_gap,
+        case="limit",
     )
 
 

@@ -466,7 +466,10 @@ def run_scenario(
         "params": {"N": spec.params.N, "r": spec.params.r},
         "K": spec.K,
         "expectations": asdict(exp),
-        "measured": {"rho": rho, "bounds": [bounds.alpha, bounds.beta]},
+        "measured": {
+            "rho": rho,
+            "bounds": [bounds.alpha, bounds.beta],
+        },
     }
 
     if bundle.id == "thm314_counterexample":
