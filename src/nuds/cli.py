@@ -14,7 +14,9 @@ import io
 import json
 import pickle
 import sys
-from dataclasses import dataclass
+import warnings
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from .lattice import LambdaIndex, SpectralParams
 from .linalg import NumericalError, SingularMatrixError
 from .recovery import (
     ConditionFailure,
+    RecoveryReport,
     finite_recovery_report,
     reconstruct_infinite,
     require_radius_below_one,
@@ -386,7 +389,7 @@ def _decode(text: str, path: str) -> dict:
         return doc
     try:
         return json.load(io.StringIO(text))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -558,20 +561,96 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_recover(args) -> int:
-    spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    traj = simulate(spec)
-    D = data_matrix(traj, spec.g)
-    if args.mode == "finite":
+# --- recover -----------------------------------------------------------------
+# rho(A), one eigvals, is the largest kernel of a large recover, yet it
+# only labels the report and, in infinite mode, gates the stationary map:
+# a forked child can compute it while this process runs the rest.
+
+# Smallest dim at which recover computes rho(A) in a forked child.  On a
+# 2-CPU x86_64 VM with one BLAS thread, one eigvals takes ~85 ms at
+# d = 256 and ~22 ms at d = 128, and forking, collecting and reaping a
+# child 5-7 ms at 95-145 MB RSS.  Every demo scenario at its default K
+# (d <= 80) stays below the floor.
+FORK_MIN_RADIUS_DIM = 128
+
+
+def _radius_bytes(A: np.ndarray) -> bytes:
+    """``repr`` of rho(A), as the child sends it; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return repr(linalg.spectral_radius(A)).encode()
+
+
+def _recovery(
+    spec: SystemSpec, tol: Tolerances, mode: str, radius: Callable[[], float]
+) -> tuple[RecoveryReport, bool]:
+    """The ``mode`` recovery of spec's source, and whether its residual passes.
+
+    ``radius()`` gives rho(A) where the recovery first needs it: after
+    the data matrix, before the frame analysis or the stationary map.
+    """
+    D = data_matrix(simulate(spec), spec.g)
+    if mode == "finite":
         (report,) = finite_recovery_report(
-            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w,
-            rho=linalg.spectral_radius(spec.A), tol=tol,
+            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w, rho=radius(), tol=tol,
         )
-        ok = report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
+        return report, report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
+    smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, rho=radius(), tol=tol)
+    report = reconstruct_infinite(D, smap, w_true=spec.w, tol=tol)
+    return report, report.residual <= tol.BS_TOL
+
+
+def _recovery_before_radius(
+    spec: SystemSpec, tol: Tolerances, mode: str
+) -> tuple[RecoveryReport, bool] | None:
+    """:func:`_recovery` run before rho(A) is known; None if it meets anything.
+
+    The radius 0.0 stands in: it admits the stationary map, and it only
+    labels the report, so the caller checks and reports the real one.
+    Any warning is an error here, so a run that would warn or raise
+    leaves nothing on stderr and is run again in the serial order.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _recovery(spec, tol, mode, lambda: 0.0)
+    except Exception:
+        return None
+
+
+def cmd_recover(args) -> int:
+    """Recover the source and write report.json.
+
+    From ``FORK_MIN_RADIUS_DIM`` on, where a child starts (see
+    :meth:`nuds._fork.Child.start`), the child computes rho(A) while this
+    process runs the recovery up to its report.  Only then is rho(A)
+    collected, the stationary map gated on it in infinite mode, and put
+    in the report.  A run that raised or warned is dropped and run again
+    after the radius, in the serial order: data matrix, radius, gate,
+    then the map's solve and the frame analysis.  A child that fails
+    leaves the radius to this process.  Output and errors are those of
+    the serial order either way.
+    """
+    spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
+    early = None
+    with Child() as child:
+        child.start(lambda: _radius_bytes(spec.A), spec.dim, FORK_MIN_RADIUS_DIM)
+        if child.pid is not None:
+            early = _recovery_before_radius(spec, tol, args.mode)
+        data = child.collect()
+    collected = None if data is None else float(data)
+
+    def radius() -> float:
+        return linalg.spectral_radius(spec.A) if collected is None else collected
+
+    if early is None:
+        report, ok = _recovery(spec, tol, args.mode, radius)
     else:
-        smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
-        report = reconstruct_infinite(D, smap, w_true=spec.w, tol=tol)
-        ok = report.residual <= tol.BS_TOL
+        report, ok = early
+        rho = radius()
+        if args.mode == "infinite":
+            require_radius_below_one(rho, tol=tol)
+        report = replace(report, rho=rho)
     out = _out_dir(args)
     report_path = out / "report.json"
     _write_json(report_path, report.to_json())

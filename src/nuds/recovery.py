@@ -27,7 +27,7 @@ sample vanishes for a nonzero source, even while that condition holds.
 The two conditions judge one family, from one solve: with X = (I - A)^-1 B
 for the orthonormal basis B of W, S* g_j = B* (I - A*)^-1 g_j = X* g_j.
 The family needs only I - A to be invertible; the map also needs
-rho(A) < 1 (:func:`require_radius_below_one`).
+rho(A) < 1 (:func:`require_radius_below_one`), checked before the solve.
 """
 
 from __future__ import annotations
@@ -130,7 +130,13 @@ class StationaryMap:
 
 
 def require_radius_below_one(rho: float, *, tol: Tolerances) -> None:
-    """Raise ConditionFailure unless rho < 1 - tol.RHO_MARGIN, as the stationary map needs."""
+    """Raise ConditionFailure unless rho < 1 - tol.RHO_MARGIN, as the stationary map needs.
+
+    :func:`stationary_map_from_A` checks the radius before its solve, so a
+    refused radius is what fails, whatever the solve would do.  A caller
+    that runs the solve before the radius is known (``recover`` while a
+    child computes it) reports in that order too.
+    """
     if not rho < 1.0 - tol.RHO_MARGIN:
         raise ConditionFailure(
             f"stationary map requires spectral radius below 1: rho(A) = {rho:.6g} "
@@ -139,20 +145,28 @@ def require_radius_below_one(rho: float, *, tol: Tolerances) -> None:
 
 
 def stationary_map_from_A(
-    A: Mat, g: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
+    A: Mat,
+    g: VectorFamily,
+    W_basis: Mat,
+    *,
+    rho: float | None = None,
+    tol: Tolerances = DEFAULTS,
 ) -> StationaryMap:
     """Stationary map of the linear dynamics when the spectral radius is < 1.
 
     In that regime both orbits converge to (I - A)^-1 w from any initial
     states.  One LU solve gives S = X = (I - A)^-1 W_basis in W-coordinates
-    and its adjoint family S* g_j = P_W (I - A*)^-1 g_j = X* g_j.
+    and its adjoint family S* g_j = P_W (I - A*)^-1 g_j = X* g_j.  ``rho``,
+    the spectral radius of A, is computed here unless the caller passes
+    it; it is checked before the solve.
 
     Raises:
         ConditionFailure: when rho(A) >= 1 - tol.RHO_MARGIN, naming the radius.
     """
     A = linalg.as_matrix(A)
     B = linalg.as_matrix(W_basis)
-    rho = linalg.spectral_radius(A)
+    if rho is None:
+        rho = linalg.spectral_radius(A)
     require_radius_below_one(rho, tol=tol)
     apply, adjoint = _resolvent_family(A, g, B, tol)
     return StationaryMap(apply=apply, adjoint_family=adjoint, W_basis=B, rho=rho)

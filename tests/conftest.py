@@ -53,6 +53,30 @@ def lapack_calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Report two usable CPUs and record (pid, exit code) of every child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_fork, real_waitpid, children = os.fork, os.waitpid, []
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            children.append([pid, None])
+        return pid
+
+    def recording_waitpid(pid, options):
+        got, status = real_waitpid(pid, options)
+        for child in children:
+            if got and child[0] == got:
+                child[1] = os.waitstatus_to_exitcode(status)
+        return got, status
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return children
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_child_processes():
     """Fail any test that leaves a child process running or unreaped."""

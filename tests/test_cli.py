@@ -326,6 +326,18 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    # json.load gives up on a w nested 200000 lists deep with RecursionError.
+    doc = _config_doc()
+    doc["w"] = "nested"
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"nested"', "[" * 200000 + "]" * 200000))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {path} is not valid JSON: ")
+    assert "recursion" in err and err.count("\n") == 1
+
+
 @pytest.fixture
 def capped_address_space():
     """Cap this process's address space at 1 TiB for the test.

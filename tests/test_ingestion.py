@@ -45,30 +45,6 @@ def doc():
     return config_to_json(spec, tol)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Report two usable CPUs and record (pid, exit code) of every child."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real_fork, real_waitpid, children = os.fork, os.waitpid, []
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            children.append([pid, None])
-        return pid
-
-    def recording_waitpid(pid, options):
-        got, status = real_waitpid(pid, options)
-        for child in children:
-            if got and child[0] == got:
-                child[1] = os.waitstatus_to_exitcode(status)
-        return got, status
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "waitpid", recording_waitpid)
-    return children
-
-
 def _text(items, indent=None) -> str:
     """JSON text of an object with these (key, value) members, duplicates kept."""
     if indent is None:
