@@ -17,7 +17,6 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -175,18 +174,23 @@ def parse_config(
 
 
 def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
-    """Serialize a system and the tolerances in effect to the canonical config form."""
+    """A system and the tolerances in effect in the canonical config form.
+
+    The complex arrays are complex ndarrays.  An emitted config holds
+    ``json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)``:
+    each array as a list of [re, im] pairs, a matrix as one list per row.
+    """
     return {
         "schema": 1,
         "params": {"N": spec.params.N, "r": spec.params.r},
         "dim": spec.dim,
         "K": spec.K,
-        "A": linalg.vector_to_pairs(spec.A),
-        "g": linalg.vector_to_pairs(spec.g.vectors),
-        "W": linalg.vector_to_pairs(spec.W_basis.T),
-        "w": linalg.vector_to_pairs(spec.w),
-        "x0": linalg.vector_to_pairs(spec.x0),
-        "xm2": linalg.vector_to_pairs(spec.xm2),
+        "A": np.ascontiguousarray(spec.A, dtype=complex),
+        "g": np.ascontiguousarray(spec.g.vectors, dtype=complex),
+        "W": np.ascontiguousarray(spec.W_basis.T, dtype=complex),
+        "w": np.ascontiguousarray(spec.w, dtype=complex),
+        "x0": np.ascontiguousarray(spec.x0, dtype=complex),
+        "xm2": np.ascontiguousarray(spec.xm2, dtype=complex),
         "tolerances": {name: getattr(tol, name) for name in Tolerances.names()},
     }
 
@@ -434,59 +438,41 @@ def _out_dir(args) -> Path:
 
 # --- JSON output ---------------------------------------------------------------
 # Reports and emitted configs hold exactly the text of
-# ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.  Before Python
-# 3.13 the stdlib encodes with an indent in pure Python, ~0.1 us per
-# character; here dicts and lists are walked by its indent rules, every
-# leaf goes to the C encoder, and each numeric array (such as a
-# ``linalg.vector_to_pairs`` list) takes one compact C-encoder call,
-# re-indented by ``str.replace``: its numbers hold no comma and no bracket.
+# ``json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)
+# + "\n"``: documents hold complex arrays as ndarrays, written as lists of
+# [re, im] pairs.  Before Python 3.13 the stdlib encodes with an indent in
+# pure Python, ~0.1 us per character; here dicts and lists are walked by its
+# indent rules, every leaf goes to the C encoder, and a finite nonempty
+# ndarray is formatted in one pass over its floats, joined with the
+# separators that its shape and indent fix.
 
 _leaf = json.JSONEncoder().encode
-_compact = json.JSONEncoder(check_circular=False, separators=(",", ":")).encode
-_NUMBER_TYPES = {int, float}
 
 
-def _numeric_depth(value: list | tuple) -> int:
-    """k if ``value`` is a numeric array nested k lists deep, else 0.
-
-    In a numeric array every list is a nonempty ``list`` and every leaf,
-    all at depth k, is an ``int`` or a ``float`` (so no bool and no None).
-    A list that holds one of its own ancestors gives 0.
-    """
-    level, depth, ancestors = [value], 0, set()
-    while True:
-        kinds = set(map(type, level))
-        if kinds <= _NUMBER_TYPES:
-            return depth
-        if kinds != {list} or not all(level):
-            return 0
-        ids = set(map(id, level))
-        if not ancestors.isdisjoint(ids):
-            return 0
-        ancestors |= ids
-        level = list(chain.from_iterable(level))
-        depth += 1
-
-
-def _numeric_array(value: list, depth: int, indent: str) -> str:
-    """The indented text of a numeric array ``depth`` lists deep.
+def _pairs_text(z: np.ndarray, indent: str) -> str:
+    """The indented text of ``linalg.vector_to_pairs(z)``; z finite, nonempty.
 
     ``indent`` is the newline and indentation of the array's own line.
-    Each comma gets the innermost line break; then each run of j closing
-    brackets, a comma and j opening brackets (a boundary j lists up) gets
-    its line breaks, longest runs first.
+    Each float is spelled as the C encoder spells a finite float.  The
+    separator after a float closes the lists that end there and opens
+    the ones that start next: after the last entry of a level-j list it
+    is the level-j separator, built once and repeated by list repetition.
     """
+    dims = z.shape + (2,)
+    depth = len(dims)
     lines = [indent + "  " * i for i in range(depth + 1)]
-    text = _compact(value).replace(",", "," + lines[depth])
-    for j in range(depth - 1, 0, -1):
-        closes = "".join(lines[i] + "]" for i in range(depth - 1, depth - 1 - j, -1))
-        opens = "".join(lines[i] + "[" for i in range(depth - j, depth))
-        text = text.replace(
-            "]" * j + "," + lines[depth] + "[" * j, closes + "," + opens + lines[depth]
-        )
+    seps = [None]
+    for j in range(depth - 1, -1, -1):
+        closes = "".join(lines[i] + "]" for i in range(depth - 1, j, -1))
+        opens = "".join(lines[i] + "[" for i in range(j + 1, depth))
+        seps[-1] = closes + "," + opens + lines[depth]
+        seps *= dims[j]
+    seps[-1] = "".join(lines[i] + "]" for i in range(depth - 1, -1, -1))
+    text = [None] * (2 * len(seps))
+    text[0::2] = map(float.__repr__, z.view(np.float64).ravel().tolist())
+    text[1::2] = seps
     head = "[" + "".join(lines[i] + "[" for i in range(1, depth)) + lines[depth]
-    tail = "".join(lines[i] + "]" for i in range(depth - 1, -1, -1))
-    return head + text[depth:-depth] + tail
+    return head + "".join(text)
 
 
 def _append_indented(value, indent: str, out: list[str]) -> None:
@@ -494,10 +480,6 @@ def _append_indented(value, indent: str, out: list[str]) -> None:
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-            return
-        depth = _numeric_depth(value)
-        if depth:
-            out.append(_numeric_array(value, depth, indent))
             return
         inner = indent + "  "
         out.append("[")
@@ -523,14 +505,22 @@ def _append_indented(value, indent: str, out: list[str]) -> None:
             _append_indented(item, inner, out)
             sep = "," + inner
         out.append(indent + "}")
+    elif isinstance(value, np.ndarray):
+        z = np.ascontiguousarray(value, dtype=complex)
+        if z.size and np.isfinite(z).all():
+            out.append(_pairs_text(z, indent))
+        else:
+            _append_indented(linalg.vector_to_pairs(z), indent, out)
     else:
         out.append(_leaf(value))
 
 
 def _indented_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, mostly at C-encoder speed.
+    """``json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)``.
 
-    Raises ``TypeError`` for a non-str key, keys that do not sort or a
+    Complex arrays in ``doc`` are ndarrays; each is written as the list
+    of [re, im] pairs ``linalg.vector_to_pairs`` gives, mostly at
+    C-encoder speed.  Raises ``TypeError`` for a non-str key, keys that do not sort or a
     leaf that is not JSON, ``ValueError`` for an int too long to print,
     and ``RecursionError`` for a cycle.
     """
@@ -540,7 +530,11 @@ def _indented_json(doc) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline to ``path``.
+    """Write :func:`_indented_json` of ``doc`` and a newline to ``path``.
+
+    That is ``json.dumps(doc, indent=2, sort_keys=True,
+    default=linalg.vector_to_pairs)``: complex arrays are ndarrays in
+    ``doc`` and lists of [re, im] pairs in the file.
 
     A document :func:`_indented_json` refuses raises its error, and no
     file is written.

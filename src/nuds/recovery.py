@@ -229,9 +229,14 @@ class RecoveryReport:
     case: str
 
     def to_json(self) -> dict:
+        """The report document; ``w_hat`` is a complex ndarray.
+
+        A report file holds ``json.dumps(doc, indent=2, sort_keys=True,
+        default=linalg.vector_to_pairs)``, ``w_hat`` as [re, im] pairs.
+        """
         return {
             "schema": 1,
-            "w_hat": linalg.vector_to_pairs(self.w_hat),
+            "w_hat": np.ascontiguousarray(self.w_hat, dtype=complex),
             "abs_error": None if self.abs_error is None else float(self.abs_error),
             "residual": float(self.residual),
             "diagnostics": {

@@ -272,5 +272,9 @@ def subspace_family_by_adjoint_solve(
 # --- output -------------------------------------------------------------------
 
 def indented_json(doc) -> str:
-    """The text every JSON file the CLI writes must hold, less its final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The text every JSON file the CLI writes must hold, less its final newline.
+
+    Documents hold complex arrays as ndarrays; the file holds each as the
+    list of [re, im] pairs ``linalg.vector_to_pairs`` gives.
+    """
+    return json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)

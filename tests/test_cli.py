@@ -54,7 +54,7 @@ def _random_config_path(tmp_path, dim=16):
         w=cplx(dim), x0=cplx(dim), xm2=cplx(dim),
     )
     path = tmp_path / "random.json"
-    path.write_text(json.dumps(config_to_json(spec)))
+    path.write_text(json.dumps(config_to_json(spec), default=vector_to_pairs))
     return path
 
 
@@ -63,7 +63,7 @@ def _quarter_config_path(tmp_path):
     # the default BS_TOL (tail gap 6.7e-8).
     bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
     path = tmp_path / "quarter.json"
-    path.write_text(json.dumps(config_to_json(bundle.spec)))
+    path.write_text(json.dumps(config_to_json(bundle.spec), default=vector_to_pairs))
     return path
 
 
@@ -548,7 +548,7 @@ def test_json_true_is_not_a_number(tmp_path, capsys, key, value, message):
 
 def test_config_canonical_round_trip():
     bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
-    doc = config_to_json(bundle.spec)
+    doc = json.loads(json.dumps(config_to_json(bundle.spec), default=vector_to_pairs))
     assert doc["schema"] == 1
     assert set(doc["tolerances"]) == {
         "EIG_TOL", "SOLVE_TOL", "HERM_TOL", "FRAME_TOL",
@@ -703,7 +703,7 @@ def test_parse_config_is_bit_identical_to_the_pair_walk(tmp_path):
         A=0.1 * cplx(d, d), g=VectorFamily(vectors=cplx(2 * d, d)), W_basis=Q,
         w=Q @ cplx(d), x0=cplx(d), xm2=cplx(d),
     )
-    doc = json.loads(json.dumps(config_to_json(spec)))
+    doc = json.loads(json.dumps(config_to_json(spec), default=vector_to_pairs))
     doc["W"] = [[[x if x != 0.0 else -0.0 for x in p] for p in col] for col in doc["W"]]
     for key in ("A", "g"):
         doc[key][3][5] = [-0.0, 0]

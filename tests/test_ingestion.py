@@ -20,6 +20,7 @@ from nuds.cli import FORK_MIN_CONFIG_CHARS, config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
 from nuds.lattice import SpectralParams
+from nuds.linalg import vector_to_pairs
 from nuds.tolerances import DEFAULTS
 
 # d = 96 with a 2d-vector family and a d/2-dimensional W: in compact form
@@ -49,11 +50,16 @@ def _text(items, indent=None) -> str:
     """JSON text of an object with these (key, value) members, duplicates kept."""
     if indent is None:
         sep = ","
-        members = [json.dumps(k) + ":" + json.dumps(v, separators=(",", ":")) for k, v in items]
+        members = [
+            json.dumps(k) + ":" + json.dumps(v, separators=(",", ":"), default=vector_to_pairs)
+            for k, v in items
+        ]
     else:
         sep = ",\n  "
         members = [
-            json.dumps(k) + ": " + json.dumps(v, indent=indent).replace("\n", "\n  ")
+            json.dumps(k)
+            + ": "
+            + json.dumps(v, indent=indent, default=vector_to_pairs).replace("\n", "\n  ")
             for k, v in items
         ]
     return "{" + sep.join(members) + "}"
@@ -173,7 +179,7 @@ def test_invalid_input_reads_as_json_load_reads_it(tmp_path, capsys, texts, fork
 def _with_nulls(doc, keys):
     bad = dict(doc)
     for key in keys:
-        rows = [list(row) for row in doc[key]]
+        rows = vector_to_pairs(doc[key])
         rows[-1] = [[None, 0.0]] + rows[-1][1:]
         bad[key] = rows
     return bad
@@ -237,7 +243,7 @@ def test_small_config_is_decoded_in_one_process(tmp_path, monkeypatch, doc):
 
     monkeypatch.setattr(os, "fork", no_fork)
     small = dict(doc, dim=8, K=2)
-    small.update(A=[row[:8] for row in doc["A"][:8]], g="onb", W="full")
+    small.update(A=doc["A"][:8, :8], g="onb", W="full")
     small.update(w=doc["x0"][:8], x0=doc["x0"][:8], xm2=doc["xm2"][:8])
     path = _write(tmp_path, _text(small.items()))
     _assert_identical(cli._load_config(str(path), {}), _serial(path))

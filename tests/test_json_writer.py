@@ -1,8 +1,9 @@
 """The JSON writer gives exactly the stdlib's indented text.
 
-``nuds.cli._write_json`` walks dicts and lists itself and hands leaves and
-numeric arrays to the C encoder (see ``nuds.cli._indented_json``).  Every
-text here is compared with ``json.dumps(doc, indent=2, sort_keys=True)``
+``nuds.cli._write_json`` walks dicts and lists itself, hands leaves to the
+C encoder and formats complex ndarrays itself (see
+``nuds.cli._indented_json``).  Every text here is compared with
+``json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)``
 (``oracles.indented_json``): random documents, edge documents and every
 file the CLI writes.  The documents the writer refuses (a non-str key, a
 cycle, a leaf that is not JSON) raise and write no file.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuds import cli
+from nuds import cli, linalg
 from nuds.cli import config_to_json, main
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
@@ -43,7 +44,7 @@ def numeric_arrays(depth: int):
 
 
 # Lists of [re, im] pairs and matrices of them, as linalg.vector_to_pairs
-# writes them, and near misses that must take the generic walk.
+# gives them, and near misses, all of which take the generic walk.
 pair_lists = st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=1, max_size=5)
 arrays = st.one_of(
     pair_lists,
@@ -51,8 +52,32 @@ arrays = st.one_of(
     st.integers(min_value=1, max_value=4).flatmap(numeric_arrays),
     st.lists(st.lists(scalars, min_size=2, max_size=2), min_size=1, max_size=3),
 )
+# Complex ndarrays as documents hold them: vectors, matrices and transposed
+# views such as W_basis.T, finite (the formatted path) or not (the pairs).
+ODD_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, 1e16, 1e-5]
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(ODD_FLOATS)
+)
+any_floats = st.one_of(st.floats(), st.sampled_from(ODD_FLOATS + [math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def complex_arrays(draw):
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 6)),
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        )
+    )
+    size = 2 * math.prod(shape)
+    floats = draw(st.sampled_from([finite_floats, any_floats]))
+    flat = draw(st.lists(floats, min_size=size, max_size=size))
+    z = np.array(flat, dtype=np.float64).view(complex).reshape(shape)
+    return z.T if z.ndim == 2 and draw(st.booleans()) else z
+
+
 documents = st.recursive(
-    st.one_of(scalars, arrays),
+    st.one_of(scalars, arrays, complex_arrays()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.tuples(inner, inner),
@@ -117,6 +142,21 @@ EDGE_DOCUMENTS = {
     },
     "tuples": {"t": ([1.0, 2.0], (3.0, 4.0)), "u": ((1.0, 2.0),)},
     "numpy scalars": {"f": np.float64(0.1), "pairs": [[np.float64(1.5), 2.0]]},
+    "complex ndarrays": {
+        "vector": np.array([-0.0 + 5e-324j, 1.7976931348623157e308 - 3.0j, 1e16 + 1e-5j]),
+        "matrix": np.array([[1 - 0.0j, 2.5j], [-1e-300, 1e300 + 7j]]),
+        "transposed": np.arange(6, dtype=complex).reshape(2, 3).T * (1 - 1j),
+        "one entry": np.array([[0.1 + 0.2j]]),
+    },
+    "non-finite complex ndarrays": {
+        "vector": np.array([complex(math.nan, 1.0), complex(-math.inf, -0.0)]),
+        "matrix": np.array([[1.0, complex(0.0, math.inf)]]),
+    },
+    "empty complex ndarrays": {
+        "(0,)": np.zeros(0, dtype=complex),
+        "(2, 0)": np.zeros((2, 0), dtype=complex),
+    },
+    "top-level ndarray": np.eye(2, dtype=complex),
     "top-level array": [[1.0, 2.0], [3.0, 4.0]],
     "top-level scalar": -0.0,
     "top-level string": "x,]\n",
@@ -174,7 +214,9 @@ def _list_of_itself():
     ids=["unsortable keys", "object leaf", "set leaf"],
 )
 def test_documents_the_stdlib_rejects_raise_the_stdlib_error(tmp_path, doc):
-    want = _error(indented_json, doc)
+    # The error of plain json.dumps: a leaf that is neither JSON nor an
+    # ndarray never reaches linalg.vector_to_pairs.
+    want = _error(lambda d: json.dumps(d, indent=2, sort_keys=True), doc)
     assert _error(lambda d: cli._write_json(tmp_path / "doc.json", d), doc) == want
     assert not (tmp_path / "doc.json").exists()
 
@@ -203,9 +245,21 @@ def written(monkeypatch):
     return calls
 
 
+def _longest_list(doc) -> int:
+    if isinstance(doc, dict):
+        return max(map(_longest_list, doc.values()), default=0)
+    if isinstance(doc, (list, tuple)):
+        return max([len(doc), *map(_longest_list, doc)])
+    return 0
+
+
 def _assert_stdlib_text(calls):
     assert calls
     for path, doc in calls:
+        # Complex arrays are ndarrays in a document.  A long list means a
+        # builder went back to vector_to_pairs lists, which the writer
+        # walks item by item: about 30 % of demo time at thm319's size.
+        assert _longest_list(doc) <= 64, path.name
         assert cli._indented_json(doc) == indented_json(doc)
         assert path.read_bytes() == (indented_json(doc) + "\n").encode()
 
@@ -226,7 +280,7 @@ def d64_config(tmp_path_factory):
         w=W @ cplx(d // 2), x0=cplx(d), xm2=cplx(d),
     )
     path = tmp_path_factory.mktemp("d64") / "config.json"
-    path.write_text(json.dumps(config_to_json(spec)))
+    path.write_text(json.dumps(config_to_json(spec), default=linalg.vector_to_pairs))
     return path
 
 
