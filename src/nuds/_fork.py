@@ -1,10 +1,10 @@
 """One forked child that computes bytes while this process does other work.
 
-Three jobs in the package split between this process and a child:
-decoding a large config and computing the spectral radius of a large
-system for ``recover`` (both in ``cli``), and formatting a large CSV
-(``dynamics``).  All three fork through :class:`Child`, the package's
-only call to ``os.fork``.
+Two jobs in the package split between this process and a child:
+decoding a large config, where the child also computes the spectral
+radius for ``recover`` and ``check`` (``cli``), and formatting a large
+CSV (``dynamics``).  Both fork through :class:`Child`, the package's only
+call to ``os.fork``.
 
 A child is started only where it can pay: the caller's share of work
 must reach its floor, at least two CPUs must be usable, and this process

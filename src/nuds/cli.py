@@ -15,8 +15,7 @@ import json
 import pickle
 import sys
 import warnings
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +198,9 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
 # A large config is decoded in two processes.  A walk over the top-level
 # object decodes the small members and only marks where each array member
 # must end; a forked child decodes and parses about half of the array
-# members by size while this process decodes and parses the rest.  Any
+# members by size while this process decodes and parses the rest.  For
+# recover and check at a large dim, the child takes A alone and also
+# computes rho(A), one eigvals, the largest kernel of such a request.  Any
 # surprise sends the whole text down the serial path, one ``json.load``,
 # so the result and every error message are the serial ones.
 
@@ -210,6 +211,13 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
 # that: a d = 128 config (2.5M characters, a 1.1M share) clears it, a
 # d = 64 config (0.6M characters, a 0.3M share) does not.
 FORK_MIN_CONFIG_CHARS = 1 << 19
+
+# Smallest dim at which a child that also computes rho(A) starts, whatever
+# the size of A's text.  On a 2-CPU x86_64 VM with one BLAS thread, one
+# eigvals takes ~85 ms at d = 256 and ~22 ms at d = 128, and forking,
+# collecting and reaping a child 5-7 ms at 95-145 MB RSS.  Every demo
+# scenario at its default K (d <= 80) stays below the floor.
+FORK_MIN_RADIUS_DIM = 128
 
 _scan = json.JSONDecoder().scan_once
 _skip_ws = json.decoder.WHITESPACE.match
@@ -310,7 +318,8 @@ def _parse_share(text: str, share: list[_Member], dim: int) -> list:
     Each array is decoded at its offset and must end where the walk
     expects.  A key of ``_CONVERTERS`` is then parsed as parse_config
     parses it and marked ``_Converted``; any other key keeps the decoded
-    array.  Raises ``ValueError`` on any failure.
+    array.  Each decoded tree is freed before the next is decoded.
+    Raises ``ValueError`` on any failure.
     """
     values = []
     for m in share:
@@ -322,19 +331,24 @@ def _parse_share(text: str, share: list[_Member], dim: int) -> list:
             raise ValueError(f"{m.key} does not end where the walk expects")
         parse = _CONVERTERS.get(m.key)
         values.append(raw if parse is None else _Converted(parse(raw, dim)))
+        del raw
     return values
 
 
-def _split(members: list[_Member]) -> tuple[list[_Member], list[_Member]]:
+def _split(members: list[_Member], radius: bool) -> tuple[list[_Member], list[_Member]]:
     """The array members as (the child's share, this process's share).
 
-    Largest first, a field that a child may parse moves to the child
-    while the child's share stays no larger than this process's: the
-    child also pickles its results, so it gets the lighter share.
-    Unknown keys, and values that a later duplicate key replaces, stay
-    with this process.
+    With ``radius``, the child computes rho(A) and takes the last ``A``
+    alone, if that is an array.  Otherwise, largest first, a field that a
+    child may parse moves to the child while the child's share stays no
+    larger than this process's: the child also pickles its results, so it
+    gets the lighter share.  Unknown keys, and values that a later
+    duplicate key replaces, stay with this process.
     """
     last = {m.key: m for m in members}
+    A = last.get("A")
+    if radius and A is not None and A.is_array:
+        return [A], [m for m in members if m.is_array and m is not A]
     arrays = sorted((m for m in members if m.is_array), key=lambda m: m.size, reverse=True)
     theirs, mine = [], []
     taken, left = 0, sum(m.size for m in arrays)
@@ -347,13 +361,24 @@ def _split(members: list[_Member]) -> tuple[list[_Member], list[_Member]]:
     return theirs, mine
 
 
-def _decode_split(text: str) -> dict | None:
-    """The config document, decoded in two processes; None to decode serially.
+def _radius(A: np.ndarray) -> float | None:
+    """rho(A); None where it raises or warns, so the caller meets that serially."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return linalg.spectral_radius(A)
+    except Exception:
+        return None
 
-    None unless the walk follows the whole object, ``dim`` is a positive
-    integer, a child starts (see :meth:`nuds._fork.Child.start`; the
-    floor is ``FORK_MIN_CONFIG_CHARS``), every array ends where the walk
-    expects, and both processes parse every field they took.
+
+def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
+    """The config document and rho(A), decoded in two processes; None to decode serially.
+
+    With ``radius``, from ``FORK_MIN_RADIUS_DIM`` on, a child parses an
+    array ``A`` alone and computes rho(A); else rho is None.  None unless
+    the walk follows the whole object, ``dim`` is a positive integer, a
+    child starts (see :meth:`nuds._fork.Child.start`), every array ends
+    where the walk expects, and both processes parse every field they took.
     """
     try:
         members = _walk(text)
@@ -364,15 +389,21 @@ def _decode_split(text: str) -> dict | None:
         return None
     if dim < 1:
         return None
-    theirs, mine = _split(members)
+    radius = radius and dim >= FORK_MIN_RADIUS_DIM
+    theirs, mine = _split(members, radius)
+    radius = radius and [m.key for m in theirs] == ["A"]  # False for a generator A
+    if radius:
+        size, floor = dim, FORK_MIN_RADIUS_DIM
+    else:
+        size, floor = sum(m.size for m in theirs), FORK_MIN_CONFIG_CHARS
+
+    def job() -> bytes:
+        values = _parse_share(text, theirs, dim)
+        rho = _radius(values[0].value) if radius else None
+        return pickle.dumps((values, rho), protocol=pickle.HIGHEST_PROTOCOL)
+
     with Child() as child:
-        child.start(
-            lambda: pickle.dumps(
-                _parse_share(text, theirs, dim), protocol=pickle.HIGHEST_PROTOCOL
-            ),
-            sum(m.size for m in theirs),
-            FORK_MIN_CONFIG_CHARS,
-        )
+        child.start(job, size, floor)
         if child.pid is None:
             return None
         try:
@@ -382,29 +413,34 @@ def _decode_split(text: str) -> dict | None:
         data = child.collect()
     if data is None:
         return None
-    for member, value in zip(theirs + mine, pickle.loads(data) + values):
+    collected, rho = pickle.loads(data)
+    for member, value in zip(theirs + mine, collected + values):
         member.value = value
-    return {m.key: m.value for m in members}
+    return {m.key: m.value for m in members}, rho
 
 
-def _decode(text: str, path: str) -> dict:
-    doc = _decode_split(text)
-    if doc is not None:
-        return doc
+def _decode(text: str, path: str, radius: bool) -> tuple[dict, float | None]:
+    split = _decode_split(text, radius)
+    if split is not None:
+        return split
     try:
-        return json.load(io.StringIO(text))
+        return json.load(io.StringIO(text)), None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _load_config(path: str, tol_overrides: dict) -> tuple[SystemSpec, Tolerances]:
+def _load_config(
+    path: str, tol_overrides: dict, *, radius: bool = False
+) -> tuple[SystemSpec, Tolerances, float | None]:
+    """The config's system, tolerances, and rho(A) or None (see :func:`_decode_split`)."""
     # The decoded tree of ~d^2 small lists holds no cycle to collect.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path) as fh:
             text = fh.read()
-        return parse_config(_decode(text, path), tol_overrides)
+        doc, rho = _decode(text, path, radius)
+        return (*parse_config(doc, tol_overrides), rho)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -543,7 +579,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    spec, _ = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
+    spec, _, _ = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
     traj = simulate(spec)
     D = data_matrix(traj, spec.g)
     out = _out_dir(args)
@@ -556,95 +592,45 @@ def cmd_simulate(args) -> int:
 
 
 # --- recover -----------------------------------------------------------------
-# rho(A), one eigvals, is the largest kernel of a large recover, yet it
-# only labels the report and, in infinite mode, gates the stationary map:
-# a forked child can compute it while this process runs the rest.
-
-# Smallest dim at which recover computes rho(A) in a forked child.  On a
-# 2-CPU x86_64 VM with one BLAS thread, one eigvals takes ~85 ms at
-# d = 256 and ~22 ms at d = 128, and forking, collecting and reaping a
-# child 5-7 ms at 95-145 MB RSS.  Every demo scenario at its default K
-# (d <= 80) stays below the floor.
-FORK_MIN_RADIUS_DIM = 128
-
-
-def _radius_bytes(A: np.ndarray) -> bytes:
-    """``repr`` of rho(A), as the child sends it; any warning is an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return repr(linalg.spectral_radius(A)).encode()
 
 
 def _recovery(
-    spec: SystemSpec, tol: Tolerances, mode: str, radius: Callable[[], float]
+    spec: SystemSpec, tol: Tolerances, mode: str, rho: float | None
 ) -> tuple[RecoveryReport, bool]:
     """The ``mode`` recovery of spec's source, and whether its residual passes.
 
-    ``radius()`` gives rho(A) where the recovery first needs it: after
-    the data matrix, before the frame analysis or the stationary map.
+    rho(A) is computed here unless given, where the recovery first needs
+    it: after the data matrix, before the frame analysis or the
+    stationary map.
     """
     D = data_matrix(simulate(spec), spec.g)
+    if rho is None:
+        rho = linalg.spectral_radius(spec.A)
     if mode == "finite":
         (report,) = finite_recovery_report(
-            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w, rho=radius(), tol=tol,
+            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w, rho=rho, tol=tol,
         )
         return report, report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
-    smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, rho=radius(), tol=tol)
+    smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, rho=rho, tol=tol)
     report = reconstruct_infinite(D, smap, w_true=spec.w, tol=tol)
     return report, report.residual <= tol.BS_TOL
-
-
-def _recovery_before_radius(
-    spec: SystemSpec, tol: Tolerances, mode: str
-) -> tuple[RecoveryReport, bool] | None:
-    """:func:`_recovery` run before rho(A) is known; None if it meets anything.
-
-    The radius 0.0 stands in: it admits the stationary map, and it only
-    labels the report, so the caller checks and reports the real one.
-    Any warning is an error here, so a run that would warn or raise
-    leaves nothing on stderr and is run again in the serial order.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return _recovery(spec, tol, mode, lambda: 0.0)
-    except Exception:
-        return None
 
 
 def cmd_recover(args) -> int:
     """Recover the source and write report.json.
 
     From ``FORK_MIN_RADIUS_DIM`` on, where a child starts (see
-    :meth:`nuds._fork.Child.start`), the child computes rho(A) while this
-    process runs the recovery up to its report.  Only then is rho(A)
-    collected, the stationary map gated on it in infinite mode, and put
-    in the report.  A run that raised or warned is dropped and run again
-    after the radius, in the serial order: data matrix, radius, gate,
-    then the map's solve and the frame analysis.  A child that fails
-    leaves the radius to this process.  Output and errors are those of
-    the serial order either way.
+    :meth:`nuds._fork.Child.start`), the child that decodes A also
+    computes rho(A) (see :func:`_decode_split`).  The recovery then runs
+    once, in the serial order: data matrix, radius, gate, then the map's
+    solve and the frame analysis.  Where no child gave rho(A), this
+    process computes it at its place in that order, so output and errors
+    are those of the serial order either way.
     """
-    spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    early = None
-    with Child() as child:
-        child.start(lambda: _radius_bytes(spec.A), spec.dim, FORK_MIN_RADIUS_DIM)
-        if child.pid is not None:
-            early = _recovery_before_radius(spec, tol, args.mode)
-        data = child.collect()
-    collected = None if data is None else float(data)
-
-    def radius() -> float:
-        return linalg.spectral_radius(spec.A) if collected is None else collected
-
-    if early is None:
-        report, ok = _recovery(spec, tol, args.mode, radius)
-    else:
-        report, ok = early
-        rho = radius()
-        if args.mode == "infinite":
-            require_radius_below_one(rho, tol=tol)
-        report = replace(report, rho=rho)
+    spec, tol, rho = _load_config(
+        _config_path(args), _parse_tol_flags(args.tol_override), radius=True
+    )
+    report, ok = _recovery(spec, tol, args.mode, rho)
     out = _out_dir(args)
     report_path = out / "report.json"
     _write_json(report_path, report.to_json())
@@ -659,12 +645,15 @@ def cmd_recover(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec, tol = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
+    spec, tol, rho = _load_config(
+        _config_path(args), _parse_tol_flags(args.tol_override), radius=True
+    )
     cert = FrameAnalysis(spec.g, tol=tol).bounds
     # The subspace family {P_W (I - A*)^-1 g_j} is the stationary map's
     # adjoint family S* g_j = X* g_j, X = (I - A)^-1 B, so one analysis
     # gives both rows; the adjoint row also needs the map's radius.
-    rho = linalg.spectral_radius(spec.A)
+    if rho is None:
+        rho = linalg.spectral_radius(spec.A)
     refusal = None
     try:
         require_radius_below_one(rho, tol=tol)

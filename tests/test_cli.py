@@ -229,6 +229,32 @@ def test_check_marks_both_rows_unavailable_when_the_lu_refuses_i_minus_a(tmp_pat
     assert err == ""
 
 
+@pytest.mark.parametrize("case", ["thm319_quarter", "thm317_generalized", "refused-lu"])
+def test_forked_check_prints_the_serial_table(tmp_path, capsys, monkeypatch, forks, case):
+    # With the floor lowered to 1, the decode child computes rho(A); the
+    # refused-LU config above is written with a dense A, so it forks too.
+    flags = []
+    if case == "refused-lu":
+        doc = _config_doc()
+        doc["A"] = vector_to_pairs(np.diag([0.95 * i / 7 for i in range(8)]).astype(complex))
+        path = tmp_path / "pivot.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--tol-override", "PIVOT_TOL=0.1"]
+    else:
+        K = ["-K", "7"] if case == "thm319_quarter" else []
+        assert main(["demo", case, *K, "-o", str(tmp_path), "--emit-config"]) == 0
+        capsys.readouterr()
+        path = tmp_path / f"{case}_config.json"
+    serial = main(["check", str(path), *flags]), capsys.readouterr()
+    assert forks == []
+    monkeypatch.setattr(cli, "FORK_MIN_RADIUS_DIM", 1)
+    forked = main(["check", str(path), *flags]), capsys.readouterr()
+    assert [code for _, code in forks] == [0]
+    assert forked == serial and serial[0] == 0
+    if case == "refused-lu":
+        assert "unavailable: the LU of I - A fell below PIVOT_TOL" in serial[1].out
+
+
 @pytest.mark.parametrize("scale", [0.5, 1.0])
 def test_check_exits_1_on_an_accuracy_failure_the_radius_admits(
     tmp_path, capsys, monkeypatch, scale
@@ -713,7 +739,7 @@ def test_parse_config_is_bit_identical_to_the_pair_walk(tmp_path):
         doc[key][2] = [-2, 0]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    parsed, _ = cli._load_config(str(path), {})
+    parsed, _, _ = cli._load_config(str(path), {})
 
     def walk(rows):
         return np.array([[pair_to_complex(p) for p in row] for row in rows])

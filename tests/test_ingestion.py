@@ -11,6 +11,7 @@ for invalid input the same exit code and message.
 import json
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nuds.cli import FORK_MIN_CONFIG_CHARS, config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
 from nuds.lattice import SpectralParams
-from nuds.linalg import vector_to_pairs
+from nuds.linalg import spectral_radius, vector_to_pairs
 from nuds.tolerances import DEFAULTS
 
 # d = 96 with a 2d-vector family and a d/2-dimensional W: in compact form
@@ -79,12 +80,13 @@ def _serial(path):
 
 def _shares(text: str):
     """The keys of the array fields the child parses, and of those kept here."""
-    theirs, mine = cli._split(cli._walk(text))
+    theirs, mine = cli._split(cli._walk(text), radius=False)
     return [m.key for m in theirs], [m.key for m in mine]
 
 
-def _assert_identical(got, want):
-    (spec, tol), (ref, ref_tol) = got, want
+def _assert_identical(got, want, rho=None):
+    (spec, tol, got_rho), (ref, ref_tol) = got, want
+    assert got_rho == rho
     assert tol == ref_tol
     assert (spec.params, spec.dim, spec.K) == (ref.params, ref.dim, ref.K)
     for name in ("A", "W_basis", "w", "x0", "xm2"):
@@ -107,7 +109,7 @@ def texts(doc):
     A = text.index('"A":')
     A_end = text.index("]]]", A) + 3
     # The largest array this process keeps parses after the fork.
-    _, mine = cli._split(cli._walk(text))
+    _, mine = cli._split(cli._walk(text), radius=False)
     kept = max(mine, key=lambda m: m.size)
     return {
         "compact": text,
@@ -131,12 +133,64 @@ def texts(doc):
 @pytest.mark.parametrize("form", ["compact", "indent", "reordered-duplicate", "string-with-key"])
 def test_split_ingestion_is_bit_identical_to_serial(tmp_path, texts, forks, form):
     path = _write(tmp_path, texts[form])
-    theirs, mine = cli._split(cli._walk(texts[form]))
+    theirs, mine = cli._split(cli._walk(texts[form]), radius=False)
     assert {m.key for m in theirs + mine} >= set(ARRAY_FIELDS) and theirs
     assert sum(m.size for m in theirs) >= FORK_MIN_CONFIG_CHARS
     got = cli._load_config(str(path), {})
     assert [code for _, code in forks] == [0]
     _assert_identical(got, _serial(path))
+
+
+@pytest.mark.parametrize("form", ["compact", "reordered-duplicate"])
+def test_radius_split_gives_the_child_the_last_A_alone(texts, form):
+    members = cli._walk(texts[form])
+    theirs, mine = cli._split(members, radius=True)
+    last_A = [m for m in members if m.key == "A"][-1]
+    assert theirs == [last_A]
+    assert mine == [m for m in members if m.is_array and m is not last_A]
+
+
+def test_a_generator_A_keeps_the_size_split(doc):
+    A = {"generator": "scaled_identity", "scale": [0.5, 0]}
+    members = cli._walk(_text(dict(doc, A=A).items()))
+    theirs, mine = cli._split(members, radius=True)
+    assert (theirs, mine) == cli._split(members, radius=False)
+    assert theirs and "A" not in [m.key for m in theirs + mine]
+
+
+def test_radius_split_is_bit_identical_to_serial(tmp_path, monkeypatch, texts, forks):
+    # Below FORK_MIN_CONFIG_CHARS alone, the child that also computes
+    # rho(A) starts from FORK_MIN_RADIUS_DIM on.
+    (A,), _ = cli._split(cli._walk(texts["compact"]), radius=True)
+    assert A.size < FORK_MIN_CONFIG_CHARS
+    monkeypatch.setattr(cli, "FORK_MIN_RADIUS_DIM", DIM)
+    path = _write(tmp_path, texts["compact"])
+    got = cli._load_config(str(path), {}, radius=True)
+    assert [code for _, code in forks] == [0]
+    want = _serial(path)
+    _assert_identical(got, want, rho=spectral_radius(want[0].A))
+
+
+def test_parse_share_frees_each_tree_before_the_next():
+    # Two equal vectors: decoding the second must not find the first's
+    # tree of [re, im] lists still alive.
+    n = 20000
+    pairs = [[i + 0.5, -i - 0.25] for i in range(n)]
+    text = _text([("dim", n), ("w", pairs), ("x0", pairs)])
+    share = [m for m in cli._walk(text) if m.is_array]
+    tracemalloc.start()
+    try:
+        tree, _ = cli._scan(text, share[0].start)
+        tree_bytes = tracemalloc.get_traced_memory()[0]
+        del tree
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        values = cli._parse_share(text, share, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert [v.value.shape for v in values] == [(n,), (n,)]
+    assert peak < 1.5 * tree_bytes
 
 
 def _outcome(path, capsys):

@@ -11,12 +11,13 @@ the map and its adjoint family S* g_j = X* g_j, which is also the
 subspace family, so neither ``demo`` nor ``check`` factors I - A*.
 ``check`` computes the spectral radius once and the subspace family once,
 by ``subspace_condition``, whether or not the radius admits a stationary
-map.
+map; from ``nuds.cli.FORK_MIN_RADIUS_DIM`` on, the radius is computed in
+the child that decodes A, outside the counts.
 """
 
 import pytest
 
-from nuds import scenarios
+from nuds import cli, scenarios
 from nuds.cli import main
 from nuds.scenarios import SCENARIOS
 
@@ -79,6 +80,19 @@ def test_check_builds_the_subspace_family_once(tmp_path, lapack_calls):
     lapack_calls.clear()
     assert main(["check", config]) == 0
     assert _triple(lapack_calls) == (2, 1, 1)
+
+
+def test_forked_check_leaves_the_radius_to_the_decode_child(
+    tmp_path, monkeypatch, lapack_calls, forks
+):
+    # From FORK_MIN_RADIUS_DIM on, the child that decodes A computes the
+    # spectral radius, so this process makes no eigvals.
+    config = _quarter_config(tmp_path)
+    monkeypatch.setattr(cli, "FORK_MIN_RADIUS_DIM", 1)
+    lapack_calls.clear()
+    assert main(["check", config]) == 0
+    assert [code for _, code in forks] == [0]
+    assert _triple(lapack_calls) == (2, 0, 1)
 
 
 def test_check_on_a_refused_map_computes_the_radius_once(tmp_path, lapack_calls):

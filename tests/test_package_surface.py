@@ -10,7 +10,10 @@ function's own parameter or local variable of the same name.
 
 The package also forks in exactly one function, ``nuds._fork.Child.start``,
 which checks that a fork is safe and moves the child off the parent's CPU.
-A second call to ``os.fork`` anywhere in ``src/nuds`` fails the suite.
+A second call to ``os.fork`` anywhere in ``src/nuds`` fails the suite.  The
+jobs that fork through it are the two that ``nuds._fork`` and the README
+document: ``nuds.cli._decode_split`` and ``nuds.dynamics.window_to_csv``.
+A third ``Child()`` must update both documents and the pin here.
 
 Every JSON file the package writes goes through ``nuds.cli._write_json``,
 which encodes at C speed.  Before Python 3.13 the stdlib encodes with an
@@ -167,6 +170,42 @@ def test_fork_scan_finds_every_site():
 def test_the_fork_helper_is_the_only_fork_site():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert fork_sites(sources) == ["_fork.Child.start"]
+
+
+def child_sites(sources: dict[str, str]) -> list[str]:
+    """``module.qualified.function`` of each function that calls ``Child()``.
+
+    A call of ``Child`` or of ``<module>.Child`` counts; module-level code
+    is the site ``module``.
+    """
+    sites = set()
+    for module, text in sources.items():
+        for site, calls in _scopes(ast.parse(text), module):
+            if any(_callee(call) == "Child" for call in calls):
+                sites.add(site)
+    return sorted(sites)
+
+
+def test_child_scan_finds_every_job_site():
+    sources = {
+        "a": (
+            "from _fork import Child\n\n"
+            "def decode(text):\n    with Child() as child:\n        pass\n\n"
+            "class Writer:\n    def write(self):\n"
+            "        def inner():\n            return _fork.Child()\n"
+            "        return inner\n"
+        ),
+        "b": (
+            "import _fork\n\nCHILD = _fork.Child()\n\n"
+            "def helper():\n    '''Calls Child() in a docstring only.'''\n"
+        ),
+    }
+    assert child_sites(sources) == ["a.Writer.write.inner", "a.decode", "b"]
+
+
+def test_the_documented_jobs_are_the_only_child_sites():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert child_sites(sources) == ["cli._decode_split", "dynamics.window_to_csv"]
 
 
 # Calls of json.<name> that make JSON text, and the file methods that write.

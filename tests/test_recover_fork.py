@@ -1,22 +1,24 @@
-"""`recover` computes the spectral radius in a forked child, with the serial result.
+"""`recover` reads rho(A) from its config decode child, with the serial result.
 
-From ``nuds.cli.FORK_MIN_RADIUS_DIM`` on, a forked child computes rho(A)
-while the command runs the rest of the recovery (see
-``nuds.cli.cmd_recover``).  The configs here are small, so each case runs
-once below the floor and once with the floor lowered to 1, and the two
-runs must give the same exit code, stdout, stderr and report.json.  Each
-run also records warnings in-process: a recovery that would warn before
-its radius is checked must be run again in the serial order, which
-does not warn.
+From ``nuds.cli.FORK_MIN_RADIUS_DIM`` on, the child that decodes the
+config parses A alone and computes rho(A) while the command decodes the
+rest (see ``nuds.cli._decode_split``); the recovery then runs once, in
+the serial order.  The configs here are small, so each case runs once
+below the floor and once with the floor lowered to 1, and the two runs
+must give the same exit code, stdout, stderr and report.json.  Each run
+also records warnings in-process: a forked run must warn exactly where
+the serial run warns, which here is nowhere.
 """
 
 import json
+import os
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from nuds import cli
+from nuds import cli, linalg
 from nuds.cli import main, parse_config
 from nuds.linalg import spectral_radius, vector_to_pairs
 
@@ -139,23 +141,78 @@ def test_forked_radius_gives_the_serial_bytes(tmp_path, capsys, monkeypatch, for
     assert _radius_in_report(forked) == _radius_of(config)
 
 
+def _count_loads(monkeypatch):
+    """The list that each serial ``json.load`` of a config appends to."""
+    real_load, loads = json.load, []
+
+    def counted_load(fh, *args, **kwargs):
+        loads.append(fh)
+        return real_load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted_load)
+    return loads
+
+
 @pytest.mark.parametrize("mode", ["finite", "infinite"])
 def test_failing_child_leaves_the_radius_to_this_process(
     tmp_path, capsys, monkeypatch, forks, mode
 ):
+    # Only the radius fails in the child: its share is still used, and
+    # this process computes rho(A) where the serial order needs it.
+    config = _emitted(tmp_path, capsys, "thm319_quarter", "-K", "7")
+    parent, real_radius, radii = os.getpid(), linalg.spectral_radius, []
+
+    def fail_in_the_child(A):
+        if os.getpid() != parent:
+            raise RuntimeError("the radius failed in the child")
+        radii.append(A.shape)
+        return real_radius(A)
+
+    monkeypatch.setattr(linalg, "spectral_radius", fail_in_the_child)
+    loads = _count_loads(monkeypatch)
+    serial, forked, child_code = _forced_and_serial(
+        tmp_path, capsys, monkeypatch, forks, config, mode
+    )
+    assert child_code == 0
+    assert len(loads) == 1  # the serial run's: the forked run used the child's share
+    assert len(radii) == 2  # one in this process in each run
+    assert serial["code"] == 0
+    assert forked == serial
+    assert _radius_in_report(forked) == _radius_of(config)
+
+
+@pytest.mark.parametrize("mode", ["finite", "infinite"])
+def test_failing_child_job_gives_the_serial_decode(tmp_path, capsys, monkeypatch, forks, mode):
     config = _emitted(tmp_path, capsys, "thm319_quarter", "-K", "7")
 
-    def fail(A):
-        raise RuntimeError("the radius job failed in the child")
+    def fail(*args, **kwargs):  # only the child pickles
+        raise MemoryError("the child could not pickle its share")
 
-    monkeypatch.setattr(cli, "_radius_bytes", fail)
+    monkeypatch.setattr(pickle, "dumps", fail)
+    loads = _count_loads(monkeypatch)
     serial, forked, child_code = _forced_and_serial(
         tmp_path, capsys, monkeypatch, forks, config, mode
     )
     assert child_code == 1
+    assert len(loads) == 2  # the serial run's and the forked run's
     assert serial["code"] == 0
     assert forked == serial
-    assert _radius_in_report(forked) == _radius_of(config)
+
+
+def test_bad_parent_share_gives_the_serial_error(tmp_path, capsys, monkeypatch, forks):
+    # The child takes A alone, so this process parses g, and fails on its
+    # null while the child computes the radius.  The child is ended and
+    # reaped (see the autouse fixture); the text is decoded serially.
+    doc = _doc(0.5 * np.eye(DIM), g=np.eye(DIM, dtype=complex))
+    doc["g"][3][5] = [None, 0.0]
+    config = _written(tmp_path, doc)
+    loads = _count_loads(monkeypatch)
+    serial, forked, _ = _forced_and_serial(
+        tmp_path, capsys, monkeypatch, forks, config, "infinite"
+    )
+    assert serial["code"] == 2 and serial["err"].startswith("config error: g: ")
+    assert forked == serial
+    assert len(loads) == 2
 
 
 # case: (mode, stderr).  Every case exits 3 with one line and no report.
