@@ -24,24 +24,21 @@ from . import linalg
 from ._fork import Child
 from .dynamics import (
     SystemSpec,
-    bs_membership,
     data_matrix,
     data_matrix_to_csv,
     simulate,
-    sup_row_norm,
     trajectory_to_csv,
 )
-from .frames import FrameAnalysis, NotAFrameError, VectorFamily
-from .lattice import LambdaIndex, SpectralParams
+from .frames import NotAFrameError, VectorFamily
+from .lattice import LambdaIndex, SpectralParams, successor
 from .linalg import NumericalError, SingularMatrixError
 from .recovery import (
     ConditionFailure,
     RecoveryReport,
+    SystemAnalysis,
     finite_recovery_report,
     reconstruct_infinite,
     require_radius_below_one,
-    stationary_map_from_A,
-    subspace_condition,
 )
 from .scenarios import build, run_scenario
 from .tolerances import DEFAULTS, Tolerances
@@ -594,25 +591,23 @@ def cmd_simulate(args) -> int:
 # --- recover -----------------------------------------------------------------
 
 
-def _recovery(
-    spec: SystemSpec, tol: Tolerances, mode: str, rho: float | None
-) -> tuple[RecoveryReport, bool]:
-    """The ``mode`` recovery of spec's source, and whether its residual passes.
+def _recovery(system: SystemAnalysis, mode: str) -> tuple[RecoveryReport, bool]:
+    """The ``mode`` recovery of the system's source, and whether its residual passes.
 
-    rho(A) is computed here unless given, where the recovery first needs
-    it: after the data matrix, before the frame analysis or the
-    stationary map.
+    Kernels are read in the serial order: data matrix, radius, then the
+    analysis of g or the stationary map.  The finite gate scales with the
+    two rows that recovery reads, so far rows that overflow cannot move it.
     """
-    D = data_matrix(simulate(spec), spec.g)
-    if rho is None:
-        rho = linalg.spectral_radius(spec.A)
+    spec, tol = system.spec, system.tol
+    D, rho = system.data, system.rho
     if mode == "finite":
+        at = LambdaIndex(0, 0)
         (report,) = finite_recovery_report(
-            D, (LambdaIndex(0, 0),), spec.A, spec.g, w_true=spec.w, rho=rho, tol=tol,
+            D, (at,), spec.A, system.sampling, spec.w, rho=rho, tol=tol
         )
-        return report, report.residual <= tol.SOLVE_TOL * (1.0 + sup_row_norm(D))
-    smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, rho=rho, tol=tol)
-    report = reconstruct_infinite(D, smap, w_true=spec.w, tol=tol)
+        scale = max(float(np.linalg.norm(D.row(p))) for p in (at, successor(at)))
+        return report, report.residual <= tol.SOLVE_TOL * (1.0 + scale)
+    report = reconstruct_infinite(D, system.stationary_map, spec.w, tol=tol)
     return report, report.residual <= tol.BS_TOL
 
 
@@ -620,17 +615,14 @@ def cmd_recover(args) -> int:
     """Recover the source and write report.json.
 
     From ``FORK_MIN_RADIUS_DIM`` on, where a child starts (see
-    :meth:`nuds._fork.Child.start`), the child that decodes A also
-    computes rho(A) (see :func:`_decode_split`).  The recovery then runs
-    once, in the serial order: data matrix, radius, gate, then the map's
-    solve and the frame analysis.  Where no child gave rho(A), this
-    process computes it at its place in that order, so output and errors
-    are those of the serial order either way.
+    :meth:`nuds._fork.Child.start`), the child that decodes A also computes
+    rho(A) (see :func:`_decode_split`) and seeds the analysis with it, so
+    output and errors are those of the serial order either way.
     """
     spec, tol, rho = _load_config(
         _config_path(args), _parse_tol_flags(args.tol_override), radius=True
     )
-    report, ok = _recovery(spec, tol, args.mode, rho)
+    report, ok = _recovery(SystemAnalysis(spec, tol=tol, rho=rho), args.mode)
     out = _out_dir(args)
     report_path = out / "report.json"
     _write_json(report_path, report.to_json())
@@ -648,23 +640,25 @@ def cmd_check(args) -> int:
     spec, tol, rho = _load_config(
         _config_path(args), _parse_tol_flags(args.tol_override), radius=True
     )
-    cert = FrameAnalysis(spec.g, tol=tol).bounds
-    # The subspace family {P_W (I - A*)^-1 g_j} is the stationary map's
-    # adjoint family S* g_j = X* g_j, X = (I - A)^-1 B, so one analysis
-    # gives both rows; the adjoint row also needs the map's radius.
-    if rho is None:
-        rho = linalg.spectral_radius(spec.A)
+    system = SystemAnalysis(spec, tol=tol, rho=rho)
+    cert = system.sampling.bounds
     refusal = None
     try:
-        require_radius_below_one(rho, tol=tol)
+        require_radius_below_one(system.rho, tol=tol)
     except ConditionFailure as exc:
         refusal = f"unavailable: {exc}"
+    # The subspace family {P_W (I - A*)^-1 g_j} is the stationary map's
+    # adjoint family, so one analysis gives both rows; the adjoint row
+    # also needs the map's radius.
     try:
-        sub = subspace_condition(spec.A, spec.g, spec.W_basis, tol=tol)
+        sub = system.subspace.bounds
     except SingularMatrixError as exc:
         # With rho(A) < 1, 1 is not in the spectrum: only the pivot was refused.
-        subspace_row = adjoint_row = f"unavailable: {exc}" if refusal else (
-            f"unavailable: the LU of I - A fell below PIVOT_TOL = "
+        subspace_row = adjoint_row = (
+            f"unavailable: 1 is in the spectrum of A "
+            f"(I - A is singular at pivot {exc.pivot_index})"
+            if refusal
+            else f"unavailable: the LU of I - A fell below PIVOT_TOL = "
             f"{tol.PIVOT_TOL:.1e} at pivot {exc.pivot_index}"
         )
     except NumericalError as exc:
@@ -676,7 +670,7 @@ def cmd_check(args) -> int:
         adjoint_row = f"{subspace_row} frame={'yes' if sub.is_frame(tol=tol) else 'no'}"
     if refusal is not None:
         adjoint_row = refusal
-    lim = bs_membership(data_matrix(simulate(spec), spec.g), tol=tol)
+    lim = system.limit
     rows = [
         (
             "sampling family bounds",
@@ -684,7 +678,7 @@ def cmd_check(args) -> int:
             f"frame={'yes' if cert.is_frame(tol=tol) else 'no'}",
         ),
         ("subspace condition bounds (necessary only)", subspace_row),
-        ("spectral radius", f"{rho:.8g}"),
+        ("spectral radius", f"{system.rho:.8g}"),
         ("adjoint family bounds on W", adjoint_row),
         (
             "row-convergence tail gap",

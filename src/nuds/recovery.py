@@ -28,19 +28,23 @@ The two conditions judge one family, from one solve: with X = (I - A)^-1 B
 for the orthonormal basis B of W, S* g_j = B* (I - A*)^-1 g_j = X* g_j.
 The family needs only I - A to be invertible; the map also needs
 rho(A) < 1 (:func:`require_radius_below_one`), checked before the solve.
+
+:class:`SystemAnalysis` holds these kernels for one system, each computed
+on first read, so each command runs only what it reads, in its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .dynamics import LatticeWindow, TailLimit, bs_membership
+from .dynamics import LatticeWindow, SystemSpec, TailLimit, bs_membership, data_matrix, simulate
 from .frames import FrameAnalysis, FrameBounds, VectorFamily, analysis, synthesis
 from .lattice import LambdaIndex, branch_of, successor
-from .linalg import Mat, NumericalError, SingularMatrixError, Vec
+from .linalg import Mat, Vec
 from .tolerances import DEFAULTS, Tolerances
 
 
@@ -69,42 +73,6 @@ def reconstruct_finite(
     return synthesis(D.row(successor(at)) - analysis(linalg.as_matrix(A) @ u, g), gdual)
 
 
-def _resolvent_family(
-    A: Mat, g: VectorFamily, B: Mat, tol: Tolerances
-) -> tuple[Mat, VectorFamily]:
-    """X = (I - A)^-1 B and the family {X* g_j} in W-coordinates, by one LU solve."""
-    X = linalg.solve(np.eye(A.shape[0], dtype=complex) - A, B, tol=tol)
-    return X, VectorFamily(vectors=g.vectors @ X.conj())
-
-
-def subspace_condition(
-    A: Mat, g: VectorFamily, W_basis: Mat, *, tol: Tolerances = DEFAULTS
-) -> FrameBounds:
-    """Bounds of {P_W (I - A*)^-1 g_j} as a frame for W.
-
-    This is a necessary condition for recovering sources in W from
-    windowed data; it is NOT sufficient (see
-    :func:`counterexample_nullifier`).  The family is the adjoint family
-    S* g_j = X* g_j of :func:`stationary_map_from_A`, by the same solve,
-    but it needs only I - A to be invertible, not rho(A) < 1.
-
-    Raises:
-        SingularMatrixError: when the solve refuses I - A: 1 is in the
-            spectrum of A, or a pivot is below ``tol.PIVOT_TOL``.
-        NumericalError: when a kernel misses its accuracy contract.
-    """
-    A = linalg.as_matrix(A)
-    try:
-        _, family = _resolvent_family(A, g, linalg.as_matrix(W_basis), tol)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"subspace condition unavailable: 1 is in the spectrum of A "
-            f"(I - A is singular at pivot {exc.pivot_index})",
-            exc.pivot_index,
-        ) from exc
-    return FrameAnalysis(family, tol=tol).bounds
-
-
 @dataclass(frozen=True)
 class StationaryMap:
     """The map S sending a source in W to its limit state, with adjoint data.
@@ -112,14 +80,15 @@ class StationaryMap:
     Attributes:
         apply: (dim x p) matrix taking W-coordinates to the ambient
             space: S(w) = apply @ (W-coordinates of w).
-        adjoint_family: the vectors S* g_j expressed in W-coordinates.
+        adjoint: the analysis of the vectors S* g_j, expressed in
+            W-coordinates (``adjoint.family``).
         W_basis: orthonormal columns of W (used to lift W-coordinate
             vectors back to the ambient space).
         rho: spectral radius of the evolution operator (diagnostic).
     """
 
     apply: Mat
-    adjoint_family: VectorFamily
+    adjoint: FrameAnalysis
     W_basis: Mat
     rho: float
 
@@ -133,9 +102,7 @@ def require_radius_below_one(rho: float, *, tol: Tolerances) -> None:
     """Raise ConditionFailure unless rho < 1 - tol.RHO_MARGIN, as the stationary map needs.
 
     :func:`stationary_map_from_A` checks the radius before its solve, so a
-    refused radius is what fails, whatever the solve would do.  A caller
-    that runs the solve before the radius is known (``recover`` while a
-    child computes it) reports in that order too.
+    refused radius is what fails, whatever the solve would do.
     """
     if not rho < 1.0 - tol.RHO_MARGIN:
         raise ConditionFailure(
@@ -144,32 +111,84 @@ def require_radius_below_one(rho: float, *, tol: Tolerances) -> None:
         )
 
 
-def stationary_map_from_A(
-    A: Mat,
-    g: VectorFamily,
-    W_basis: Mat,
-    *,
-    rho: float | None = None,
-    tol: Tolerances = DEFAULTS,
-) -> StationaryMap:
-    """Stationary map of the linear dynamics when the spectral radius is < 1.
+def stationary_map_from_A(system: SystemAnalysis) -> StationaryMap:
+    """Stationary map of the system's dynamics when the spectral radius is < 1.
 
-    In that regime both orbits converge to (I - A)^-1 w from any initial
-    states.  One LU solve gives S = X = (I - A)^-1 W_basis in W-coordinates
-    and its adjoint family S* g_j = P_W (I - A*)^-1 g_j = X* g_j.  ``rho``,
-    the spectral radius of A, is computed here unless the caller passes
-    it; it is checked before the solve.
+    Then both orbits converge to (I - A)^-1 w from any initial states.  The
+    resolvent solve gives S = X in W-coordinates and its adjoint family
+    S* g_j = X* g_j, the subspace family.  The radius is checked first.
 
     Raises:
         ConditionFailure: when rho(A) >= 1 - tol.RHO_MARGIN, naming the radius.
     """
-    A = linalg.as_matrix(A)
-    B = linalg.as_matrix(W_basis)
-    if rho is None:
-        rho = linalg.spectral_radius(A)
-    require_radius_below_one(rho, tol=tol)
-    apply, adjoint = _resolvent_family(A, g, B, tol)
-    return StationaryMap(apply=apply, adjoint_family=adjoint, W_basis=B, rho=rho)
+    require_radius_below_one(system.rho, tol=system.tol)
+    return StationaryMap(
+        apply=system.resolvent[0],
+        adjoint=system.subspace,
+        W_basis=system.spec.W_basis,
+        rho=system.rho,
+    )
+
+
+class SystemAnalysis:
+    """The kernels the recoveries and certificates of ``spec`` are judged from.
+
+    Each field is computed on first read and kept; a field whose kernel
+    refuses raises on every read.  A given ``rho`` (the config decode
+    child's) is never recomputed.
+    """
+
+    def __init__(
+        self, spec: SystemSpec, *, tol: Tolerances = DEFAULTS, rho: float | None = None
+    ):
+        self.spec = spec
+        self.tol = tol
+        if rho is not None:
+            self.rho = rho
+
+    @cached_property
+    def trajectory(self) -> LatticeWindow:
+        return simulate(self.spec)
+
+    @cached_property
+    def data(self) -> LatticeWindow:
+        return data_matrix(self.trajectory, self.spec.g)
+
+    @cached_property
+    def rho(self) -> float:
+        return linalg.spectral_radius(self.spec.A)
+
+    @cached_property
+    def sampling(self) -> FrameAnalysis:
+        return FrameAnalysis(self.spec.g, tol=self.tol)
+
+    @cached_property
+    def resolvent(self) -> tuple[Mat, VectorFamily]:
+        """X = (I - A)^-1 B and the family {X* g_j} in W-coordinates, by one LU solve.
+
+        Raises ``SingularMatrixError`` when the solve refuses I - A: 1 is in
+        the spectrum of A, or a pivot is below ``tol.PIVOT_TOL``.
+        """
+        A = self.spec.A
+        X = linalg.solve(np.eye(A.shape[0], dtype=complex) - A, self.spec.W_basis, tol=self.tol)
+        return X, VectorFamily(vectors=self.spec.g.vectors @ X.conj())
+
+    @cached_property
+    def subspace(self) -> FrameAnalysis:
+        """{P_W (I - A*)^-1 g_j} = {X* g_j} analysed as a frame for W.
+
+        A necessary condition for windowed recovery, NOT a sufficient one
+        (see :func:`counterexample_nullifier`); it needs no rho(A) < 1.
+        """
+        return FrameAnalysis(self.resolvent[1], tol=self.tol)
+
+    @cached_property
+    def stationary_map(self) -> StationaryMap:
+        return stationary_map_from_A(self)
+
+    @cached_property
+    def limit(self) -> TailLimit:
+        return bs_membership(self.data, tol=self.tol)
 
 
 def _convergent_limit(D: LatticeWindow, tol: Tolerances) -> TailLimit:
@@ -196,9 +215,8 @@ def limit_operator(D: LatticeWindow, G: VectorFamily, *, tol: Tolerances = DEFAU
     return synthesis(_convergent_limit(D, tol).limit_row, G)
 
 
-def _require_frame(F: VectorFamily, what: str, tol: Tolerances) -> FrameAnalysis:
-    """The analysis of F; unless F is a frame, ConditionFailure saying ``what``."""
-    frame = FrameAnalysis(F, tol=tol)
+def _require_frame(frame: FrameAnalysis, what: str, tol: Tolerances) -> FrameAnalysis:
+    """``frame``; unless its family is a frame, ConditionFailure saying ``what``."""
     if not frame.bounds.is_frame(tol=tol):
         raise ConditionFailure(
             f"not stably recoverable: {what} (alpha = {frame.bounds.alpha:.3e})"
@@ -206,22 +224,18 @@ def _require_frame(F: VectorFamily, what: str, tol: Tolerances) -> FrameAnalysis
     return frame
 
 
-def _abs_error(w_hat: Vec, w_true: Vec | None) -> float | None:
-    return None if w_true is None else float(np.linalg.norm(w_hat - linalg.as_vector(w_true)))
-
-
 @dataclass
 class RecoveryReport:
     """Outcome of a recovery run.
 
-    abs_error is present only when the true source was supplied;
-    residual measures data consistency of the recovered source.  bounds
-    belong to the family whose dual synthesized the source; case is the
-    lattice branch ("i", "ii", "iii") or "limit".
+    abs_error is the distance to the true source; residual measures data
+    consistency of the recovered source.  bounds belong to the family whose
+    dual synthesized the source; case is the lattice branch ("i", "ii",
+    "iii") or "limit".
     """
 
     w_hat: Vec
-    abs_error: float | None
+    abs_error: float
     residual: float
     bounds: FrameBounds
     rho: float
@@ -237,7 +251,7 @@ class RecoveryReport:
         return {
             "schema": 1,
             "w_hat": np.ascontiguousarray(self.w_hat, dtype=complex),
-            "abs_error": None if self.abs_error is None else float(self.abs_error),
+            "abs_error": float(self.abs_error),
             "residual": float(self.residual),
             "diagnostics": {
                 "alpha": float(self.bounds.alpha),
@@ -253,30 +267,29 @@ def finite_recovery_report(
     D: LatticeWindow,
     cases: tuple[LambdaIndex, ...],
     A: Mat,
-    g: VectorFamily,
-    w_true: Vec | None = None,
+    sampling: FrameAnalysis,
+    w_true: Vec,
     *,
     rho: float,
     tol: Tolerances = DEFAULTS,
 ) -> list[RecoveryReport]:
     """Run finite-step recovery from each point of ``cases``; one report each.
 
-    One eigendecomposition of the frame operator of g gives the bounds
-    and the canonical dual for all the points.  ``rho``, the spectral
-    radius of A, is the caller's: it often holds it already.  Each
-    residual re-predicts the successor row from the recovered source and
-    the synthesized state; it vanishes on exact data.
+    ``sampling``, the analysis of the sampling family g, gives the bounds
+    and the canonical dual for all the points; ``rho`` is only reported.
+    Each residual re-predicts the successor row from the recovered source
+    and the synthesized state; it vanishes on exact data.
     """
     A = linalg.as_matrix(A)
-    frame = _require_frame(g, "sampling family is not a frame", tol)
-    gdual = frame.dual()
+    frame = _require_frame(sampling, "sampling family is not a frame", tol)
+    g, gdual = frame.family, frame.dual()
 
     def report(at: LambdaIndex) -> RecoveryReport:
         w_hat = reconstruct_finite(D, at, A, g, gdual)
         predicted_next = analysis(A @ synthesis(D.row(at), gdual) + w_hat, g)
         residual = float(np.linalg.norm(predicted_next - D.row(successor(at))))
         return RecoveryReport(
-            w_hat=w_hat, abs_error=_abs_error(w_hat, w_true), residual=residual,
+            w_hat=w_hat, abs_error=float(np.linalg.norm(w_hat - w_true)), residual=residual,
             bounds=frame.bounds, rho=rho, tail_gap=0.0, case=branch_of(at).value,
         )
 
@@ -286,7 +299,7 @@ def finite_recovery_report(
 def reconstruct_infinite(
     D: LatticeWindow,
     smap: StationaryMap,
-    w_true: Vec | None = None,
+    w_true: Vec,
     *,
     tol: Tolerances = DEFAULTS,
 ) -> RecoveryReport:
@@ -303,17 +316,15 @@ def reconstruct_infinite(
             family misses the frame condition, or when the rows are not
             convergent at the window edges.
     """
-    frame = _require_frame(
-        smap.adjoint_family, "the adjoint family is not a frame for W", tol
-    )
+    frame = _require_frame(smap.adjoint, "the adjoint family is not a frame for W", tol)
     lifted = VectorFamily(vectors=frame.dual().vectors @ smap.W_basis.T)
     lim = _convergent_limit(D, tol)
     w_hat = synthesis(lim.limit_row, lifted)
-    predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, smap.adjoint_family)
+    predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, frame.family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
     return RecoveryReport(
         w_hat=w_hat,
-        abs_error=_abs_error(w_hat, w_true),
+        abs_error=float(np.linalg.norm(w_hat - w_true)),
         residual=residual,
         bounds=frame.bounds,
         rho=smap.rho,

@@ -34,13 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import (
-    SystemSpec,
-    data_matrix,
-    simulate,
-    stationary_deviation,
-    sup_row_norm,
-)
+from .dynamics import SystemSpec, stationary_deviation, sup_row_norm
 from .frames import FrameAnalysis, VectorFamily
 from .lattice import (
     LambdaIndex,
@@ -53,11 +47,11 @@ from .lattice import (
 from .linalg import Vec
 from .recovery import (
     StationaryMap,
+    SystemAnalysis,
     counterexample_nullifier,
     finite_recovery_report,
     limit_operator,
     reconstruct_infinite,
-    stationary_map_from_A,
 )
 from .tolerances import DEFAULTS, Tolerances
 
@@ -94,10 +88,12 @@ class ScenarioExpectations:
 
 @dataclass
 class ScenarioBundle:
+    """A built scenario; ``smap`` is a map built by hand (thm317: I - A is singular)."""
+
     id: str
     spec: SystemSpec
     expectations: ScenarioExpectations
-    smap: StationaryMap | None
+    smap: StationaryMap | None = None
 
 
 def _scenario_rng(scenario_id: str, params: SpectralParams, K: int) -> np.random.Generator:
@@ -173,7 +169,7 @@ def _build_thm312_diagonal(
         expected_rho=1.0,
         notes=("diagonal restricted to the finite window",),
     )
-    return ScenarioBundle("thm312_diagonal", spec, expectations, smap=None)
+    return ScenarioBundle("thm312_diagonal", spec, expectations)
 
 
 def _build_thm38_onb(
@@ -193,7 +189,6 @@ def _build_thm38_onb(
         xm2=w.copy(),
         K=K,
     )
-    smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis, tol=tol)
     expectations = ScenarioExpectations(
         should_recover_finite=True,
         should_recover_infinite=True,
@@ -201,7 +196,7 @@ def _build_thm38_onb(
         bounds_of="sampling",
         expected_rho=0.0,
     )
-    return ScenarioBundle("thm38_onb", spec, expectations, smap=smap)
+    return ScenarioBundle("thm38_onb", spec, expectations)
 
 
 def _build_thm314_counterexample(
@@ -226,7 +221,6 @@ def _build_thm314_counterexample(
         xm2=x0.copy(),
         K=K,
     )
-    smap = stationary_map_from_A(A, g, W_basis, tol=tol)
     norm_w_sq = float(np.linalg.norm(w)) ** 2
     expectations = ScenarioExpectations(
         should_recover_finite=False,
@@ -241,7 +235,7 @@ def _build_thm314_counterexample(
             "evident power law",
         ),
     )
-    return ScenarioBundle("thm314_counterexample", spec, expectations, smap=smap)
+    return ScenarioBundle("thm314_counterexample", spec, expectations)
 
 
 def _build_thm317_generalized(
@@ -276,7 +270,7 @@ def _build_thm317_generalized(
     apply = -B
     smap = StationaryMap(
         apply=apply,
-        adjoint_family=VectorFamily(vectors=g.vectors @ apply.conj()),
+        adjoint=FrameAnalysis(VectorFamily(vectors=g.vectors @ apply.conj()), tol=tol),
         W_basis=B,
         rho=linalg.spectral_radius(A),
     )
@@ -313,7 +307,6 @@ def _build_thm319_quarter(
         xm2=np.zeros(dim, dtype=complex),
         K=K,
     )
-    smap = stationary_map_from_A(A, g, B, tol=tol)
     expectations = ScenarioExpectations(
         should_recover_finite=True,
         should_recover_infinite=True,
@@ -321,7 +314,7 @@ def _build_thm319_quarter(
         bounds_of="adjoint",
         expected_rho=0.25,
     )
-    return ScenarioBundle("thm319_quarter", spec, expectations, smap=smap)
+    return ScenarioBundle("thm319_quarter", spec, expectations)
 
 
 @dataclass(frozen=True)
@@ -423,9 +416,10 @@ def run_scenario(
 ) -> tuple[dict, list[str]]:
     """Execute the scenario's recovery and check its expectations.
 
-    Each recovery runs once, and the measured bounds are read from the
-    recovery that computed them; the spectral radius is the stationary
-    map's when there is one.  thm314 is judged on the simulated data.
+    Each recovery runs once, from one :class:`SystemAnalysis`, and the
+    measured bounds are read from the recovery that computed them.  The
+    stationary map, where there is one, is read first, so a refused map
+    ends the run before any recovery.  thm314 is judged on the simulated data.
 
     Returns (report document, failures); an empty failure list means
     every expectation held.
@@ -433,23 +427,23 @@ def run_scenario(
     spec = bundle.spec
     exp = bundle.expectations
     failures: list[str] = []
-    traj = simulate(spec)
-    D = data_matrix(traj, spec.g)
-    rho = bundle.smap.rho if bundle.smap is not None else linalg.spectral_radius(spec.A)
+    smap = bundle.smap
+    system = SystemAnalysis(spec, tol=tol, rho=None if smap is None else smap.rho)
+    if smap is None and (exp.should_recover_infinite or bundle.id == "thm314_counterexample"):
+        smap = system.stationary_map
+    traj, D, rho = system.trajectory, system.data, system.rho
     finite_reports = []
     if exp.should_recover_finite:
         finite_reports = finite_recovery_report(
-            D, FINITE_CASES, spec.A, spec.g, w_true=spec.w, rho=rho, tol=tol
+            D, FINITE_CASES, spec.A, system.sampling, spec.w, rho=rho, tol=tol
         )
-    limit = None
-    if bundle.smap is not None:
-        limit = reconstruct_infinite(D, bundle.smap, w_true=spec.w, tol=tol)
+    limit = None if smap is None else reconstruct_infinite(D, smap, spec.w, tol=tol)
 
     if not _close(rho, exp.expected_rho, RHO_ORACLE_TOL):
         failures.append(f"spectral radius {rho:.8g} != expected {exp.expected_rho:.8g}")
-    # thm314's map comes from stationary_map_from_A, whose adjoint family
-    # is the subspace family {P_W (I - A*)^-1 g_j}: the limit recovery
-    # holds its bounds.
+    # thm314's map is the system's own, whose adjoint family is the
+    # subspace family {P_W (I - A*)^-1 g_j}: the limit recovery holds its
+    # bounds.
     bounds = finite_reports[0].bounds if exp.bounds_of == "sampling" else limit.bounds
     if not (
         _close(bounds.alpha, exp.expected_bounds[0], ORACLE_TOL)
@@ -479,7 +473,7 @@ def run_scenario(
             failures.append(f"nullified sample of size {worst:.3e} exceeds 1e-8")
         if float(np.linalg.norm(spec.w)) < 1.0:
             failures.append("source norm fell below 1")
-        if FrameAnalysis(spec.g, tol=tol).bounds.is_frame(tol=tol):
+        if system.sampling.bounds.is_frame(tol=tol):
             failures.append(
                 "sampling family unexpectedly a frame for the ambient space"
             )
@@ -506,7 +500,7 @@ def run_scenario(
 
     if exp.should_recover_finite:
         for at, rep in zip(FINITE_CASES, finite_reports):
-            if rep.abs_error is None or rep.abs_error > ORACLE_TOL:
+            if rep.abs_error > ORACLE_TOL:
                 failures.append(
                     f"finite recovery at {index_label(at, spec.params)} missed: "
                     f"abs_error = {rep.abs_error}"
@@ -523,12 +517,12 @@ def run_scenario(
 
     if exp.should_recover_infinite:
         threshold = LIMIT_ORACLE_TOL if bundle.id == "thm319_quarter" else ORACLE_TOL
-        if limit.abs_error is None or limit.abs_error > threshold:
+        if limit.abs_error > threshold:
             failures.append(
                 f"limit recovery missed: abs_error = {limit.abs_error} > {threshold}"
             )
         report["recovery"] = limit.to_json()
-        s_w = bundle.smap.stationary_state(spec.w)
+        s_w = smap.stationary_state(spec.w)
         report["stationary_deviation"] = stationary_deviation(traj, s_w)
         if bundle.id == "thm319_quarter":
             # Geometric convergence of every state toward the stationary one.

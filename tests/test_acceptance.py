@@ -39,13 +39,12 @@ from nuds.lattice import (
 from nuds.linalg import spectral_radius
 from nuds.recovery import (
     ConditionFailure,
+    SystemAnalysis,
     counterexample_nullifier,
     finite_recovery_report,
     limit_operator,
     reconstruct_finite,
     reconstruct_infinite,
-    stationary_map_from_A,
-    subspace_condition,
 )
 from nuds.scenarios import SCENARIOS, build, counterexample_source
 
@@ -127,7 +126,7 @@ def test_diagonal_onb_example_recovers_exactly_on_all_branches():
     D = data_matrix(simulate(spec), spec.g)
     points = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
     reports = finite_recovery_report(
-        D, points, spec.A, spec.g, w_true=spec.w, rho=spectral_radius(spec.A)
+        D, points, spec.A, FrameAnalysis(spec.g), spec.w, rho=spectral_radius(spec.A)
     )
     cases = {report.case: report.abs_error for report in reports}
     assert set(cases) == {"i", "ii", "iii"}
@@ -176,14 +175,12 @@ def test_nullifier_defeats_recovery_while_necessary_condition_holds():
 
         g = VectorFamily(vectors=((np.eye(d) - A) @ w)[None, :])
         W_basis = (w / np.linalg.norm(w))[:, None]
-        cond = subspace_condition(A, g, W_basis)
-        assert cond.alpha > 0
-
         x = counterexample_nullifier(A, g, w, K)
         spec = SystemSpec(
             params=PARAMS, dim=d, A=A, g=g, W_basis=W_basis,
             w=w, x0=x, xm2=x.copy(), K=K,
         )
+        assert SystemAnalysis(spec).subspace.bounds.alpha > 0
         D = data_matrix(simulate(spec), g)
         assert float(np.abs(D.values).max()) <= 1e-8, K
 
@@ -192,9 +189,9 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
     # A = I/4 with a two-dimensional source subspace over an 80-state
     # window: every state obeys ||x - s|| <= (1/4)^n ||x0 - s|| up to
     # 1e-12, where s = (4/3) w, and limit recovery returns w to 1e-6.
-    bundle = build("thm319_quarter", PARAMS, 20)
-    spec = bundle.spec
-    s = bundle.smap.stationary_state(spec.w)
+    spec = build("thm319_quarter", PARAMS, 20).spec
+    smap = SystemAnalysis(spec).stationary_map
+    s = smap.stationary_state(spec.w)
     np.testing.assert_allclose(s, (4.0 / 3.0) * spec.w, atol=1e-12)
 
     traj = simulate(spec)
@@ -205,7 +202,7 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
         assert dist <= (0.25**n) * base + 1e-12, (idx, n, dist)
 
     D = data_matrix(traj, spec.g)
-    report = reconstruct_infinite(D, bundle.smap, w_true=spec.w)
+    report = reconstruct_infinite(D, smap, spec.w)
     assert report.abs_error <= 1e-6
 
 
@@ -226,9 +223,6 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     g_vec[:, p1] = 0.0  # blind direction
     g = VectorFamily(vectors=g_vec)
 
-    smap = stationary_map_from_A(A, g, B)
-    assert FrameAnalysis(smap.adjoint_family).bounds.alpha <= 1e-12
-
     w1 = np.zeros(d, dtype=complex)
     w1[p0] = 1.0
     w2 = w1.copy()
@@ -243,6 +237,8 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
             w=w, x0=stationary, xm2=stationary, K=K,
         )
         matrices.append(data_matrix(simulate(spec), g))
+    smap = SystemAnalysis(spec).stationary_map
+    assert FrameAnalysis(smap.adjoint.family).bounds.alpha <= 1e-12
     limit1 = bs_membership(matrices[0]).limit_row
     limit2 = bs_membership(matrices[1]).limit_row
     assert float(np.linalg.norm(limit1 - limit2)) <= 1e-10
@@ -250,7 +246,7 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     assert float(np.abs(matrices[0].values - matrices[1].values).max()) <= 1e-10
 
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(matrices[0], smap)
+        reconstruct_infinite(matrices[0], smap, w1)
 
 
 def test_state_formulas_agree_across_random_systems():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from nuds import cli
+from nuds import cli, linalg
 from nuds.cli import config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
@@ -167,8 +167,8 @@ def test_check_marks_unavailable_conditions(tmp_path, capsys):
 
 
 _REFUSED_MAP = (
-    "subspace condition bounds (necessary only)  unavailable: subspace condition "
-    "unavailable: 1 is in the spectrum of A (I - A is singular at pivot 8)\n"
+    "subspace condition bounds (necessary only)  unavailable: 1 is in the spectrum "
+    "of A (I - A is singular at pivot 8)\n"
     "spectral radius                             {rho}\n"
     "adjoint family bounds on W                  unavailable: stationary map requires "
     "spectral radius below 1: rho(A) = {rho} (margin 1.0e-06)\n"
@@ -260,11 +260,11 @@ def test_check_exits_1_on_an_accuracy_failure_the_radius_admits(
     tmp_path, capsys, monkeypatch, scale
 ):
     # Only a refused pivot reads as unavailable while rho(A) < 1; with the
-    # map refused by its radius, any failure of the family does.
+    # map refused by its radius, any failure of the family's solve does.
     def missed(*args, **kwargs):
         raise NumericalError("solve residual 1e-3 exceeds its bound")
 
-    monkeypatch.setattr(cli, "subspace_condition", missed)
+    monkeypatch.setattr(linalg, "solve", missed)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_config_doc(scale=scale)))
     code = main(["check", str(path)])
@@ -281,6 +281,25 @@ def test_check_exits_1_on_an_accuracy_failure_the_radius_admits(
         assert rows["adjoint family bounds on W"].strip().startswith(
             "unavailable: stationary map requires spectral radius below 1"
         )
+
+
+def test_recover_gates_an_exact_recovery_on_the_rows_it_reads(tmp_path, capsys):
+    # A = 10 I over K = 200 from zero states: the far rows overflow to inf
+    # and NaN, so the window's sup row norm is NaN, while the rows at 0 and
+    # its successor, the only ones finite recovery reads, are exact.
+    doc = _config_doc(K=200)
+    doc["A"] = {"generator": "scaled_identity", "scale": [10, 0]}
+    doc["x0"] = doc["xm2"] = vector_to_pairs(np.zeros(8, dtype=complex))
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with (
+        pytest.warns(RuntimeWarning, match="invalid value encountered"),
+        pytest.warns(RuntimeWarning, match="overflow encountered"),
+    ):
+        code = main(["recover", str(path), "-o", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.endswith("residual 0.000e+00, abs_error 0.000e+00\n")
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIOS)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nuds.dynamics import SystemSpec
 from nuds.frames import (
     FrameAnalysis,
     FrameBounds,
@@ -10,8 +11,9 @@ from nuds.frames import (
     frame_operator,
     synthesis,
 )
+from nuds.lattice import SpectralParams
 from nuds.linalg import NumericalError
-from nuds.recovery import subspace_condition
+from nuds.recovery import SystemAnalysis
 from nuds.tolerances import Tolerances
 
 from oracles import inner, lu_dual, min_norm_gap, verify_dual_pair
@@ -249,5 +251,10 @@ def test_subspace_bounds_hand_checked():
     F = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     assert FrameAnalysis(F).bounds.alpha == pytest.approx(0.0, abs=1e-12)
     B = np.array([[1.0, 0], [0, 1.0], [0, 0]])
-    b = subspace_condition(np.zeros((3, 3)), F, B)
+    zero = np.zeros(3)
+    spec = SystemSpec(
+        params=SpectralParams(N=2, r=1), dim=3, A=np.zeros((3, 3)), g=F, W_basis=B,
+        w=zero, x0=zero, xm2=zero, K=1,
+    )
+    b = SystemAnalysis(spec).subspace.bounds
     assert (b.alpha, b.beta) == pytest.approx((1.0, 1.0))

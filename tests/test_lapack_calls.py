@@ -1,18 +1,19 @@
 """How many LAPACK factorizations each command makes.
 
 The counts are those of ``nuds.linalg``'s calls to ``eigh``, ``eigvals``
-and ``lu_factor`` (see the ``lapack_calls`` fixture).  Each frame operator
-is eigendecomposed once, and that one decomposition gives both its bounds
+and ``lu_factor`` (see the ``lapack_calls`` fixture).  Every command reads
+its kernels from one ``nuds.recovery.SystemAnalysis`` record, which
+computes each on first read and keeps it.  Each frame operator is
+eigendecomposed once, and that one decomposition gives both its bounds
 and its canonical dual.  ``demo`` runs each recovery once and reads every
-measured number from the recovery that computed it, and the spectral
-radius from the stationary map when there is one.  The stationary map
-makes one LU factorization, of I - A: its solve X = (I - A)^-1 B gives
-the map and its adjoint family S* g_j = X* g_j, which is also the
-subspace family, so neither ``demo`` nor ``check`` factors I - A*.
-``check`` computes the spectral radius once and the subspace family once,
-by ``subspace_condition``, whether or not the radius admits a stationary
-map; from ``nuds.cli.FORK_MIN_RADIUS_DIM`` on, the radius is computed in
-the child that decodes A, outside the counts.
+measured number from the recovery that computed it.  The record's
+resolvent makes one LU factorization, of I - A: its solve
+X = (I - A)^-1 B gives the stationary map and its adjoint family
+S* g_j = X* g_j, which is also the subspace family, so neither ``demo``
+nor ``check`` factors I - A*.  ``check`` reads the spectral radius once
+and the subspace family's analysis once, whether or not the radius admits
+a stationary map; from ``nuds.cli.FORK_MIN_RADIUS_DIM`` on, the radius is
+computed in the child that decodes A, outside the counts.
 """
 
 import pytest

@@ -15,6 +15,11 @@ jobs that fork through it are the two that ``nuds._fork`` and the README
 document: ``nuds.cli._decode_split`` and ``nuds.dynamics.window_to_csv``.
 A third ``Child()`` must update both documents and the pin here.
 
+The kernels that ``recover``, ``check`` and ``demo`` are judged from
+(``spectral_radius``, ``FrameAnalysis``, ``simulate``) run in the fields
+of ``nuds.recovery.SystemAnalysis`` and at the few sites ``KERNEL_SITES``
+names, so no command grows its own path to them.
+
 Every JSON file the package writes goes through ``nuds.cli._write_json``,
 which encodes at C speed.  Before Python 3.13 the stdlib encodes with an
 indent in pure Python, several times slower, so no ``json.dump``/
@@ -172,16 +177,16 @@ def test_the_fork_helper_is_the_only_fork_site():
     assert fork_sites(sources) == ["_fork.Child.start"]
 
 
-def child_sites(sources: dict[str, str]) -> list[str]:
-    """``module.qualified.function`` of each function that calls ``Child()``.
+def call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """``module.qualified.function`` of each function that calls ``name``.
 
-    A call of ``Child`` or of ``<module>.Child`` counts; module-level code
+    A call of ``name`` or of ``<anything>.name`` counts; module-level code
     is the site ``module``.
     """
     sites = set()
     for module, text in sources.items():
         for site, calls in _scopes(ast.parse(text), module):
-            if any(_callee(call) == "Child" for call in calls):
+            if any(_callee(call) == name for call in calls):
                 sites.add(site)
     return sorted(sites)
 
@@ -200,12 +205,36 @@ def test_child_scan_finds_every_job_site():
             "def helper():\n    '''Calls Child() in a docstring only.'''\n"
         ),
     }
-    assert child_sites(sources) == ["a.Writer.write.inner", "a.decode", "b"]
+    assert call_sites(sources, "Child") == ["a.Writer.write.inner", "a.decode", "b"]
 
 
 def test_the_documented_jobs_are_the_only_child_sites():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert child_sites(sources) == ["cli._decode_split", "dynamics.window_to_csv"]
+    assert call_sites(sources, "Child") == ["cli._decode_split", "dynamics.window_to_csv"]
+
+
+# Where the package runs each kernel of the analysis record.  Beside the
+# record's own fields, only the decode child computes rho(A) (it seeds the
+# record), ``simulate`` writes its trajectory without analysing it, and
+# thm317 builds its stationary map by hand, since its I - A is singular.
+KERNEL_SITES = {
+    "spectral_radius": [
+        "cli._radius",
+        "recovery.SystemAnalysis.rho",
+        "scenarios._build_thm317_generalized",
+    ],
+    "FrameAnalysis": [
+        "recovery.SystemAnalysis.sampling",
+        "recovery.SystemAnalysis.subspace",
+        "scenarios._build_thm317_generalized",
+    ],
+    "simulate": ["cli.cmd_simulate", "recovery.SystemAnalysis.trajectory"],
+}
+
+
+def test_the_analysis_record_is_the_only_kernel_site():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: call_sites(sources, name) for name in KERNEL_SITES} == KERNEL_SITES
 
 
 # Calls of json.<name> that make JSON text, and the file methods that write.

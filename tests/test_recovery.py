@@ -1,20 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
-from nuds.frames import FrameAnalysis, FrameBounds, VectorFamily, synthesis
+from nuds.frames import FrameAnalysis, VectorFamily, synthesis
 from nuds.lattice import LambdaIndex, SpectralParams, branch_of, window
-from nuds.linalg import NumericalError, spectral_radius
+from nuds.linalg import SingularMatrixError, spectral_radius
 from nuds.recovery import (
     ConditionFailure,
-    RecoveryReport,
+    SystemAnalysis,
     counterexample_nullifier,
     finite_recovery_report,
     limit_operator,
     reconstruct_finite,
     reconstruct_infinite,
-    stationary_map_from_A,
-    subspace_condition,
 )
 
 from oracles import (
@@ -24,6 +24,16 @@ from oracles import (
 )
 
 PARAMS = SpectralParams(N=2, r=1)
+
+
+def _system(A, g, B) -> SystemAnalysis:
+    """The analysis of x -> A x + w sampled by g, W = range B, w = 0."""
+    dim = A.shape[0]
+    zero = np.zeros(dim)
+    spec = SystemSpec(
+        params=PARAMS, dim=dim, A=A, g=g, W_basis=B, w=zero, x0=zero, xm2=zero, K=1
+    )
+    return SystemAnalysis(spec)
 
 
 def _random_system(rng, dim, K, spectral_scale=0.8, g_count=None):
@@ -108,21 +118,21 @@ def test_subspace_condition_identity_dynamics():
     # {P_W g_j}: a Parseval frame of W here.
     g = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     B = np.array([[1.0, 0], [0, 1.0], [0, 0]])
-    b = subspace_condition(np.zeros((3, 3)), g, B)
+    b = _system(np.zeros((3, 3)), g, B).subspace.bounds
     assert (b.alpha, b.beta) == pytest.approx((1.0, 1.0))
 
 
 def test_subspace_condition_scaled_identity():
     # (I - A*)^-1 = 2I for A = I/2, scaling the bounds by 4.
     g = VectorFamily(vectors=np.eye(2))
-    b = subspace_condition(0.5 * np.eye(2), g, np.eye(2))
+    b = _system(0.5 * np.eye(2), g, np.eye(2)).subspace.bounds
     assert (b.alpha, b.beta) == pytest.approx((4.0, 4.0))
 
 
 def test_subspace_condition_unit_eigenvalue():
     g = VectorFamily(vectors=np.eye(2))
-    with pytest.raises(NumericalError, match="spectrum"):
-        subspace_condition(np.eye(2), g, np.eye(2))
+    with pytest.raises(SingularMatrixError, match="singular"):
+        _system(np.eye(2), g, np.eye(2)).subspace
 
 
 def test_stationary_map_fixed_point():
@@ -130,7 +140,7 @@ def test_stationary_map_fixed_point():
     A = rng.standard_normal((4, 4))
     A *= 0.7 / np.abs(np.linalg.eigvals(A)).max()
     g = VectorFamily(vectors=np.eye(4))
-    smap = stationary_map_from_A(A, g, np.eye(4))
+    smap = _system(A, g, np.eye(4)).stationary_map
     w = rng.standard_normal(4)
     s = smap.stationary_state(w)
     np.testing.assert_allclose(A @ s + w, s, atol=1e-10)
@@ -141,17 +151,17 @@ def test_stationary_map_scaled_identity_adjoint():
     # A = I/2 on C^2 with W = C^2: S = 2I and S* g_j = 2 g_j.
     rng = np.random.default_rng(15)
     g = VectorFamily(vectors=rng.standard_normal((3, 2)))
-    smap = stationary_map_from_A(0.5 * np.eye(2), g, np.eye(2))
+    smap = _system(0.5 * np.eye(2), g, np.eye(2)).stationary_map
     np.testing.assert_allclose(smap.apply, 2.0 * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(smap.adjoint_family.vectors, 2.0 * g.vectors, atol=1e-12)
+    np.testing.assert_allclose(smap.adjoint.family.vectors, 2.0 * g.vectors, atol=1e-12)
 
 
 def test_stationary_map_requires_contraction():
     g = VectorFamily(vectors=np.eye(2))
     with pytest.raises(ConditionFailure, match=r"rho\(A\) = 1"):
-        stationary_map_from_A(np.eye(2), g, np.eye(2))
+        _system(np.eye(2), g, np.eye(2)).stationary_map
     with pytest.raises(ConditionFailure):
-        stationary_map_from_A(1.5 * np.eye(2), g, np.eye(2))
+        _system(1.5 * np.eye(2), g, np.eye(2)).stationary_map
 
 
 # Each solve is backward stable, so the two routes to the subspace family
@@ -178,15 +188,16 @@ def test_adjoint_family_matches_the_adjoint_solve(dim, count, rho):
     ref_bounds = FrameAnalysis(ref).bounds
     scale = float(np.linalg.norm(ref.vectors, 2))
     delta = IDENTITY_ULPS * np.finfo(float).eps * np.linalg.cond(np.eye(dim) - A)
+    system = _system(A, g, B)
     if rho < 1:
-        family = stationary_map_from_A(A, g, B).adjoint_family
+        family = system.stationary_map.adjoint.family
         diff = float(np.linalg.norm(family.vectors - ref.vectors, 2))
         assert diff <= delta * scale
     else:
         with pytest.raises(ConditionFailure):
-            stationary_map_from_A(A, g, B)
+            system.stationary_map
     # Squared singular values of F move by at most (2 ||F|| + err) err.
-    bounds = subspace_condition(A, g, B)
+    bounds = system.subspace.bounds
     slack = 3 * delta * ref_bounds.beta
     assert abs(bounds.alpha - ref_bounds.alpha) <= slack
     assert abs(bounds.beta - ref_bounds.beta) <= slack
@@ -214,10 +225,10 @@ def test_limit_operator_rejects_divergent_rows():
 def test_finite_recovery_report_contents():
     rng = np.random.default_rng(30)
     spec = _random_system(rng, dim=4, K=2)
-    D = data_matrix(simulate(spec), spec.g)
+    system = SystemAnalysis(spec)
     cases = (LambdaIndex(-1, 1), LambdaIndex(0, 0))
     reports = finite_recovery_report(
-        D, cases, spec.A, spec.g, w_true=spec.w, rho=spectral_radius(spec.A)
+        system.data, cases, spec.A, system.sampling, spec.w, rho=system.rho
     )
     assert [report.case for report in reports] == ["iii", "i"]
     report = reports[0]
@@ -251,7 +262,9 @@ def test_finite_recovery_report_requires_frame():
     deficient.vectors[:, 0] = 0.0  # kill one direction
     D = data_matrix(simulate(spec), deficient)
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        finite_recovery_report(D, (LambdaIndex(0, 0),), spec.A, deficient, rho=0.8)
+        finite_recovery_report(
+            D, (LambdaIndex(0, 0),), spec.A, FrameAnalysis(deficient), spec.w, rho=0.8
+        )
 
 
 def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
@@ -268,15 +281,15 @@ def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
 def test_reconstruct_infinite_recovers_source():
     rng = np.random.default_rng(55)
     spec = _stationary_system(rng)
-    D = data_matrix(simulate(spec), spec.g)
-    smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis)
-    report = reconstruct_infinite(D, smap, w_true=spec.w)
+    system = SystemAnalysis(spec)
+    smap = system.stationary_map
+    report = reconstruct_infinite(system.data, smap, spec.w)
     assert report.abs_error < 1e-10
     assert report.residual < 1e-10
     assert report.case == "limit"
     assert report.tail_gap < 1e-12
     assert report.rho == pytest.approx(0.5)
-    assert report.bounds == FrameAnalysis(smap.adjoint_family).bounds
+    assert report.bounds == FrameAnalysis(smap.adjoint.family).bounds
 
 
 def test_reconstruct_infinite_requires_adjoint_frame():
@@ -285,9 +298,9 @@ def test_reconstruct_infinite_requires_adjoint_frame():
     spec = _stationary_system(rng)
     ones_dir = VectorFamily(vectors=np.array([[1.0, 0.0], [2.0, 0.0]]))
     D = data_matrix(simulate(spec), ones_dir)
-    smap = stationary_map_from_A(spec.A, ones_dir, spec.W_basis)
+    smap = SystemAnalysis(dataclasses.replace(spec, g=ones_dir)).stationary_map
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(D, smap)
+        reconstruct_infinite(D, smap, spec.w)
 
 
 def test_reconstruct_infinite_requires_convergent_rows():
@@ -295,22 +308,9 @@ def test_reconstruct_infinite_requires_convergent_rows():
     spec = _stationary_system(rng, K=3)
     spec.x0 = spec.x0 + 50.0  # far from stationary; K=3 tails don't settle
     D = data_matrix(simulate(spec), spec.g)
-    smap = stationary_map_from_A(spec.A, spec.g, spec.W_basis)
+    smap = SystemAnalysis(spec).stationary_map
     with pytest.raises(ConditionFailure, match="not convergent"):
-        reconstruct_infinite(D, smap)
-
-
-def test_recovery_report_json_none_error():
-    report = RecoveryReport(
-        w_hat=np.array([1.0 + 0j]),
-        abs_error=None,
-        residual=0.0,
-        bounds=FrameBounds(alpha=1.0, beta=1.0),
-        rho=0.0,
-        tail_gap=0.0,
-        case="i",
-    )
-    assert report.to_json()["abs_error"] is None
+        reconstruct_infinite(D, smap, spec.w)
 
 
 # --- nullifier construction --------------------------------------------------
