@@ -477,7 +477,9 @@ def _out_dir(args) -> Path:
 # pure Python, ~0.1 us per character; here dicts and lists are walked by its
 # indent rules, every leaf goes to the C encoder, and a finite nonempty
 # ndarray is formatted in one pass over its floats, joined with the
-# separators that its shape and indent fix.
+# separators that its shape and indent fix.  Each distinct bit pattern in
+# the array is spelled once: a demo config's I/4, g = I and W hold tens of
+# thousands of floats but a handful of distinct values.
 
 _leaf = json.JSONEncoder().encode
 
@@ -486,7 +488,9 @@ def _pairs_text(z: np.ndarray, indent: str) -> str:
     """The indented text of ``linalg.vector_to_pairs(z)``; z finite, nonempty.
 
     ``indent`` is the newline and indentation of the array's own line.
-    Each float is spelled as the C encoder spells a finite float.  The
+    Each float is spelled as the C encoder spells a finite float, once
+    per distinct int64 bit pattern (so -0.0 and 0.0 keep their own
+    spellings), and every slot of that pattern takes the same str.  The
     separator after a float closes the lists that end there and opens
     the ones that start next: after the last entry of a level-j list it
     is the level-j separator, built once and repeated by list repetition.
@@ -501,8 +505,10 @@ def _pairs_text(z: np.ndarray, indent: str) -> str:
         seps[-1] = closes + "," + opens + lines[depth]
         seps *= dims[j]
     seps[-1] = "".join(lines[i] + "]" for i in range(depth - 1, -1, -1))
+    bits, inverse = np.unique(z.view(np.int64).ravel(), return_inverse=True)
+    spelled = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     text = [None] * (2 * len(seps))
-    text[0::2] = map(float.__repr__, z.view(np.float64).ravel().tolist())
+    text[0::2] = spelled[inverse].tolist()
     text[1::2] = seps
     head = "[" + "".join(lines[i] + "[" for i in range(1, depth)) + lines[depth]
     return head + "".join(text)
@@ -653,11 +659,12 @@ def cmd_check(args) -> int:
     try:
         sub = system.subspace.bounds
     except SingularMatrixError as exc:
-        # With rho(A) < 1, 1 is not in the spectrum: only the pivot was refused.
+        # Only an exactly zero pivot, with the map refused by its radius,
+        # puts 1 in the spectrum; any other pivot was refused by PIVOT_TOL.
         subspace_row = adjoint_row = (
             f"unavailable: 1 is in the spectrum of A "
             f"(I - A is singular at pivot {exc.pivot_index})"
-            if refusal
+            if refusal and exc.pivot == 0.0
             else f"unavailable: the LU of I - A fell below PIVOT_TOL = "
             f"{tol.PIVOT_TOL:.1e} at pivot {exc.pivot_index}"
         )
@@ -671,6 +678,10 @@ def cmd_check(args) -> int:
     if refusal is not None:
         adjoint_row = refusal
     lim = system.limit
+    if lim.nonfinite_step is None:
+        tail_row = f"{lim.tail_gap:.3e} ({'convergent' if lim.member else 'not convergent'})"
+    else:
+        tail_row = f"undetermined: the samples are first non-finite at step {lim.nonfinite_step}"
     rows = [
         (
             "sampling family bounds",
@@ -680,10 +691,7 @@ def cmd_check(args) -> int:
         ("subspace condition bounds (necessary only)", subspace_row),
         ("spectral radius", f"{system.rho:.8g}"),
         ("adjoint family bounds on W", adjoint_row),
-        (
-            "row-convergence tail gap",
-            f"{lim.tail_gap:.3e} ({'convergent' if lim.member else 'not convergent'})",
-        ),
+        ("row-convergence tail gap", tail_row),
     ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:

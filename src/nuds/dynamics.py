@@ -8,6 +8,10 @@ D[lambda][j] = <x_lambda, g_j>, the object every recovery operator
 consumes.  The diagnostics here measure the data matrix as an operator:
 its sup row norm (the l2 -> linf operator norm) and the Cauchy tail gap
 that certifies row convergence at the window edges.
+
+Inputs are finite, so a non-finite state or sample can only come from
+overflow along an orbit.  The kernels here let it through silently, as
+inf and NaN rows; :func:`first_nonfinite_step` names where it starts.
 """
 
 from __future__ import annotations
@@ -144,11 +148,12 @@ def _orbit_positions(K: int) -> list[list[int]]:
 def _walk_orbits(A: Mat, w: Vec, x0: Vec, xm2: Vec, K: int) -> np.ndarray:
     """Iterate the recurrence along both orbits; (4K, dim) states in window order."""
     states = np.empty((4 * K, A.shape[0]), dtype=complex)
-    for positions, x in zip(_orbit_positions(K), (x0, xm2)):
-        states[positions[0]] = x
-        for p in positions[1:]:
-            x = A @ x + w
-            states[p] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for positions, x in zip(_orbit_positions(K), (x0, xm2)):
+            states[positions[0]] = x
+            for p in positions[1:]:
+                x = A @ x + w
+                states[p] = x
     return states
 
 
@@ -168,7 +173,19 @@ def data_matrix(traj: LatticeWindow, g: VectorFamily) -> LatticeWindow:
         raise ValueError(
             f"sampling vectors have dim {g.dim}, states have dim {X.shape[1]}"
         )
-    return LatticeWindow(X @ g.vectors.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return LatticeWindow(X @ g.vectors.conj().T)
+
+
+def first_nonfinite_step(rows: LatticeWindow) -> int | None:
+    """The fewest steps after which a row on either orbit is not finite; None if none is."""
+    finite = np.isfinite(rows.values).all(axis=1)
+    steps = [
+        int(np.argmin(finite[positions]))
+        for positions in _orbit_positions(rows.K)
+        if not finite[positions].all()
+    ]
+    return min(steps, default=None)
 
 
 def sup_row_norm(D: LatticeWindow) -> float:
@@ -183,12 +200,15 @@ class TailLimit:
     limit_row averages the outermost row of each end; tail_gap is the
     max pairwise l2 distance among the ``TAIL`` outermost rows of both
     ends (a two-sided Cauchy measure); member says whether the gap
-    clears the row-convergence tolerance.
+    clears the row-convergence tolerance.  A gap that is not finite
+    because rows overflowed measures nothing: nonfinite_step is then the
+    first step with a non-finite row, and None otherwise.
     """
 
     limit_row: np.ndarray
     tail_gap: float
     member: bool
+    nonfinite_step: int | None
 
 
 def bs_membership(D: LatticeWindow, *, tol: Tolerances = DEFAULTS) -> TailLimit:
@@ -200,12 +220,14 @@ def bs_membership(D: LatticeWindow, *, tol: Tolerances = DEFAULTS) -> TailLimit:
     """
     X = D.values
     edges = np.concatenate([X[:TAIL], X[-TAIL:]])
-    gap = max(
-        float(np.linalg.norm(edges[i + 1 :] - edges[i], axis=1).max())
-        for i in range(len(edges) - 1)
-    )
-    limit = (X[0] + X[-1]) / 2.0
-    return TailLimit(limit_row=limit, tail_gap=gap, member=gap <= tol.BS_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = max(
+            float(np.linalg.norm(edges[i + 1 :] - edges[i], axis=1).max())
+            for i in range(len(edges) - 1)
+        )
+        limit = (X[0] + X[-1]) / 2.0
+    step = None if np.isfinite(gap) else first_nonfinite_step(D)
+    return TailLimit(limit_row=limit, tail_gap=gap, member=gap <= tol.BS_TOL, nonfinite_step=step)
 
 
 def stationary_deviation(traj: LatticeWindow, stationary_state: Vec) -> float:

@@ -29,11 +29,12 @@ class NumericalError(RuntimeError):
 
 
 class SingularMatrixError(NumericalError):
-    """A solve hit a negligible pivot; carries the offending index."""
+    """A solve hit a negligible pivot; carries its index and its modulus."""
 
-    def __init__(self, message: str, pivot_index: int):
+    def __init__(self, message: str, pivot_index: int, pivot: float):
         super().__init__(message)
         self.pivot_index = pivot_index
+        self.pivot = pivot
 
 
 def as_vector(entries) -> Vec:
@@ -116,6 +117,7 @@ def solve(M: Mat, b: Vec, *, tol: Tolerances = DEFAULTS) -> np.ndarray:
             f"matrix is singular to working precision: pivot {k} is "
             f"{pivots[k]:.3e} (threshold {tol.PIVOT_TOL:.1e} * {scale:.3e})",
             pivot_index=k,
+            pivot=float(pivots[k]),
         )
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
     require_solution(M, x, b, tol=tol)

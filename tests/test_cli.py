@@ -283,23 +283,36 @@ def test_check_exits_1_on_an_accuracy_failure_the_radius_admits(
         )
 
 
-def test_recover_gates_an_exact_recovery_on_the_rows_it_reads(tmp_path, capsys):
-    # A = 10 I over K = 200 from zero states: the far rows overflow to inf
-    # and NaN, so the window's sup row norm is NaN, while the rows at 0 and
-    # its successor, the only ones finite recovery reads, are exact.
+def _overflow_config_path(tmp_path):
+    # A = 10 I over K = 200 from zero states: the rows overflow to inf and
+    # NaN from step 310 on, while the rows at 0 and its successor, the only
+    # ones finite recovery reads, are exact.
     doc = _config_doc(K=200)
     doc["A"] = {"generator": "scaled_identity", "scale": [10, 0]}
     doc["x0"] = doc["xm2"] = vector_to_pairs(np.zeros(8, dtype=complex))
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    with (
-        pytest.warns(RuntimeWarning, match="invalid value encountered"),
-        pytest.warns(RuntimeWarning, match="overflow encountered"),
-    ):
-        code = main(["recover", str(path), "-o", str(tmp_path / "out")])
+    return path
+
+
+def test_recover_gates_an_exact_recovery_on_the_rows_it_reads(tmp_path, capsys):
+    # The overflow is silent: no numpy RuntimeWarning (an error under this
+    # suite's warning filter) and nothing on stderr.
+    code = main(["recover", str(_overflow_config_path(tmp_path)), "-o", str(tmp_path / "out")])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out.endswith("residual 0.000e+00, abs_error 0.000e+00\n")
+
+
+def test_check_names_the_first_non_finite_step_for_an_undetermined_tail_gap(tmp_path, capsys):
+    # The tail gap of overflowed rows is NaN, which measures nothing.
+    assert main(["check", str(_overflow_config_path(tmp_path))]) == 0
+    out, err = capsys.readouterr()
+    rows = dict(line.split("  ", 1) for line in out.splitlines())
+    assert rows["row-convergence tail gap"].strip() == (
+        "undetermined: the samples are first non-finite at step 310"
+    )
+    assert err == ""
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIOS)
@@ -663,6 +676,24 @@ def test_check_passes_tolerances_to_subspace_condition(tmp_path, capsys):
 
     assert "alpha=" in subspace_row()
     assert "unavailable" in subspace_row("--tol-override", "PIVOT_TOL=0.1")
+
+
+def test_check_names_pivot_tol_when_it_refuses_an_lu_the_radius_refused_too(tmp_path, capsys):
+    # rho(A) = 8.5 refuses the map, but A = diag(1.5, ..., 8.5) has no
+    # eigenvalue 1: the smallest pivot of I - A is |1 - 1.5| = 0.5, under
+    # PIVOT_TOL * 7.5 = 0.75, so the row names PIVOT_TOL, not the spectrum.
+    doc = _config_doc()
+    doc["A"] = {"generator": "diag", "entries": [[1.5 + i, 0.0] for i in range(8)]}
+    path = tmp_path / "expanding.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--tol-override", "PIVOT_TOL=0.1"]) == 0
+    rows = dict(line.split("  ", 1) for line in capsys.readouterr().out.splitlines())
+    assert rows["subspace condition bounds (necessary only)"].strip() == (
+        "unavailable: the LU of I - A fell below PIVOT_TOL = 1.0e-01 at pivot 0"
+    )
+    assert rows["adjoint family bounds on W"].strip().startswith(
+        "unavailable: stationary map requires spectral radius below 1: rho(A) = 8.5"
+    )
 
 
 # Malformed or unusual [re, im] pairs, as in test_linalg: (pair, error

@@ -13,6 +13,7 @@ from nuds.dynamics import (
     bs_membership,
     data_matrix,
     data_matrix_to_csv,
+    first_nonfinite_step,
     simulate,
     stationary_deviation,
     sup_row_norm,
@@ -26,6 +27,7 @@ from nuds.lattice import (
     SpectralParams,
     branch_of,
     index_label,
+    power_of,
     window,
 )
 from nuds.linalg import NumericalError
@@ -208,6 +210,7 @@ def test_bs_membership_constant_rows():
     D = LatticeWindow(np.tile(row, (len(order), 1)))
     tl = bs_membership(D)
     assert tl.member and tl.tail_gap == 0.0
+    assert tl.nonfinite_step is None and first_nonfinite_step(D) is None
     np.testing.assert_array_equal(tl.limit_row, row)
 
 
@@ -231,6 +234,26 @@ def test_bs_membership_gap_spans_all_four_rows_of_a_K1_window():
     tl = bs_membership(D)
     assert tl.tail_gap == 2.0
     np.testing.assert_array_equal(tl.limit_row, [0.0])
+
+
+def test_overflowing_orbits_are_silent_and_name_their_first_non_finite_step():
+    # x -> 10 x + 1 overflows at step 310 from 0 and at step 9 from 1e300;
+    # the warning filter of this suite turns any numpy warning into an error.
+    spec = _spec_1d()
+    spec.A = np.array([[10.0 + 0j]])
+    spec.xm2 = np.array([1e300 + 0j])
+    spec.K = 200
+    D = data_matrix(simulate(spec), spec.g)
+    want = min(
+        power_of(idx)
+        for idx, row in zip(window(spec.K), D.values)
+        if not np.isfinite(row).all()
+    )
+    assert want == 9
+    assert first_nonfinite_step(D) == want
+    tl = bs_membership(D)
+    assert not np.isfinite(tl.tail_gap) and not tl.member
+    assert tl.nonfinite_step == want
 
 
 def test_stationary_deviation():

@@ -53,12 +53,16 @@ arrays = st.one_of(
     st.lists(st.lists(scalars, min_size=2, max_size=2), min_size=1, max_size=3),
 )
 # Complex ndarrays as documents hold them: vectors, matrices and transposed
-# views such as W_basis.T, finite (the formatted path) or not (the pairs).
+# views such as W_basis.T, finite (the formatted path) or not (the pairs),
+# 1-element arrays among them.
 ODD_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, 1e16, 1e-5]
 finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(ODD_FLOATS)
 )
 any_floats = st.one_of(st.floats(), st.sampled_from(ODD_FLOATS + [math.nan, math.inf, -math.inf]))
+# Arrays drawn from a small pool repeat nearly every value, and both signs
+# of zero share an array: the writer spells each distinct bit pattern once.
+pooled_floats = st.sampled_from([0.0, -0.0, 0.25, 1.0, 5e-324, -5e-324, 1e16, 1e-5])
 
 
 @st.composite
@@ -70,7 +74,7 @@ def complex_arrays(draw):
         )
     )
     size = 2 * math.prod(shape)
-    floats = draw(st.sampled_from([finite_floats, any_floats]))
+    floats = draw(st.sampled_from([finite_floats, any_floats, pooled_floats]))
     flat = draw(st.lists(floats, min_size=size, max_size=size))
     z = np.array(flat, dtype=np.float64).view(complex).reshape(shape)
     return z.T if z.ndim == 2 and draw(st.booleans()) else z
@@ -94,6 +98,13 @@ def test_random_documents_encode_as_the_stdlib_encodes_them(doc):
 
 
 # --- edge documents -----------------------------------------------------------
+
+def _quarter_identity_with_a_negative_zero() -> np.ndarray:
+    """thm319's 80 x 80 A = I/4, with one -0.0 among its off-diagonal 0.0s."""
+    z = 0.25 * np.eye(80, dtype=complex)
+    z[3, 61] = complex(-0.0, 0.0)
+    return z
+
 
 EDGE_DOCUMENTS = {
     "non-finite and odd numbers in pairs": {
@@ -147,6 +158,10 @@ EDGE_DOCUMENTS = {
         "matrix": np.array([[1 - 0.0j, 2.5j], [-1e-300, 1e300 + 7j]]),
         "transposed": np.arange(6, dtype=complex).reshape(2, 3).T * (1 - 1j),
         "one entry": np.array([[0.1 + 0.2j]]),
+    },
+    "I/4 with one -0.0": {
+        "A": _quarter_identity_with_a_negative_zero(),
+        "A.T": _quarter_identity_with_a_negative_zero().T,
     },
     "non-finite complex ndarrays": {
         "vector": np.array([complex(math.nan, 1.0), complex(-math.inf, -0.0)]),

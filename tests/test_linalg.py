@@ -142,6 +142,7 @@ def test_solve_singular_reports_pivot():
     with pytest.raises(SingularMatrixError) as exc:
         solve(m, np.array([1.0, 0.0]))
     assert exc.value.pivot_index is not None
+    assert exc.value.pivot == 0.0  # the second row of the LU cancels exactly
     assert isinstance(exc.value, NumericalError)
 
 
