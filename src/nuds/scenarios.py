@@ -1,10 +1,10 @@
 """Reproducible builders for the worked examples and the counterexample.
 
-Each scenario id maps to a deterministic system: given the same
-(id, r, N, K) the builder returns bit-identical data (any randomness is
-seeded from those values).  ``run_scenario`` executes the recovery that
-the scenario is about and compares the outcome against the expectations
-record; the CLI ``demo`` command is a thin wrapper around it.
+Each scenario id maps to one :class:`Scenario` record: a deterministic
+builder (the same (id, r, N, K) gives bit-identical data), the
+expectations of its run, its range of K and its own checks.
+``run_scenario`` judges a run by its record alone; the CLI ``demo``
+command is a thin wrapper around it.
 
 Scenario ids:
     thm312_diagonal       finite-step recovery with a diagonal operator
@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 import zlib
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .lattice import (
 )
 from .linalg import Vec
 from .recovery import (
+    RecoveryReport,
     StationaryMap,
     SystemAnalysis,
     counterexample_nullifier,
@@ -81,16 +83,52 @@ class ScenarioExpectations:
 
     should_recover_finite: bool
     should_recover_infinite: bool
-    expected_bounds: tuple[float, float]
+    expected_bounds: tuple[float, float] | None  # None in a record: its builder's
     bounds_of: str  # which family the bounds describe: sampling|adjoint|subspace
     expected_rho: float
     notes: tuple[str, ...] = ()
 
+
+class Built(NamedTuple):
+    """A builder's system, with what only K decides beside it."""
+
+    spec: SystemSpec
+    smap: StationaryMap | None = None  # a map built by hand (thm317: I - A is singular)
+    expected_bounds: tuple[float, float] | None = None  # in place of the record's
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A packaged scenario: its builder, expectations, range of K and own checks.
+
+    The smallest K is ``floor_K``, raised to ``raise_floor(tol)`` where the
+    tolerances need more; ``floor_why`` (formatted with ``tol``) and
+    ``max_why`` say why a K out of range is refused.  ``limit_oracle``
+    judges the limit recovery's error.  A check reads the run's
+    ``(SystemAnalysis, stationary map, limit recovery)``, None where absent,
+    and gives the report keys it adds and its failures: ``checks`` after
+    the finite recovery's, ``limit_checks`` after the limit recovery's.
+    """
+
+    build: Callable[[SpectralParams, int, Tolerances], Built]
+    expectations: ScenarioExpectations
+    default_K: int
+    floor_K: int = 2
+    floor_why: str = "finite recovery at r/N reads the row at 2"
+    raise_floor: Callable[[Tolerances], int] | None = None
+    max_K: int | None = None  # None: no largest K
+    max_why: str = ""
+    limit_oracle: float = ORACLE_TOL
+    checks: tuple[Callable[..., tuple[dict, list[str]]], ...] = ()
+    limit_checks: tuple[Callable[..., tuple[dict, list[str]]], ...] = ()
+
+
 @dataclass
 class ScenarioBundle:
-    """A built scenario; ``smap`` is a map built by hand (thm317: I - A is singular)."""
+    """A built scenario: its record, system, expectations and any hand-built map."""
 
     id: str
+    scenario: Scenario
     spec: SystemSpec
     expectations: ScenarioExpectations
     smap: StationaryMap | None = None
@@ -133,16 +171,13 @@ def counterexample_source(K: int) -> Vec:
     return w
 
 
-def _build_thm312_diagonal(
-    params: SpectralParams, K: int, tol: Tolerances
-) -> ScenarioBundle:
+def _build_thm312_diagonal(params: SpectralParams, K: int, tol: Tolerances) -> Built:
     dim = 4 * K
     diag = np.zeros(dim)
     for idx in window(K):
         if idx.eps == 0:
             diag[position(idx, K)] = 2.0 ** (-idx.m) if idx.m >= 0 else 2.0 ** idx.m
     A = np.diag(diag).astype(complex)
-    g = _onb(dim)
     rng = _scenario_rng("thm312_diagonal", params, K)
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     w /= np.linalg.norm(w)
@@ -150,97 +185,34 @@ def _build_thm312_diagonal(
     x0[position(LambdaIndex(0, 1), K)] = 1.0
     xm2 = np.zeros(dim, dtype=complex)
     xm2[position(LambdaIndex(-1, 0), K)] = 1.0
-    spec = SystemSpec(
-        params=params,
-        dim=dim,
-        A=A,
-        g=g,
-        W_basis=np.eye(dim, dtype=complex),
-        w=w,
-        x0=x0,
-        xm2=xm2,
-        K=K,
-    )
-    expectations = ScenarioExpectations(
-        should_recover_finite=True,
-        should_recover_infinite=False,
-        expected_bounds=(1.0, 1.0),
-        bounds_of="sampling",
-        expected_rho=1.0,
-        notes=("diagonal restricted to the finite window",),
-    )
-    return ScenarioBundle("thm312_diagonal", spec, expectations)
+    W, g = np.eye(dim, dtype=complex), _onb(dim)
+    return Built(SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=W, w=w, x0=x0, xm2=xm2, K=K))
 
 
-def _build_thm38_onb(
-    params: SpectralParams, K: int, tol: Tolerances
-) -> ScenarioBundle:
+def _build_thm38_onb(params: SpectralParams, K: int, tol: Tolerances) -> Built:
     dim = 4 * K
     w = np.zeros(dim, dtype=complex)
     w[position(LambdaIndex(0, 0), K)] = 1.0
-    spec = SystemSpec(
-        params=params,
-        dim=dim,
-        A=np.zeros((dim, dim), dtype=complex),
-        g=_onb(dim),
-        W_basis=np.eye(dim, dtype=complex),
-        w=w,
-        x0=w.copy(),
-        xm2=w.copy(),
-        K=K,
-    )
-    expectations = ScenarioExpectations(
-        should_recover_finite=True,
-        should_recover_infinite=True,
-        expected_bounds=(1.0, 1.0),
-        bounds_of="sampling",
-        expected_rho=0.0,
-    )
-    return ScenarioBundle("thm38_onb", spec, expectations)
+    A, W, g = np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex), _onb(dim)
+    x0, xm2 = w.copy(), w.copy()
+    return Built(SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=W, w=w, x0=x0, xm2=xm2, K=K))
 
 
-def _build_thm314_counterexample(
-    params: SpectralParams, K: int, tol: Tolerances
-) -> ScenarioBundle:
+def _build_thm314_counterexample(params: SpectralParams, K: int, tol: Tolerances) -> Built:
     dim = 4 * K
     lam = np.geomspace(0.1, 0.9, dim)
     A = np.diag(lam).astype(complex)
     w = counterexample_source(K)
     g_vec = (np.eye(dim, dtype=complex) - A) @ w
     g = VectorFamily(vectors=g_vec[np.newaxis, :])
-    W_basis = (w / np.linalg.norm(w))[:, np.newaxis]
+    W = (w / np.linalg.norm(w))[:, np.newaxis]
     x0 = counterexample_nullifier(A, g, w, K)
-    spec = SystemSpec(
-        params=params,
-        dim=dim,
-        A=A,
-        g=g,
-        W_basis=W_basis,
-        w=w,
-        x0=x0,
-        xm2=x0.copy(),
-        K=K,
-    )
+    spec = SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=W, w=w, x0=x0, xm2=x0.copy(), K=K)
     norm_w_sq = float(np.linalg.norm(w)) ** 2
-    expectations = ScenarioExpectations(
-        should_recover_finite=False,
-        should_recover_infinite=False,
-        expected_bounds=(norm_w_sq, norm_w_sq),
-        bounds_of="subspace",
-        expected_rho=0.9,
-        notes=(
-            "the subspace condition is necessary only: it holds here while "
-            "every windowed measurement vanishes",
-            "source pattern extended beyond the innermost coordinates by its "
-            "evident power law",
-        ),
-    )
-    return ScenarioBundle("thm314_counterexample", spec, expectations)
+    return Built(spec, expected_bounds=(norm_w_sq, norm_w_sq))
 
 
-def _build_thm317_generalized(
-    params: SpectralParams, K: int, tol: Tolerances
-) -> ScenarioBundle:
+def _build_thm317_generalized(params: SpectralParams, K: int, tol: Tolerances) -> Built:
     dim = 4 * K
     p0 = position(LambdaIndex(0, 0), K)
     pm2 = position(LambdaIndex(-1, 0), K)
@@ -254,17 +226,7 @@ def _build_thm317_generalized(
     y /= np.linalg.norm(y)
     w = B @ y
     g = _onb(dim)
-    spec = SystemSpec(
-        params=params,
-        dim=dim,
-        A=A,
-        g=g,
-        W_basis=B,
-        w=w,
-        x0=-w,
-        xm2=-w,
-        K=K,
-    )
+    spec = SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=B, w=w, x0=-w, xm2=-w, K=K)
     # The stationary map fixes S(w) = -w on W; its adjoint family
     # S* g_j = apply* g_j is built as stationary_map_from_A builds it.
     apply = -B
@@ -274,91 +236,91 @@ def _build_thm317_generalized(
         W_basis=B,
         rho=linalg.spectral_radius(A),
     )
-    expectations = ScenarioExpectations(
-        should_recover_finite=True,
-        should_recover_infinite=True,
-        expected_bounds=(1.0, 1.0),
-        bounds_of="adjoint",
-        expected_rho=2.0,
-        notes=("paper-typo-corrected",),
-    )
-    return ScenarioBundle("thm317_generalized", spec, expectations, smap=smap)
+    return Built(spec, smap=smap)
 
 
-def _build_thm319_quarter(
-    params: SpectralParams, K: int, tol: Tolerances
-) -> ScenarioBundle:
+def _build_thm319_quarter(params: SpectralParams, K: int, tol: Tolerances) -> Built:
     dim = 4 * K
     p0 = position(LambdaIndex(0, 0), K)
     p1 = position(LambdaIndex(0, 1), K)
     B = _basis_columns(dim, [p0, p1])
     w = np.zeros(dim, dtype=complex)
     w[[p0, p1]] = QUARTER_SOURCE
-    A = 0.25 * np.eye(dim, dtype=complex)
-    g = _onb(dim)
-    spec = SystemSpec(
-        params=params,
-        dim=dim,
-        A=A,
-        g=g,
-        W_basis=B,
-        w=w,
-        x0=np.zeros(dim, dtype=complex),
-        xm2=np.zeros(dim, dtype=complex),
-        K=K,
-    )
-    expectations = ScenarioExpectations(
-        should_recover_finite=True,
-        should_recover_infinite=True,
-        expected_bounds=(16.0 / 9.0, 16.0 / 9.0),
-        bounds_of="adjoint",
-        expected_rho=0.25,
-    )
-    return ScenarioBundle("thm319_quarter", spec, expectations)
+    A, g = 0.25 * np.eye(dim, dtype=complex), _onb(dim)
+    x0, xm2 = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
+    return Built(SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=B, w=w, x0=x0, xm2=xm2, K=K))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A packaged scenario: its builder, its default and largest K, and a floor."""
+def _nullified_data(
+    system: SystemAnalysis, smap: StationaryMap, limit: RecoveryReport
+) -> tuple[dict, list[str]]:
+    """thm314, judged on its simulated data: every sample vanishes, w is unit-plus.
 
-    build: Callable[[SpectralParams, int, Tolerances], ScenarioBundle]
-    default_K: int
-    floor_K: int  # the smallest K is min_K(), which may raise thm319's
-    max_K: int | None  # None: no largest K
+    The subspace bounds are the limit recovery's (the map's adjoint family
+    ``X* g_j = P_W (I - A*)^-1 g_j`` is the subspace family) and make a
+    frame; the sampling family is no frame, and the limit sees no source.
+    """
+    spec, D, tol = system.spec, system.data, system.tol
+    samples = D.values[:, 0]
+    failures = []
+    worst = float(np.max(np.abs(samples)))
+    if worst > ORACLE_TOL:
+        failures.append(f"nullified sample of size {worst:.3e} exceeds 1e-8")
+    if float(np.linalg.norm(spec.w)) < 1.0:
+        failures.append("source norm fell below 1")
+    if system.sampling.bounds.is_frame(tol=tol):
+        failures.append("sampling family unexpectedly a frame for the ambient space")
+    if not limit.bounds.is_frame(tol=tol):
+        failures.append("subspace condition unexpectedly failed")
+    if float(np.linalg.norm(limit.w_hat)) > LIMIT_ORACLE_TOL:
+        failures.append("limit recovery saw a nonzero source in nullified data")
+    measurements = [
+        {
+            "lambda": {"m": idx.m, "eps": idx.eps, "label": index_label(idx, spec.params)},
+            "value": linalg.complex_to_pair(value),
+        }
+        for idx, value in zip(D.order, samples)
+    ]
+    return {"measurements": measurements, "necessary_condition_only": True}, failures
 
 
-# Scenario(build, default_K, floor_K, max_K).  The finite cases at 0 and r/N
-# read the row at 2, which the window holds from K = 2 on; thm314 runs no
-# finite recovery.  Only thm314 has a largest K: its nullifier is a
-# least-squares witness whose rows g* A^n decay like 0.1^n to 0.9^n over
-# n < 2K, so its conditioning grows exponentially in K: its largest
-# simulated sample is 1e-15 at K = 2, 9.3e-10 at K = 8 and 3.0e-7, above
-# ORACLE_TOL, at K = 9.
-SCENARIOS = {
-    "thm312_diagonal": Scenario(_build_thm312_diagonal, 4, 2, None),
-    "thm38_onb": Scenario(_build_thm38_onb, 3, 2, None),
-    "thm314_counterexample": Scenario(_build_thm314_counterexample, 3, 1, 8),
-    "thm317_generalized": Scenario(_build_thm317_generalized, 5, 2, None),
-    "thm319_quarter": Scenario(_build_thm319_quarter, 20, 2, None),
-}
+def _limit_norm_ratio(
+    system: SystemAnalysis, smap: StationaryMap, limit: RecoveryReport
+) -> tuple[dict, list[str]]:
+    """thm38: the limit operator's norm over the sup row norm is exactly 1."""
+    limit_vec = limit_operator(system.data, system.spec.g, tol=system.tol)
+    ratio = float(np.linalg.norm(limit_vec)) / sup_row_norm(system.data)
+    failure = f"limit operator norm ratio {ratio!r} != 1"
+    return {"limit_norm_ratio": ratio}, [failure] if abs(ratio - 1.0) > ORACLE_TOL else []
 
 
-def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
-    """Smallest K on which the scenario's recovery can run at ``tol``.
+def _geometric_convergence(
+    system: SystemAnalysis, smap: StationaryMap, limit: RecoveryReport
+) -> tuple[dict, list[str]]:
+    """thm319: every state x_n is within 4^-n ||x0 - S(w)|| of S(w)."""
+    spec, traj = system.spec, system.trajectory
+    s_w = smap.stationary_state(spec.w)
+    base = float(np.linalg.norm(spec.x0 - s_w))
+    steps = np.array([power_of(idx) for idx in traj.order])
+    dist = np.linalg.norm(traj.values - s_w, axis=1)
+    excess = max(0.0, float(np.max(dist - (0.25**steps) * base)))
+    failure = f"state convergence violated the geometric bound by {excess:.3e}"
+    return {"convergence_excess": excess}, [failure] if excess > GEOMETRIC_SLACK else []
 
-    In thm319 both orbits start at x0 = 0 and contract toward S(w) = 4w/3
-    along one ray, x_n - S(w) = 4^-n (x0 - S(w)).  The edge rows that
-    enter the tail gap (``dynamics.TAIL`` = 2 per end) sit at steps 2K - 2
-    and 2K - 1, so two conditions set the minimum:
+
+def _quarter_min_K(tol: Tolerances) -> int:
+    """The smallest K on which thm319's edge rows and limit recovery clear.
+
+    Both orbits start at x0 = 0 and contract toward S(w) = 4w/3 along one
+    ray, x_n - S(w) = 4^-n (x0 - S(w)).  The edge rows that enter the tail
+    gap (``dynamics.TAIL`` = 2 per end) sit at steps 2K - 2 and 2K - 1, so
+    two conditions set the minimum:
 
     - their gap, below 4^-(2K-2) ||x0 - S(w)||, must clear ``tol.BS_TOL``;
     - the limit row, their mean, misses S(w) by 5/8 4^-(2K-2) ||x0 - S(w)||
       along the ray, and the recovered source misses w by 3/4 of that
       (S^-1 = 3/4 on W), which must clear the fixed LIMIT_ORACLE_TOL.
     """
-    smallest = SCENARIOS[scenario_id].floor_K
-    if scenario_id != "thm319_quarter":
-        return smallest
     distance = 4.0 / 3.0 * math.hypot(*QUARTER_SOURCE)
     # In log space: distance / BS_TOL overflows for a subnormal BS_TOL.
     steps = max(
@@ -366,7 +328,99 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
         math.log(15.0 / 32.0 * distance / LIMIT_ORACLE_TOL, 4),
         0.0,
     )
-    return max(smallest, math.ceil(steps / 2) + 1)
+    return math.ceil(steps / 2) + 1
+
+
+# The finite cases at 0 and r/N read the row at 2, which the window holds
+# from K = 2 on; thm314 runs no finite recovery.  Only thm314 has a largest
+# K: its nullifier is a least-squares witness whose rows g* A^n decay like
+# 0.1^n to 0.9^n over n < 2K, so its conditioning grows exponentially in K:
+# its largest simulated sample is 1e-15 at K = 2, 9.3e-10 at K = 8 and
+# 3.0e-7, above ORACLE_TOL, at K = 9.
+SCENARIOS = {
+    "thm312_diagonal": Scenario(
+        _build_thm312_diagonal,
+        ScenarioExpectations(
+            should_recover_finite=True, should_recover_infinite=False,
+            expected_bounds=(1.0, 1.0), bounds_of="sampling", expected_rho=1.0,
+            notes=("diagonal restricted to the finite window",),
+        ),
+        default_K=4,
+    ),
+    "thm38_onb": Scenario(
+        _build_thm38_onb,
+        ScenarioExpectations(
+            should_recover_finite=True, should_recover_infinite=True,
+            expected_bounds=(1.0, 1.0), bounds_of="sampling", expected_rho=0.0,
+        ),
+        default_K=3,
+        checks=(_limit_norm_ratio,),
+    ),
+    "thm314_counterexample": Scenario(
+        _build_thm314_counterexample,
+        ScenarioExpectations(
+            should_recover_finite=False, should_recover_infinite=False,
+            expected_bounds=None, bounds_of="subspace", expected_rho=0.9,
+            notes=(
+                "the subspace condition is necessary only: it holds here while "
+                "every windowed measurement vanishes",
+                "source pattern extended beyond the innermost coordinates by its "
+                "evident power law",
+            ),
+        ),
+        default_K=3,
+        floor_K=1,
+        max_K=8,
+        max_why=(
+            "beyond it the nullifier's least-squares witness is too ill-conditioned "
+            f"for float arithmetic to zero the simulated samples to {ORACLE_TOL:.0e}"
+        ),
+        checks=(_nullified_data,),
+    ),
+    "thm317_generalized": Scenario(
+        _build_thm317_generalized,
+        ScenarioExpectations(
+            should_recover_finite=True, should_recover_infinite=True,
+            expected_bounds=(1.0, 1.0), bounds_of="adjoint", expected_rho=2.0,
+            notes=("paper-typo-corrected",),
+        ),
+        default_K=5,
+    ),
+    "thm319_quarter": Scenario(
+        _build_thm319_quarter,
+        ScenarioExpectations(
+            should_recover_finite=True, should_recover_infinite=True,
+            expected_bounds=(16.0 / 9.0, 16.0 / 9.0), bounds_of="adjoint", expected_rho=0.25,
+        ),
+        default_K=20,
+        floor_why=(
+            "its edge rows clear BS_TOL = {tol.BS_TOL:.1e} and its limit recovery "
+            f"clears LIMIT_ORACLE_TOL = {LIMIT_ORACLE_TOL:.0e} only from there"
+        ),
+        raise_floor=_quarter_min_K,
+        limit_oracle=LIMIT_ORACLE_TOL,
+        limit_checks=(_geometric_convergence,),
+    ),
+}
+
+
+def _scenario(scenario_id: str) -> Scenario:
+    """The record of ``scenario_id``; ``ValueError`` naming the known ids if none."""
+    if scenario_id not in SCENARIOS:
+        known = ", ".join(SCENARIOS)
+        raise ValueError(f"unknown scenario id {scenario_id!r}; known ids: {known}")
+    return SCENARIOS[scenario_id]
+
+
+def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
+    """Smallest K on which the scenario's recovery can run at ``tol``.
+
+    That is the record's ``floor_K``, raised to ``raise_floor(tol)`` where
+    the record has one.  Raises ``ValueError`` for an unknown id.
+    """
+    scenario = _scenario(scenario_id)
+    raised = 0 if scenario.raise_floor is None else scenario.raise_floor(tol)
+    return max(scenario.floor_K, raised)
 
 
 def build(
@@ -378,33 +432,23 @@ def build(
     for an unknown id, or for a K below :func:`min_K` or above the
     scenario's ``max_K``, naming that limit.
     """
-    try:
-        scenario = SCENARIOS[scenario_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario id {scenario_id!r}; known ids: {', '.join(SCENARIOS)}"
-        ) from None
+    scenario = _scenario(scenario_id)
     if K is None:
         K = scenario.default_K
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
     smallest = min_K(scenario_id, tol=tol)
     if K < smallest:
-        why = (
-            f"its edge rows clear BS_TOL = {tol.BS_TOL:.1e} and its limit "
-            f"recovery clears LIMIT_ORACLE_TOL = {LIMIT_ORACLE_TOL:.0e} only from there"
-            if scenario_id == "thm319_quarter"
-            else "finite recovery at r/N reads the row at 2"
-        )
+        why = scenario.floor_why.format(tol=tol)
         raise ValueError(f"{scenario_id} needs K >= {smallest}, got K = {K}: {why}")
     if scenario.max_K is not None and K > scenario.max_K:
-        raise ValueError(
-            f"{scenario_id} needs K <= {scenario.max_K}, got K = {K}: beyond it the "
-            f"nullifier's least-squares witness is too ill-conditioned for "
-            f"float arithmetic to zero the simulated samples "
-            f"to {ORACLE_TOL:.0e}"
-        )
-    return scenario.build(params, K, tol)
+        why = scenario.max_why
+        raise ValueError(f"{scenario_id} needs K <= {scenario.max_K}, got K = {K}: {why}")
+    spec, smap, bounds = scenario.build(params, K, tol)
+    exp = scenario.expectations if bounds is None else replace(
+        scenario.expectations, expected_bounds=bounds
+    )
+    return ScenarioBundle(scenario_id, scenario, spec, exp, smap)
 
 
 def _close(a: float, b: float, bound: float) -> bool:
@@ -414,22 +458,24 @@ def _close(a: float, b: float, bound: float) -> bool:
 def run_scenario(
     bundle: ScenarioBundle, *, tol: Tolerances = DEFAULTS
 ) -> tuple[dict, list[str]]:
-    """Execute the scenario's recovery and check its expectations.
+    """Execute the scenario's recoveries and check its expectations.
 
     Each recovery runs once, from one :class:`SystemAnalysis`, and the
-    measured bounds are read from the recovery that computed them.  The
-    stationary map, where there is one, is read first, so a refused map
-    ends the run before any recovery.  thm314 is judged on the simulated data.
+    measured bounds are read from the recovery that computed them
+    (``bounds_of``).  The limit recovery runs where the expectations ask
+    for it or read its bounds; its stationary map, the bundle's or else the
+    system's, is read first, so a refused map ends the run before any
+    recovery.  ``recovery`` holds the limit report where there is one.
+    The record's own checks then add their report keys and failures.
 
     Returns (report document, failures); an empty failure list means
     every expectation held.
     """
-    spec = bundle.spec
-    exp = bundle.expectations
+    spec, exp, scenario = bundle.spec, bundle.expectations, bundle.scenario
     failures: list[str] = []
     smap = bundle.smap
     system = SystemAnalysis(spec, tol=tol, rho=None if smap is None else smap.rho)
-    if smap is None and (exp.should_recover_infinite or bundle.id == "thm314_counterexample"):
+    if smap is None and (exp.should_recover_infinite or exp.bounds_of != "sampling"):
         smap = system.stationary_map
     traj, D, rho = system.trajectory, system.data, system.rho
     finite_reports = []
@@ -441,9 +487,6 @@ def run_scenario(
 
     if not _close(rho, exp.expected_rho, RHO_ORACLE_TOL):
         failures.append(f"spectral radius {rho:.8g} != expected {exp.expected_rho:.8g}")
-    # thm314's map is the system's own, whose adjoint family is the
-    # subspace family {P_W (I - A*)^-1 g_j}: the limit recovery holds its
-    # bounds.
     bounds = finite_reports[0].bounds if exp.bounds_of == "sampling" else limit.bounds
     if not (
         _close(bounds.alpha, exp.expected_bounds[0], ORACLE_TOL)
@@ -460,43 +503,15 @@ def run_scenario(
         "params": {"N": spec.params.N, "r": spec.params.r},
         "K": spec.K,
         "expectations": asdict(exp),
-        "measured": {
-            "rho": rho,
-            "bounds": [bounds.alpha, bounds.beta],
-        },
+        "measured": {"rho": rho, "bounds": [bounds.alpha, bounds.beta]},
+        "recovery": (finite_reports[0] if limit is None else limit).to_json(),
     }
 
-    if bundle.id == "thm314_counterexample":
-        samples = D.values[:, 0]
-        worst = float(np.max(np.abs(samples)))
-        if worst > ORACLE_TOL:
-            failures.append(f"nullified sample of size {worst:.3e} exceeds 1e-8")
-        if float(np.linalg.norm(spec.w)) < 1.0:
-            failures.append("source norm fell below 1")
-        if system.sampling.bounds.is_frame(tol=tol):
-            failures.append(
-                "sampling family unexpectedly a frame for the ambient space"
-            )
-        if not bounds.is_frame(tol=tol):
-            failures.append("subspace condition unexpectedly failed")
-        # The windowed data is identically zero, so the limit route
-        # returns (approximately) nothing while the true source is unit-plus.
-        if float(np.linalg.norm(limit.w_hat)) > LIMIT_ORACLE_TOL:
-            failures.append("limit recovery saw a nonzero source in nullified data")
-        report["measurements"] = [
-            {
-                "lambda": {
-                    "m": idx.m,
-                    "eps": idx.eps,
-                    "label": index_label(idx, spec.params),
-                },
-                "value": linalg.complex_to_pair(value),
-            }
-            for idx, value in zip(D.order, samples)
-        ]
-        report["recovery"] = limit.to_json()
-        report["necessary_condition_only"] = True
-        return report, failures
+    def run_own(checks) -> None:
+        for check in checks:
+            keys, found = check(system, smap, limit)
+            report.update(keys)
+            failures.extend(found)
 
     if exp.should_recover_finite:
         for at, rep in zip(FINITE_CASES, finite_reports):
@@ -505,35 +520,16 @@ def run_scenario(
                     f"finite recovery at {index_label(at, spec.params)} missed: "
                     f"abs_error = {rep.abs_error}"
                 )
-        report["recovery"] = finite_reports[0].to_json()
         report["finite_cases"] = {rep.case: rep.abs_error for rep in finite_reports}
-
-    if bundle.id == "thm38_onb":
-        limit_vec = limit_operator(D, spec.g, tol=tol)
-        ratio = float(np.linalg.norm(limit_vec)) / sup_row_norm(D)
-        report["limit_norm_ratio"] = ratio
-        if abs(ratio - 1.0) > ORACLE_TOL:
-            failures.append(f"limit operator norm ratio {ratio!r} != 1")
+    run_own(scenario.checks)
 
     if exp.should_recover_infinite:
-        threshold = LIMIT_ORACLE_TOL if bundle.id == "thm319_quarter" else ORACLE_TOL
-        if limit.abs_error > threshold:
+        if limit.abs_error > scenario.limit_oracle:
             failures.append(
-                f"limit recovery missed: abs_error = {limit.abs_error} > {threshold}"
+                f"limit recovery missed: abs_error = {limit.abs_error} > {scenario.limit_oracle}"
             )
-        report["recovery"] = limit.to_json()
         s_w = smap.stationary_state(spec.w)
         report["stationary_deviation"] = stationary_deviation(traj, s_w)
-        if bundle.id == "thm319_quarter":
-            # Geometric convergence of every state toward the stationary one.
-            base = float(np.linalg.norm(spec.x0 - s_w))
-            steps = np.array([power_of(idx) for idx in traj.order])
-            dist = np.linalg.norm(traj.values - s_w, axis=1)
-            worst_excess = max(0.0, float(np.max(dist - (0.25**steps) * base)))
-            report["convergence_excess"] = worst_excess
-            if worst_excess > GEOMETRIC_SLACK:
-                failures.append(
-                    f"state convergence violated the geometric bound by {worst_excess:.3e}"
-                )
+    run_own(scenario.limit_checks)
 
     return report, failures

@@ -4,15 +4,23 @@ import json
 import numpy as np
 import pytest
 
+from nuds.cli import main
+from nuds.dynamics import SystemSpec
+from nuds.frames import FrameAnalysis, VectorFamily
 from nuds.lattice import LambdaIndex, SpectralParams, position
 from nuds.linalg import spectral_radius, vector_to_pairs
+from nuds.recovery import StationaryMap, SystemAnalysis
 from nuds.scenarios import (
     SCENARIOS,
+    Built,
+    Scenario,
+    ScenarioExpectations,
     build,
     counterexample_source,
     min_K,
     run_scenario,
 )
+from nuds.tolerances import DEFAULTS
 
 PARAMS = SpectralParams(N=2, r=1)
 
@@ -28,6 +36,15 @@ def test_build_rejects_unknown_id():
         build("thm000_nope", PARAMS, 2)
     with pytest.raises(ValueError):
         build("thm312_diagonal", PARAMS, 0)
+
+
+def test_min_K_and_build_refuse_an_unknown_id_alike():
+    known = ", ".join(SCENARIOS)
+    message = f"unknown scenario id 'nope'; known ids: {known}"
+    for call in (lambda: min_K("nope"), lambda: build("nope", PARAMS, None)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIOS)
@@ -53,6 +70,35 @@ def test_counterexample_maximum_K_is_where_float_nullifier_holds():
     for K in (9, 12):
         with pytest.raises(ValueError, match=f"needs K <= 8, got K = {K}"):
             build("thm314_counterexample", PARAMS, K)
+
+
+@pytest.mark.parametrize(
+    "scenario_id, K, message",
+    [
+        (
+            "thm38_onb",
+            1,
+            "thm38_onb needs K >= 2, got K = 1: finite recovery at r/N reads the row at 2",
+        ),
+        (
+            "thm319_quarter",
+            6,
+            "thm319_quarter needs K >= 7, got K = 6: its edge rows clear BS_TOL = 1.0e-06 "
+            "and its limit recovery clears LIMIT_ORACLE_TOL = 1e-06 only from there",
+        ),
+        (
+            "thm314_counterexample",
+            9,
+            "thm314_counterexample needs K <= 8, got K = 9: beyond it the nullifier's "
+            "least-squares witness is too ill-conditioned for float arithmetic to zero "
+            "the simulated samples to 1e-08",
+        ),
+    ],
+)
+def test_a_K_out_of_range_names_its_reason(scenario_id, K, message):
+    with pytest.raises(ValueError) as err:
+        build(scenario_id, PARAMS, K)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIOS)
@@ -170,3 +216,137 @@ def test_scenarios_work_for_other_lattice_parameters():
         report, failures = run_scenario(bundle)
         assert failures == [], f"{scenario_id} under N=4, r=3: {failures}"
         assert report["params"] == {"N": 4, "r": 3}
+
+
+# The exact report keys of each scenario at its default K.
+SHARED_KEYS = {"schema", "scenario", "params", "K", "expectations", "measured", "recovery"}
+REPORT_KEYS = {
+    "thm312_diagonal": SHARED_KEYS | {"finite_cases"},
+    "thm38_onb": SHARED_KEYS | {"finite_cases", "limit_norm_ratio", "stationary_deviation"},
+    "thm314_counterexample": SHARED_KEYS | {"measurements", "necessary_condition_only"},
+    "thm317_generalized": SHARED_KEYS | {"finite_cases", "stationary_deviation"},
+    "thm319_quarter": SHARED_KEYS
+    | {"finite_cases", "stationary_deviation", "convergence_excess"},
+}
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
+def test_report_keys_at_the_default_K(scenario_id):
+    report, _ = run_scenario(build(scenario_id, PARAMS, None))
+    assert set(report) == REPORT_KEYS[scenario_id]
+
+
+def _doubled_map(bundle):
+    """The scenario's stationary map with S scaled by 2: limit recovery halves w."""
+    smap = bundle.smap or SystemAnalysis(bundle.spec).stationary_map
+    apply = 2 * smap.apply
+    adjoint = FrameAnalysis(VectorFamily(vectors=bundle.spec.g.vectors @ apply.conj()))
+    return StationaryMap(apply=apply, adjoint=adjoint, W_basis=smap.W_basis, rho=smap.rho)
+
+
+def test_counterexample_fails_on_data_that_is_not_nullified():
+    # From x0 = 0 the samples are the source's own; a loose BS_TOL lets the
+    # limit route run on them.  Its failures follow the shared ones.
+    bundle = build("thm314_counterexample", PARAMS, 3)
+    bundle.expectations = dataclasses.replace(bundle.expectations, expected_rho=0.5)
+    bundle.spec = dataclasses.replace(bundle.spec, x0=np.zeros(bundle.spec.dim, dtype=complex))
+    _, failures = run_scenario(bundle, tol=DEFAULTS.with_overrides({"BS_TOL": 10.0}))
+    assert failures == [
+        "spectral radius 0.9 != expected 0.5",
+        "nullified sample of size 1.862e+00 exceeds 1e-8",
+        "limit recovery saw a nonzero source in nullified data",
+    ]
+
+
+def test_onb_norm_ratio_failure_precedes_the_limit_miss():
+    # x0 = 2w doubles the first rows, so the limit has half the sup row norm.
+    bundle = build("thm38_onb", PARAMS, None)
+    bundle.spec = dataclasses.replace(bundle.spec, x0=2 * bundle.spec.w)
+    _, failures = run_scenario(bundle)
+    assert failures == ["limit operator norm ratio 0.5 != 1"]
+    bundle.smap = _doubled_map(bundle)
+    _, failures = run_scenario(bundle)
+    assert failures == [
+        "limit operator norm ratio 0.5 != 1",
+        "limit recovery missed: abs_error = 0.5 > 1e-08",
+    ]
+
+
+def test_quarter_geometric_failure_follows_the_limit_miss():
+    # The bound is 4^-n ||x0 - S(w)|| with x0 = 0; a second orbit started
+    # 10 away from the ray through S(w) breaks it on its first rows.
+    bundle = build("thm319_quarter", PARAMS, None)
+    off_ray = np.zeros(bundle.spec.dim, dtype=complex)
+    off_ray[position(LambdaIndex(1, 0), bundle.spec.K)] = 10.0
+    bundle.spec = dataclasses.replace(bundle.spec, xm2=off_ray)
+    report, failures = run_scenario(bundle)
+    assert failures == ["state convergence violated the geometric bound by 8.620e+00"]
+    assert report["convergence_excess"] > 8.6
+
+    bundle = build("thm319_quarter", PARAMS, None)
+    bundle.smap = _doubled_map(bundle)
+    _, failures = run_scenario(bundle)
+    assert failures == [
+        "adjoint bounds (7.1111111, 7.1111111) != expected "
+        "(1.7777777777777777, 1.7777777777777777)",
+        "limit recovery missed: abs_error = 0.5590169943749475 > 1e-06",
+        "state convergence violated the geometric bound by 1.491e+00",
+    ]
+
+
+def _build_toy_half(params, K, tol):
+    """A = I/2 from its stationary state 2w: every row of both orbits is 2w."""
+    dim = 4 * K
+    w = np.zeros(dim, dtype=complex)
+    w[position(LambdaIndex(0, 1), K)] = 1.0
+    eye = np.eye(dim, dtype=complex)
+    spec = SystemSpec(
+        params=params, dim=dim, A=eye / 2, g=VectorFamily(vectors=eye), W_basis=eye,
+        w=w, x0=2 * w, xm2=2 * w, K=K,
+    )
+    return Built(spec)
+
+
+def _stays_at_2w(system, smap, limit):
+    drift = float(np.max(np.abs(system.trajectory.values - 2 * system.spec.w)))
+    return {"toy_drift": drift}, [f"toy drift {drift}"] if drift else []
+
+
+TOY = Scenario(
+    _build_toy_half,
+    ScenarioExpectations(
+        should_recover_finite=True,
+        should_recover_infinite=True,
+        expected_bounds=(4.0, 4.0),
+        bounds_of="adjoint",
+        expected_rho=0.5,
+        notes=("toy",),
+    ),
+    default_K=3,
+    limit_checks=(_stays_at_2w,),
+)
+
+
+def test_a_new_record_runs_with_no_code_edit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(SCENARIOS, "toy_half", TOY)
+    assert min_K("toy_half") == 2
+    with pytest.raises(ValueError, match="toy_half needs K >= 2, got K = 1: finite recovery"):
+        build("toy_half", PARAMS, 1)
+    bundle = build("toy_half", PARAMS, None)
+    assert bundle.spec.K == 3
+    report, failures = run_scenario(bundle)
+    assert failures == []
+    assert set(report) == SHARED_KEYS | {"finite_cases", "stationary_deviation", "toy_drift"}
+    assert report["expectations"]["notes"] == ("toy",)
+    assert report["toy_drift"] == 0.0
+    # the record's own check judges the run: a nudged x0 leaves 2w
+    nudged = bundle.spec.x0.copy()
+    nudged[position(LambdaIndex(0, 0), 3)] = 1e-12
+    bundle.spec = dataclasses.replace(bundle.spec, x0=nudged)
+    _, failures = run_scenario(bundle)
+    assert failures == ["toy drift 1e-12"]
+    # and the CLI runs it as it runs a packaged one
+    assert main(["demo", "toy_half", "-o", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith("scenario toy_half (K=3): all expectations met\n")
+    doc = json.loads((tmp_path / "toy_half_report.json").read_text())
+    assert doc["expectations_met"] is True and doc["toy_drift"] == 0.0
