@@ -9,12 +9,13 @@ stable contract: 0 success, 1 numerical failure, 2 config problem,
 from __future__ import annotations
 
 import argparse
-import gc
 import io
 import json
 import pickle
 import sys
 import warnings
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,8 +90,13 @@ def _field(doc: dict, key: str, parse, *args):
         raise ValueError(f"{key}: {exc}") from exc
 
 
+# A dense matrix arrives as a list of rows, or from the config decoder as
+# an iterator that decodes each row when it is reached.
+_ROWS = (list, Iterator)
+
+
 def _parse_operator(raw, dim: int) -> np.ndarray:
-    if isinstance(raw, list):
+    if isinstance(raw, _ROWS):
         A = linalg.matrix_from_pairs(raw)
     elif isinstance(raw, dict) and "generator" in raw:
         name = raw["generator"]
@@ -115,7 +121,7 @@ def _parse_operator(raw, dim: int) -> np.ndarray:
 def _parse_family(raw, dim: int) -> VectorFamily:
     if raw == "onb":
         return VectorFamily(vectors=np.eye(dim, dtype=complex))
-    if isinstance(raw, list):
+    if isinstance(raw, _ROWS):
         return VectorFamily(vectors=linalg.matrix_from_pairs(raw))
     raise ValueError("expected 'onb' or a list of vectors")
 
@@ -123,7 +129,7 @@ def _parse_family(raw, dim: int) -> VectorFamily:
 def _parse_subspace(raw, dim: int) -> np.ndarray:
     if raw == "full":
         return np.eye(dim, dtype=complex)
-    if isinstance(raw, list):
+    if isinstance(raw, _ROWS):
         return linalg.matrix_from_pairs(raw).T
     raise ValueError("expected 'full' or a list of basis columns")
 
@@ -192,14 +198,18 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
 
 
 # --- config ingestion --------------------------------------------------------
-# A large config is decoded in two processes.  A walk over the top-level
-# object decodes the small members and only marks where each array member
-# must end; a forked child decodes and parses about half of the array
-# members by size while this process decodes and parses the rest.  For
-# recover and check at a large dim, the child takes A alone and also
-# computes rho(A), one eigvals, the largest kernel of such a request.  Any
-# surprise sends the whole text down the serial path, one ``json.load``,
-# so the result and every error message are the serial ones.
+# A walk over the top-level object decodes the small members and only
+# marks where each array member must end.  Each dense matrix (A, g, W) is
+# then decoded one row at a time and each row converted when it arrives,
+# so no matrix's whole tree of [re, im] lists is ever built.  A large
+# config is decoded in two processes: a forked child decodes and parses
+# about half of the array members by size while this process decodes and
+# parses the rest.  For recover and check at a large dim, the child takes
+# A alone and also computes rho(A), one eigvals, the largest kernel of
+# such a request.  Without a child, or when the child fails, this process
+# parses every array member itself.  Only text that the walk or a share
+# rejects goes through ``json.load`` and parse_config's converters, so
+# the result and every error message are the serial ones.
 
 # Smallest share of a config, in characters of JSON text, that a child
 # takes over.  Decoding and converting take ~30 ns per character, and
@@ -245,6 +255,7 @@ class _Member:
     end: int
     value: object = None
     is_array: bool = False  # an array's value is decoded after the walk
+    replaced: bool = False  # a later member has the same key
 
     @property
     def size(self) -> int:
@@ -306,30 +317,65 @@ def _walk(text: str) -> list[_Member] | None:
             break
     if text[i : i + 1] != "}" or _skip_ws(text, i + 1).end() != len(text):
         return None
+    last = {m.key: m for m in members}
+    for m in members:
+        m.replaced = last[m.key] is not m
     return members
+
+
+# The dense matrix fields, decoded one row at a time.
+_MATRICES = {"A", "g", "W"}
+
+
+def _rows(text: str, m: _Member) -> Iterator:
+    """The elements of the array member ``m``, each decoded when it is reached.
+
+    Raises ``ValueError`` where the text is not a JSON array that ends
+    where the walk expects.
+    """
+    i = _skip_ws(text, m.start + 1).end()
+    if text[i : i + 1] != "]":
+        while True:
+            try:
+                row, i = _scan(text, i)
+            except (StopIteration, RecursionError):  # StopIteration: a bad token
+                raise ValueError(f"{m.key} is not a JSON array this walk can decode") from None
+            yield row
+            i = _skip_ws(text, i).end()
+            if text[i : i + 1] != ",":
+                break
+            i = _skip_ws(text, i + 1).end()
+    if text[i : i + 1] != "]" or i + 1 != m.end:
+        raise ValueError(f"{m.key} does not end where the walk expects")
+
+
+def _parse_member(text: str, m: _Member, dim: int):
+    """The value of the array member ``m``; see :func:`_parse_share`."""
+    rows = _rows(text, m)
+    if m.replaced:
+        deque(rows, maxlen=0)
+        return None
+    parse = _CONVERTERS.get(m.key)
+    if m.key not in _MATRICES:
+        rows = list(rows)
+    return rows if parse is None else _Converted(parse(rows, dim))
 
 
 def _parse_share(text: str, share: list[_Member], dim: int) -> list:
     """The values of ``share``'s array members, in order.
 
-    Each array is decoded at its offset and must end where the walk
-    expects.  A key of ``_CONVERTERS`` is then parsed as parse_config
-    parses it and marked ``_Converted``; any other key keeps the decoded
-    array.  Each decoded tree is freed before the next is decoded.
-    Raises ``ValueError`` on any failure.
+    Every array is decoded one element at a time and must end where the
+    walk expects.  A dense matrix (``_MATRICES``) goes to its parser as
+    the iterator of its rows, so each row is converted when it arrives
+    and one row's tree of [re, im] lists is alive at a time; any other
+    array is collected into a list first.  A key of ``_CONVERTERS`` is
+    parsed as parse_config parses it and marked ``_Converted``; any other
+    key keeps the decoded list.  A value that a later duplicate key
+    replaces is decoded and dropped, never parsed.  Raises ``ValueError``
+    on any failure: for text that the walk follows, the row walk and the
+    row conversion reject only what parse_config rejects too.
     """
-    values = []
-    for m in share:
-        try:
-            raw, end = _scan(text, m.start)
-        except (StopIteration, RecursionError):  # StopIteration: a bad token
-            raise ValueError(f"{m.key} is not a JSON array this walk can decode") from None
-        if end != m.end:
-            raise ValueError(f"{m.key} does not end where the walk expects")
-        parse = _CONVERTERS.get(m.key)
-        values.append(raw if parse is None else _Converted(parse(raw, dim)))
-        del raw
-    return values
+    return [_parse_member(text, m, dim) for m in share]
 
 
 def _split(members: list[_Member], radius: bool) -> tuple[list[_Member], list[_Member]]:
@@ -350,7 +396,7 @@ def _split(members: list[_Member], radius: bool) -> tuple[list[_Member], list[_M
     theirs, mine = [], []
     taken, left = 0, sum(m.size for m in arrays)
     for m in arrays:
-        if m.key in _CONVERTERS and last[m.key] is m and taken + m.size <= left - m.size:
+        if m.key in _CONVERTERS and not m.replaced and taken + m.size <= left - m.size:
             theirs.append(m)
             taken, left = taken + m.size, left - m.size
         else:
@@ -369,13 +415,15 @@ def _radius(A: np.ndarray) -> float | None:
 
 
 def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
-    """The config document and rho(A), decoded in two processes; None to decode serially.
+    """The config document and rho(A), its arrays parsed by shares; None for ``json.load``.
 
-    With ``radius``, from ``FORK_MIN_RADIUS_DIM`` on, a child parses an
-    array ``A`` alone and computes rho(A); else rho is None.  None unless
-    the walk follows the whole object, ``dim`` is a positive integer, a
-    child starts (see :meth:`nuds._fork.Child.start`), every array ends
-    where the walk expects, and both processes parse every field they took.
+    The array members split between a child and this process (see
+    :func:`_split`).  With ``radius``, from ``FORK_MIN_RADIUS_DIM`` on,
+    the child parses an array ``A`` alone and computes rho(A); else rho is
+    None.  Where no child starts (see :meth:`nuds._fork.Child.start`) or
+    the child fails, this process parses the child's share too, and rho is
+    None.  None unless the walk follows the whole object, ``dim`` is a
+    positive integer, and every array member parses (see :func:`_parse_share`).
     """
     try:
         members = _walk(text)
@@ -399,18 +447,17 @@ def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
         rho = _radius(values[0].value) if radius else None
         return pickle.dumps((values, rho), protocol=pickle.HIGHEST_PROTOCOL)
 
-    with Child() as child:
-        child.start(job, size, floor)
-        if child.pid is None:
-            return None
-        try:
+    try:
+        with Child() as child:
+            child.start(job, size, floor)
             values = _parse_share(text, mine, dim)
-        except ValueError:
-            return None
-        data = child.collect()
-    if data is None:
+            data = child.collect()
+        if data is None:
+            collected, rho = _parse_share(text, theirs, dim), None
+        else:
+            collected, rho = pickle.loads(data)
+    except ValueError:
         return None
-    collected, rho = pickle.loads(data)
     for member, value in zip(theirs + mine, collected + values):
         member.value = value
     return {m.key: m.value for m in members}, rho
@@ -430,17 +477,10 @@ def _load_config(
     path: str, tol_overrides: dict, *, radius: bool = False
 ) -> tuple[SystemSpec, Tolerances, float | None]:
     """The config's system, tolerances, and rho(A) or None (see :func:`_decode_split`)."""
-    # The decoded tree of ~d^2 small lists holds no cycle to collect.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        doc, rho = _decode(text, path, radius)
-        return (*parse_config(doc, tol_overrides), rho)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with open(path) as fh:
+        text = fh.read()
+    doc, rho = _decode(text, path, radius)
+    return (*parse_config(doc, tol_overrides), rho)
 
 
 def _parse_tol_flags(pairs: list[str]) -> dict:

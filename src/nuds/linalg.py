@@ -9,6 +9,7 @@ dimension <= 256.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -164,10 +165,12 @@ def require_orthonormal(B: Mat, name: str) -> None:
 
 
 # --- JSON codecs -----------------------------------------------------------
-# Complex scalars travel as [re, im] pairs in every file format.  A whole
-# field converts in a few C-level passes (pair types, pair lengths, one
-# np.fromiter over the numbers); the pair-by-pair walk runs only when a
-# field is rejected, to raise the error that names the offending pair.
+# Complex scalars travel as [re, im] pairs in every file format.  A vector,
+# or one row of a matrix, converts in a few C-level passes (pair types,
+# pair lengths, one np.fromiter over the numbers), so a matrix whose rows
+# arrive one at a time never needs them all at once.  The pair-by-pair walk
+# runs only when a list is rejected, to raise the error that names the
+# offending pair.
 
 def complex_to_pair(z: complex) -> list[float]:
     z = complex(z)
@@ -221,12 +224,40 @@ def vector_from_pairs(pairs) -> Vec:
     return as_vector(_complex_list(pairs) if v is None else v)
 
 
+def _rows_array(rows) -> Mat | None:
+    """The rows as one 2-d complex array, each converted as it arrives.
+
+    None if there are no rows, or if any row is suspect: not a list, of
+    another length than the first, or rejected by :func:`_pairs_array`.
+    """
+    parts = []
+    for row in rows:
+        if type(row) not in _SEQUENCE_TYPES:
+            return None
+        part = _pairs_array(row)
+        if part is None or (parts and len(part) != len(parts[0])):
+            return None
+        parts.append(part)
+    if not parts:
+        return None
+    return np.concatenate(parts).reshape(len(parts), len(parts[0]))
+
+
 def matrix_from_pairs(rows) -> Mat:
-    if not isinstance(rows, (list, tuple)) or not rows:
+    """A 2-d complex matrix from a list of rows of [re, im] pairs.
+
+    ``rows`` may also be an iterator that yields the rows one at a time,
+    as a streaming decoder does; each row is converted when it arrives and
+    dropped.  A rejected list is read again pair by pair, so the error
+    names the offending pair; an iterator's rows are gone by then, so a
+    rejected iterator raises a plain ``ValueError``.
+    """
+    streamed = isinstance(rows, Iterator)
+    if not streamed and (not isinstance(rows, (list, tuple)) or not rows):
         raise ValueError(f"expected a nonempty list of rows, got {rows!r}")
-    M = None
-    if set(map(type, rows)) <= _SEQUENCE_TYPES and len(set(map(len, rows))) == 1:
-        M = _pairs_array(list(chain.from_iterable(rows)))
+    M = _rows_array(rows)
     if M is None:
-        return as_matrix([_complex_list(row) for row in rows])
-    return as_matrix(M.reshape(len(rows), len(rows[0])))
+        if streamed:
+            raise ValueError("expected nonempty rows of finite [re, im] pairs, all of one length")
+        M = [_complex_list(row) for row in rows]
+    return as_matrix(M)

@@ -807,6 +807,7 @@ def test_parse_config_is_bit_identical_to_the_pair_walk(tmp_path):
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("content", ["good", "invalid-json", "bad-value"])
 def test_load_config_restores_the_collector_state(tmp_path, enabled, content):
+    # Loading leaves the collector as it found it, whether it succeeds or fails.
     doc = _config_doc()
     if content == "bad-value":
         doc["w"][0] = [None, 0.0]

@@ -1,11 +1,15 @@
-"""Two-process config ingestion gives exactly what the serial path gives.
+"""Config ingestion gives exactly what the serial path gives.
 
-A config whose arrays are large enough is decoded in two processes (see
-``nuds.cli._decode_split``): a forked child decodes and parses part of the
-array fields while the command decodes and parses the rest.  Every result
-here is compared with the serial path, one ``json.load`` followed by
-``parse_config``: the same arrays bit for bit, the same tolerances, and
-for invalid input the same exit code and message.
+A config is decoded by a walk over its top-level object and a share
+parser (see ``nuds.cli._decode_split``).  Each dense matrix is decoded
+one row at a time, each row converted when it arrives.  A config whose
+arrays are large enough is decoded in two processes: a forked child
+decodes and parses part of the array fields while the command decodes
+and parses the rest.  ``json.load`` serves only text that the walk or a
+share rejects.  Every result here is compared with the serial path, one
+``json.load`` followed by ``parse_config``: the same arrays bit for bit,
+the same tolerances, and for invalid input the same exit code and
+message.
 """
 
 import json
@@ -16,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nuds import cli
+from nuds import cli, linalg
 from nuds.cli import FORK_MIN_CONFIG_CHARS, config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
@@ -30,21 +34,39 @@ DIM = 96
 ARRAY_FIELDS = ("A", "g", "W", "w", "x0", "xm2")
 
 
-@pytest.fixture(scope="module")
-def doc():
-    rng = np.random.default_rng(96)
+def _random_doc(dim: int, seed: int) -> dict:
+    """A dim-dimensional config with a 2dim-vector family and a dim/2-dimensional W."""
+    rng = np.random.default_rng(seed)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    W, _ = np.linalg.qr(cplx(DIM, DIM // 2))
+    W, _ = np.linalg.qr(cplx(dim, dim // 2))
     spec = SystemSpec(
-        params=SpectralParams(N=4, r=3), dim=DIM, K=DIM // 4, A=0.05 * cplx(DIM, DIM),
-        g=VectorFamily(vectors=cplx(2 * DIM, DIM)), W_basis=W,
-        w=W @ cplx(DIM // 2), x0=cplx(DIM), xm2=cplx(DIM),
+        params=SpectralParams(N=4, r=3), dim=dim, K=dim // 4, A=0.05 * cplx(dim, dim),
+        g=VectorFamily(vectors=cplx(2 * dim, dim)), W_basis=W,
+        w=W @ cplx(dim // 2), x0=cplx(dim), xm2=cplx(dim),
     )
     tol = DEFAULTS.with_overrides({"BS_TOL": 3e-7, "PIVOT_TOL": 1e-13})
     return config_to_json(spec, tol)
+
+
+@pytest.fixture(scope="module")
+def doc():
+    return _random_doc(DIM, 96)
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The list that each ``json.load`` call appends to, from now on."""
+    real_load, calls = json.load, []
+
+    def counted_load(fh, *args, **kwargs):
+        calls.append(fh)
+        return real_load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted_load)
+    return calls
 
 
 def _text(items, indent=None) -> str:
@@ -171,26 +193,49 @@ def test_radius_split_is_bit_identical_to_serial(tmp_path, monkeypatch, texts, f
     _assert_identical(got, want, rho=spectral_radius(want[0].A))
 
 
+def _tree_bytes(text: str, start: int) -> int:
+    """Bytes held by the JSON tree decoded at ``start``, with tracemalloc on."""
+    base = tracemalloc.get_traced_memory()[0]
+    tree, _ = cli._scan(text, start)
+    held = tracemalloc.get_traced_memory()[0] - base
+    del tree
+    return held
+
+
+def _traced_share(text: str, share, dim: int):
+    """``_parse_share``'s values and the peak bytes it allocates, with tracemalloc on."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    values = cli._parse_share(text, share, dim)
+    return values, tracemalloc.get_traced_memory()[1] - base
+
+
 def test_parse_share_frees_each_tree_before_the_next():
     # Two equal vectors: decoding the second must not find the first's
-    # tree of [re, im] lists still alive.
-    n = 20000
+    # tree of [re, im] lists still alive.  A 256-row matrix is decoded one
+    # row at a time: beside its output array, only a row's tree or two
+    # may be alive, never the whole matrix's tree.
+    n, rows, cols = 20000, 256, 64
     pairs = [[i + 0.5, -i - 0.25] for i in range(n)]
-    text = _text([("dim", n), ("w", pairs), ("x0", pairs)])
-    share = [m for m in cli._walk(text) if m.is_array]
+    g = [pairs[k * cols : (k + 1) * cols] for k in range(rows)]
+    text = _text([("dim", n), ("w", pairs), ("x0", pairs), ("g", g)])
+    *vectors, matrix = [m for m in cli._walk(text) if m.is_array]
     tracemalloc.start()
     try:
-        tree, _ = cli._scan(text, share[0].start)
-        tree_bytes = tracemalloc.get_traced_memory()[0]
-        del tree
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        values = cli._parse_share(text, share, n)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        vector_tree = _tree_bytes(text, vectors[0].start)
+        row_tree = _tree_bytes(text, matrix.start + 1)
+        matrix_tree = _tree_bytes(text, matrix.start)
+        values, vector_peak = _traced_share(text, vectors, n)
+        (family,), matrix_peak = _traced_share(text, [matrix], n)
     finally:
         tracemalloc.stop()
     assert [v.value.shape for v in values] == [(n,), (n,)]
-    assert peak < 1.5 * tree_bytes
+    assert vector_peak < 1.5 * vector_tree
+    out = family.value.vectors
+    assert out.tobytes() == linalg.matrix_from_pairs(g).tobytes()
+    bound = 3 * (row_tree + out.nbytes)
+    assert bound < matrix_tree / 2  # so the bound tells a row from the whole tree
+    assert matrix_peak < bound
 
 
 def _outcome(path, capsys):
@@ -241,7 +286,7 @@ def _with_nulls(doc, keys):
 
 @pytest.mark.parametrize("side", ["child", "parent", "both"])
 def test_a_null_in_a_pair_gives_the_serial_message(
-    tmp_path, capsys, monkeypatch, doc, texts, forks, side
+    tmp_path, capsys, loads, doc, texts, forks, side
 ):
     theirs, mine = _shares(texts["compact"])
     # The first error in parse order is the one reported.  With both
@@ -255,15 +300,66 @@ def test_a_null_in_a_pair_gives_the_serial_message(
     assert err.startswith(f"config error: {keys[side][0]}: ")
     # A field that either process cannot parse sends the whole text down
     # the serial path: one json.load, whichever side holds the field.
-    real_load, loads = json.load, []
-
-    def counted_load(fh, *args, **kwargs):
-        loads.append(fh)
-        return real_load(fh, *args, **kwargs)
-
-    monkeypatch.setattr(json, "load", counted_load)
+    loads.clear()
     assert _outcome(path, capsys) == (code, err)
     assert len(forks) == 1 and len(loads) == 1
+
+
+# Rows a streamed matrix may meet, each a function of the field's rows.
+ROW_EDGES = {
+    "ragged": lambda rows: rows[:-1] + [rows[-1][:-1]],
+    "non-list-row": lambda rows: rows[:1] + [0.5] + rows[2:],
+    "empty-row": lambda rows: rows[:1] + [[]] + rows[2:],
+    "empty-matrix": lambda rows: [],
+    "null-in-first-row": lambda rows: [[[None, 0.0]] + rows[0][1:]] + rows[1:],
+    "null-in-last-row": lambda rows: rows[:-1] + [rows[-1][:-1] + [[0.0, None]]],
+    "nan-in-first-row": lambda rows: [[[float("nan"), 0.0]] + rows[0][1:]] + rows[1:],
+    "nan-in-last-row": lambda rows: rows[:-1] + [rows[-1][:-1] + [[0.0, float("nan")]]],
+    "four-levels": lambda rows: [rows],
+}
+
+
+def _row_edge_text(doc, key: str, case: str) -> str:
+    rows = vector_to_pairs(doc[key])
+    if case == "replaced-duplicate":
+        # Valid: the invalid first value is replaced by the later member.
+        return _text([(key, ROW_EDGES["null-in-first-row"](rows)), *doc.items()])
+    if case == "whitespace":
+        # Newlines and tabs between rows, between pairs and inside pairs.
+        spaced = json.dumps(rows, indent="\t", separators=(" ,", ": "))
+        text = _text(dict(doc, **{key: "ROWS"}).items())
+        return text.replace('"ROWS"', "\r\n " + spaced + " \n")
+    return _text(dict(doc, **{key: ROW_EDGES[case](rows)}).items())
+
+
+def _refuse_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("decode", ["forked", "one-process"])
+@pytest.mark.parametrize("key", ["A", "g", "W"])
+@pytest.mark.parametrize("case", [*ROW_EDGES, "whitespace", "replaced-duplicate"])
+def test_row_edges_read_as_json_load_reads_them(
+    tmp_path, capsys, monkeypatch, loads, forks, case, key, decode
+):
+    path = _write(tmp_path, _row_edge_text(_random_doc(8, 8), key, case))
+    try:
+        want, valid = _serial(path), True
+    except ValueError:
+        want, valid = _serial_outcome(path), False
+    assert valid == (case in ("whitespace", "replaced-duplicate"))
+    if decode == "forked":
+        monkeypatch.setattr(cli, "FORK_MIN_CONFIG_CHARS", 1)
+    else:
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    loads.clear()
+    if valid:
+        _assert_identical(cli._load_config(str(path), {}), want)
+    else:
+        assert _outcome(path, capsys) == want
+    # json.load runs once for invalid text and never for valid text.
+    assert len(loads) == (not valid)
+    assert len(forks) == (decode == "forked")
 
 
 def test_refused_fork_gives_the_serial_result(tmp_path, monkeypatch, texts):
