@@ -14,7 +14,6 @@ import json
 import pickle
 import sys
 import warnings
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,13 +78,14 @@ class _Converted:
         self.value = value
 
 
-def _field(doc: dict, key: str, parse, *args):
-    """Parse the required value doc[key], naming the key in any error."""
+def _field(doc: dict, key: str, dim: int):
+    """The required array field doc[key], parsed by ``_CONVERTERS``; errors name the key."""
     raw = _require(doc, key)
     if isinstance(raw, _Converted):
         return raw.value
+    parse = _CONVERTERS[key]
     try:
-        return parse(raw, *args)
+        return parse(raw, dim) if key in _MATRICES else parse(raw)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
@@ -157,14 +157,10 @@ def parse_config(
     # first, so a wrong dim cannot ask for a dim x dim array.
     if dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    w = _field(doc, "w", linalg.vector_from_pairs)
+    w = _field(doc, "w", dim)
     if w.shape[0] != dim:
         raise ValueError(f"w has length {w.shape[0]}, expected {dim}")
-    A = _field(doc, "A", _parse_operator, dim)
-    g = _field(doc, "g", _parse_family, dim)
-    W_basis = _field(doc, "W", _parse_subspace, dim)
-    x0 = _field(doc, "x0", linalg.vector_from_pairs)
-    xm2 = _field(doc, "xm2", linalg.vector_from_pairs)
+    A, g, W_basis, x0, xm2 = (_field(doc, key, dim) for key in ("A", "g", "W", "x0", "xm2"))
     tol_doc = doc.get("tolerances", {})
     if not isinstance(tol_doc, dict):
         raise ValueError(f"tolerances must be a JSON object, got {tol_doc!r}")
@@ -203,13 +199,14 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
 # then decoded one row at a time and each row converted when it arrives,
 # so no matrix's whole tree of [re, im] lists is ever built.  A large
 # config is decoded in two processes: a forked child decodes and parses
-# about half of the array members by size while this process decodes and
-# parses the rest.  For recover and check at a large dim, the child takes
-# A alone and also computes rho(A), one eigvals, the largest kernel of
-# such a request.  Without a child, or when the child fails, this process
-# parses every array member itself.  Only text that the walk or a share
-# rejects goes through ``json.load`` and parse_config's converters, so
-# the result and every error message are the serial ones.
+# every array field but the largest, while this process decodes the
+# largest array and any unknown key.  For recover and check at a large
+# dim, the child takes A alone and also computes rho(A), one eigvals, the
+# largest kernel of such a request.  Without a child, or when the child
+# fails, this process parses every array member itself.  Only text that
+# the walk or a share rejects, or that repeats a key, goes through
+# ``json.load`` and parse_config, so the result and every error message
+# are the serial ones.
 
 # Smallest share of a config, in characters of JSON text, that a child
 # takes over.  Decoding and converting take ~30 ns per character, and
@@ -230,20 +227,19 @@ _scan = json.JSONDecoder().scan_once
 _skip_ws = json.decoder.WHITESPACE.match
 
 
-def _vector(raw, dim: int) -> np.ndarray:
-    return linalg.vector_from_pairs(raw)
-
-
-# The array fields a child may parse, each parsed as parse_config parses
-# it; A, g and W take the validated dim.
+# The array fields of a config and their parsers, for parse_config and
+# for either share; the dense matrices (_MATRICES) also take the dim.
 _CONVERTERS = {
-    "w": _vector,
+    "w": linalg.vector_from_pairs,
     "A": _parse_operator,
     "g": _parse_family,
     "W": _parse_subspace,
-    "x0": _vector,
-    "xm2": _vector,
+    "x0": linalg.vector_from_pairs,
+    "xm2": linalg.vector_from_pairs,
 }
+
+# The dense matrix fields, decoded one row at a time.
+_MATRICES = {"A", "g", "W"}
 
 
 @dataclass
@@ -255,7 +251,6 @@ class _Member:
     end: int
     value: object = None
     is_array: bool = False  # an array's value is decoded after the walk
-    replaced: bool = False  # a later member has the same key
 
     @property
     def size(self) -> int:
@@ -289,7 +284,8 @@ def _walk(text: str) -> list[_Member] | None:
 
     An array ends where :func:`_array_end` expects; every other value is
     decoded here.  None when the text is not one JSON object that this
-    walk can follow.
+    walk can follow, or when a key repeats: ``json.load`` keeps its last
+    value.
     """
     i = _skip_ws(text, 0).end()
     if text[i : i + 1] != "{":
@@ -317,14 +313,7 @@ def _walk(text: str) -> list[_Member] | None:
             break
     if text[i : i + 1] != "}" or _skip_ws(text, i + 1).end() != len(text):
         return None
-    last = {m.key: m for m in members}
-    for m in members:
-        m.replaced = last[m.key] is not m
-    return members
-
-
-# The dense matrix fields, decoded one row at a time.
-_MATRICES = {"A", "g", "W"}
+    return members if len({m.key for m in members}) == len(members) else None
 
 
 def _rows(text: str, m: _Member) -> Iterator:
@@ -349,18 +338,6 @@ def _rows(text: str, m: _Member) -> Iterator:
         raise ValueError(f"{m.key} does not end where the walk expects")
 
 
-def _parse_member(text: str, m: _Member, dim: int):
-    """The value of the array member ``m``; see :func:`_parse_share`."""
-    rows = _rows(text, m)
-    if m.replaced:
-        deque(rows, maxlen=0)
-        return None
-    parse = _CONVERTERS.get(m.key)
-    if m.key not in _MATRICES:
-        rows = list(rows)
-    return rows if parse is None else _Converted(parse(rows, dim))
-
-
 def _parse_share(text: str, share: list[_Member], dim: int) -> list:
     """The values of ``share``'s array members, in order.
 
@@ -369,39 +346,37 @@ def _parse_share(text: str, share: list[_Member], dim: int) -> list:
     the iterator of its rows, so each row is converted when it arrives
     and one row's tree of [re, im] lists is alive at a time; any other
     array is collected into a list first.  A key of ``_CONVERTERS`` is
-    parsed as parse_config parses it and marked ``_Converted``; any other
-    key keeps the decoded list.  A value that a later duplicate key
-    replaces is decoded and dropped, never parsed.  Raises ``ValueError``
-    on any failure: for text that the walk follows, the row walk and the
-    row conversion reject only what parse_config rejects too.
+    parsed by :func:`_field`, as parse_config parses it, and marked
+    ``_Converted``; any other key keeps the decoded list.  Raises
+    ``ValueError`` on any failure: for text that the walk follows, the
+    row walk and the row conversion reject only what parse_config
+    rejects too.
     """
-    return [_parse_member(text, m, dim) for m in share]
+    values = []
+    for m in share:
+        rows = _rows(text, m) if m.key in _MATRICES else list(_rows(text, m))
+        known = m.key in _CONVERTERS
+        values.append(_Converted(_field({m.key: rows}, m.key, dim)) if known else rows)
+        del rows  # so this tree is freed before the next one is decoded
+    return values
 
 
 def _split(members: list[_Member], radius: bool) -> tuple[list[_Member], list[_Member]]:
     """The array members as (the child's share, this process's share).
 
-    With ``radius``, the child computes rho(A) and takes the last ``A``
-    alone, if that is an array.  Otherwise, largest first, a field that a
-    child may parse moves to the child while the child's share stays no
-    larger than this process's: the child also pickles its results, so it
-    gets the lighter share.  Unknown keys, and values that a later
-    duplicate key replaces, stay with this process.
+    With ``radius``, the child computes rho(A) and takes ``A`` alone, if
+    that is an array.  Otherwise this process keeps the largest array and
+    any unknown key, and the child takes every other ``_CONVERTERS``
+    field: the child also pickles its results, so it gets the share
+    without the largest array.
     """
-    last = {m.key: m for m in members}
-    A = last.get("A")
-    if radius and A is not None and A.is_array:
-        return [A], [m for m in members if m.is_array and m is not A]
-    arrays = sorted((m for m in members if m.is_array), key=lambda m: m.size, reverse=True)
-    theirs, mine = [], []
-    taken, left = 0, sum(m.size for m in arrays)
-    for m in arrays:
-        if m.key in _CONVERTERS and not m.replaced and taken + m.size <= left - m.size:
-            theirs.append(m)
-            taken, left = taken + m.size, left - m.size
-        else:
-            mine.append(m)
-    return theirs, mine
+    arrays = [m for m in members if m.is_array]
+    A = next((m for m in arrays if m.key == "A"), None)
+    if radius and A is not None:
+        return [A], [m for m in arrays if m is not A]
+    largest = max(arrays, key=lambda m: m.size, default=None)
+    theirs = [m for m in arrays if m is not largest and m.key in _CONVERTERS]
+    return theirs, [m for m in arrays if m is largest or m.key not in _CONVERTERS]
 
 
 def _radius(A: np.ndarray) -> float | None:

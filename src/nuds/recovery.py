@@ -167,11 +167,20 @@ class SystemAnalysis:
         """X = (I - A)^-1 B and the family {X* g_j} in W-coordinates, by one LU solve.
 
         Raises ``SingularMatrixError`` when the solve refuses I - A: 1 is in
-        the spectrum of A, or a pivot is below ``tol.PIVOT_TOL``.
+        the spectrum of A, or a pivot is below ``tol.PIVOT_TOL``; and
+        ``NumericalError`` when the family overflows.
         """
         A = self.spec.A
         X = linalg.solve(np.eye(A.shape[0], dtype=complex) - A, self.spec.W_basis, tol=self.tol)
-        return X, VectorFamily(vectors=self.spec.g.vectors @ X.conj())
+        # g and X are finite, so a non-finite product overflowed; numpy's
+        # warning would only repeat that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors = self.spec.g.vectors @ X.conj()
+        if not np.isfinite(vectors).all():
+            raise linalg.NumericalError(
+                "the family {X* g_j} = {P_W (I - A*)^-1 g_j} overflowed to non-finite entries"
+            )
+        return X, VectorFamily(vectors=vectors)
 
     @cached_property
     def subspace(self) -> FrameAnalysis:

@@ -119,6 +119,24 @@ def test_recover_condition_failure_exits_3(tmp_path, config_path, capsys):
     assert "not stably recoverable" in capsys.readouterr().err
 
 
+def test_recover_exits_3_when_the_limit_residual_is_above_tolerance(tmp_path, capsys):
+    # A = diag(0, 0.999, 0, ...) from x0 = xm2 = e1: at K = 3500 the tail
+    # gap clears BS_TOL, but the limit row is still ~1e-3 from stationary.
+    e = np.eye(8, dtype=complex)
+    doc = _config_doc(K=3500)
+    doc["A"] = {"generator": "diag", "entries": vector_to_pairs(0.999 * e[1])}
+    doc["W"] = vector_to_pairs(e[:1])
+    doc["w"] = vector_to_pairs(e[0])
+    doc["x0"] = doc["xm2"] = vector_to_pairs(e[1])
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "rec"
+    assert main(["recover", str(path), "--mode", "infinite", "-o", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == f"wrote {out / 'report.json'}: residual 9.101e-04, abs_error 0.000e+00\n"
+    assert err == "recovery residual above tolerance\n"
+
+
 @pytest.mark.parametrize(
     "mode, family",
     [("finite", "sampling family is not a frame"),
@@ -543,6 +561,43 @@ def test_dim_is_checked_before_the_shorthands_expand(tmp_path, capsys, dim, mess
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _short(rows):
+    return [row[:-1] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: dict(doc, A=5), "A: expected a dense matrix or a generator object"),
+        (lambda doc: dict(doc, A=_short(doc["A"])), "A: matrix has shape (8, 7), expected (8, 8)"),
+        (lambda doc: dict(doc, A=doc["A"][:-1]), "A: matrix has shape (7, 8), expected (8, 8)"),
+        (lambda doc: dict(doc, W="x"), "W: expected 'full' or a list of basis columns"),
+        (lambda doc: [doc], "config must be a JSON object"),
+        (None, "no config given; pass a path or --config"),
+        (lambda doc: dict(doc, g=_short(doc["g"])), "sampling vectors have dim 7, expected 8"),
+        (
+            lambda doc: dict(doc, W=_short(doc["W"])),
+            "W_basis must be dim x p with p >= 1, got shape (7, 8)",
+        ),
+        (lambda doc: dict(doc, x0=doc["x0"][:-1]), "x0 has length 7, expected 8"),
+    ],
+    ids=[
+        "A-number", "A-short-rows", "A-missing-row", "W-string", "top-level-array",
+        "no-config", "g-short-rows", "W-short-rows", "x0-short",
+    ],
+)
+def test_config_errors_name_their_field(tmp_path, capsys, edit, message):
+    argv = ["recover", "-o", str(tmp_path / "out")]
+    if edit is not None:
+        doc = _dense_config_doc()
+        doc["W"] = [vector_to_pairs(col) for col in np.eye(8)]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(edit(doc)))
+        argv.append(str(path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", 10**400], ids=["string", "beyond-float"])
 def test_non_numeric_config_tolerance_names_its_key(tmp_path, capsys, value):
     doc = _config_doc()
@@ -585,6 +640,34 @@ def test_overflowing_frame_operator_is_a_numerical_failure(tmp_path, capsys, arg
         "numerical failure: matrix to eigendecompose has non-finite entries: "
         "it overflowed or holds NaN\n"
     )
+
+
+FRAME_OVERFLOW = "matrix to eigendecompose has non-finite entries: it overflowed or holds NaN"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recover"], FRAME_OVERFLOW),
+        (
+            ["recover", "--mode", "infinite"],
+            "the family {X* g_j} = {P_W (I - A*)^-1 g_j} overflowed to non-finite entries",
+        ),
+        (["check"], FRAME_OVERFLOW),
+    ],
+    ids=["finite", "infinite", "check"],
+)
+def test_overflowing_adjoint_family_is_a_numerical_failure(tmp_path, capsys, argv, message):
+    # g = 1e308 I is finite JSON, but X* g_j = 2e308 e_j overflows for
+    # A = I / 2 and W = C^8, and so does g's own frame operator.
+    doc = _config_doc(K=40)
+    doc["g"] = [vector_to_pairs(1e308 * row) for row in np.eye(8)]
+    doc["x0"] = doc["xm2"] = vector_to_pairs(np.zeros(8, dtype=complex))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    flags = ["-o", str(tmp_path)] if argv[0] == "recover" else []
+    assert main([argv[0], str(path), *argv[1:], *flags]) == 1
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 @pytest.mark.parametrize(

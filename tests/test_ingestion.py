@@ -6,10 +6,10 @@ one row at a time, each row converted when it arrives.  A config whose
 arrays are large enough is decoded in two processes: a forked child
 decodes and parses part of the array fields while the command decodes
 and parses the rest.  ``json.load`` serves only text that the walk or a
-share rejects.  Every result here is compared with the serial path, one
-``json.load`` followed by ``parse_config``: the same arrays bit for bit,
-the same tolerances, and for invalid input the same exit code and
-message.
+share rejects, and text that repeats a key.  Every result here is
+compared with the serial path, one ``json.load`` followed by
+``parse_config``: the same arrays bit for bit, the same tolerances, and
+for invalid input the same exit code and message.
 """
 
 import json
@@ -153,23 +153,59 @@ def texts(doc):
 
 
 @pytest.mark.parametrize("form", ["compact", "indent", "reordered-duplicate", "string-with-key"])
-def test_split_ingestion_is_bit_identical_to_serial(tmp_path, texts, forks, form):
+def test_split_ingestion_is_bit_identical_to_serial(tmp_path, texts, forks, loads, form):
     path = _write(tmp_path, texts[form])
-    theirs, mine = cli._split(cli._walk(texts[form]), radius=False)
-    assert {m.key for m in theirs + mine} >= set(ARRAY_FIELDS) and theirs
-    assert sum(m.size for m in theirs) >= FORK_MIN_CONFIG_CHARS
+    members = cli._walk(texts[form])
+    repeated = form == "reordered-duplicate"
+    if repeated:
+        # A repeated key is left to json.load, which keeps the last value.
+        assert members is None
+    else:
+        theirs, mine = cli._split(members, radius=False)
+        assert {m.key for m in theirs + mine} >= set(ARRAY_FIELDS) and theirs
+        assert sum(m.size for m in theirs) >= FORK_MIN_CONFIG_CHARS
     got = cli._load_config(str(path), {})
-    assert [code for _, code in forks] == [0]
+    assert [code for _, code in forks] == ([] if repeated else [0])
+    assert len(loads) == repeated
     _assert_identical(got, _serial(path))
 
 
 @pytest.mark.parametrize("form", ["compact", "reordered-duplicate"])
-def test_radius_split_gives_the_child_the_last_A_alone(texts, form):
+def test_radius_split_gives_the_child_the_last_A_alone(
+    tmp_path, monkeypatch, loads, texts, forks, form
+):
     members = cli._walk(texts[form])
-    theirs, mine = cli._split(members, radius=True)
-    last_A = [m for m in members if m.key == "A"][-1]
-    assert theirs == [last_A]
-    assert mine == [m for m in members if m.is_array and m is not last_A]
+    if form == "compact":
+        theirs, mine = cli._split(members, radius=True)
+        (A,) = [m for m in members if m.key == "A"]
+        assert theirs == [A]
+        assert mine == [m for m in members if m.is_array and m is not A]
+        return
+    # With A given twice, json.load keeps the last A, and no child starts
+    # even where one would compute rho(A).
+    assert members is None
+    monkeypatch.setattr(cli, "FORK_MIN_RADIUS_DIM", DIM)
+    path = _write(tmp_path, texts[form])
+    got = cli._load_config(str(path), {}, radius=True)
+    assert (forks, len(loads)) == ([], 1)
+    _assert_identical(got, _serial(path))
+
+
+@pytest.mark.parametrize("dim", [96, 256])
+def test_shares_of_a_bench_shaped_config(dim):
+    # A 2d-vector g and a d/2-dimensional W: this process keeps g, the
+    # largest array, and the child's share clears the fork floor; with
+    # rho(A) asked for, the child takes A alone, which clears the floor
+    # from d = 128 on.
+    members = cli._walk(_text(_random_doc(dim, dim).items()))
+    for radius, child, clears in [
+        (False, {"A", "W", "w", "x0", "xm2"}, True),
+        (True, {"A"}, dim >= 128),
+    ]:
+        theirs, mine = cli._split(members, radius)
+        assert {m.key for m in theirs} == child
+        assert {m.key for m in mine} == set(ARRAY_FIELDS) - child
+        assert (sum(m.size for m in theirs) >= FORK_MIN_CONFIG_CHARS) == clears
 
 
 def test_a_generator_A_keeps_the_size_split(doc):
@@ -357,9 +393,11 @@ def test_row_edges_read_as_json_load_reads_them(
         _assert_identical(cli._load_config(str(path), {}), want)
     else:
         assert _outcome(path, capsys) == want
-    # json.load runs once for invalid text and never for valid text.
-    assert len(loads) == (not valid)
-    assert len(forks) == (decode == "forked")
+    # json.load runs once for invalid text and for a repeated key, and
+    # never for other valid text; a repeated key starts no child.
+    repeated = case == "replaced-duplicate"
+    assert len(loads) == (not valid or repeated)
+    assert len(forks) == (decode == "forked" and not repeated)
 
 
 def test_refused_fork_gives_the_serial_result(tmp_path, monkeypatch, texts):
