@@ -615,20 +615,18 @@ def cmd_simulate(args) -> int:
 def _recovery(system: SystemAnalysis, mode: str) -> tuple[RecoveryReport, bool]:
     """The ``mode`` recovery of the system's source, and whether its residual passes.
 
+    Both recoveries read everything but the data matrix from ``system``.
     Kernels are read in the serial order: data matrix, radius, then the
     analysis of g or the stationary map.  The finite gate scales with the
     two rows that recovery reads, so far rows that overflow cannot move it.
     """
-    spec, tol = system.spec, system.tol
-    D, rho = system.data, system.rho
+    D, tol = system.data, system.tol
     if mode == "finite":
         at = LambdaIndex(0, 0)
-        (report,) = finite_recovery_report(
-            D, (at,), spec.A, system.sampling, spec.w, rho=rho, tol=tol
-        )
+        (report,) = finite_recovery_report(D, (at,), system)
         scale = max(float(np.linalg.norm(D.row(p))) for p in (at, successor(at)))
         return report, report.residual <= tol.SOLVE_TOL * (1.0 + scale)
-    report = reconstruct_infinite(D, system.stationary_map, spec.w, tol=tol)
+    report = reconstruct_infinite(D, system)
     return report, report.residual <= tol.BS_TOL
 
 

@@ -249,8 +249,9 @@ def matrix_from_pairs(rows) -> Mat:
     ``rows`` may also be an iterator that yields the rows one at a time,
     as a streaming decoder does; each row is converted when it arrives and
     dropped.  A rejected list is read again pair by pair, so the error
-    names the offending pair; an iterator's rows are gone by then, so a
-    rejected iterator raises a plain ``ValueError``.
+    names the offending pair, or else the first row of another length than
+    the first; an iterator's rows are gone by then, so a rejected iterator
+    raises a plain ``ValueError``.
     """
     streamed = isinstance(rows, Iterator)
     if not streamed and (not isinstance(rows, (list, tuple)) or not rows):
@@ -260,4 +261,7 @@ def matrix_from_pairs(rows) -> Mat:
         if streamed:
             raise ValueError("expected nonempty rows of finite [re, im] pairs, all of one length")
         M = [_complex_list(row) for row in rows]
+        for i, row in enumerate(M):
+            if len(row) != len(M[0]):
+                raise ValueError(f"row {i} has {len(row)} entries, expected {len(M[0])}")
     return as_matrix(M)

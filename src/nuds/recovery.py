@@ -30,7 +30,9 @@ The family needs only I - A to be invertible; the map also needs
 rho(A) < 1 (:func:`require_radius_below_one`), checked before the solve.
 
 :class:`SystemAnalysis` holds these kernels for one system, each computed
-on first read, so each command runs only what it reads, in its order.
+on first read, so each command runs only what it reads, in its order.  It
+owns the stationary map S = X; a resolvent given to it (thm317's X = -B,
+with rho(A) = 2) is admitted without the radius check.
 """
 
 from __future__ import annotations
@@ -73,36 +75,11 @@ def reconstruct_finite(
     return synthesis(D.row(successor(at)) - analysis(linalg.as_matrix(A) @ u, g), gdual)
 
 
-@dataclass(frozen=True)
-class StationaryMap:
-    """The map S sending a source in W to its limit state, with adjoint data.
-
-    Attributes:
-        apply: (dim x p) matrix taking W-coordinates to the ambient
-            space: S(w) = apply @ (W-coordinates of w).
-        adjoint: the analysis of the vectors S* g_j, expressed in
-            W-coordinates (``adjoint.family``).
-        W_basis: orthonormal columns of W (used to lift W-coordinate
-            vectors back to the ambient space).
-        rho: spectral radius of the evolution operator (diagnostic).
-    """
-
-    apply: Mat
-    adjoint: FrameAnalysis
-    W_basis: Mat
-    rho: float
-
-    def stationary_state(self, w: Vec) -> Vec:
-        """S(w) for a source given in ambient coordinates (w must lie in W)."""
-        w = linalg.as_vector(w)
-        return self.apply @ (self.W_basis.conj().T @ w)
-
-
 def require_radius_below_one(rho: float, *, tol: Tolerances) -> None:
     """Raise ConditionFailure unless rho < 1 - tol.RHO_MARGIN, as the stationary map needs.
 
-    :func:`stationary_map_from_A` checks the radius before its solve, so a
-    refused radius is what fails, whatever the solve would do.
+    :attr:`SystemAnalysis.stationary_map` checks the radius before its
+    solve, so a refused radius is what fails, whatever the solve would do.
     """
     if not rho < 1.0 - tol.RHO_MARGIN:
         raise ConditionFailure(
@@ -111,40 +88,24 @@ def require_radius_below_one(rho: float, *, tol: Tolerances) -> None:
         )
 
 
-def stationary_map_from_A(system: SystemAnalysis) -> StationaryMap:
-    """Stationary map of the system's dynamics when the spectral radius is < 1.
-
-    Then both orbits converge to (I - A)^-1 w from any initial states.  The
-    resolvent solve gives S = X in W-coordinates and its adjoint family
-    S* g_j = X* g_j, the subspace family.  The radius is checked first.
-
-    Raises:
-        ConditionFailure: when rho(A) >= 1 - tol.RHO_MARGIN, naming the radius.
-    """
-    require_radius_below_one(system.rho, tol=system.tol)
-    return StationaryMap(
-        apply=system.resolvent[0],
-        adjoint=system.subspace,
-        W_basis=system.spec.W_basis,
-        rho=system.rho,
-    )
-
-
 class SystemAnalysis:
     """The kernels the recoveries and certificates of ``spec`` are judged from.
 
     Each field is computed on first read and kept; a field whose kernel
     refuses raises on every read.  A given ``rho`` (the config decode
-    child's) is never recomputed.
+    child's) or ``resolvent`` (a scenario's X) is never recomputed.
     """
 
     def __init__(
-        self, spec: SystemSpec, *, tol: Tolerances = DEFAULTS, rho: float | None = None
+        self, spec: SystemSpec, *, tol: Tolerances = DEFAULTS, rho: float | None = None,
+        resolvent: Mat | None = None,
     ):
         self.spec = spec
         self.tol = tol
         if rho is not None:
             self.rho = rho
+        if resolvent is not None:  # admitted as the map without the radius check
+            self.resolvent = self.stationary_map = resolvent
 
     @cached_property
     def trajectory(self) -> LatticeWindow:
@@ -163,37 +124,50 @@ class SystemAnalysis:
         return FrameAnalysis(self.spec.g, tol=self.tol)
 
     @cached_property
-    def resolvent(self) -> tuple[Mat, VectorFamily]:
-        """X = (I - A)^-1 B and the family {X* g_j} in W-coordinates, by one LU solve.
+    def resolvent(self) -> Mat:
+        """X = (I - A)^-1 B, by one LU solve.
 
         Raises ``SingularMatrixError`` when the solve refuses I - A: 1 is in
-        the spectrum of A, or a pivot is below ``tol.PIVOT_TOL``; and
-        ``NumericalError`` when the family overflows.
+        the spectrum of A, or a pivot is below ``tol.PIVOT_TOL``.
         """
         A = self.spec.A
-        X = linalg.solve(np.eye(A.shape[0], dtype=complex) - A, self.spec.W_basis, tol=self.tol)
+        return linalg.solve(np.eye(A.shape[0], dtype=complex) - A, self.spec.W_basis, tol=self.tol)
+
+    @cached_property
+    def subspace(self) -> FrameAnalysis:
+        """{P_W (I - A*)^-1 g_j} = {X* g_j} in W-coordinates, analysed as a frame for W.
+
+        It is also the stationary map's adjoint family {S* g_j}.  A
+        necessary condition for windowed recovery, NOT a sufficient one
+        (see :func:`counterexample_nullifier`); it needs no rho(A) < 1.
+        Raises ``NumericalError`` when the family overflows.
+        """
         # g and X are finite, so a non-finite product overflowed; numpy's
         # warning would only repeat that.
         with np.errstate(over="ignore", invalid="ignore"):
-            vectors = self.spec.g.vectors @ X.conj()
+            vectors = self.spec.g.vectors @ self.resolvent.conj()
         if not np.isfinite(vectors).all():
             raise linalg.NumericalError(
                 "the family {X* g_j} = {P_W (I - A*)^-1 g_j} overflowed to non-finite entries"
             )
-        return X, VectorFamily(vectors=vectors)
+        return FrameAnalysis(VectorFamily(vectors=vectors), tol=self.tol)
 
     @cached_property
-    def subspace(self) -> FrameAnalysis:
-        """{P_W (I - A*)^-1 g_j} = {X* g_j} analysed as a frame for W.
+    def stationary_map(self) -> Mat:
+        """S = X, taking W-coordinates to the limit state (I - A)^-1 w of both orbits.
 
-        A necessary condition for windowed recovery, NOT a sufficient one
-        (see :func:`counterexample_nullifier`); it needs no rho(A) < 1.
+        The radius is checked before the solve; a resolvent given to the
+        record is the map as given.
+
+        Raises:
+            ConditionFailure: when rho(A) >= 1 - tol.RHO_MARGIN, naming the radius.
         """
-        return FrameAnalysis(self.resolvent[1], tol=self.tol)
+        require_radius_below_one(self.rho, tol=self.tol)
+        return self.resolvent
 
-    @cached_property
-    def stationary_map(self) -> StationaryMap:
-        return stationary_map_from_A(self)
+    def stationary_state(self, w: Vec) -> Vec:
+        """S(w) for a source given in ambient coordinates (w must lie in W)."""
+        return self.stationary_map @ (self.spec.W_basis.conj().T @ linalg.as_vector(w))
 
     @cached_property
     def limit(self) -> TailLimit:
@@ -273,24 +247,18 @@ class RecoveryReport:
 
 
 def finite_recovery_report(
-    D: LatticeWindow,
-    cases: tuple[LambdaIndex, ...],
-    A: Mat,
-    sampling: FrameAnalysis,
-    w_true: Vec,
-    *,
-    rho: float,
-    tol: Tolerances = DEFAULTS,
+    D: LatticeWindow, cases: tuple[LambdaIndex, ...], system: SystemAnalysis
 ) -> list[RecoveryReport]:
     """Run finite-step recovery from each point of ``cases``; one report each.
 
-    ``sampling``, the analysis of the sampling family g, gives the bounds
-    and the canonical dual for all the points; ``rho`` is only reported.
-    Each residual re-predicts the successor row from the recovered source
-    and the synthesized state; it vanishes on exact data.
+    The system's ``sampling`` analysis gives the bounds and the canonical
+    dual for all the points; its ``rho`` is only reported, and its source
+    is the truth each error is measured against.  Each residual
+    re-predicts the successor row from the recovered source and the
+    synthesized state; it vanishes on exact data.
     """
-    A = linalg.as_matrix(A)
-    frame = _require_frame(sampling, "sampling family is not a frame", tol)
+    A, w_true, tol, rho = system.spec.A, system.spec.w, system.tol, system.rho
+    frame = _require_frame(system.sampling, "sampling family is not a frame", tol)
     g, gdual = frame.family, frame.dual()
 
     def report(at: LambdaIndex) -> RecoveryReport:
@@ -305,38 +273,36 @@ def finite_recovery_report(
     return [report(at) for at in cases]
 
 
-def reconstruct_infinite(
-    D: LatticeWindow,
-    smap: StationaryMap,
-    w_true: Vec,
-    *,
-    tol: Tolerances = DEFAULTS,
-) -> RecoveryReport:
+def reconstruct_infinite(D: LatticeWindow, system: SystemAnalysis) -> RecoveryReport:
     """Recover the source from the limit row of a convergent data matrix.
 
-    Requires {S* g_j} to be a frame for W; its canonical dual in W is
-    lifted to the ambient space and synthesized against the limit row.
-    The recovery error is controlled by the tail gap: it is bounded by
-    sqrt(beta') times the limit-row error, where beta' is the upper
-    bound of the dual family in W.
+    Reads the system's stationary map first, so a refused map fails before
+    any other kernel.  Requires {S* g_j}, the ``subspace`` family, to be a
+    frame for W; its canonical dual in W is lifted to the ambient space
+    and synthesized against the limit row.  The recovery error is
+    controlled by the tail gap: it is bounded by sqrt(beta') times the
+    limit-row error, where beta' is the upper bound of the dual family in W.
 
     Raises:
-        ConditionFailure: "not stably recoverable" when the adjoint
-            family misses the frame condition, or when the rows are not
-            convergent at the window edges.
+        ConditionFailure: when the radius refuses the map; "not stably
+            recoverable" when the adjoint family misses the frame
+            condition, or when the rows are not convergent at the window
+            edges.
     """
-    frame = _require_frame(smap.adjoint, "the adjoint family is not a frame for W", tol)
-    lifted = VectorFamily(vectors=frame.dual().vectors @ smap.W_basis.T)
+    system.stationary_map  # admits the map before any other kernel runs
+    B, tol = system.spec.W_basis, system.tol
+    frame = _require_frame(system.subspace, "the adjoint family is not a frame for W", tol)
+    lifted = VectorFamily(vectors=frame.dual().vectors @ B.T)
     lim = _convergent_limit(D, tol)
     w_hat = synthesis(lim.limit_row, lifted)
-    predicted_limit = analysis(smap.W_basis.conj().T @ w_hat, frame.family)
+    predicted_limit = analysis(B.conj().T @ w_hat, frame.family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
     return RecoveryReport(
         w_hat=w_hat,
-        abs_error=float(np.linalg.norm(w_hat - w_true)),
+        abs_error=float(np.linalg.norm(w_hat - system.spec.w)),
         residual=residual,
         bounds=frame.bounds,
-        rho=smap.rho,
+        rho=system.rho,
         tail_gap=lim.tail_gap,
         case="limit",
     )

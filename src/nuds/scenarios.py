@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import SystemSpec, stationary_deviation, sup_row_norm
-from .frames import FrameAnalysis, VectorFamily
+from .frames import VectorFamily
 from .lattice import (
     LambdaIndex,
     SpectralParams,
@@ -45,10 +45,9 @@ from .lattice import (
     power_of,
     window,
 )
-from .linalg import Vec
+from .linalg import Mat, Vec
 from .recovery import (
     RecoveryReport,
-    StationaryMap,
     SystemAnalysis,
     counterexample_nullifier,
     finite_recovery_report,
@@ -93,7 +92,7 @@ class Built(NamedTuple):
     """A builder's system, with what only K decides beside it."""
 
     spec: SystemSpec
-    smap: StationaryMap | None = None  # a map built by hand (thm317: I - A is singular)
+    resolvent: Mat | None = None  # a given X = (I - A)^-1 B (thm317: I - A is singular)
     expected_bounds: tuple[float, float] | None = None  # in place of the record's
 
 
@@ -105,12 +104,14 @@ class Scenario:
     tolerances need more; ``floor_why`` (formatted with ``tol``) and
     ``max_why`` say why a K out of range is refused.  ``limit_oracle``
     judges the limit recovery's error.  A check reads the run's
-    ``(SystemAnalysis, stationary map, limit recovery)``, None where absent,
-    and gives the report keys it adds and its failures: ``checks`` after
-    the finite recovery's, ``limit_checks`` after the limit recovery's.
+    ``(SystemAnalysis, limit recovery)``, the limit report None where there
+    is none, and gives the report keys it adds and its failures: ``checks``
+    after the finite recovery's, ``limit_checks`` after the limit
+    recovery's.  A builder's ``Built.resolvent`` seeds the record's, which
+    then admits the stationary map without the radius check.
     """
 
-    build: Callable[[SpectralParams, int, Tolerances], Built]
+    build: Callable[[SpectralParams, int], Built]
     expectations: ScenarioExpectations
     default_K: int
     floor_K: int = 2
@@ -125,13 +126,13 @@ class Scenario:
 
 @dataclass
 class ScenarioBundle:
-    """A built scenario: its record, system, expectations and any hand-built map."""
+    """A built scenario: its record, system, expectations and any given resolvent."""
 
     id: str
     scenario: Scenario
     spec: SystemSpec
     expectations: ScenarioExpectations
-    smap: StationaryMap | None = None
+    resolvent: Mat | None = None
 
 
 def _scenario_rng(scenario_id: str, params: SpectralParams, K: int) -> np.random.Generator:
@@ -171,7 +172,7 @@ def counterexample_source(K: int) -> Vec:
     return w
 
 
-def _build_thm312_diagonal(params: SpectralParams, K: int, tol: Tolerances) -> Built:
+def _build_thm312_diagonal(params: SpectralParams, K: int) -> Built:
     dim = 4 * K
     diag = np.zeros(dim)
     for idx in window(K):
@@ -189,7 +190,7 @@ def _build_thm312_diagonal(params: SpectralParams, K: int, tol: Tolerances) -> B
     return Built(SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=W, w=w, x0=x0, xm2=xm2, K=K))
 
 
-def _build_thm38_onb(params: SpectralParams, K: int, tol: Tolerances) -> Built:
+def _build_thm38_onb(params: SpectralParams, K: int) -> Built:
     dim = 4 * K
     w = np.zeros(dim, dtype=complex)
     w[position(LambdaIndex(0, 0), K)] = 1.0
@@ -198,7 +199,7 @@ def _build_thm38_onb(params: SpectralParams, K: int, tol: Tolerances) -> Built:
     return Built(SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=W, w=w, x0=x0, xm2=xm2, K=K))
 
 
-def _build_thm314_counterexample(params: SpectralParams, K: int, tol: Tolerances) -> Built:
+def _build_thm314_counterexample(params: SpectralParams, K: int) -> Built:
     dim = 4 * K
     lam = np.geomspace(0.1, 0.9, dim)
     A = np.diag(lam).astype(complex)
@@ -212,7 +213,7 @@ def _build_thm314_counterexample(params: SpectralParams, K: int, tol: Tolerances
     return Built(spec, expected_bounds=(norm_w_sq, norm_w_sq))
 
 
-def _build_thm317_generalized(params: SpectralParams, K: int, tol: Tolerances) -> Built:
+def _build_thm317_generalized(params: SpectralParams, K: int) -> Built:
     dim = 4 * K
     p0 = position(LambdaIndex(0, 0), K)
     pm2 = position(LambdaIndex(-1, 0), K)
@@ -227,19 +228,12 @@ def _build_thm317_generalized(params: SpectralParams, K: int, tol: Tolerances) -
     w = B @ y
     g = _onb(dim)
     spec = SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=B, w=w, x0=-w, xm2=-w, K=K)
-    # The stationary map fixes S(w) = -w on W; its adjoint family
-    # S* g_j = apply* g_j is built as stationary_map_from_A builds it.
-    apply = -B
-    smap = StationaryMap(
-        apply=apply,
-        adjoint=FrameAnalysis(VectorFamily(vectors=g.vectors @ apply.conj()), tol=tol),
-        W_basis=B,
-        rho=linalg.spectral_radius(A),
-    )
-    return Built(spec, smap=smap)
+    # I - A is singular, yet X = -B solves (I - A) X = B: A is 1 only off W.
+    # The stationary map fixes S(w) = -w on W.
+    return Built(spec, resolvent=-B)
 
 
-def _build_thm319_quarter(params: SpectralParams, K: int, tol: Tolerances) -> Built:
+def _build_thm319_quarter(params: SpectralParams, K: int) -> Built:
     dim = 4 * K
     p0 = position(LambdaIndex(0, 0), K)
     p1 = position(LambdaIndex(0, 1), K)
@@ -251,9 +245,7 @@ def _build_thm319_quarter(params: SpectralParams, K: int, tol: Tolerances) -> Bu
     return Built(SystemSpec(params=params, dim=dim, A=A, g=g, W_basis=B, w=w, x0=x0, xm2=xm2, K=K))
 
 
-def _nullified_data(
-    system: SystemAnalysis, smap: StationaryMap, limit: RecoveryReport
-) -> tuple[dict, list[str]]:
+def _nullified_data(system: SystemAnalysis, limit: RecoveryReport) -> tuple[dict, list[str]]:
     """thm314, judged on its simulated data: every sample vanishes, w is unit-plus.
 
     The subspace bounds are the limit recovery's (the map's adjoint family
@@ -284,9 +276,7 @@ def _nullified_data(
     return {"measurements": measurements, "necessary_condition_only": True}, failures
 
 
-def _limit_norm_ratio(
-    system: SystemAnalysis, smap: StationaryMap, limit: RecoveryReport
-) -> tuple[dict, list[str]]:
+def _limit_norm_ratio(system: SystemAnalysis, limit: RecoveryReport) -> tuple[dict, list[str]]:
     """thm38: the limit operator's norm over the sup row norm is exactly 1."""
     limit_vec = limit_operator(system.data, system.spec.g, tol=system.tol)
     ratio = float(np.linalg.norm(limit_vec)) / sup_row_norm(system.data)
@@ -295,11 +285,11 @@ def _limit_norm_ratio(
 
 
 def _geometric_convergence(
-    system: SystemAnalysis, smap: StationaryMap, limit: RecoveryReport
+    system: SystemAnalysis, limit: RecoveryReport
 ) -> tuple[dict, list[str]]:
     """thm319: every state x_n is within 4^-n ||x0 - S(w)|| of S(w)."""
     spec, traj = system.spec, system.trajectory
-    s_w = smap.stationary_state(spec.w)
+    s_w = system.stationary_state(spec.w)
     base = float(np.linalg.norm(spec.x0 - s_w))
     steps = np.array([power_of(idx) for idx in traj.order])
     dist = np.linalg.norm(traj.values - s_w, axis=1)
@@ -444,11 +434,11 @@ def build(
     if scenario.max_K is not None and K > scenario.max_K:
         why = scenario.max_why
         raise ValueError(f"{scenario_id} needs K <= {scenario.max_K}, got K = {K}: {why}")
-    spec, smap, bounds = scenario.build(params, K, tol)
+    spec, resolvent, bounds = scenario.build(params, K)
     exp = scenario.expectations if bounds is None else replace(
         scenario.expectations, expected_bounds=bounds
     )
-    return ScenarioBundle(scenario_id, scenario, spec, exp, smap)
+    return ScenarioBundle(scenario_id, scenario, spec, exp, resolvent)
 
 
 def _close(a: float, b: float, bound: float) -> bool:
@@ -463,27 +453,26 @@ def run_scenario(
     Each recovery runs once, from one :class:`SystemAnalysis`, and the
     measured bounds are read from the recovery that computed them
     (``bounds_of``).  The limit recovery runs where the expectations ask
-    for it or read its bounds; its stationary map, the bundle's or else the
-    system's, is read first, so a refused map ends the run before any
-    recovery.  ``recovery`` holds the limit report where there is one.
-    The record's own checks then add their report keys and failures.
+    for it or read its bounds; the record's stationary map, from the
+    bundle's resolvent where there is one, is read first, so a refused map
+    ends the run before any recovery.  ``recovery`` holds the limit report
+    where there is one.  The record's own checks then add their report
+    keys and failures.
 
     Returns (report document, failures); an empty failure list means
     every expectation held.
     """
     spec, exp, scenario = bundle.spec, bundle.expectations, bundle.scenario
     failures: list[str] = []
-    smap = bundle.smap
-    system = SystemAnalysis(spec, tol=tol, rho=None if smap is None else smap.rho)
-    if smap is None and (exp.should_recover_infinite or exp.bounds_of != "sampling"):
-        smap = system.stationary_map
+    system = SystemAnalysis(spec, tol=tol, resolvent=bundle.resolvent)
+    run_limit = exp.should_recover_infinite or exp.bounds_of != "sampling"
+    if run_limit:
+        system.stationary_map  # a refused map ends the run here
     traj, D, rho = system.trajectory, system.data, system.rho
     finite_reports = []
     if exp.should_recover_finite:
-        finite_reports = finite_recovery_report(
-            D, FINITE_CASES, spec.A, system.sampling, spec.w, rho=rho, tol=tol
-        )
-    limit = None if smap is None else reconstruct_infinite(D, smap, spec.w, tol=tol)
+        finite_reports = finite_recovery_report(D, FINITE_CASES, system)
+    limit = reconstruct_infinite(D, system) if run_limit else None
 
     if not _close(rho, exp.expected_rho, RHO_ORACLE_TOL):
         failures.append(f"spectral radius {rho:.8g} != expected {exp.expected_rho:.8g}")
@@ -509,7 +498,7 @@ def run_scenario(
 
     def run_own(checks) -> None:
         for check in checks:
-            keys, found = check(system, smap, limit)
+            keys, found = check(system, limit)
             report.update(keys)
             failures.extend(found)
 
@@ -528,7 +517,7 @@ def run_scenario(
             failures.append(
                 f"limit recovery missed: abs_error = {limit.abs_error} > {scenario.limit_oracle}"
             )
-        s_w = smap.stationary_state(spec.w)
+        s_w = system.stationary_state(spec.w)
         report["stationary_deviation"] = stationary_deviation(traj, s_w)
     run_own(scenario.limit_checks)
 

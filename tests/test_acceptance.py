@@ -36,7 +36,6 @@ from nuds.lattice import (
     power_of,
     window,
 )
-from nuds.linalg import spectral_radius
 from nuds.recovery import (
     ConditionFailure,
     SystemAnalysis,
@@ -125,9 +124,7 @@ def test_diagonal_onb_example_recovers_exactly_on_all_branches():
 
     D = data_matrix(simulate(spec), spec.g)
     points = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
-    reports = finite_recovery_report(
-        D, points, spec.A, FrameAnalysis(spec.g), spec.w, rho=spectral_radius(spec.A)
-    )
+    reports = finite_recovery_report(D, points, SystemAnalysis(spec))
     cases = {report.case: report.abs_error for report in reports}
     assert set(cases) == {"i", "ii", "iii"}
     assert all(err <= 1e-10 for err in cases.values()), cases
@@ -190,8 +187,8 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
     # window: every state obeys ||x - s|| <= (1/4)^n ||x0 - s|| up to
     # 1e-12, where s = (4/3) w, and limit recovery returns w to 1e-6.
     spec = build("thm319_quarter", PARAMS, 20).spec
-    smap = SystemAnalysis(spec).stationary_map
-    s = smap.stationary_state(spec.w)
+    system = SystemAnalysis(spec)
+    s = system.stationary_state(spec.w)
     np.testing.assert_allclose(s, (4.0 / 3.0) * spec.w, atol=1e-12)
 
     traj = simulate(spec)
@@ -202,7 +199,7 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
         assert dist <= (0.25**n) * base + 1e-12, (idx, n, dist)
 
     D = data_matrix(traj, spec.g)
-    report = reconstruct_infinite(D, smap, spec.w)
+    report = reconstruct_infinite(D, system)
     assert report.abs_error <= 1e-6
 
 
@@ -237,8 +234,9 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
             w=w, x0=stationary, xm2=stationary, K=K,
         )
         matrices.append(data_matrix(simulate(spec), g))
-    smap = SystemAnalysis(spec).stationary_map
-    assert FrameAnalysis(smap.adjoint.family).bounds.alpha <= 1e-12
+    system = SystemAnalysis(spec)
+    system.stationary_map  # the radius admits the map; its adjoint family is blind
+    assert system.subspace.bounds.alpha <= 1e-12
     limit1 = bs_membership(matrices[0]).limit_row
     limit2 = bs_membership(matrices[1]).limit_row
     assert float(np.linalg.norm(limit1 - limit2)) <= 1e-10
@@ -246,7 +244,7 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     assert float(np.abs(matrices[0].values - matrices[1].values).max()) <= 1e-10
 
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(matrices[0], smap, w1)
+        reconstruct_infinite(matrices[0], system)
 
 
 def test_state_formulas_agree_across_random_systems():

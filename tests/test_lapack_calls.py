@@ -7,10 +7,10 @@ computes each on first read and keeps it.  Each frame operator is
 eigendecomposed once, and that one decomposition gives both its bounds
 and its canonical dual.  ``demo`` runs each recovery once and reads every
 measured number from the recovery that computed it.  The record's
-resolvent makes one LU factorization, of I - A: its solve
-X = (I - A)^-1 B gives the stationary map and its adjoint family
-S* g_j = X* g_j, which is also the subspace family, so neither ``demo``
-nor ``check`` factors I - A*.  ``check`` reads the spectral radius once
+resolvent makes one LU factorization, of I - A, or none where a scenario
+gives it (thm317's X = -B): X = (I - A)^-1 B is the stationary map, and
+its adjoint family S* g_j = X* g_j is also the subspace family, so
+neither ``demo`` nor ``check`` factors I - A*.  ``check`` reads the spectral radius once
 and the subspace family's analysis once, whether or not the radius admits
 a stationary map; from ``nuds.cli.FORK_MIN_RADIUS_DIM`` on, the radius is
 computed in the child that decodes A, outside the counts.

@@ -221,11 +221,9 @@ def test_codecs_read_malformed_pairs_like_the_pair_walk(case):
 
 def test_matrix_codec_rejects_ragged_and_non_list_rows():
     ragged = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]]
-    with pytest.raises(ValueError) as numpy_exc:
-        np.asarray([[1 + 0j, 2 + 0j], [3 + 0j]], dtype=complex)
     with pytest.raises(ValueError) as exc:
         matrix_from_pairs(ragged)
-    assert str(exc.value) == str(numpy_exc.value)
+    assert str(exc.value) == "row 1 has 1 entries, expected 2"
     for row in ("ab", 5, None, {"a": 1}):
         with pytest.raises(ValueError) as exc:
             matrix_from_pairs([[[1.0, 0.0]], row])

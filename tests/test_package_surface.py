@@ -215,19 +215,12 @@ def test_the_documented_jobs_are_the_only_child_sites():
 
 # Where the package runs each kernel of the analysis record.  Beside the
 # record's own fields, only the decode child computes rho(A) (it seeds the
-# record), ``simulate`` writes its trajectory without analysing it, and
-# thm317 builds its stationary map by hand, since its I - A is singular.
+# record) and ``simulate`` writes its trajectory without analysing it.
+# thm317, whose I - A is singular, gives only its resolvent X = -B: the
+# record analyses its adjoint family as it analyses any other.
 KERNEL_SITES = {
-    "spectral_radius": [
-        "cli._radius",
-        "recovery.SystemAnalysis.rho",
-        "scenarios._build_thm317_generalized",
-    ],
-    "FrameAnalysis": [
-        "recovery.SystemAnalysis.sampling",
-        "recovery.SystemAnalysis.subspace",
-        "scenarios._build_thm317_generalized",
-    ],
+    "spectral_radius": ["cli._radius", "recovery.SystemAnalysis.rho"],
+    "FrameAnalysis": ["recovery.SystemAnalysis.sampling", "recovery.SystemAnalysis.subspace"],
     "simulate": ["cli.cmd_simulate", "recovery.SystemAnalysis.trajectory"],
 }
 

@@ -140,20 +140,20 @@ def test_stationary_map_fixed_point():
     A = rng.standard_normal((4, 4))
     A *= 0.7 / np.abs(np.linalg.eigvals(A)).max()
     g = VectorFamily(vectors=np.eye(4))
-    smap = _system(A, g, np.eye(4)).stationary_map
+    system = _system(A, g, np.eye(4))
     w = rng.standard_normal(4)
-    s = smap.stationary_state(w)
+    s = system.stationary_state(w)
     np.testing.assert_allclose(A @ s + w, s, atol=1e-10)
-    assert smap.rho == pytest.approx(0.7)
+    assert system.rho == pytest.approx(0.7)
 
 
 def test_stationary_map_scaled_identity_adjoint():
     # A = I/2 on C^2 with W = C^2: S = 2I and S* g_j = 2 g_j.
     rng = np.random.default_rng(15)
     g = VectorFamily(vectors=rng.standard_normal((3, 2)))
-    smap = _system(0.5 * np.eye(2), g, np.eye(2)).stationary_map
-    np.testing.assert_allclose(smap.apply, 2.0 * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(smap.adjoint.family.vectors, 2.0 * g.vectors, atol=1e-12)
+    system = _system(0.5 * np.eye(2), g, np.eye(2))
+    np.testing.assert_allclose(system.stationary_map, 2.0 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(system.subspace.family.vectors, 2.0 * g.vectors, atol=1e-12)
 
 
 def test_stationary_map_requires_contraction():
@@ -190,7 +190,8 @@ def test_adjoint_family_matches_the_adjoint_solve(dim, count, rho):
     delta = IDENTITY_ULPS * np.finfo(float).eps * np.linalg.cond(np.eye(dim) - A)
     system = _system(A, g, B)
     if rho < 1:
-        family = system.stationary_map.adjoint.family
+        system.stationary_map  # the radius admits the map
+        family = system.subspace.family
         diff = float(np.linalg.norm(family.vectors - ref.vectors, 2))
         assert diff <= delta * scale
     else:
@@ -227,9 +228,7 @@ def test_finite_recovery_report_contents():
     spec = _random_system(rng, dim=4, K=2)
     system = SystemAnalysis(spec)
     cases = (LambdaIndex(-1, 1), LambdaIndex(0, 0))
-    reports = finite_recovery_report(
-        system.data, cases, spec.A, system.sampling, spec.w, rho=system.rho
-    )
+    reports = finite_recovery_report(system.data, cases, system)
     assert [report.case for report in reports] == ["iii", "i"]
     report = reports[0]
     assert report.abs_error == pytest.approx(0.0, abs=1e-8)
@@ -260,11 +259,9 @@ def test_finite_recovery_report_requires_frame():
     spec = _random_system(rng, dim=3, K=1, g_count=6)
     deficient = VectorFamily(vectors=spec.g.vectors.copy())
     deficient.vectors[:, 0] = 0.0  # kill one direction
-    D = data_matrix(simulate(spec), deficient)
+    system = SystemAnalysis(dataclasses.replace(spec, g=deficient))
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        finite_recovery_report(
-            D, (LambdaIndex(0, 0),), spec.A, FrameAnalysis(deficient), spec.w, rho=0.8
-        )
+        finite_recovery_report(system.data, (LambdaIndex(0, 0),), system)
 
 
 def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
@@ -282,14 +279,13 @@ def test_reconstruct_infinite_recovers_source():
     rng = np.random.default_rng(55)
     spec = _stationary_system(rng)
     system = SystemAnalysis(spec)
-    smap = system.stationary_map
-    report = reconstruct_infinite(system.data, smap, spec.w)
+    report = reconstruct_infinite(system.data, system)
     assert report.abs_error < 1e-10
     assert report.residual < 1e-10
     assert report.case == "limit"
     assert report.tail_gap < 1e-12
     assert report.rho == pytest.approx(0.5)
-    assert report.bounds == FrameAnalysis(smap.adjoint.family).bounds
+    assert report.bounds == FrameAnalysis(system.subspace.family).bounds
 
 
 def test_reconstruct_infinite_requires_adjoint_frame():
@@ -298,9 +294,9 @@ def test_reconstruct_infinite_requires_adjoint_frame():
     spec = _stationary_system(rng)
     ones_dir = VectorFamily(vectors=np.array([[1.0, 0.0], [2.0, 0.0]]))
     D = data_matrix(simulate(spec), ones_dir)
-    smap = SystemAnalysis(dataclasses.replace(spec, g=ones_dir)).stationary_map
+    system = SystemAnalysis(dataclasses.replace(spec, g=ones_dir))
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(D, smap, spec.w)
+        reconstruct_infinite(D, system)
 
 
 def test_reconstruct_infinite_requires_convergent_rows():
@@ -308,9 +304,8 @@ def test_reconstruct_infinite_requires_convergent_rows():
     spec = _stationary_system(rng, K=3)
     spec.x0 = spec.x0 + 50.0  # far from stationary; K=3 tails don't settle
     D = data_matrix(simulate(spec), spec.g)
-    smap = SystemAnalysis(spec).stationary_map
     with pytest.raises(ConditionFailure, match="not convergent"):
-        reconstruct_infinite(D, smap, spec.w)
+        reconstruct_infinite(D, SystemAnalysis(spec))
 
 
 # --- nullifier construction --------------------------------------------------

@@ -6,10 +6,10 @@ import pytest
 
 from nuds.cli import main
 from nuds.dynamics import SystemSpec
-from nuds.frames import FrameAnalysis, VectorFamily
+from nuds.frames import VectorFamily
 from nuds.lattice import LambdaIndex, SpectralParams, position
-from nuds.linalg import spectral_radius, vector_to_pairs
-from nuds.recovery import StationaryMap, SystemAnalysis
+from nuds.linalg import require_solution, spectral_radius, vector_to_pairs
+from nuds.recovery import ConditionFailure, SystemAnalysis
 from nuds.scenarios import (
     SCENARIOS,
     Built,
@@ -178,6 +178,30 @@ def test_generalized_scenario_expanding_operator():
     assert report["stationary_deviation"] <= 1e-10
 
 
+@pytest.mark.parametrize("r, N", [(1, 2), (3, 2), (1, 1)])
+def test_generalized_resolvent_solves_the_singular_system(r, N):
+    # I - A is singular (A = 1 at 0 and -2, off W), yet the given X = -B
+    # solves (I - A) X = B at every K.
+    for K in range(min_K("thm317_generalized"), 13):
+        bundle = build("thm317_generalized", SpectralParams(N=N, r=r), K)
+        A, B = bundle.spec.A, bundle.spec.W_basis
+        np.testing.assert_array_equal(bundle.resolvent, -B)
+        require_solution(np.eye(bundle.spec.dim) - A, bundle.resolvent, B, tol=DEFAULTS)
+
+
+def test_a_given_resolvent_admits_the_map_past_the_radius():
+    bundle = build("thm317_generalized", PARAMS, None)
+    given = SystemAnalysis(bundle.spec, resolvent=bundle.resolvent)
+    assert given.rho == pytest.approx(2.0)
+    assert given.stationary_map is bundle.resolvent
+    np.testing.assert_array_equal(given.stationary_state(bundle.spec.w), -bundle.spec.w)
+    # The record's adjoint family is the one built from X by hand, bit for bit.
+    family = given.subspace.family.vectors
+    np.testing.assert_array_equal(family, bundle.spec.g.vectors @ (-bundle.spec.W_basis).conj())
+    with pytest.raises(ConditionFailure, match=r"rho\(A\) = 2 "):
+        SystemAnalysis(bundle.spec).stationary_map
+
+
 def test_quarter_scenario_geometric_convergence():
     bundle = build("thm319_quarter", PARAMS, None)
     report, failures = run_scenario(bundle)
@@ -237,11 +261,9 @@ def test_report_keys_at_the_default_K(scenario_id):
 
 
 def _doubled_map(bundle):
-    """The scenario's stationary map with S scaled by 2: limit recovery halves w."""
-    smap = bundle.smap or SystemAnalysis(bundle.spec).stationary_map
-    apply = 2 * smap.apply
-    adjoint = FrameAnalysis(VectorFamily(vectors=bundle.spec.g.vectors @ apply.conj()))
-    return StationaryMap(apply=apply, adjoint=adjoint, W_basis=smap.W_basis, rho=smap.rho)
+    """The scenario's resolvent X scaled by 2, so S doubles: limit recovery halves w."""
+    X = bundle.resolvent
+    return 2 * (SystemAnalysis(bundle.spec).resolvent if X is None else X)
 
 
 def test_counterexample_fails_on_data_that_is_not_nullified():
@@ -264,7 +286,7 @@ def test_onb_norm_ratio_failure_precedes_the_limit_miss():
     bundle.spec = dataclasses.replace(bundle.spec, x0=2 * bundle.spec.w)
     _, failures = run_scenario(bundle)
     assert failures == ["limit operator norm ratio 0.5 != 1"]
-    bundle.smap = _doubled_map(bundle)
+    bundle.resolvent = _doubled_map(bundle)
     _, failures = run_scenario(bundle)
     assert failures == [
         "limit operator norm ratio 0.5 != 1",
@@ -284,7 +306,7 @@ def test_quarter_geometric_failure_follows_the_limit_miss():
     assert report["convergence_excess"] > 8.6
 
     bundle = build("thm319_quarter", PARAMS, None)
-    bundle.smap = _doubled_map(bundle)
+    bundle.resolvent = _doubled_map(bundle)
     _, failures = run_scenario(bundle)
     assert failures == [
         "adjoint bounds (7.1111111, 7.1111111) != expected "
@@ -294,7 +316,7 @@ def test_quarter_geometric_failure_follows_the_limit_miss():
     ]
 
 
-def _build_toy_half(params, K, tol):
+def _build_toy_half(params, K):
     """A = I/2 from its stationary state 2w: every row of both orbits is 2w."""
     dim = 4 * K
     w = np.zeros(dim, dtype=complex)
@@ -307,7 +329,7 @@ def _build_toy_half(params, K, tol):
     return Built(spec)
 
 
-def _stays_at_2w(system, smap, limit):
+def _stays_at_2w(system, limit):
     drift = float(np.max(np.abs(system.trajectory.values - 2 * system.spec.w)))
     return {"toy_drift": drift}, [f"toy drift {drift}"] if drift else []
 
