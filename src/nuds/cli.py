@@ -30,11 +30,10 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .frames import NotAFrameError, VectorFamily
-from .lattice import LambdaIndex, SpectralParams, successor
+from .lattice import LambdaIndex, SpectralParams
 from .linalg import NumericalError, SingularMatrixError
 from .recovery import (
     ConditionFailure,
-    RecoveryReport,
     SystemAnalysis,
     finite_recovery_report,
     reconstruct_infinite,
@@ -488,15 +487,17 @@ def _out_dir(args) -> Path:
 # Reports and emitted configs hold exactly the text of
 # ``json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)
 # + "\n"``: documents hold complex arrays as ndarrays, written as lists of
-# [re, im] pairs.  Before Python 3.13 the stdlib encodes with an indent in
-# pure Python, ~0.1 us per character; here dicts and lists are walked by its
-# indent rules, every leaf goes to the C encoder, and a finite nonempty
-# ndarray is formatted in one pass over its floats, joined with the
-# separators that its shape and indent fix.  Each distinct bit pattern in
-# the array is spelled once: a demo config's I/4, g = I and W hold tens of
-# thousands of floats but a handful of distinct values.
+# [re, im] pairs.  The stdlib lays out every dict, list and leaf; before
+# Python 3.13 it encodes with an indent in pure Python, ~0.1 us per
+# character, so each finite nonempty ndarray reaches it as a mark string
+# instead, and the mark is then replaced by the array's text, formatted in
+# one pass over its floats and joined with the separators that its shape
+# and indent fix.  Each distinct bit pattern in the array is spelled once:
+# a demo config's I/4, g = I and W hold tens of thousands of floats but a
+# handful of distinct values.
 
-_leaf = json.JSONEncoder().encode
+_MARK = "\x00nuds.cli ndarray\x00"
+_QUOTED_MARK = json.dumps(_MARK)
 
 
 def _pairs_text(z: np.ndarray, indent: str) -> str:
@@ -529,57 +530,37 @@ def _pairs_text(z: np.ndarray, indent: str) -> str:
     return head + "".join(text)
 
 
-def _append_indented(value, indent: str, out: list[str]) -> None:
-    """Append the pieces of ``value``'s indented text to ``out``."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        out.append("[")
-        sep = inner
-        for item in value:
-            out.append(sep)
-            _append_indented(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        out.append("{")
-        sep = inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"key {key!r} is not a str")
-            out.append(sep)
-            out.append(_leaf(key))
-            out.append(": ")
-            _append_indented(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, np.ndarray):
-        z = np.ascontiguousarray(value, dtype=complex)
-        if z.size and np.isfinite(z).all():
-            out.append(_pairs_text(z, indent))
-        else:
-            _append_indented(linalg.vector_to_pairs(z), indent, out)
-    else:
-        out.append(_leaf(value))
-
-
 def _indented_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)``.
 
     Complex arrays in ``doc`` are ndarrays; each is written as the list
-    of [re, im] pairs ``linalg.vector_to_pairs`` gives, mostly at
-    C-encoder speed.  Raises ``TypeError`` for a non-str key, keys that do not sort or a
-    leaf that is not JSON, ``ValueError`` for an int too long to print,
-    and ``RecursionError`` for a cycle.
+    of [re, im] pairs ``linalg.vector_to_pairs`` gives.  The stdlib
+    encodes the document with each finite nonempty ndarray as a mark
+    string, which :func:`_pairs_text` then replaces, indented as the
+    mark's line.  Where a string of ``doc`` equals the mark, the marks
+    found do not match the arrays, and the stdlib encodes the arrays too.
+    Raises the stdlib's errors: ``TypeError`` for a leaf that is not JSON
+    or keys that do not sort, ``ValueError`` for a cycle or an int too
+    long to print.
     """
-    out: list[str] = []
-    _append_indented(doc, "\n", out)
+    arrays = []
+
+    def mark(value):
+        if not isinstance(value, np.ndarray):
+            return json.JSONEncoder().default(value)  # raises the stdlib's TypeError
+        z = np.ascontiguousarray(value, dtype=complex)
+        if not (z.size and np.isfinite(z).all()):
+            return linalg.vector_to_pairs(z)
+        arrays.append(z)
+        return _MARK
+
+    pieces = json.dumps(doc, indent=2, sort_keys=True, default=mark).split(_QUOTED_MARK)
+    if len(pieces) != len(arrays) + 1:
+        return json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)
+    out = [pieces[0]]
+    for z, before, after in zip(arrays, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        out += [_pairs_text(z, "\n" + " " * (len(line) - len(line.lstrip(" ")))), after]
     return "".join(out)
 
 
@@ -590,8 +571,8 @@ def _write_json(path: Path, doc: dict) -> None:
     default=linalg.vector_to_pairs)``: complex arrays are ndarrays in
     ``doc`` and lists of [re, im] pairs in the file.
 
-    A document :func:`_indented_json` refuses raises its error, and no
-    file is written.
+    A document the stdlib refuses raises its error, and no file is
+    written.
     """
     path.write_text(_indented_json(doc) + "\n")
 
@@ -612,36 +593,25 @@ def cmd_simulate(args) -> int:
 # --- recover -----------------------------------------------------------------
 
 
-def _recovery(system: SystemAnalysis, mode: str) -> tuple[RecoveryReport, bool]:
-    """The ``mode`` recovery of the system's source, and whether its residual passes.
-
-    Both recoveries read everything but the data matrix from ``system``.
-    Kernels are read in the serial order: data matrix, radius, then the
-    analysis of g or the stationary map.  The finite gate scales with the
-    two rows that recovery reads, so far rows that overflow cannot move it.
-    """
-    D, tol = system.data, system.tol
-    if mode == "finite":
-        at = LambdaIndex(0, 0)
-        (report,) = finite_recovery_report(D, (at,), system)
-        scale = max(float(np.linalg.norm(D.row(p))) for p in (at, successor(at)))
-        return report, report.residual <= tol.SOLVE_TOL * (1.0 + scale)
-    report = reconstruct_infinite(D, system)
-    return report, report.residual <= tol.BS_TOL
-
-
 def cmd_recover(args) -> int:
-    """Recover the source and write report.json.
+    """Recover the source and write report.json; exit 3 above the residual bound.
 
-    From ``FORK_MIN_RADIUS_DIM`` on, where a child starts (see
-    :meth:`nuds._fork.Child.start`), the child that decodes A also computes
-    rho(A) (see :func:`_decode_split`) and seeds the analysis with it, so
-    output and errors are those of the serial order either way.
+    The ``--mode`` recovery reads everything but the data matrix from one
+    :class:`SystemAnalysis`, in the serial order: data matrix, radius, then
+    the analysis of g or the stationary map.  Its report carries its own
+    ``residual_bound``.  From ``FORK_MIN_RADIUS_DIM`` on, where a child
+    starts (see :meth:`nuds._fork.Child.start`), the child that decodes A
+    also computes rho(A) (see :func:`_decode_split`) and seeds the analysis
+    with it, so output and errors are those of the serial order either way.
     """
     spec, tol, rho = _load_config(
         _config_path(args), _parse_tol_flags(args.tol_override), radius=True
     )
-    report, ok = _recovery(SystemAnalysis(spec, tol=tol, rho=rho), args.mode)
+    system = SystemAnalysis(spec, tol=tol, rho=rho)
+    if args.mode == "finite":
+        (report,) = finite_recovery_report(system.data, (LambdaIndex(0, 0),), system)
+    else:
+        report = reconstruct_infinite(system.data, system)
     out = _out_dir(args)
     report_path = out / "report.json"
     _write_json(report_path, report.to_json())
@@ -649,7 +619,7 @@ def cmd_recover(args) -> int:
         f"wrote {report_path}: residual {report.residual:.3e}, "
         f"abs_error {report.abs_error:.3e}"
     )
-    if not ok:
+    if not report.residual <= report.residual_bound:  # a NaN residual fails too
         print("recovery residual above tolerance", file=sys.stderr)
         return EXIT_CONDITION
     return EXIT_OK

@@ -174,30 +174,6 @@ class SystemAnalysis:
         return bs_membership(self.data, tol=self.tol)
 
 
-def _convergent_limit(D: LatticeWindow, tol: Tolerances) -> TailLimit:
-    """The edge row limit; ConditionFailure unless the gap clears tol.BS_TOL."""
-    lim = bs_membership(D, tol=tol)
-    if not lim.member:
-        raise ConditionFailure(
-            f"rows are not convergent: tail gap {lim.tail_gap:.3e} exceeds "
-            f"{tol.BS_TOL:.1e}"
-        )
-    return lim
-
-
-def limit_operator(D: LatticeWindow, G: VectorFamily, *, tol: Tolerances = DEFAULTS) -> Vec:
-    """Evaluate lim sum_j D[lambda][j] G_j at the window edges.
-
-    The limit row is taken from the outermost rows (see
-    :func:`nuds.dynamics.bs_membership`); the Cauchy tail gap must clear
-    ``tol.BS_TOL``.
-
-    Raises:
-        ConditionFailure: when the rows are not convergent at the edges.
-    """
-    return synthesis(_convergent_limit(D, tol).limit_row, G)
-
-
 def _require_frame(frame: FrameAnalysis, what: str, tol: Tolerances) -> FrameAnalysis:
     """``frame``; unless its family is a frame, ConditionFailure saying ``what``."""
     if not frame.bounds.is_frame(tol=tol):
@@ -212,14 +188,16 @@ class RecoveryReport:
     """Outcome of a recovery run.
 
     abs_error is the distance to the true source; residual measures data
-    consistency of the recovered source.  bounds belong to the family whose
-    dual synthesized the source; case is the lattice branch ("i", "ii",
-    "iii") or "limit".
+    consistency of the recovered source, and the recovery passes while it
+    is at most residual_bound, which is not written to the report.  bounds
+    belong to the family whose dual synthesized the source; case is the
+    lattice branch ("i", "ii", "iii") or "limit".
     """
 
     w_hat: Vec
     abs_error: float
     residual: float
+    residual_bound: float
     bounds: FrameBounds
     rho: float
     tail_gap: float
@@ -255,7 +233,9 @@ def finite_recovery_report(
     dual for all the points; its ``rho`` is only reported, and its source
     is the truth each error is measured against.  Each residual
     re-predicts the successor row from the recovered source and the
-    synthesized state; it vanishes on exact data.
+    synthesized state; it vanishes on exact data.  Its bound scales with
+    the two rows read, ``tol.SOLVE_TOL * (1 + the larger row norm)``, so
+    far rows that overflow cannot move it.
     """
     A, w_true, tol, rho = system.spec.A, system.spec.w, system.tol, system.rho
     frame = _require_frame(system.sampling, "sampling family is not a frame", tol)
@@ -265,9 +245,11 @@ def finite_recovery_report(
         w_hat = reconstruct_finite(D, at, A, g, gdual)
         predicted_next = analysis(A @ synthesis(D.row(at), gdual) + w_hat, g)
         residual = float(np.linalg.norm(predicted_next - D.row(successor(at))))
+        scale = max(float(np.linalg.norm(D.row(p))) for p in (at, successor(at)))
         return RecoveryReport(
             w_hat=w_hat, abs_error=float(np.linalg.norm(w_hat - w_true)), residual=residual,
-            bounds=frame.bounds, rho=rho, tail_gap=0.0, case=branch_of(at).value,
+            residual_bound=tol.SOLVE_TOL * (1.0 + scale), bounds=frame.bounds, rho=rho,
+            tail_gap=0.0, case=branch_of(at).value,
         )
 
     return [report(at) for at in cases]
@@ -282,6 +264,7 @@ def reconstruct_infinite(D: LatticeWindow, system: SystemAnalysis) -> RecoveryRe
     and synthesized against the limit row.  The recovery error is
     controlled by the tail gap: it is bounded by sqrt(beta') times the
     limit-row error, where beta' is the upper bound of the dual family in W.
+    The residual re-predicts the limit row; its bound is ``tol.BS_TOL``.
 
     Raises:
         ConditionFailure: when the radius refuses the map; "not stably
@@ -293,7 +276,11 @@ def reconstruct_infinite(D: LatticeWindow, system: SystemAnalysis) -> RecoveryRe
     B, tol = system.spec.W_basis, system.tol
     frame = _require_frame(system.subspace, "the adjoint family is not a frame for W", tol)
     lifted = VectorFamily(vectors=frame.dual().vectors @ B.T)
-    lim = _convergent_limit(D, tol)
+    lim = bs_membership(D, tol=tol)
+    if not lim.member:
+        raise ConditionFailure(
+            f"rows are not convergent: tail gap {lim.tail_gap:.3e} exceeds {tol.BS_TOL:.1e}"
+        )
     w_hat = synthesis(lim.limit_row, lifted)
     predicted_limit = analysis(B.conj().T @ w_hat, frame.family)
     residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
@@ -301,6 +288,7 @@ def reconstruct_infinite(D: LatticeWindow, system: SystemAnalysis) -> RecoveryRe
         w_hat=w_hat,
         abs_error=float(np.linalg.norm(w_hat - system.spec.w)),
         residual=residual,
+        residual_bound=tol.BS_TOL,
         bounds=frame.bounds,
         rho=system.rho,
         tail_gap=lim.tail_gap,

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import SystemSpec, stationary_deviation, sup_row_norm
-from .frames import VectorFamily
+from .frames import VectorFamily, synthesis
 from .lattice import (
     LambdaIndex,
     SpectralParams,
@@ -51,7 +51,6 @@ from .recovery import (
     SystemAnalysis,
     counterexample_nullifier,
     finite_recovery_report,
-    limit_operator,
     reconstruct_infinite,
 )
 from .tolerances import DEFAULTS, Tolerances
@@ -277,8 +276,11 @@ def _nullified_data(system: SystemAnalysis, limit: RecoveryReport) -> tuple[dict
 
 
 def _limit_norm_ratio(system: SystemAnalysis, limit: RecoveryReport) -> tuple[dict, list[str]]:
-    """thm38: the limit operator's norm over the sup row norm is exactly 1."""
-    limit_vec = limit_operator(system.data, system.spec.g, tol=system.tol)
+    """thm38: the limit operator's norm over the sup row norm is exactly 1.
+
+    The limit recovery has already required the rows to converge.
+    """
+    limit_vec = synthesis(system.limit.limit_row, system.spec.g)
     ratio = float(np.linalg.norm(limit_vec)) / sup_row_norm(system.data)
     failure = f"limit operator norm ratio {ratio!r} != 1"
     return {"limit_norm_ratio": ratio}, [failure] if abs(ratio - 1.0) > ORACLE_TOL else []

@@ -41,7 +41,6 @@ from nuds.recovery import (
     SystemAnalysis,
     counterexample_nullifier,
     finite_recovery_report,
-    limit_operator,
     reconstruct_finite,
     reconstruct_infinite,
 )
@@ -147,14 +146,14 @@ def test_constant_row_limit_norm_matches_sqrt_upper_bound():
         top = vecs[:, -1]
         row = analysis(top, F)
         D = LatticeWindow(np.tile(row, (len(order), 1)))
-        ratio = float(np.linalg.norm(limit_operator(D, F))) / sup_row_norm(D)
+        ratio = float(np.linalg.norm(synthesis(bs_membership(D).limit_row, F))) / sup_row_norm(D)
         assert ratio == pytest.approx(float(np.sqrt(vals[-1])), abs=1e-6)
 
     # orthonormal special case: the ratio is exactly one
     onb = VectorFamily(vectors=np.eye(4))
     row = analysis(np.eye(4)[0], onb)
     D = LatticeWindow(np.tile(row, (len(order), 1)))
-    ratio = float(np.linalg.norm(limit_operator(D, onb))) / sup_row_norm(D)
+    ratio = float(np.linalg.norm(synthesis(bs_membership(D).limit_row, onb))) / sup_row_norm(D)
     assert ratio == 1.0
 
 

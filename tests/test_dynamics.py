@@ -341,43 +341,12 @@ def test_csv_writer_matches_csv_module_byte_for_byte(tmp_path, write):
 LARGE = (12, FORK_MIN_ENTRIES // 12 + 1)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Report two usable CPUs and record the pid of every fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real_fork, pids = os.fork, []
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-@pytest.fixture
-def exit_codes(monkeypatch):
-    """Record the exit code of every child reaped by a blocking waitpid."""
-    real_waitpid, codes = os.waitpid, []
-
-    def recording_waitpid(pid, options):
-        got, status = real_waitpid(pid, options)
-        if got and not options:
-            codes.append(os.waitstatus_to_exitcode(status))
-        return got, status
-
-    monkeypatch.setattr(os, "waitpid", recording_waitpid)
-    return codes
-
-
 @pytest.mark.parametrize("write", [data_matrix_to_csv, trajectory_to_csv])
-def test_two_process_writer_matches_csv_module(tmp_path, forks, exit_codes, write):
+def test_two_process_writer_matches_csv_module(tmp_path, forks, write):
     rows = _extreme_window(LARGE)
     assert rows.values.size >= FORK_MIN_ENTRIES
     _assert_matches_reference(tmp_path, rows, write)
-    assert len(forks) == 1 and exit_codes == [0]
+    assert len(forks) == 1 and forks[0][1] == 0
 
 
 def test_writer_falls_back_when_fork_fails(tmp_path, monkeypatch):
@@ -393,7 +362,7 @@ def test_writer_falls_back_when_fork_fails(tmp_path, monkeypatch):
     assert calls == [1]
 
 
-def test_writer_falls_back_when_the_child_fails(tmp_path, monkeypatch, forks, exit_codes):
+def test_writer_falls_back_when_the_child_fails(tmp_path, monkeypatch, forks):
     parent, real_blocks = os.getpid(), dynamics._row_blocks
 
     def blocks_failing_in_child(labels, values):
@@ -404,7 +373,7 @@ def test_writer_falls_back_when_the_child_fails(tmp_path, monkeypatch, forks, ex
 
     monkeypatch.setattr(dynamics, "_row_blocks", blocks_failing_in_child)
     _assert_matches_reference(tmp_path, _extreme_window(LARGE))
-    assert len(forks) == 1 and exit_codes == [1]
+    assert len(forks) == 1 and forks[0][1] == 1
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])

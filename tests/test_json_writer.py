@@ -1,12 +1,14 @@
 """The JSON writer gives exactly the stdlib's indented text.
 
-``nuds.cli._write_json`` walks dicts and lists itself, hands leaves to the
-C encoder and formats complex ndarrays itself (see
-``nuds.cli._indented_json``).  Every text here is compared with
+``nuds.cli._write_json`` writes ``nuds.cli._indented_json``: the stdlib
+lays out the document, each finite nonempty complex ndarray standing in
+as a mark string that the writer then replaces by the array's own text.
+Every text here is compared with
 ``json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)``
-(``oracles.indented_json``): random documents, edge documents and every
-file the CLI writes.  The documents the writer refuses (a non-str key, a
-cycle, a leaf that is not JSON) raise and write no file.
+(``oracles.indented_json``): random documents, edge documents, documents
+that hold the mark string, documents with non-str keys, and every file
+the CLI writes.  The documents the stdlib refuses (a cycle, a leaf that
+is not JSON, keys that do not sort) raise its error and write no file.
 """
 
 import json
@@ -32,7 +34,11 @@ numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(min_value=-(1 << 70), max_value=1 << 70),
 )
-scalars = st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=8))
+# The writer's mark string among them: such a document is encoded again
+# with the arrays as pairs.
+scalars = st.one_of(
+    st.none(), st.booleans(), numbers, st.text(max_size=8), st.just(cli._MARK)
+)
 
 
 def numeric_arrays(depth: int):
@@ -171,6 +177,17 @@ EDGE_DOCUMENTS = {
         "(0,)": np.zeros(0, dtype=complex),
         "(2, 0)": np.zeros((2, 0), dtype=complex),
     },
+    "the mark string beside arrays": {
+        "s": cli._MARK,
+        cli._MARK: np.eye(2, dtype=complex),
+        "l": [np.array([0.5j]), cli._MARK, [cli._MARK]],
+    },
+    "the mark string alone": [cli._MARK, {cli._MARK: cli._MARK}],
+    "the mark string inside strings": {
+        "quoted": '"' + cli._MARK,
+        "both": '"' + cli._MARK + '"',
+        "a": np.array([1.0 + 2.0j]),
+    },
     "top-level ndarray": np.eye(2, dtype=complex),
     "top-level array": [[1.0, 2.0], [3.0, 4.0]],
     "top-level scalar": -0.0,
@@ -187,18 +204,17 @@ def test_edge_documents_encode_as_the_stdlib_encodes_them(tmp_path, doc):
     assert path.read_bytes() == (want + "\n").encode()
 
 
-def test_the_writer_refuses_a_non_str_key(tmp_path):
-    # The stdlib would coerce such a key; no document the package builds has one.
+def test_non_str_keys_are_coerced_as_the_stdlib_coerces_them(tmp_path):
+    # No document the package builds has such a key.
     path = tmp_path / "doc.json"
     for doc in (
         {"ints": {2: [[3.0, 4.0]], 1: "x"}},
         {"floats": {2.5: None, -0.0: []}},
         {"bools": {True: 1, False: 0}},
-        {"none": {None: [[1.0, 2.0]]}},
+        {"none": {None: np.array([1.0 + 2.0j])}},
     ):
-        with pytest.raises(TypeError, match="is not a str"):
-            cli._write_json(path, doc)
-        assert not path.exists()
+        cli._write_json(path, doc)
+        assert path.read_bytes() == (indented_json(doc) + "\n").encode()
 
 
 def _error(encode, doc):
@@ -238,7 +254,7 @@ def test_documents_the_stdlib_rejects_raise_the_stdlib_error(tmp_path, doc):
 
 @pytest.mark.parametrize("doc", [_cycle(), _list_of_itself()], ids=["cycle", "list of itself"])
 def test_a_cyclic_document_raises_and_writes_nothing(tmp_path, doc):
-    with pytest.raises(RecursionError):
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
         cli._write_json(tmp_path / "doc.json", doc)
     assert not (tmp_path / "doc.json").exists()
 

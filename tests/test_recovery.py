@@ -3,19 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nuds.dynamics import LatticeWindow, SystemSpec, data_matrix, simulate
+from nuds.dynamics import LatticeWindow, SystemSpec, bs_membership, data_matrix, simulate
 from nuds.frames import FrameAnalysis, VectorFamily, synthesis
-from nuds.lattice import LambdaIndex, SpectralParams, branch_of, window
+from nuds.lattice import LambdaIndex, SpectralParams, branch_of, successor, window
 from nuds.linalg import SingularMatrixError, spectral_radius
 from nuds.recovery import (
     ConditionFailure,
     SystemAnalysis,
     counterexample_nullifier,
     finite_recovery_report,
-    limit_operator,
     reconstruct_finite,
     reconstruct_infinite,
 )
+from nuds.tolerances import DEFAULTS
 
 from oracles import (
     coupling_matrix,
@@ -210,17 +210,17 @@ def test_limit_operator_constant_rows():
     D = LatticeWindow(np.tile(row, (len(order), 1)))
     G = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     np.testing.assert_allclose(
-        limit_operator(D, G), synthesis(row, G), atol=1e-12
+        synthesis(bs_membership(D).limit_row, G), synthesis(row, G), atol=1e-12
     )
 
 
 def test_limit_operator_rejects_divergent_rows():
+    # The limit operator is defined on convergent rows only; limit recovery
+    # refuses the others (test_reconstruct_infinite_requires_convergent_rows).
     order = tuple(window(2))
     rows = [[float(i)] for i in range(len(order))]
-    D = LatticeWindow(np.array(rows))
-    G = VectorFamily(vectors=np.array([[1.0]]))
-    with pytest.raises(ConditionFailure, match="not convergent"):
-        limit_operator(D, G)
+    lim = bs_membership(LatticeWindow(np.array(rows)))
+    assert not lim.member and lim.tail_gap > DEFAULTS.BS_TOL
 
 
 def test_finite_recovery_report_contents():
@@ -252,6 +252,27 @@ def test_finite_recovery_report_contents():
         "tail_gap": 0.0,
         "case": "iii",
     }
+
+
+def test_residual_bound_is_each_recoverys_gate():
+    tol = DEFAULTS.with_overrides({"SOLVE_TOL": 3e-9, "BS_TOL": 2e-7})
+    rng = np.random.default_rng(32)
+    system = SystemAnalysis(_random_system(rng, dim=4, K=2), tol=tol)
+    D = system.data
+    cases = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
+    reports = finite_recovery_report(D, cases, system)
+    assert [report.case for report in reports] == ["i", "ii", "iii"]
+    for at, report in zip(cases, reports):
+        # The finite gate scales with the two rows that recovery read.
+        scale = max(np.linalg.norm(D.row(at)), np.linalg.norm(D.row(successor(at))))
+        assert report.residual_bound == pytest.approx(3e-9 * (1.0 + scale), rel=1e-15)
+        assert report.residual <= report.residual_bound
+    # The bound gates the run and is not written to the report.
+    assert set(reports[0].to_json()) == {"schema", "w_hat", "abs_error", "residual", "diagnostics"}
+    stationary = SystemAnalysis(_stationary_system(rng), tol=tol)
+    limit = reconstruct_infinite(stationary.data, stationary)
+    assert limit.residual_bound == 2e-7
+    assert limit.residual <= limit.residual_bound
 
 
 def test_finite_recovery_report_requires_frame():
