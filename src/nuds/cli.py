@@ -22,13 +22,7 @@ import numpy as np
 
 from . import linalg
 from ._fork import Child
-from .dynamics import (
-    SystemSpec,
-    data_matrix,
-    data_matrix_to_csv,
-    simulate,
-    trajectory_to_csv,
-)
+from .dynamics import SystemSpec, data_matrix_to_csv, trajectory_to_csv
 from .frames import NotAFrameError, VectorFamily
 from .lattice import LambdaIndex, SpectralParams
 from .linalg import NumericalError, SingularMatrixError
@@ -471,7 +465,9 @@ def _parse_tol_flags(pairs: list[str]) -> dict:
 
 
 def _config_path(args) -> str:
-    path = args.config or getattr(args, "config_pos", None)
+    if args.config_pos and args.config:
+        raise ValueError(f"pass one of {args.config_pos} and --config {args.config}, not both")
+    path = args.config_pos or args.config
     if not path:
         raise ValueError("no config given; pass a path or --config")
     return path
@@ -578,9 +574,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    spec, _, _ = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    traj = simulate(spec)
-    D = data_matrix(traj, spec.g)
+    spec, tol, _ = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
+    system = SystemAnalysis(spec, tol=tol)
+    traj, D = system.trajectory, system.data
     out = _out_dir(args)
     traj_path = out / "trajectory.csv"
     dm_path = out / "data_matrix.csv"
@@ -596,22 +592,22 @@ def cmd_simulate(args) -> int:
 def cmd_recover(args) -> int:
     """Recover the source and write report.json; exit 3 above the residual bound.
 
-    The ``--mode`` recovery reads everything but the data matrix from one
-    :class:`SystemAnalysis`, in the serial order: data matrix, radius, then
-    the analysis of g or the stationary map.  Its report carries its own
-    ``residual_bound``.  From ``FORK_MIN_RADIUS_DIM`` on, where a child
-    starts (see :meth:`nuds._fork.Child.start`), the child that decodes A
-    also computes rho(A) (see :func:`_decode_split`) and seeds the analysis
-    with it, so output and errors are those of the serial order either way.
+    The ``--mode`` recovery reads everything from one :class:`SystemAnalysis`,
+    in the serial order: data matrix, radius, then the analysis of g or the
+    stationary map.  Its report carries its own ``residual_bound``.  From
+    ``FORK_MIN_RADIUS_DIM`` on, where a child starts (see
+    :meth:`nuds._fork.Child.start`), the child that decodes A also computes
+    rho(A) (see :func:`_decode_split`) and seeds the analysis with it, so
+    output and errors are those of the serial order either way.
     """
     spec, tol, rho = _load_config(
         _config_path(args), _parse_tol_flags(args.tol_override), radius=True
     )
     system = SystemAnalysis(spec, tol=tol, rho=rho)
     if args.mode == "finite":
-        (report,) = finite_recovery_report(system.data, (LambdaIndex(0, 0),), system)
+        (report,) = finite_recovery_report((LambdaIndex(0, 0),), system)
     else:
-        report = reconstruct_infinite(system.data, system)
+        report = reconstruct_infinite(system)
     out = _out_dir(args)
     report_path = out / "report.json"
     _write_json(report_path, report.to_json())
@@ -630,7 +626,7 @@ def cmd_check(args) -> int:
         _config_path(args), _parse_tol_flags(args.tol_override), radius=True
     )
     system = SystemAnalysis(spec, tol=tol, rho=rho)
-    cert = system.sampling.bounds
+    cert = system.sampling
     refusal = None
     try:
         require_radius_below_one(system.rho, tol=tol)
@@ -640,7 +636,7 @@ def cmd_check(args) -> int:
     # adjoint family, so one analysis gives both rows; the adjoint row
     # also needs the map's radius.
     try:
-        sub = system.subspace.bounds
+        sub = system.subspace
     except SingularMatrixError as exc:
         # Only an exactly zero pivot, with the map refused by its radius,
         # puts 1 in the spectrum; any other pivot was refused by PIVOT_TOL.
@@ -656,8 +652,8 @@ def cmd_check(args) -> int:
             raise
         subspace_row = f"unavailable: {exc}"
     else:
-        subspace_row = f"alpha={sub.alpha:.8g} beta={sub.beta:.8g}"
-        adjoint_row = f"{subspace_row} frame={'yes' if sub.is_frame(tol=tol) else 'no'}"
+        subspace_row = f"alpha={sub.bounds.alpha:.8g} beta={sub.bounds.beta:.8g}"
+        adjoint_row = f"{subspace_row} frame={'yes' if sub.is_frame else 'no'}"
     if refusal is not None:
         adjoint_row = refusal
     lim = system.limit
@@ -668,8 +664,8 @@ def cmd_check(args) -> int:
     rows = [
         (
             "sampling family bounds",
-            f"alpha={cert.alpha:.8g} beta={cert.beta:.8g} "
-            f"frame={'yes' if cert.is_frame(tol=tol) else 'no'}",
+            f"alpha={cert.bounds.alpha:.8g} beta={cert.bounds.beta:.8g} "
+            f"frame={'yes' if cert.is_frame else 'no'}",
         ),
         ("subspace condition bounds (necessary only)", subspace_row),
         ("spectral radius", f"{system.rho:.8g}"),
@@ -687,7 +683,7 @@ def cmd_demo(args) -> int:
     params = SpectralParams(N=args.N, r=args.r)
     tol = DEFAULTS.with_overrides(_parse_tol_flags(args.tol_override))
     bundle = build(scenario_id, params, args.K, tol=tol)
-    report, failures = run_scenario(bundle, tol=tol)
+    report, failures = run_scenario(bundle)
     out = _out_dir(args)
     report_path = out / f"{scenario_id}_report.json"
     report["expectations_met"] = not failures
@@ -696,13 +692,13 @@ def cmd_demo(args) -> int:
     print(f"wrote {report_path}")
     if args.emit_config:
         config_path = out / f"{scenario_id}_config.json"
-        _write_json(config_path, config_to_json(bundle.spec, tol))
+        _write_json(config_path, config_to_json(bundle.system.spec, tol))
         print(f"wrote {config_path}")
     if failures:
         for line in failures:
             print(f"expectation failed: {line}", file=sys.stderr)
         return EXIT_EXPECTATION
-    print(f"scenario {scenario_id} (K={bundle.spec.K}): all expectations met")
+    print(f"scenario {scenario_id} (K={bundle.system.spec.K}): all expectations met")
     return EXIT_OK
 
 

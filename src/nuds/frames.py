@@ -67,9 +67,6 @@ class FrameBounds:
                 f"bounds must satisfy 0 <= alpha <= beta, got ({self.alpha}, {self.beta})"
             )
 
-    def is_frame(self, *, tol: Tolerances = DEFAULTS) -> bool:
-        return self.alpha > tol.FRAME_TOL
-
 
 def frame_operator(F: VectorFamily) -> Mat:
     """The rank-one sum Theta = sum_k f_k f_k* (Hermitian PSD)."""
@@ -93,7 +90,8 @@ class FrameAnalysis:
         family: the analyzed family F.
         bounds: alpha = smallest eigenvalue of Theta (tiny negative
             values from rounding are clipped to zero), beta = largest.
-            F is a frame iff alpha clears ``tol.FRAME_TOL``.
+        is_frame: whether alpha clears ``tol.FRAME_TOL``; :meth:`dual`
+            and every frame test read it.
     """
 
     def __init__(self, F: VectorFamily, *, tol: Tolerances = DEFAULTS):
@@ -104,6 +102,7 @@ class FrameAnalysis:
         self.bounds = FrameBounds(
             alpha=max(float(self._lam[0]), 0.0), beta=max(float(self._lam[-1]), 0.0)
         )
+        self.is_frame = self.bounds.alpha > tol.FRAME_TOL
 
     def dual(self) -> VectorFamily:
         """The canonical dual family {Theta^-1 f_k} = {V diag(1/lam) V* f_k}.
@@ -116,7 +115,7 @@ class FrameAnalysis:
                 carrying the offending alpha.
             NumericalError: when the solve residual exceeds its bound.
         """
-        if not self.bounds.is_frame(tol=self._tol):
+        if not self.is_frame:
             raise NotAFrameError(self.bounds.alpha)
         rhs = self.family.vectors.T
         V = self._V

@@ -31,8 +31,9 @@ rho(A) < 1 (:func:`require_radius_below_one`), checked before the solve.
 
 :class:`SystemAnalysis` holds these kernels for one system, each computed
 on first read, so each command runs only what it reads, in its order.  It
-owns the stationary map S = X; a resolvent given to it (thm317's X = -B,
-with rho(A) = 2) is admitted without the radius check.
+is a run's only input: the recoveries read its data, edge-row limit and
+frame tests, and it owns the stationary map S = X; a resolvent given to it
+(thm317's X = -B, with rho(A) = 2) is admitted without the radius check.
 """
 
 from __future__ import annotations
@@ -165,18 +166,19 @@ class SystemAnalysis:
         require_radius_below_one(self.rho, tol=self.tol)
         return self.resolvent
 
-    def stationary_state(self, w: Vec) -> Vec:
-        """S(w) for a source given in ambient coordinates (w must lie in W)."""
-        return self.stationary_map @ (self.spec.W_basis.conj().T @ linalg.as_vector(w))
+    @cached_property
+    def stationary_state(self) -> Vec:
+        """S(w), the limit state of both orbits, for the system's own source w."""
+        return self.stationary_map @ (self.spec.W_basis.conj().T @ self.spec.w)
 
     @cached_property
     def limit(self) -> TailLimit:
         return bs_membership(self.data, tol=self.tol)
 
 
-def _require_frame(frame: FrameAnalysis, what: str, tol: Tolerances) -> FrameAnalysis:
+def _require_frame(frame: FrameAnalysis, what: str) -> FrameAnalysis:
     """``frame``; unless its family is a frame, ConditionFailure saying ``what``."""
-    if not frame.bounds.is_frame(tol=tol):
+    if not frame.is_frame:
         raise ConditionFailure(
             f"not stably recoverable: {what} (alpha = {frame.bounds.alpha:.3e})"
         )
@@ -225,9 +227,9 @@ class RecoveryReport:
 
 
 def finite_recovery_report(
-    D: LatticeWindow, cases: tuple[LambdaIndex, ...], system: SystemAnalysis
+    cases: tuple[LambdaIndex, ...], system: SystemAnalysis
 ) -> list[RecoveryReport]:
-    """Run finite-step recovery from each point of ``cases``; one report each.
+    """Finite-step recovery on the system's data from each point of ``cases``, one report each.
 
     The system's ``sampling`` analysis gives the bounds and the canonical
     dual for all the points; its ``rho`` is only reported, and its source
@@ -237,8 +239,9 @@ def finite_recovery_report(
     the two rows read, ``tol.SOLVE_TOL * (1 + the larger row norm)``, so
     far rows that overflow cannot move it.
     """
+    D = system.data
     A, w_true, tol, rho = system.spec.A, system.spec.w, system.tol, system.rho
-    frame = _require_frame(system.sampling, "sampling family is not a frame", tol)
+    frame = _require_frame(system.sampling, "sampling family is not a frame")
     g, gdual = frame.family, frame.dual()
 
     def report(at: LambdaIndex) -> RecoveryReport:
@@ -255,13 +258,13 @@ def finite_recovery_report(
     return [report(at) for at in cases]
 
 
-def reconstruct_infinite(D: LatticeWindow, system: SystemAnalysis) -> RecoveryReport:
-    """Recover the source from the limit row of a convergent data matrix.
+def reconstruct_infinite(system: SystemAnalysis) -> RecoveryReport:
+    """Recover the source from the limit row of the system's convergent data.
 
-    Reads the system's stationary map first, so a refused map fails before
-    any other kernel.  Requires {S* g_j}, the ``subspace`` family, to be a
-    frame for W; its canonical dual in W is lifted to the ambient space
-    and synthesized against the limit row.  The recovery error is
+    Reads the system's edge-row ``limit`` first, then its stationary map,
+    so a refused map fails before any frame analysis.  Requires {S* g_j},
+    the ``subspace`` family, to be a frame for W; its canonical dual in W
+    is lifted to the ambient space and synthesized against the limit row.  The recovery error is
     controlled by the tail gap: it is bounded by sqrt(beta') times the
     limit-row error, where beta' is the upper bound of the dual family in W.
     The residual re-predicts the limit row; its bound is ``tol.BS_TOL``.
@@ -272,11 +275,11 @@ def reconstruct_infinite(D: LatticeWindow, system: SystemAnalysis) -> RecoveryRe
             condition, or when the rows are not convergent at the window
             edges.
     """
-    system.stationary_map  # admits the map before any other kernel runs
+    lim = system.limit
+    system.stationary_map  # admits the map before any frame analysis runs
     B, tol = system.spec.W_basis, system.tol
-    frame = _require_frame(system.subspace, "the adjoint family is not a frame for W", tol)
+    frame = _require_frame(system.subspace, "the adjoint family is not a frame for W")
     lifted = VectorFamily(vectors=frame.dual().vectors @ B.T)
-    lim = bs_membership(D, tol=tol)
     if not lim.member:
         raise ConditionFailure(
             f"rows are not convergent: tail gap {lim.tail_gap:.3e} exceeds {tol.BS_TOL:.1e}"

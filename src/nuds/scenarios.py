@@ -125,13 +125,15 @@ class Scenario:
 
 @dataclass
 class ScenarioBundle:
-    """A built scenario: its record, system, expectations and any given resolvent."""
+    """A built scenario: its record, expectations and system.
+
+    ``system`` is the built spec's analysis at the build's tolerances and given resolvent.
+    """
 
     id: str
     scenario: Scenario
-    spec: SystemSpec
+    system: SystemAnalysis
     expectations: ScenarioExpectations
-    resolvent: Mat | None = None
 
 
 def _scenario_rng(scenario_id: str, params: SpectralParams, K: int) -> np.random.Generator:
@@ -251,7 +253,7 @@ def _nullified_data(system: SystemAnalysis, limit: RecoveryReport) -> tuple[dict
     ``X* g_j = P_W (I - A*)^-1 g_j`` is the subspace family) and make a
     frame; the sampling family is no frame, and the limit sees no source.
     """
-    spec, D, tol = system.spec, system.data, system.tol
+    spec, D = system.spec, system.data
     samples = D.values[:, 0]
     failures = []
     worst = float(np.max(np.abs(samples)))
@@ -259,9 +261,9 @@ def _nullified_data(system: SystemAnalysis, limit: RecoveryReport) -> tuple[dict
         failures.append(f"nullified sample of size {worst:.3e} exceeds 1e-8")
     if float(np.linalg.norm(spec.w)) < 1.0:
         failures.append("source norm fell below 1")
-    if system.sampling.bounds.is_frame(tol=tol):
+    if system.sampling.is_frame:
         failures.append("sampling family unexpectedly a frame for the ambient space")
-    if not limit.bounds.is_frame(tol=tol):
+    if not system.subspace.is_frame:
         failures.append("subspace condition unexpectedly failed")
     if float(np.linalg.norm(limit.w_hat)) > LIMIT_ORACLE_TOL:
         failures.append("limit recovery saw a nonzero source in nullified data")
@@ -290,8 +292,7 @@ def _geometric_convergence(
     system: SystemAnalysis, limit: RecoveryReport
 ) -> tuple[dict, list[str]]:
     """thm319: every state x_n is within 4^-n ||x0 - S(w)|| of S(w)."""
-    spec, traj = system.spec, system.trajectory
-    s_w = system.stationary_state(spec.w)
+    spec, traj, s_w = system.spec, system.trajectory, system.stationary_state
     base = float(np.linalg.norm(spec.x0 - s_w))
     steps = np.array([power_of(idx) for idx in traj.order])
     dist = np.linalg.norm(traj.values - s_w, axis=1)
@@ -418,7 +419,7 @@ def min_K(scenario_id: str, *, tol: Tolerances = DEFAULTS) -> int:
 def build(
     scenario_id: str, params: SpectralParams, K: int | None, *, tol: Tolerances = DEFAULTS
 ) -> ScenarioBundle:
-    """Build a scenario system deterministically from (id, r, N, K).
+    """Build a scenario system deterministically from (id, r, N, K), analysed at ``tol``.
 
     A K of None is the scenario's ``default_K``.  Raises ``ValueError``
     for an unknown id, or for a K below :func:`min_K` or above the
@@ -440,41 +441,41 @@ def build(
     exp = scenario.expectations if bounds is None else replace(
         scenario.expectations, expected_bounds=bounds
     )
-    return ScenarioBundle(scenario_id, scenario, spec, exp, resolvent)
+    system = SystemAnalysis(spec, tol=tol, resolvent=resolvent)
+    return ScenarioBundle(scenario_id, scenario, system, exp)
 
 
 def _close(a: float, b: float, bound: float) -> bool:
     return abs(a - b) <= bound
 
 
-def run_scenario(
-    bundle: ScenarioBundle, *, tol: Tolerances = DEFAULTS
-) -> tuple[dict, list[str]]:
+def run_scenario(bundle: ScenarioBundle) -> tuple[dict, list[str]]:
     """Execute the scenario's recoveries and check its expectations.
 
-    Each recovery runs once, from one :class:`SystemAnalysis`, and the
+    The bundle's :class:`SystemAnalysis`, at its own tolerances, is all
+    the run reads of the system.  Each recovery runs once, and the
     measured bounds are read from the recovery that computed them
     (``bounds_of``).  The limit recovery runs where the expectations ask
     for it or read its bounds; the record's stationary map, from the
-    bundle's resolvent where there is one, is read first, so a refused map
-    ends the run before any recovery.  ``recovery`` holds the limit report
-    where there is one.  The record's own checks then add their report
-    keys and failures.
+    builder's resolvent where there is one, is read first, so a refused
+    map ends the run before any recovery.  ``recovery`` holds the limit
+    report where there is one.  The record's own checks then add their
+    report keys and failures.
 
     Returns (report document, failures); an empty failure list means
     every expectation held.
     """
-    spec, exp, scenario = bundle.spec, bundle.expectations, bundle.scenario
+    system, exp, scenario = bundle.system, bundle.expectations, bundle.scenario
+    spec = system.spec
     failures: list[str] = []
-    system = SystemAnalysis(spec, tol=tol, resolvent=bundle.resolvent)
     run_limit = exp.should_recover_infinite or exp.bounds_of != "sampling"
     if run_limit:
         system.stationary_map  # a refused map ends the run here
-    traj, D, rho = system.trajectory, system.data, system.rho
+    traj, rho = system.trajectory, system.rho
     finite_reports = []
     if exp.should_recover_finite:
-        finite_reports = finite_recovery_report(D, FINITE_CASES, system)
-    limit = reconstruct_infinite(D, system) if run_limit else None
+        finite_reports = finite_recovery_report(FINITE_CASES, system)
+    limit = reconstruct_infinite(system) if run_limit else None
 
     if not _close(rho, exp.expected_rho, RHO_ORACLE_TOL):
         failures.append(f"spectral radius {rho:.8g} != expected {exp.expected_rho:.8g}")
@@ -519,8 +520,7 @@ def run_scenario(
             failures.append(
                 f"limit recovery missed: abs_error = {limit.abs_error} > {scenario.limit_oracle}"
             )
-        s_w = system.stationary_state(spec.w)
-        report["stationary_deviation"] = stationary_deviation(traj, s_w)
+        report["stationary_deviation"] = stationary_deviation(traj, system.stationary_state)
     run_own(scenario.limit_checks)
 
     return report, failures

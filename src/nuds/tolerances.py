@@ -2,10 +2,11 @@
 
 The seven named thresholds below are the only ones an override can move.
 They reach their call sites by one path: every function that applies one
-of them takes a keyword ``tol: Tolerances`` (default :data:`DEFAULTS`)
-and passes that same value on to every kernel it calls.  The CLI builds
-one :class:`Tolerances` per command from the config's ``tolerances``
-object and the ``--tol-override KEY=VAL`` flags.
+of them takes a keyword ``tol: Tolerances`` (default :data:`DEFAULTS`), or
+reads the analysis record that holds one, and passes that same value on
+to every kernel it calls.  The CLI builds one :class:`Tolerances` per
+command from the config's ``tolerances`` object and the
+``--tol-override KEY=VAL`` flags.
 
 The module constants are the field defaults and nothing else; no other
 module reads them.  Fixed thresholds that are not a field (orthonormality

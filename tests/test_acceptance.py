@@ -112,8 +112,8 @@ def test_diagonal_onb_example_recovers_exactly_on_all_branches():
     # The worked diagonal example at r=1, N=2, K=4: orthonormal sampling,
     # x0 the offset-point basis vector, xm2 the basis vector at -2;
     # recovery is exact to 1e-10 in each branch case.
-    bundle = build("thm312_diagonal", PARAMS, 4)
-    spec = bundle.spec
+    system = build("thm312_diagonal", PARAMS, 4).system
+    spec = system.spec
     e_offset = np.zeros(spec.dim)
     e_offset[position(LambdaIndex(0, 1), spec.K)] = 1.0
     e_minus2 = np.zeros(spec.dim)
@@ -121,9 +121,8 @@ def test_diagonal_onb_example_recovers_exactly_on_all_branches():
     np.testing.assert_array_equal(spec.x0, e_offset)
     np.testing.assert_array_equal(spec.xm2, e_minus2)
 
-    D = data_matrix(simulate(spec), spec.g)
     points = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
-    reports = finite_recovery_report(D, points, SystemAnalysis(spec))
+    reports = finite_recovery_report(points, system)
     cases = {report.case: report.abs_error for report in reports}
     assert set(cases) == {"i", "ii", "iii"}
     assert all(err <= 1e-10 for err in cases.values()), cases
@@ -185,9 +184,9 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
     # A = I/4 with a two-dimensional source subspace over an 80-state
     # window: every state obeys ||x - s|| <= (1/4)^n ||x0 - s|| up to
     # 1e-12, where s = (4/3) w, and limit recovery returns w to 1e-6.
-    spec = build("thm319_quarter", PARAMS, 20).spec
-    system = SystemAnalysis(spec)
-    s = system.stationary_state(spec.w)
+    system = build("thm319_quarter", PARAMS, 20).system
+    spec = system.spec
+    s = system.stationary_state
     np.testing.assert_allclose(s, (4.0 / 3.0) * spec.w, atol=1e-12)
 
     traj = simulate(spec)
@@ -197,8 +196,7 @@ def test_quarter_contraction_converges_geometrically_and_recovers():
         dist = float(np.linalg.norm(traj.row(idx) - s))
         assert dist <= (0.25**n) * base + 1e-12, (idx, n, dist)
 
-    D = data_matrix(traj, spec.g)
-    report = reconstruct_infinite(D, system)
+    report = reconstruct_infinite(system)
     assert report.abs_error <= 1e-6
 
 
@@ -225,25 +223,24 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     w2[p1] = 1.0  # differs by the blind direction
     assert float(np.linalg.norm(w1 - w2)) == pytest.approx(1.0)
 
-    matrices = []
+    systems = []
     for w in (w1, w2):
         stationary = np.linalg.solve(np.eye(d) - A, w)
         spec = SystemSpec(
             params=PARAMS, dim=d, A=A, g=g, W_basis=B,
             w=w, x0=stationary, xm2=stationary, K=K,
         )
-        matrices.append(data_matrix(simulate(spec), g))
-    system = SystemAnalysis(spec)
+        systems.append(SystemAnalysis(spec))
+    system = systems[0]  # w1's own record
     system.stationary_map  # the radius admits the map; its adjoint family is blind
     assert system.subspace.bounds.alpha <= 1e-12
-    limit1 = bs_membership(matrices[0]).limit_row
-    limit2 = bs_membership(matrices[1]).limit_row
+    limit1, limit2 = (s.limit.limit_row for s in systems)
     assert float(np.linalg.norm(limit1 - limit2)) <= 1e-10
     # ... in fact the whole data matrices coincide
-    assert float(np.abs(matrices[0].values - matrices[1].values).max()) <= 1e-10
+    assert float(np.abs(systems[0].data.values - systems[1].data.values).max()) <= 1e-10
 
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(matrices[0], system)
+        reconstruct_infinite(system)
 
 
 def test_state_formulas_agree_across_random_systems():
@@ -403,7 +400,7 @@ def test_cli_demo_round_trip_and_exit_codes(tmp_path, monkeypatch, capsys):
     ]) == 3
 
     monkeypatch.setattr(
-        cli, "run_scenario", lambda bundle, tol: ({"schema": 1}, ["forced"])
+        cli, "run_scenario", lambda bundle: ({"schema": 1}, ["forced"])
     )
     assert main(["demo", "thm38_onb", "-o", str(tmp_path / "forced")]) == 4
     capsys.readouterr()  # swallow accumulated CLI chatter

@@ -63,7 +63,7 @@ def _quarter_config_path(tmp_path):
     # the default BS_TOL (tail gap 6.7e-8).
     bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
     path = tmp_path / "quarter.json"
-    path.write_text(json.dumps(config_to_json(bundle.spec), default=vector_to_pairs))
+    path.write_text(json.dumps(config_to_json(bundle.system.spec), default=vector_to_pairs))
     return path
 
 
@@ -117,6 +117,16 @@ def test_recover_condition_failure_exits_3(tmp_path, config_path, capsys):
     ])
     assert code == 3
     assert "not stably recoverable" in capsys.readouterr().err
+    # Every frame test reads that tolerance: FRAME_TOL = 2 sits between the
+    # ONB's alpha = 1 and the adjoint family's alpha = 4, so check's sampling
+    # row refuses its frame while the adjoint row and limit recovery keep theirs.
+    override = ["--tol-override", "FRAME_TOL=2.0"]
+    assert main(["check", str(config_path), *override]) == 0
+    rows = dict(line.split("  ", 1) for line in capsys.readouterr().out.splitlines())
+    assert rows["sampling family bounds"].strip() == "alpha=1 beta=1 frame=no"
+    assert rows["adjoint family bounds on W"].strip() == "alpha=4 beta=4 frame=yes"
+    out = str(tmp_path / "inf")
+    assert main(["recover", str(config_path), "--mode", "infinite", "-o", out, *override]) == 0
 
 
 def test_recover_exits_3_when_the_limit_residual_is_above_tolerance(tmp_path, capsys):
@@ -350,9 +360,9 @@ def test_demo_emitted_config_round_trips(tmp_path):
     doc = json.loads(cfg_path.read_text())
     spec, _ = parse_config(doc)
     bundle = build("thm38_onb", SpectralParams(N=2, r=1), 2)
-    np.testing.assert_array_equal(spec.A, bundle.spec.A)
-    np.testing.assert_array_equal(spec.w, bundle.spec.w)
-    np.testing.assert_array_equal(spec.g.vectors, bundle.spec.g.vectors)
+    np.testing.assert_array_equal(spec.A, bundle.system.spec.A)
+    np.testing.assert_array_equal(spec.w, bundle.system.spec.w)
+    np.testing.assert_array_equal(spec.g.vectors, bundle.system.spec.g.vectors)
 
     # the emitted config must drive every other subcommand unchanged
     assert main(["simulate", str(cfg_path), "-o", str(out / "sim")]) == 0
@@ -372,7 +382,7 @@ def test_demo_nondefault_lattice_parameters(tmp_path):
 def test_demo_expectation_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "run_scenario",
-        lambda bundle, tol: ({"schema": 1}, ["forced mismatch"]),
+        lambda bundle: ({"schema": 1}, ["forced mismatch"]),
     )
     code = main(["demo", "thm38_onb", "-o", str(tmp_path)])
     assert code == 4
@@ -598,6 +608,18 @@ def test_config_errors_name_their_field(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "recover", "check"])
+def test_a_config_path_and_config_flag_together_are_refused(
+    tmp_path, config_path, capsys, command
+):
+    # Neither path wins silently, not even when the positional one is missing.
+    missing = tmp_path / "missing.json"
+    assert main([command, str(missing), "--config", str(config_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: pass one of {missing} and --config {config_path}, not both\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["abc", 10**400], ids=["string", "beyond-float"])
 def test_non_numeric_config_tolerance_names_its_key(tmp_path, capsys, value):
     doc = _config_doc()
@@ -689,17 +711,17 @@ def test_json_true_is_not_a_number(tmp_path, capsys, key, value, message):
 
 def test_config_canonical_round_trip():
     bundle = build("thm319_quarter", SpectralParams(N=2, r=1), 7)
-    doc = json.loads(json.dumps(config_to_json(bundle.spec), default=vector_to_pairs))
+    doc = json.loads(json.dumps(config_to_json(bundle.system.spec), default=vector_to_pairs))
     assert doc["schema"] == 1
     assert set(doc["tolerances"]) == {
         "EIG_TOL", "SOLVE_TOL", "HERM_TOL", "FRAME_TOL",
         "BS_TOL", "RHO_MARGIN", "PIVOT_TOL",
     }
     spec, _ = parse_config(doc)
-    np.testing.assert_array_equal(spec.A, bundle.spec.A)
-    np.testing.assert_array_equal(spec.W_basis, bundle.spec.W_basis)
-    np.testing.assert_array_equal(spec.xm2, bundle.spec.xm2)
-    assert spec.K == bundle.spec.K
+    np.testing.assert_array_equal(spec.A, bundle.system.spec.A)
+    np.testing.assert_array_equal(spec.W_basis, bundle.system.spec.W_basis)
+    np.testing.assert_array_equal(spec.xm2, bundle.system.spec.xm2)
+    assert spec.K == bundle.system.spec.K
 
 
 @pytest.mark.parametrize(
@@ -912,7 +934,7 @@ def test_load_config_restores_the_collector_state(tmp_path, enabled, content):
 @pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_emitted_config_matches_the_per_entry_encoding(tmp_path, scenario_id):
     assert main(["demo", scenario_id, "-o", str(tmp_path), "--emit-config"]) == 0
-    spec = build(scenario_id, SpectralParams(N=2, r=1), None).spec
+    spec = build(scenario_id, SpectralParams(N=2, r=1), None).system.spec
 
     def pairs(v):
         return [complex_to_pair(z) for z in v]

@@ -97,9 +97,10 @@ def test_frame_operator_hand_checked():
     # {e1, e1, e2} in C^2: Theta = diag(2, 1)
     F = VectorFamily(vectors=np.array([[1, 0], [1, 0], [0, 1]], dtype=float))
     np.testing.assert_allclose(frame_operator(F), np.diag([2.0, 1.0]), atol=1e-15)
-    b = FrameAnalysis(F).bounds
+    frame = FrameAnalysis(F)
+    b = frame.bounds
     assert (b.alpha, b.beta) == pytest.approx((1.0, 2.0))
-    assert b.is_frame()
+    assert frame.is_frame
 
 
 def test_canonical_dual_hand_checked():
@@ -171,12 +172,19 @@ def test_canonical_dual_reconstructs_both_ways():
 
 
 def test_canonical_dual_requires_frame():
-    # two vectors cannot span C^3
-    F = VectorFamily(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    assert not FrameAnalysis(F).bounds.is_frame()
-    with pytest.raises(NotAFrameError) as exc:
-        FrameAnalysis(F).dual()
-    assert exc.value.alpha == pytest.approx(0.0, abs=1e-12)
+    cases = [
+        # two vectors cannot span C^3
+        ([[1.0, 0, 0], [0, 1.0, 0]], Tolerances(), 0.0),
+        # {e1, e1, e2} is a frame with alpha = 1 (test_frame_operator_hand_checked)
+        # until FRAME_TOL reaches 1: the frame test and the dual flip together.
+        ([[1.0, 0], [1.0, 0], [0, 1.0]], Tolerances(FRAME_TOL=1.0), 1.0),
+    ]
+    for vectors, tol, alpha in cases:
+        F = VectorFamily(vectors=np.array(vectors))
+        assert not FrameAnalysis(F, tol=tol).is_frame
+        with pytest.raises(NotAFrameError) as exc:
+            FrameAnalysis(F, tol=tol).dual()
+        assert exc.value.alpha == pytest.approx(alpha, abs=1e-12)
 
 
 def test_parseval_family_is_self_dual():

@@ -13,12 +13,14 @@ its adjoint family S* g_j = X* g_j is also the subspace family, so
 neither ``demo`` nor ``check`` factors I - A*.  ``check`` reads the spectral radius once
 and the subspace family's analysis once, whether or not the radius admits
 a stationary map; from ``nuds.cli.FORK_MIN_RADIUS_DIM`` on, the radius is
-computed in the child that decodes A, outside the counts.
+computed in the child that decodes A, outside the counts.  The record's
+edge-row limit is counted beside them: each command that reads it, the
+limit recovery included, makes one ``bs_membership`` call.
 """
 
 import pytest
 
-from nuds import cli, scenarios
+from nuds import cli, recovery, scenarios
 from nuds.cli import main
 from nuds.scenarios import SCENARIOS
 
@@ -60,6 +62,36 @@ def test_counterexample_demo_solves_the_nullifier_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# recovery.bs_membership calls per demo at the default K: the limit
+# recovery and thm38's norm ratio read the record's one edge-row limit.
+LIMIT_CALLS = {
+    "thm312_diagonal": 0,
+    "thm38_onb": 1,
+    "thm314_counterexample": 1,
+    "thm317_generalized": 1,
+    "thm319_quarter": 1,
+}
+
+
+@pytest.fixture
+def limit_calls(monkeypatch):
+    calls = []
+    membership = recovery.bs_membership
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "bs_membership", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIOS)
+def test_demo_computes_the_edge_row_limit_at_most_once(tmp_path, limit_calls, scenario_id):
+    assert main(["demo", scenario_id, "-o", str(tmp_path)]) == 0
+    assert len(limit_calls) == LIMIT_CALLS[scenario_id]
+
+
 def _quarter_config(tmp_path):
     argv = ["demo", "thm319_quarter", "-K", "7", "-o", str(tmp_path), "--emit-config"]
     assert main(argv) == 0
@@ -72,6 +104,15 @@ def test_recover_factorizations_match_the_benchmark_pin(tmp_path, lapack_calls, 
     lapack_calls.clear()
     assert main(["recover", config, "--mode", mode, "-o", str(tmp_path)]) == 0
     assert _triple(lapack_calls) == RECOVER_CALLS[mode]
+
+
+@pytest.mark.parametrize("argv", [["recover", "--mode", "infinite", "-o", "."], ["check"]])
+def test_limit_readers_compute_the_edge_row_limit_once(tmp_path, monkeypatch, limit_calls, argv):
+    config = _quarter_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    limit_calls.clear()
+    assert main([*argv, config]) == 0
+    assert len(limit_calls) == 1
 
 
 def test_check_builds_the_subspace_family_once(tmp_path, lapack_calls):

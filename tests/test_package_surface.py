@@ -216,13 +216,13 @@ def test_the_documented_jobs_are_the_only_child_sites():
 
 # Where the package runs each kernel of the analysis record.  Beside the
 # record's own fields, only the decode child computes rho(A) (it seeds the
-# record) and ``simulate`` writes its trajectory without analysing it.
+# record); ``simulate`` writes the record's trajectory and data matrix.
 # thm317, whose I - A is singular, gives only its resolvent X = -B: the
 # record analyses its adjoint family as it analyses any other.
 KERNEL_SITES = {
     "spectral_radius": ["cli._radius", "recovery.SystemAnalysis.rho"],
     "FrameAnalysis": ["recovery.SystemAnalysis.sampling", "recovery.SystemAnalysis.subspace"],
-    "simulate": ["cli.cmd_simulate", "recovery.SystemAnalysis.trajectory"],
+    "simulate": ["recovery.SystemAnalysis.trajectory"],
 }
 
 

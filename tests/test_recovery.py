@@ -140,9 +140,9 @@ def test_stationary_map_fixed_point():
     A = rng.standard_normal((4, 4))
     A *= 0.7 / np.abs(np.linalg.eigvals(A)).max()
     g = VectorFamily(vectors=np.eye(4))
-    system = _system(A, g, np.eye(4))
     w = rng.standard_normal(4)
-    s = system.stationary_state(w)
+    system = SystemAnalysis(dataclasses.replace(_system(A, g, np.eye(4)).spec, w=w))
+    s = system.stationary_state
     np.testing.assert_allclose(A @ s + w, s, atol=1e-10)
     assert system.rho == pytest.approx(0.7)
 
@@ -228,7 +228,7 @@ def test_finite_recovery_report_contents():
     spec = _random_system(rng, dim=4, K=2)
     system = SystemAnalysis(spec)
     cases = (LambdaIndex(-1, 1), LambdaIndex(0, 0))
-    reports = finite_recovery_report(system.data, cases, system)
+    reports = finite_recovery_report(cases, system)
     assert [report.case for report in reports] == ["iii", "i"]
     report = reports[0]
     assert report.abs_error == pytest.approx(0.0, abs=1e-8)
@@ -260,7 +260,7 @@ def test_residual_bound_is_each_recoverys_gate():
     system = SystemAnalysis(_random_system(rng, dim=4, K=2), tol=tol)
     D = system.data
     cases = (LambdaIndex(0, 0), LambdaIndex(0, 1), LambdaIndex(-1, 1))
-    reports = finite_recovery_report(D, cases, system)
+    reports = finite_recovery_report(cases, system)
     assert [report.case for report in reports] == ["i", "ii", "iii"]
     for at, report in zip(cases, reports):
         # The finite gate scales with the two rows that recovery read.
@@ -270,7 +270,7 @@ def test_residual_bound_is_each_recoverys_gate():
     # The bound gates the run and is not written to the report.
     assert set(reports[0].to_json()) == {"schema", "w_hat", "abs_error", "residual", "diagnostics"}
     stationary = SystemAnalysis(_stationary_system(rng), tol=tol)
-    limit = reconstruct_infinite(stationary.data, stationary)
+    limit = reconstruct_infinite(stationary)
     assert limit.residual_bound == 2e-7
     assert limit.residual <= limit.residual_bound
 
@@ -282,7 +282,7 @@ def test_finite_recovery_report_requires_frame():
     deficient.vectors[:, 0] = 0.0  # kill one direction
     system = SystemAnalysis(dataclasses.replace(spec, g=deficient))
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        finite_recovery_report(system.data, (LambdaIndex(0, 0),), system)
+        finite_recovery_report((LambdaIndex(0, 0),), system)
 
 
 def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
@@ -300,7 +300,7 @@ def test_reconstruct_infinite_recovers_source():
     rng = np.random.default_rng(55)
     spec = _stationary_system(rng)
     system = SystemAnalysis(spec)
-    report = reconstruct_infinite(system.data, system)
+    report = reconstruct_infinite(system)
     assert report.abs_error < 1e-10
     assert report.residual < 1e-10
     assert report.case == "limit"
@@ -314,19 +314,17 @@ def test_reconstruct_infinite_requires_adjoint_frame():
     rng = np.random.default_rng(56)
     spec = _stationary_system(rng)
     ones_dir = VectorFamily(vectors=np.array([[1.0, 0.0], [2.0, 0.0]]))
-    D = data_matrix(simulate(spec), ones_dir)
     system = SystemAnalysis(dataclasses.replace(spec, g=ones_dir))
     with pytest.raises(ConditionFailure, match="not stably recoverable"):
-        reconstruct_infinite(D, system)
+        reconstruct_infinite(system)
 
 
 def test_reconstruct_infinite_requires_convergent_rows():
     rng = np.random.default_rng(57)
     spec = _stationary_system(rng, K=3)
     spec.x0 = spec.x0 + 50.0  # far from stationary; K=3 tails don't settle
-    D = data_matrix(simulate(spec), spec.g)
     with pytest.raises(ConditionFailure, match="not convergent"):
-        reconstruct_infinite(D, SystemAnalysis(spec))
+        reconstruct_infinite(SystemAnalysis(spec))
 
 
 # --- nullifier construction --------------------------------------------------
@@ -380,4 +378,4 @@ def test_nullifier_zeroes_all_window_measurements(K):
     assert float(np.linalg.norm(w)) > 1.0
     # The sampling family of two vectors is no frame for C^d, so no
     # recovery can see the source that the data misses.
-    assert not FrameAnalysis(g).bounds.is_frame()
+    assert not FrameAnalysis(g).is_frame

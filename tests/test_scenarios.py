@@ -52,14 +52,14 @@ def test_build_is_deterministic(scenario_id):
     K = max(3, min_K(scenario_id))
     a = build(scenario_id, PARAMS, K)
     b = build(scenario_id, PARAMS, K)
-    np.testing.assert_array_equal(a.spec.A, b.spec.A)
-    np.testing.assert_array_equal(a.spec.w, b.spec.w)
-    np.testing.assert_array_equal(a.spec.x0, b.spec.x0)
-    np.testing.assert_array_equal(a.spec.xm2, b.spec.xm2)
-    np.testing.assert_array_equal(a.spec.g.vectors, b.spec.g.vectors)
+    np.testing.assert_array_equal(a.system.spec.A, b.system.spec.A)
+    np.testing.assert_array_equal(a.system.spec.w, b.system.spec.w)
+    np.testing.assert_array_equal(a.system.spec.x0, b.system.spec.x0)
+    np.testing.assert_array_equal(a.system.spec.xm2, b.system.spec.xm2)
+    np.testing.assert_array_equal(a.system.spec.g.vectors, b.system.spec.g.vectors)
     # a different K gives a different system (not just a resized one)
     c = build(scenario_id, PARAMS, K + 1)
-    assert c.spec.dim == 4 * (K + 1)
+    assert c.system.spec.dim == 4 * (K + 1)
 
 
 def test_counterexample_maximum_K_is_where_float_nullifier_holds():
@@ -114,12 +114,12 @@ def test_scenarios_meet_their_expectations(scenario_id):
 
 def test_diagonal_scenario_details():
     bundle = build("thm312_diagonal", PARAMS, 4)
-    diag = np.diag(bundle.spec.A).real
+    diag = np.diag(bundle.system.spec.A).real
     assert diag[position(LambdaIndex(0, 0), 4)] == 1.0
     assert diag[position(LambdaIndex(2, 0), 4)] == 0.25
     assert diag[position(LambdaIndex(-2, 0), 4)] == 0.25
     assert diag[position(LambdaIndex(1, 1), 4)] == 0.0
-    assert spectral_radius(bundle.spec.A) == pytest.approx(1.0)
+    assert spectral_radius(bundle.system.spec.A) == pytest.approx(1.0)
 
     report, failures = run_scenario(bundle)
     assert failures == []
@@ -169,7 +169,7 @@ def test_counterexample_scenario_report():
 def test_generalized_scenario_expanding_operator():
     bundle = build("thm317_generalized", PARAMS, None)
     assert "paper-typo-corrected" in bundle.expectations.notes
-    assert spectral_radius(bundle.spec.A) == pytest.approx(2.0)
+    assert spectral_radius(bundle.system.spec.A) == pytest.approx(2.0)
     report, failures = run_scenario(bundle)
     assert failures == []
     # limit recovery succeeds even though the radius is above one
@@ -183,23 +183,23 @@ def test_generalized_resolvent_solves_the_singular_system(r, N):
     # I - A is singular (A = 1 at 0 and -2, off W), yet the given X = -B
     # solves (I - A) X = B at every K.
     for K in range(min_K("thm317_generalized"), 13):
-        bundle = build("thm317_generalized", SpectralParams(N=N, r=r), K)
-        A, B = bundle.spec.A, bundle.spec.W_basis
-        np.testing.assert_array_equal(bundle.resolvent, -B)
-        require_solution(np.eye(bundle.spec.dim) - A, bundle.resolvent, B, tol=DEFAULTS)
+        system = build("thm317_generalized", SpectralParams(N=N, r=r), K).system
+        A, B = system.spec.A, system.spec.W_basis
+        np.testing.assert_array_equal(system.resolvent, -B)
+        require_solution(np.eye(system.spec.dim) - A, system.resolvent, B, tol=DEFAULTS)
 
 
 def test_a_given_resolvent_admits_the_map_past_the_radius():
-    bundle = build("thm317_generalized", PARAMS, None)
-    given = SystemAnalysis(bundle.spec, resolvent=bundle.resolvent)
+    given = build("thm317_generalized", PARAMS, None).system
+    spec = given.spec
     assert given.rho == pytest.approx(2.0)
-    assert given.stationary_map is bundle.resolvent
-    np.testing.assert_array_equal(given.stationary_state(bundle.spec.w), -bundle.spec.w)
+    assert given.stationary_map is given.resolvent
+    np.testing.assert_array_equal(given.stationary_state, -spec.w)
     # The record's adjoint family is the one built from X by hand, bit for bit.
     family = given.subspace.family.vectors
-    np.testing.assert_array_equal(family, bundle.spec.g.vectors @ (-bundle.spec.W_basis).conj())
+    np.testing.assert_array_equal(family, spec.g.vectors @ (-spec.W_basis).conj())
     with pytest.raises(ConditionFailure, match=r"rho\(A\) = 2 "):
-        SystemAnalysis(bundle.spec).stationary_map
+        SystemAnalysis(spec).stationary_map
 
 
 def test_quarter_scenario_geometric_convergence():
@@ -228,7 +228,8 @@ def test_run_scenario_reports_expectation_mismatch():
     # thm314 is judged on the data it simulates: a nudged initial state
     # leaves samples of 2.9e-7.
     bundle = build("thm314_counterexample", PARAMS, 3)
-    bundle.spec = dataclasses.replace(bundle.spec, x0=bundle.spec.x0 + 1e-6)
+    spec = bundle.system.spec
+    bundle.system = SystemAnalysis(dataclasses.replace(spec, x0=spec.x0 + 1e-6))
     _, failures = run_scenario(bundle)
     assert failures == ["nullified sample of size 2.894e-07 exceeds 1e-8"]
 
@@ -261,18 +262,22 @@ def test_report_keys_at_the_default_K(scenario_id):
 
 
 def _doubled_map(bundle):
-    """The scenario's resolvent X scaled by 2, so S doubles: limit recovery halves w."""
-    X = bundle.resolvent
-    return 2 * (SystemAnalysis(bundle.spec).resolvent if X is None else X)
+    """The bundle's record with X scaled by 2, so S doubles: limit recovery halves w."""
+    system = bundle.system
+    return SystemAnalysis(system.spec, tol=system.tol, resolvent=2 * system.resolvent)
 
 
 def test_counterexample_fails_on_data_that_is_not_nullified():
     # From x0 = 0 the samples are the source's own; a loose BS_TOL lets the
     # limit route run on them.  Its failures follow the shared ones.
-    bundle = build("thm314_counterexample", PARAMS, 3)
+    tol = DEFAULTS.with_overrides({"BS_TOL": 10.0})
+    bundle = build("thm314_counterexample", PARAMS, 3, tol=tol)
+    assert bundle.system.tol is tol
     bundle.expectations = dataclasses.replace(bundle.expectations, expected_rho=0.5)
-    bundle.spec = dataclasses.replace(bundle.spec, x0=np.zeros(bundle.spec.dim, dtype=complex))
-    _, failures = run_scenario(bundle, tol=DEFAULTS.with_overrides({"BS_TOL": 10.0}))
+    spec = bundle.system.spec
+    x0 = np.zeros(spec.dim, dtype=complex)
+    bundle.system = SystemAnalysis(dataclasses.replace(spec, x0=x0), tol=tol)
+    _, failures = run_scenario(bundle)
     assert failures == [
         "spectral radius 0.9 != expected 0.5",
         "nullified sample of size 1.862e+00 exceeds 1e-8",
@@ -283,10 +288,11 @@ def test_counterexample_fails_on_data_that_is_not_nullified():
 def test_onb_norm_ratio_failure_precedes_the_limit_miss():
     # x0 = 2w doubles the first rows, so the limit has half the sup row norm.
     bundle = build("thm38_onb", PARAMS, None)
-    bundle.spec = dataclasses.replace(bundle.spec, x0=2 * bundle.spec.w)
+    spec = bundle.system.spec
+    bundle.system = SystemAnalysis(dataclasses.replace(spec, x0=2 * spec.w))
     _, failures = run_scenario(bundle)
     assert failures == ["limit operator norm ratio 0.5 != 1"]
-    bundle.resolvent = _doubled_map(bundle)
+    bundle.system = _doubled_map(bundle)
     _, failures = run_scenario(bundle)
     assert failures == [
         "limit operator norm ratio 0.5 != 1",
@@ -298,15 +304,16 @@ def test_quarter_geometric_failure_follows_the_limit_miss():
     # The bound is 4^-n ||x0 - S(w)|| with x0 = 0; a second orbit started
     # 10 away from the ray through S(w) breaks it on its first rows.
     bundle = build("thm319_quarter", PARAMS, None)
-    off_ray = np.zeros(bundle.spec.dim, dtype=complex)
-    off_ray[position(LambdaIndex(1, 0), bundle.spec.K)] = 10.0
-    bundle.spec = dataclasses.replace(bundle.spec, xm2=off_ray)
+    spec = bundle.system.spec
+    off_ray = np.zeros(spec.dim, dtype=complex)
+    off_ray[position(LambdaIndex(1, 0), spec.K)] = 10.0
+    bundle.system = SystemAnalysis(dataclasses.replace(spec, xm2=off_ray))
     report, failures = run_scenario(bundle)
     assert failures == ["state convergence violated the geometric bound by 8.620e+00"]
     assert report["convergence_excess"] > 8.6
 
     bundle = build("thm319_quarter", PARAMS, None)
-    bundle.resolvent = _doubled_map(bundle)
+    bundle.system = _doubled_map(bundle)
     _, failures = run_scenario(bundle)
     assert failures == [
         "adjoint bounds (7.1111111, 7.1111111) != expected "
@@ -355,16 +362,16 @@ def test_a_new_record_runs_with_no_code_edit(monkeypatch, tmp_path, capsys):
     with pytest.raises(ValueError, match="toy_half needs K >= 2, got K = 1: finite recovery"):
         build("toy_half", PARAMS, 1)
     bundle = build("toy_half", PARAMS, None)
-    assert bundle.spec.K == 3
+    assert bundle.system.spec.K == 3
     report, failures = run_scenario(bundle)
     assert failures == []
     assert set(report) == SHARED_KEYS | {"finite_cases", "stationary_deviation", "toy_drift"}
     assert report["expectations"]["notes"] == ("toy",)
     assert report["toy_drift"] == 0.0
     # the record's own check judges the run: a nudged x0 leaves 2w
-    nudged = bundle.spec.x0.copy()
+    nudged = bundle.system.spec.x0.copy()
     nudged[position(LambdaIndex(0, 0), 3)] = 1e-12
-    bundle.spec = dataclasses.replace(bundle.spec, x0=nudged)
+    bundle.system = SystemAnalysis(dataclasses.replace(bundle.system.spec, x0=nudged))
     _, failures = run_scenario(bundle)
     assert failures == ["toy drift 1e-12"]
     # and the CLI runs it as it runs a packaged one
