@@ -158,9 +158,7 @@ def parse_config(
     if not isinstance(tol_doc, dict):
         raise ValueError(f"tolerances must be a JSON object, got {tol_doc!r}")
     tol = DEFAULTS.with_overrides(tol_doc).with_overrides(tol_overrides or {})
-    spec = SystemSpec(
-        params=params, dim=dim, A=A, g=g, W_basis=W_basis, w=w, x0=x0, xm2=xm2, K=K
-    )
+    spec = SystemSpec(params=params, A=A, g=g, W_basis=W_basis, w=w, x0=x0, xm2=xm2, K=K)
     return spec, tol
 
 

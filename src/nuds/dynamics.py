@@ -49,10 +49,11 @@ TAIL = 2
 class SystemSpec:
     """Everything that defines one finite-dimensional system instance.
 
+    The state space is the one ``A`` acts on: ``dim`` is read from ``A``.
+
     Attributes:
         params: lattice parameters (N, r).
-        dim: dimension of the state space.
-        A: the evolution operator, dim x dim.
+        A: the evolution operator, a nonempty square matrix.
         g: sampling family (may be labeled by lattice indices).
         W_basis: orthonormal columns spanning the source subspace W.
         w: the constant source; must lie in W.
@@ -62,7 +63,6 @@ class SystemSpec:
     """
 
     params: SpectralParams
-    dim: int
     A: Mat
     g: VectorFamily
     W_basis: Mat
@@ -71,24 +71,24 @@ class SystemSpec:
     xm2: Vec
     K: int
 
+    @property
+    def dim(self) -> int:
+        """Dimension of the state space."""
+        return self.A.shape[0]
+
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not isinstance(self.K, int) or isinstance(self.K, bool) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         self.A = linalg.as_matrix(self.A)
-        if self.A.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"A must be {self.dim}x{self.dim}, got shape {self.A.shape}"
-            )
+        dim = self.dim
+        if self.A.shape != (dim, dim) or dim < 1:
+            raise ValueError(f"A must be a nonempty square matrix, got shape {self.A.shape}")
         if not isinstance(self.g, VectorFamily):
             raise ValueError("g must be a VectorFamily")
-        if self.g.dim != self.dim:
-            raise ValueError(
-                f"sampling vectors have dim {self.g.dim}, expected {self.dim}"
-            )
+        if self.g.dim != dim:
+            raise ValueError(f"sampling vectors have dim {self.g.dim}, expected {dim}")
         self.W_basis = linalg.as_matrix(self.W_basis)
-        if self.W_basis.shape[0] != self.dim or self.W_basis.shape[1] < 1:
+        if self.W_basis.shape[0] != dim or self.W_basis.shape[1] < 1:
             raise ValueError(
                 f"W_basis must be dim x p with p >= 1, got shape {self.W_basis.shape}"
             )
@@ -97,8 +97,8 @@ class SystemSpec:
         self.x0 = linalg.as_vector(self.x0)
         self.xm2 = linalg.as_vector(self.xm2)
         for name, v in (("w", self.w), ("x0", self.x0), ("xm2", self.xm2)):
-            if v.shape[0] != self.dim:
-                raise ValueError(f"{name} has length {v.shape[0]}, expected {self.dim}")
+            if v.shape[0] != dim:
+                raise ValueError(f"{name} has length {v.shape[0]}, expected {dim}")
         B = self.W_basis
         out_of_W = float(np.linalg.norm(self.w - B @ (B.conj().T @ self.w)))
         if out_of_W > IN_W_TOL:

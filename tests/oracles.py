@@ -9,8 +9,9 @@ frame operator, the exact dual-pair residual, the min-norm gap of a
 coefficient vector,
 finite-step recovery through the coupling coefficients instead of
 re-analyzing the synthesized state, the subspace family by a solve with
-I - A* instead of reading it off the solve with I - A, and the text of a
-JSON output from the stdlib's own indented encoder.
+I - A* instead of reading it off the solve with I - A, the text of a
+JSON output from the stdlib's own indented encoder, and, at 40 digits with
+mpmath, the frame bounds and the spectral radius.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from nuds import linalg
@@ -278,3 +280,33 @@ def indented_json(doc) -> str:
     list of [re, im] pairs ``linalg.vector_to_pairs`` gives.
     """
     return json.dumps(doc, indent=2, sort_keys=True, default=linalg.vector_to_pairs)
+
+
+# --- high precision -------------------------------------------------------------
+# References at MP_DPS significant digits, computed from the exact binary
+# values of the float inputs, against which a test bounds the package's
+# double-precision results.
+
+MP_DPS = 40
+
+
+def _mp_matrix(M) -> mpmath.matrix:
+    M = np.asarray(M, dtype=complex)
+    out = mpmath.matrix(*M.shape)
+    for (i, j), z in np.ndenumerate(M):
+        out[i, j] = mpmath.mpc(z.real, z.imag)
+    return out
+
+
+def mp_frame_bounds(F: VectorFamily) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(alpha, beta): the extreme eigenvalues of Theta = sum_k f_k f_k*, by mpmath's eighe."""
+    with mpmath.workdps(MP_DPS):
+        V = _mp_matrix(F.vectors)  # row k is f_k
+        vals = mpmath.eighe(V.T * V.H.T, eigvals_only=True)
+        return min(vals), max(vals)
+
+
+def mp_spectral_radius(A: Mat) -> mpmath.mpf:
+    """rho(A), the largest modulus among A's eigenvalues by mpmath's eig."""
+    with mpmath.workdps(MP_DPS):
+        return max(abs(v) for v in mpmath.eig(_mp_matrix(A), right=False))

@@ -90,7 +90,7 @@ def test_finite_recovery_round_trip_on_random_frames():
         A = _operator_with_norm(rng, d, norm=rng.uniform(0.5, 2.0))
         g = _frame_with_alpha(rng, 2 * d, d)
         spec = SystemSpec(
-            params=PARAMS, dim=d, A=A, g=g, W_basis=np.eye(d),
+            params=PARAMS, A=A, g=g, W_basis=np.eye(d),
             w=_random_vec(rng, d), x0=_random_vec(rng, d), xm2=_random_vec(rng, d),
             K=K,
         )
@@ -172,7 +172,7 @@ def test_nullifier_defeats_recovery_while_necessary_condition_holds():
         W_basis = (w / np.linalg.norm(w))[:, None]
         x = counterexample_nullifier(A, g, w, K)
         spec = SystemSpec(
-            params=PARAMS, dim=d, A=A, g=g, W_basis=W_basis,
+            params=PARAMS, A=A, g=g, W_basis=W_basis,
             w=w, x0=x, xm2=x.copy(), K=K,
         )
         assert SystemAnalysis(spec).subspace.bounds.alpha > 0
@@ -227,7 +227,7 @@ def test_degenerate_adjoint_family_admits_indistinguishable_sources():
     for w in (w1, w2):
         stationary = np.linalg.solve(np.eye(d) - A, w)
         spec = SystemSpec(
-            params=PARAMS, dim=d, A=A, g=g, W_basis=B,
+            params=PARAMS, A=A, g=g, W_basis=B,
             w=w, x0=stationary, xm2=stationary, K=K,
         )
         systems.append(SystemAnalysis(spec))
@@ -254,7 +254,7 @@ def test_state_formulas_agree_across_random_systems():
         K = int(rng.integers(1, 26))
         A = _operator_with_norm(rng, d, norm=rng.uniform(0.2, 0.98))
         spec = SystemSpec(
-            params=PARAMS, dim=d, A=A,
+            params=PARAMS, A=A,
             g=VectorFamily(vectors=np.eye(d)), W_basis=np.eye(d),
             w=_random_vec(rng, d), x0=_random_vec(rng, d), xm2=_random_vec(rng, d),
             K=K,
@@ -330,7 +330,7 @@ def test_data_matrix_norm_domination_and_tail_decay_rate():
     # a rate whose log-fit recovers the spectral radius within 10%.
     rng = np.random.default_rng(3406)
     spec = SystemSpec(
-        params=PARAMS, dim=8,
+        params=PARAMS,
         A=_operator_with_norm(rng, 8, 0.9),
         g=VectorFamily(
             vectors=rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
@@ -360,7 +360,7 @@ def test_data_matrix_norm_domination_and_tail_decay_rate():
     Ks = range(3, 11)
     for K in Ks:
         spec = SystemSpec(
-            params=PARAMS, dim=d, A=A, g=g, W_basis=np.eye(d),
+            params=PARAMS, A=A, g=g, W_basis=np.eye(d),
             w=w, x0=x0, xm2=xm2, K=K,
         )
         D = data_matrix(simulate(spec), g)

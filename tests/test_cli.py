@@ -49,7 +49,7 @@ def _random_config_path(tmp_path, dim=16):
     A = cplx(dim, dim)
     A *= 0.5 / np.abs(np.linalg.eigvals(A)).max()
     spec = SystemSpec(
-        params=SpectralParams(N=2, r=1), dim=dim, K=dim // 4, A=A,
+        params=SpectralParams(N=2, r=1), K=dim // 4, A=A,
         g=VectorFamily(vectors=cplx(2 * dim, dim)), W_basis=np.eye(dim),
         w=cplx(dim), x0=cplx(dim), xm2=cplx(dim),
     )
@@ -880,7 +880,7 @@ def test_parse_config_is_bit_identical_to_the_pair_walk(tmp_path):
     for block in (slice(0, d // 2), slice(d // 2, d)):
         Q[block, block] = np.linalg.qr(cplx(d // 2, d // 2))[0]
     spec = SystemSpec(
-        params=SpectralParams(N=2, r=1), dim=d, K=d // 4,
+        params=SpectralParams(N=2, r=1), K=d // 4,
         A=0.1 * cplx(d, d), g=VectorFamily(vectors=cplx(2 * d, d)), W_basis=Q,
         w=Q @ cplx(d), x0=cplx(d), xm2=cplx(d),
     )

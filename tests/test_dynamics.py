@@ -38,7 +38,6 @@ from oracles import closed_form_resolvent_state, closed_form_state, recurrence_r
 def _spec_1d():
     return SystemSpec(
         params=SpectralParams(N=2, r=1),
-        dim=1,
         A=[[0.5]],
         g=VectorFamily(vectors=np.array([[1.0]])),
         W_basis=[[1.0]],
@@ -55,7 +54,6 @@ def _random_spec(rng, dim, K, spectral_scale=0.8):
     g = rng.standard_normal((2 * dim, dim)) + 1j * rng.standard_normal((2 * dim, dim))
     return SystemSpec(
         params=SpectralParams(N=2, r=1),
-        dim=dim,
         A=A,
         g=VectorFamily(vectors=g),
         W_basis=np.eye(dim),
@@ -68,26 +66,40 @@ def _random_spec(rng, dim, K, spectral_scale=0.8):
 
 def test_spec_validation():
     spec = _spec_1d()
+    assert spec.dim == 1
     assert FrameAnalysis(spec.g).bounds.beta == pytest.approx(1.0)
     with pytest.raises(ValueError, match="orthonormal"):
         SystemSpec(
-            params=spec.params, dim=1, A=[[0.5]], g=spec.g,
+            params=spec.params, A=[[0.5]], g=spec.g,
             W_basis=[[2.0]], w=[1.0], x0=[0.0], xm2=[0.0], K=1,
         )
     with pytest.raises(ValueError, match="lie in W"):
         SystemSpec(
-            params=spec.params, dim=2, A=np.eye(2) * 0.5,
+            params=spec.params, A=np.eye(2) * 0.5,
             g=VectorFamily(vectors=np.eye(2)),
             W_basis=[[1.0], [0.0]], w=[0.0, 1.0],
             x0=[0.0, 0.0], xm2=[0.0, 0.0], K=1,
         )
-    with pytest.raises(ValueError, match="A must be"):
+    with pytest.raises(ValueError, match="sampling vectors have dim 2, expected 1"):
         SystemSpec(
-            params=spec.params, dim=2, A=[[0.5]],
+            params=spec.params, A=[[0.5]],
             g=VectorFamily(vectors=np.eye(2)),
             W_basis=np.eye(2), w=[1.0, 0.0],
             x0=[0.0, 0.0], xm2=[0.0, 0.0], K=1,
         )
+
+
+@pytest.mark.parametrize(
+    "A, shape", [(np.zeros((2, 3)), "(2, 3)"), (np.zeros((0, 0)), "(0, 0)")], ids=["2x3", "empty"]
+)
+def test_spec_refuses_an_A_that_is_not_nonempty_square_naming_its_shape(A, shape):
+    # The state space is the one A acts on, so A alone sets dim.
+    with pytest.raises(ValueError) as err:
+        SystemSpec(
+            params=SpectralParams(N=2, r=1), A=A, g=VectorFamily(vectors=np.eye(2)),
+            W_basis=np.eye(2), w=[1.0, 0.0], x0=[0.0, 0.0], xm2=[0.0, 0.0], K=1,
+        )
+    assert str(err.value) == f"A must be a nonempty square matrix, got shape {shape}"
 
 
 def test_simulate_hand_checked():

@@ -261,7 +261,7 @@ def test_subspace_bounds_hand_checked():
     B = np.array([[1.0, 0], [0, 1.0], [0, 0]])
     zero = np.zeros(3)
     spec = SystemSpec(
-        params=SpectralParams(N=2, r=1), dim=3, A=np.zeros((3, 3)), g=F, W_basis=B,
+        params=SpectralParams(N=2, r=1), A=np.zeros((3, 3)), g=F, W_basis=B,
         w=zero, x0=zero, xm2=zero, K=1,
     )
     b = SystemAnalysis(spec).subspace.bounds

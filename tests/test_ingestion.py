@@ -43,7 +43,7 @@ def _random_doc(dim: int, seed: int) -> dict:
 
     W, _ = np.linalg.qr(cplx(dim, dim // 2))
     spec = SystemSpec(
-        params=SpectralParams(N=4, r=3), dim=dim, K=dim // 4, A=0.05 * cplx(dim, dim),
+        params=SpectralParams(N=4, r=3), K=dim // 4, A=0.05 * cplx(dim, dim),
         g=VectorFamily(vectors=cplx(2 * dim, dim)), W_basis=W,
         w=W @ cplx(dim // 2), x0=cplx(dim), xm2=cplx(dim),
     )

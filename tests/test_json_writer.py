@@ -306,7 +306,7 @@ def d64_config(tmp_path_factory):
 
     W, _ = np.linalg.qr(cplx(d, d // 2))
     spec = SystemSpec(
-        params=SpectralParams(N=4, r=3), dim=d, K=d // 4, A=cplx(d, d) * np.sqrt(0.125 / d),
+        params=SpectralParams(N=4, r=3), K=d // 4, A=cplx(d, d) * np.sqrt(0.125 / d),
         g=VectorFamily(vectors=cplx(2 * d, d) * np.sqrt(0.125 / d)), W_basis=W,
         w=W @ cplx(d // 2), x0=cplx(d), xm2=cplx(d),
     )

@@ -31,7 +31,7 @@ def _system(A, g, B) -> SystemAnalysis:
     dim = A.shape[0]
     zero = np.zeros(dim)
     spec = SystemSpec(
-        params=PARAMS, dim=dim, A=A, g=g, W_basis=B, w=zero, x0=zero, xm2=zero, K=1
+        params=PARAMS, A=A, g=g, W_basis=B, w=zero, x0=zero, xm2=zero, K=1
     )
     return SystemAnalysis(spec)
 
@@ -42,7 +42,7 @@ def _random_system(rng, dim, K, spectral_scale=0.8, g_count=None):
     count = g_count or 2 * dim
     g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return SystemSpec(
-        params=PARAMS, dim=dim, A=A,
+        params=PARAMS, A=A,
         g=VectorFamily(vectors=g), W_basis=np.eye(dim),
         w=rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
         x0=rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
@@ -291,7 +291,7 @@ def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     s = np.linalg.solve(np.eye(dim) - A, w)
     return SystemSpec(
-        params=PARAMS, dim=dim, A=A, g=VectorFamily(vectors=g),
+        params=PARAMS, A=A, g=VectorFamily(vectors=g),
         W_basis=np.eye(dim), w=w, x0=s, xm2=s, K=K,
     )
 
@@ -369,7 +369,7 @@ def test_nullifier_zeroes_all_window_measurements(K):
     scale = np.linalg.norm(O, 2) * np.linalg.norm(x) + np.linalg.norm(t)
 
     spec = SystemSpec(
-        params=PARAMS, dim=d, A=A, g=g, W_basis=np.eye(d),
+        params=PARAMS, A=A, g=g, W_basis=np.eye(d),
         w=w, x0=x, xm2=x.copy(), K=K,
     )
     D = data_matrix(simulate(spec), g)

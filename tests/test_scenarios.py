@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nuds import scenarios
 from nuds.cli import main
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
@@ -285,6 +286,47 @@ def test_counterexample_fails_on_data_that_is_not_nullified():
     ]
 
 
+def _demo_with_nullifier(monkeypatch, tmp_path, capsys, nullifier):
+    """``demo thm314_counterexample`` with its initial state from ``nullifier``."""
+    monkeypatch.setattr(scenarios, "counterexample_nullifier", nullifier)
+    code = main(["demo", "thm314_counterexample", "-o", str(tmp_path)])
+    return code, capsys.readouterr().err
+
+
+def test_counterexample_check_fails_on_a_sample_that_is_not_nullified(
+    monkeypatch, tmp_path, capsys
+):
+    # A nudge of 1e-6 along A's fastest-decaying eigenvector (eigenvalue
+    # 0.1) shows in the first sample, g_0 = 0.9 * -1/8 times it, and is
+    # gone from the edge rows, so the limit still sees no source.
+    real = scenarios.counterexample_nullifier
+
+    def nudged(A, g, w, K):
+        x0 = real(A, g, w, K)
+        x0[0] += 1e-6
+        return x0
+
+    code, err = _demo_with_nullifier(monkeypatch, tmp_path, capsys, nudged)
+    assert (code, err) == (
+        4, "expectation failed: nullified sample of size 1.125e-07 exceeds 1e-8\n"
+    )
+
+
+def test_counterexample_check_fails_when_the_limit_sees_a_source(monkeypatch, tmp_path, capsys):
+    # Started at the stationary state (I - A)^-1 w, both orbits stay there:
+    # the rows converge at once, and the limit recovers w itself.
+    def stationary(A, g, w, K):
+        return np.linalg.solve(np.eye(len(w)) - A, w)
+
+    # Every sample is then g* (I - A)^-1 w = ||w||^2, the subspace bound.
+    code, err = _demo_with_nullifier(monkeypatch, tmp_path, capsys, stationary)
+    assert (code, err) == (
+        4,
+        "expectation failed: nullified sample of size 1.890e+00 exceeds 1e-8\n"
+        "expectation failed: limit recovery saw a nonzero source in nullified data\n",
+    )
+
+
 def test_onb_norm_ratio_failure_precedes_the_limit_miss():
     # x0 = 2w doubles the first rows, so the limit has half the sup row norm.
     bundle = build("thm38_onb", PARAMS, None)
@@ -330,7 +372,7 @@ def _build_toy_half(params, K):
     w[position(LambdaIndex(0, 1), K)] = 1.0
     eye = np.eye(dim, dtype=complex)
     spec = SystemSpec(
-        params=params, dim=dim, A=eye / 2, g=VectorFamily(vectors=eye), W_basis=eye,
+        params=params, A=eye / 2, g=VectorFamily(vectors=eye), W_basis=eye,
         w=w, x0=2 * w, xm2=2 * w, K=K,
     )
     return Built(spec)
