@@ -381,7 +381,7 @@ def _radius(A: np.ndarray) -> float | None:
 
 
 def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
-    """The config document and rho(A), its arrays parsed by shares; None for ``json.load``.
+    """The config document and rho(A) for :func:`_load_config`; None for ``json.load``.
 
     The array members split between a child and this process (see
     :func:`_split`).  With ``radius``, from ``FORK_MIN_RADIUS_DIM`` on,
@@ -429,24 +429,23 @@ def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
     return {m.key: m.value for m in members}, rho
 
 
-def _decode(text: str, path: str, radius: bool) -> tuple[dict, float | None]:
-    split = _decode_split(text, radius)
-    if split is not None:
-        return split
-    try:
-        return json.load(io.StringIO(text)), None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+def _load_config(path: str, tol_overrides: dict, *, radius: bool = False) -> SystemAnalysis:
+    """The config's analysis record, seeded with the decode child's rho(A) where there is one.
 
-
-def _load_config(
-    path: str, tol_overrides: dict, *, radius: bool = False
-) -> tuple[SystemSpec, Tolerances, float | None]:
-    """The config's system, tolerances, and rho(A) or None (see :func:`_decode_split`)."""
+    The document is decoded by :func:`_decode_split`, or by ``json.load``
+    where that declines, and validated by :func:`parse_config`.
+    """
     with open(path) as fh:
         text = fh.read()
-    doc, rho = _decode(text, path, radius)
-    return (*parse_config(doc, tol_overrides), rho)
+    decoded = _decode_split(text, radius)
+    if decoded is None:
+        try:
+            decoded = json.load(io.StringIO(text)), None
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    doc, rho = decoded
+    spec, tol = parse_config(doc, tol_overrides)
+    return SystemAnalysis(spec, tol=tol, rho=rho)
 
 
 def _parse_tol_flags(pairs: list[str]) -> dict:
@@ -572,14 +571,14 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    spec, tol, _ = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
-    system = SystemAnalysis(spec, tol=tol)
+    system = _load_config(_config_path(args), _parse_tol_flags(args.tol_override))
     traj, D = system.trajectory, system.data
+    params = system.spec.params
     out = _out_dir(args)
     traj_path = out / "trajectory.csv"
     dm_path = out / "data_matrix.csv"
-    trajectory_to_csv(traj, spec.params, traj_path)
-    data_matrix_to_csv(D, spec.params, dm_path)
+    trajectory_to_csv(traj, params, traj_path)
+    data_matrix_to_csv(D, params, dm_path)
     print(f"wrote {traj_path} and {dm_path} ({traj.values.shape[0]} window rows)")
     return EXIT_OK
 
@@ -595,13 +594,10 @@ def cmd_recover(args) -> int:
     stationary map.  Its report carries its own ``residual_bound``.  From
     ``FORK_MIN_RADIUS_DIM`` on, where a child starts (see
     :meth:`nuds._fork.Child.start`), the child that decodes A also computes
-    rho(A) (see :func:`_decode_split`) and seeds the analysis with it, so
-    output and errors are those of the serial order either way.
+    rho(A), which :func:`_load_config` seeds into the record, so output
+    and errors are those of the serial order either way.
     """
-    spec, tol, rho = _load_config(
-        _config_path(args), _parse_tol_flags(args.tol_override), radius=True
-    )
-    system = SystemAnalysis(spec, tol=tol, rho=rho)
+    system = _load_config(_config_path(args), _parse_tol_flags(args.tol_override), radius=True)
     if args.mode == "finite":
         (report,) = finite_recovery_report((LambdaIndex(0, 0),), system)
     else:
@@ -620,14 +616,11 @@ def cmd_recover(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec, tol, rho = _load_config(
-        _config_path(args), _parse_tol_flags(args.tol_override), radius=True
-    )
-    system = SystemAnalysis(spec, tol=tol, rho=rho)
+    system = _load_config(_config_path(args), _parse_tol_flags(args.tol_override), radius=True)
     cert = system.sampling
     refusal = None
     try:
-        require_radius_below_one(system.rho, tol=tol)
+        require_radius_below_one(system.rho, tol=system.tol)
     except ConditionFailure as exc:
         refusal = f"unavailable: {exc}"
     # The subspace family {P_W (I - A*)^-1 g_j} is the stationary map's
@@ -643,7 +636,7 @@ def cmd_check(args) -> int:
             f"(I - A is singular at pivot {exc.pivot_index})"
             if refusal and exc.pivot == 0.0
             else f"unavailable: the LU of I - A fell below PIVOT_TOL = "
-            f"{tol.PIVOT_TOL:.1e} at pivot {exc.pivot_index}"
+            f"{system.tol.PIVOT_TOL:.1e} at pivot {exc.pivot_index}"
         )
     except NumericalError as exc:
         if refusal is None:  # a map the radius admits must meet the accuracy contract

@@ -16,6 +16,7 @@ inf and NaN rows; :func:`first_nonfinite_step` names where it starts.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -35,8 +36,9 @@ from .lattice import (
 from .linalg import Mat, Vec
 from .tolerances import DEFAULTS, Tolerances
 
-# Absolute norm the component of w outside W may have: the source must
-# lie in W up to the rounding of a unit-scale projection.
+# Norm the component of w outside W may have, relative to max(1, ||w||):
+# the source must lie in W up to the rounding of its projection, which
+# grows with ||w||.
 IN_W_TOL = 1e-10
 
 # Rows at each end of a window that enter the Cauchy tail gap.  A window
@@ -54,7 +56,7 @@ class SystemSpec:
     Attributes:
         params: lattice parameters (N, r).
         A: the evolution operator, a nonempty square matrix.
-        g: sampling family (may be labeled by lattice indices).
+        g: sampling family.
         W_basis: orthonormal columns spanning the source subspace W.
         w: the constant source; must lie in W.
         x0: initial state at lattice point 0.
@@ -99,11 +101,17 @@ class SystemSpec:
         for name, v in (("w", self.w), ("x0", self.x0), ("xm2", self.xm2)):
             if v.shape[0] != dim:
                 raise ValueError(f"{name} has length {v.shape[0]}, expected {dim}")
+        # Both norms are taken on w scaled by a power of two to real and
+        # imaginary parts below 2, so neither overflows; the scaling is exact,
+        # so they are w's own norms, scaled.  A w already below is not scaled.
+        top = max(np.abs(self.w.real).max(), np.abs(self.w.imag).max())
+        shrink = math.ldexp(1.0, -max(math.frexp(top)[1] - 1, 0))
+        u = self.w * shrink
         B = self.W_basis
-        out_of_W = float(np.linalg.norm(self.w - B @ (B.conj().T @ self.w)))
-        if out_of_W > IN_W_TOL:
+        out_of_W = float(np.linalg.norm(u - B @ (B.conj().T @ u)))
+        if out_of_W > IN_W_TOL * max(shrink, float(np.linalg.norm(u))):
             raise ValueError(
-                f"source w must lie in W: component outside W has norm {out_of_W:.3e}"
+                f"source w must lie in W: component outside W has norm {out_of_W / shrink:.3e}"
             )
 
 

@@ -1,6 +1,7 @@
 """Numerical tolerances used across the package.
 
-The seven named thresholds below are the only ones an override can move.
+The seven fields of :class:`Tolerances` are the only thresholds an
+override can move; each default is stated once, on its field.
 They reach their call sites by one path: every function that applies one
 of them takes a keyword ``tol: Tolerances`` (default :data:`DEFAULTS`), or
 reads the analysis record that holds one, and passes that same value on
@@ -8,10 +9,9 @@ to every kernel it calls.  The CLI builds one :class:`Tolerances` per
 command from the config's ``tolerances`` object and the
 ``--tol-override KEY=VAL`` flags.
 
-The module constants are the field defaults and nothing else; no other
-module reads them.  Fixed thresholds that are not a field (orthonormality
-of a basis, the scenario oracles, ...) are named constants in the module
-that applies them.
+Fixed thresholds that are not a field (orthonormality of a basis, the
+scenario oracles, ...) are named constants in the module that applies
+them.
 """
 
 from __future__ import annotations
@@ -19,34 +19,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-# Hermitian eigendecomposition: max reconstruction residual (relative).
-EIG_TOL = 1e-8
-# Linear solves and the linear identities they produce (a dual pair, a
-# synthesis): residual bound ||Mx - b|| <= SOLVE_TOL * (||M||*||x|| + ||b||).
-SOLVE_TOL = 1e-8
-# How far from Hermitian a matrix may be (relative) before it is rejected.
-HERM_TOL = 1e-10
-# A family is a frame when its lower bound exceeds this.
-FRAME_TOL = 1e-10
-# Row-convergence (Cauchy tail gap) threshold for limit evaluation.
-BS_TOL = 1e-6
-# Safety margin on the spectral-radius-below-one requirement.
-RHO_MARGIN = 1e-6
-# A pivot below PIVOT_TOL * scale marks a matrix as singular.
-PIVOT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Tolerances:
     """Bundle of all tunable thresholds."""
 
-    EIG_TOL: float = EIG_TOL
-    SOLVE_TOL: float = SOLVE_TOL
-    HERM_TOL: float = HERM_TOL
-    FRAME_TOL: float = FRAME_TOL
-    BS_TOL: float = BS_TOL
-    RHO_MARGIN: float = RHO_MARGIN
-    PIVOT_TOL: float = PIVOT_TOL
+    # Hermitian eigendecomposition: max reconstruction residual (relative).
+    EIG_TOL: float = 1e-8
+    # Linear solves and the linear identities they produce (a dual pair, a
+    # synthesis): residual bound ||Mx - b|| <= SOLVE_TOL * (||M||*||x|| + ||b||).
+    SOLVE_TOL: float = 1e-8
+    # How far from Hermitian a matrix may be (relative) before it is rejected.
+    HERM_TOL: float = 1e-10
+    # A family is a frame when its lower bound exceeds this.
+    FRAME_TOL: float = 1e-10
+    # Row-convergence (Cauchy tail gap) threshold for limit evaluation.
+    BS_TOL: float = 1e-6
+    # Safety margin on the spectral-radius-below-one requirement.
+    RHO_MARGIN: float = 1e-6
+    # A pivot below PIVOT_TOL * scale marks a matrix as singular.
+    PIVOT_TOL: float = 1e-12
 
     @classmethod
     def names(cls) -> tuple[str, ...]:

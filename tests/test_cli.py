@@ -894,7 +894,7 @@ def test_parse_config_is_bit_identical_to_the_pair_walk(tmp_path):
         doc[key][2] = [-2, 0]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    parsed, _, _ = cli._load_config(str(path), {})
+    parsed = cli._load_config(str(path), {}).spec
 
     def walk(rows):
         return np.array([[pair_to_complex(p) for p in row] for row in rows])

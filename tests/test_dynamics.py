@@ -89,6 +89,29 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize("size", [1e5, 1e8, 1e200])
+@pytest.mark.parametrize("d", [16, 256])
+def test_in_W_is_judged_relative_to_the_source(d, size):
+    # The projection's rounding grows with ||w||: an exact w = Bc is in W
+    # at any scale, and no norm overflows (tier-1 turns warnings into
+    # errors), while a relative 1e-6 outside W is still refused.
+    rng = np.random.default_rng(d)
+    B = np.linalg.qr(rng.standard_normal((d, d // 2)) + 1j * rng.standard_normal((d, d // 2)))[0]
+    c = rng.standard_normal(d // 2) + 1j * rng.standard_normal(d // 2)
+    c *= size / np.linalg.norm(c)  # ||Bc|| = ||c||
+    w = B @ c
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v -= B @ (B.conj().T @ v)
+    v *= 1e-6 * size / np.linalg.norm(v)
+    rest = dict(
+        params=SpectralParams(N=2, r=1), A=0.5 * np.eye(d), g=VectorFamily(vectors=np.eye(d)),
+        W_basis=B, x0=np.zeros(d), xm2=np.zeros(d), K=1,
+    )
+    assert SystemSpec(w=w, **rest).w is w
+    with pytest.raises(ValueError, match="component outside W has norm"):
+        SystemSpec(w=w + v, **rest)
+
+
 @pytest.mark.parametrize(
     "A, shape", [(np.zeros((2, 3)), "(2, 3)"), (np.zeros((0, 0)), "(0, 0)")], ids=["2x3", "empty"]
 )

@@ -107,7 +107,9 @@ def _shares(text: str):
 
 
 def _assert_identical(got, want, rho=None):
-    (spec, tol, got_rho), (ref, ref_tol) = got, want
+    """``got``, the loader's record, holds the serial spec and tolerances, seeded with ``rho``."""
+    spec, tol, got_rho = got.spec, got.tol, vars(got).get("rho")  # a seeded rho only
+    ref, ref_tol = want
     assert got_rho == rho
     assert tol == ref_tol
     assert (spec.params, spec.dim, spec.K) == (ref.params, ref.dim, ref.K)

@@ -6,14 +6,18 @@ import pkgutil
 import pytest
 
 import nuds
-from nuds import tolerances
 from nuds.tolerances import Tolerances
 
 
-def test_defaults_match_module_constants():
+def test_default_values_are_pinned():
+    # Each default is stated once, on its field; every emitted config
+    # writes these values, so a change to one is a contract change.
     tol = Tolerances()
+    assert {name: getattr(tol, name) for name in Tolerances.names()} == {
+        "EIG_TOL": 1e-8, "SOLVE_TOL": 1e-8, "HERM_TOL": 1e-10, "FRAME_TOL": 1e-10,
+        "BS_TOL": 1e-6, "RHO_MARGIN": 1e-6, "PIVOT_TOL": 1e-12,
+    }
     for name in Tolerances.names():
-        assert getattr(tol, name) == getattr(tolerances, name)
         assert getattr(tol, name) > 0
 
 
@@ -21,7 +25,7 @@ def test_with_overrides():
     tol = Tolerances().with_overrides({"FRAME_TOL": 1e-6, "BS_TOL": 1e-3})
     assert tol.FRAME_TOL == 1e-6
     assert tol.BS_TOL == 1e-3
-    assert tol.EIG_TOL == tolerances.EIG_TOL  # untouched
+    assert tol.EIG_TOL == Tolerances().EIG_TOL  # untouched
     with pytest.raises(ValueError, match="unknown tolerance"):
         Tolerances().with_overrides({"NOT_A_TOL": 1.0})
     with pytest.raises(ValueError, match="positive"):
@@ -47,8 +51,8 @@ def test_frozen():
 
 
 def test_tolerances_reach_call_sites_by_one_path():
-    # The seven thresholds live on Tolerances only: no other module binds
-    # one of their names (as a constant or an import), and no public
+    # The seven thresholds live on Tolerances only: no module, nuds.tolerances
+    # included, binds one of their names (as a constant or an import), and no public
     # function or method takes a float threshold of its own instead of
     # the `tol` bundle.
     names = set(Tolerances.names())
@@ -57,8 +61,7 @@ def test_tolerances_reach_call_sites_by_one_path():
         for info in pkgutil.iter_modules(nuds.__path__)
     ]
     for mod in modules:
-        if mod is not tolerances:
-            assert not names & set(vars(mod)), mod.__name__
+        assert not names & set(vars(mod)), mod.__name__
         for obj in vars(mod).values():
             if getattr(obj, "__module__", None) != mod.__name__:
                 continue
