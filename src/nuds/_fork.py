@@ -1,10 +1,10 @@
-"""One forked child that computes bytes while this process does other work.
+"""One job, run by a forked child while this process does other work, or else here.
 
 Two jobs in the package split between this process and a child:
 decoding a large config, where the child also computes the spectral
 radius for ``recover`` and ``check`` (``cli``), and formatting a large
 CSV (``dynamics``).  Both fork through :class:`Child`, the package's only
-call to ``os.fork``.
+call to ``os.fork``, and take the job's bytes from :meth:`Child.collect`.
 
 A child is started only where it can pay: the caller's share of work
 must reach its floor, at least two CPUs must be usable, and this process
@@ -45,7 +45,7 @@ def _probe() -> tuple[int | None, int | None]:
 
 
 class Child:
-    """At most one forked child that runs a job and pipes its bytes back.
+    """One job, run by at most one forked child that pipes its bytes back.
 
     Used as a context manager: leaving the block, on any exception
     included, closes the pipe and kills and reaps a child still running.
@@ -67,7 +67,7 @@ class Child:
             os.waitpid(pid, 0)
 
     def start(self, job: Callable[[], bytes], size: int, floor: int) -> None:
-        """Fork a child that runs ``job``, where a child pays; else start none.
+        """Keep ``job`` for :meth:`collect`, and fork a child that runs it where a child pays.
 
         ``size`` is the work the child would take over and ``floor`` the
         least that pays for a fork, both in the caller's unit.  No child
@@ -75,8 +75,9 @@ class Child:
         process not known to have exactly one OS thread, or when the
         system refuses the pipe or the fork.  The child runs on a copy of
         this process's memory, so ``job`` may read anything set up before
-        the call.
+        the call, and leaves this process's copy as it was.
         """
+        self._job = job
         if size < floor or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
             return
         cpus = os.sched_getaffinity(0)
@@ -97,14 +98,15 @@ class Child:
             _serve(job, self._pipe, write_fd, cpus - {cpu})
         os.close(write_fd)
 
-    def collect(self) -> bytes | None:
-        """Wait for the child; its bytes, or None when none ran or it failed."""
-        if self.pid is None:
-            return None
-        data = self._pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return data if os.waitstatus_to_exitcode(status) == 0 else None
+    def collect(self) -> bytes:
+        """The job's bytes: the child's where it exited 0, else ``job()``'s, run here."""
+        if self.pid is not None:
+            data = self._pipe.read()
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            if os.waitstatus_to_exitcode(status) == 0:
+                return data
+        return self._job()
 
 
 def _serve(

@@ -194,10 +194,10 @@ def config_to_json(spec: SystemSpec, tol: Tolerances = DEFAULTS) -> dict:
 # largest array and any unknown key.  For recover and check at a large
 # dim, the child takes A alone and also computes rho(A), one eigvals, the
 # largest kernel of such a request.  Without a child, or when the child
-# fails, this process parses every array member itself.  Only text that
-# the walk or a share rejects, or that repeats a key, goes through
-# ``json.load`` and parse_config, so the result and every error message
-# are the serial ones.
+# fails, this process runs the child's job itself, rho(A) included.  Only
+# text that the walk or a share rejects, or that repeats a key, goes
+# through ``json.load`` and parse_config, so the result and every error
+# message are the serial ones.
 
 # Smallest share of a config, in characters of JSON text, that a child
 # takes over.  Decoding and converting take ~30 ns per character, and
@@ -383,13 +383,13 @@ def _radius(A: np.ndarray) -> float | None:
 def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
     """The config document and rho(A) for :func:`_load_config`; None for ``json.load``.
 
-    The array members split between a child and this process (see
+    The array members split between a job and this process (see
     :func:`_split`).  With ``radius``, from ``FORK_MIN_RADIUS_DIM`` on,
-    the child parses an array ``A`` alone and computes rho(A); else rho is
-    None.  Where no child starts (see :meth:`nuds._fork.Child.start`) or
-    the child fails, this process parses the child's share too, and rho is
-    None.  None unless the walk follows the whole object, ``dim`` is a
-    positive integer, and every array member parses (see :func:`_parse_share`).
+    the job parses an array ``A`` alone and computes rho(A); else, or where
+    rho(A) raises or warns, rho is None.  The job runs in a child where one
+    starts, else here (see :class:`nuds._fork.Child`).  None unless the
+    walk follows the whole object, ``dim`` is a positive integer, and
+    every array member parses (see :func:`_parse_share`).
     """
     try:
         members = _walk(text)
@@ -403,10 +403,8 @@ def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
     radius = radius and dim >= FORK_MIN_RADIUS_DIM
     theirs, mine = _split(members, radius)
     radius = radius and [m.key for m in theirs] == ["A"]  # False for a generator A
-    if radius:
-        size, floor = dim, FORK_MIN_RADIUS_DIM
-    else:
-        size, floor = sum(m.size for m in theirs), FORK_MIN_CONFIG_CHARS
+    size = dim if radius else sum(m.size for m in theirs)
+    floor = FORK_MIN_RADIUS_DIM if radius else FORK_MIN_CONFIG_CHARS
 
     def job() -> bytes:
         values = _parse_share(text, theirs, dim)
@@ -417,11 +415,7 @@ def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
         with Child() as child:
             child.start(job, size, floor)
             values = _parse_share(text, mine, dim)
-            data = child.collect()
-        if data is None:
-            collected, rho = _parse_share(text, theirs, dim), None
-        else:
-            collected, rho = pickle.loads(data)
+            collected, rho = pickle.loads(child.collect())
     except ValueError:
         return None
     for member, value in zip(theirs + mine, collected + values):
@@ -430,7 +424,7 @@ def _decode_split(text: str, radius: bool) -> tuple[dict, float | None] | None:
 
 
 def _load_config(path: str, tol_overrides: dict, *, radius: bool = False) -> SystemAnalysis:
-    """The config's analysis record, seeded with the decode child's rho(A) where there is one.
+    """The config's analysis record, seeded with the decode's rho(A) where there is one.
 
     The document is decoded by :func:`_decode_split`, or by ``json.load``
     where that declines, and validated by :func:`parse_config`.
@@ -592,10 +586,9 @@ def cmd_recover(args) -> int:
     The ``--mode`` recovery reads everything from one :class:`SystemAnalysis`,
     in the serial order: data matrix, radius, then the analysis of g or the
     stationary map.  Its report carries its own ``residual_bound``.  From
-    ``FORK_MIN_RADIUS_DIM`` on, where a child starts (see
-    :meth:`nuds._fork.Child.start`), the child that decodes A also computes
-    rho(A), which :func:`_load_config` seeds into the record, so output
-    and errors are those of the serial order either way.
+    ``FORK_MIN_RADIUS_DIM`` on, the decode job that parses A also computes
+    rho(A), in a child where one starts, which :func:`_load_config` seeds
+    into the record, so output and errors are those of the serial order.
     """
     system = _load_config(_config_path(args), _parse_tol_flags(args.tol_override), radius=True)
     if args.mode == "finite":

@@ -230,7 +230,7 @@ def bs_membership(D: LatticeWindow, *, tol: Tolerances = DEFAULTS) -> TailLimit:
     edges = np.concatenate([X[:TAIL], X[-TAIL:]])
     with np.errstate(over="ignore", invalid="ignore"):
         gap = max(
-            float(np.linalg.norm(edges[i + 1 :] - edges[i], axis=1).max())
+            float(linalg.norm(edges[i + 1 :] - edges[i], axis=1).max())
             for i in range(len(edges) - 1)
         )
         limit = (X[0] + X[-1]) / 2.0
@@ -278,14 +278,10 @@ def _row_blocks(labels: list[str], values: np.ndarray) -> Iterator[bytes]:
 def window_to_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
     """Write a trajectory or a data matrix as ``lambda,j,re,im`` lines in window order.
 
-    The rows split into a front and a back half.  Where a child pays (see
-    :meth:`nuds._fork.Child.start`; the floor is ``FORK_MIN_ENTRIES``), a
-    forked child formats the back half while this process writes the
-    header and the front half, and its bytes follow them; otherwise, or
-    when the fork or the child fails, this process formats the back half
-    itself.  The bytes are the same either way.  The child consumes its
-    own copy of the back half's generator; this process's copy stays
-    unstarted until it is needed.
+    The rows split into a front and a back half.  This process writes the
+    header and the front half, then the back half's bytes, formatted by a
+    forked child where one pays (the floor is ``FORK_MIN_ENTRIES``; see
+    :class:`nuds._fork.Child`), else here.
     """
     labels = [index_label(idx, params) for idx in rows.order]
     half = len(labels) // 2
@@ -294,11 +290,7 @@ def window_to_csv(rows: LatticeWindow, params: SpectralParams, path) -> None:
         child.start(lambda: b"".join(back), rows.values.size, FORK_MIN_ENTRIES)
         fh.write(b"lambda,j,re,im\r\n")
         fh.writelines(_row_blocks(labels[:half], rows.values[:half]))
-        data = child.collect()
-        if data is None:
-            fh.writelines(back)
-        else:
-            fh.write(data)
+        fh.write(child.collect())
 
 
 def data_matrix_to_csv(D: LatticeWindow, params: SpectralParams, path) -> None:

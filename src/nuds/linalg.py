@@ -58,6 +58,21 @@ def as_matrix(entries) -> Mat:
     return m
 
 
+def norm(x: np.ndarray, axis: int | None = None):
+    """``np.linalg.norm(x, axis=axis)``, also where only its sum of squares overflows.
+
+    Such a norm of finite entries (above 2^511) is taken again on x scaled
+    by 2^-600 and scaled back, exactly but for entries below its rounding.
+    Every other norm is the plain one, bit for bit, inf or NaN included.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.linalg.norm(x, axis=axis)
+        if not np.isinf(n).any():
+            return n
+        redo = np.isinf(n) & np.isfinite(x).all(axis=axis)
+        return np.where(redo, np.linalg.norm(x * 2.0**-600, axis=axis) * 2.0**600, n)
+
+
 def hermitian_eigs(M: Mat, *, tol: Tolerances = DEFAULTS) -> tuple[np.ndarray, Mat]:
     """Eigendecomposition M = V diag(vals) V* of a Hermitian matrix.
 

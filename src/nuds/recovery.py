@@ -93,8 +93,8 @@ class SystemAnalysis:
     """The kernels the recoveries and certificates of ``spec`` are judged from.
 
     Each field is computed on first read and kept; a field whose kernel
-    refuses raises on every read.  A given ``rho`` (the config decode
-    child's) or ``resolvent`` (a scenario's X) is never recomputed.
+    refuses raises on every read.  A given ``rho`` (the config decode's) or
+    ``resolvent`` (a scenario's X) is never recomputed.
     """
 
     def __init__(
@@ -247,10 +247,10 @@ def finite_recovery_report(
     def report(at: LambdaIndex) -> RecoveryReport:
         w_hat = reconstruct_finite(D, at, A, g, gdual)
         predicted_next = analysis(A @ synthesis(D.row(at), gdual) + w_hat, g)
-        residual = float(np.linalg.norm(predicted_next - D.row(successor(at))))
-        scale = max(float(np.linalg.norm(D.row(p))) for p in (at, successor(at)))
+        residual = float(linalg.norm(predicted_next - D.row(successor(at))))
+        scale = max(float(linalg.norm(D.row(p))) for p in (at, successor(at)))
         return RecoveryReport(
-            w_hat=w_hat, abs_error=float(np.linalg.norm(w_hat - w_true)), residual=residual,
+            w_hat=w_hat, abs_error=float(linalg.norm(w_hat - w_true)), residual=residual,
             residual_bound=tol.SOLVE_TOL * (1.0 + scale), bounds=frame.bounds, rho=rho,
             tail_gap=0.0, case=branch_of(at).value,
         )
@@ -286,15 +286,10 @@ def reconstruct_infinite(system: SystemAnalysis) -> RecoveryReport:
         )
     w_hat = synthesis(lim.limit_row, lifted)
     predicted_limit = analysis(B.conj().T @ w_hat, frame.family)
-    residual = float(np.linalg.norm(predicted_limit - lim.limit_row))
+    residual = float(linalg.norm(predicted_limit - lim.limit_row))
     return RecoveryReport(
-        w_hat=w_hat,
-        abs_error=float(np.linalg.norm(w_hat - system.spec.w)),
-        residual=residual,
-        residual_bound=tol.BS_TOL,
-        bounds=frame.bounds,
-        rho=system.rho,
-        tail_gap=lim.tail_gap,
+        w_hat=w_hat, abs_error=float(linalg.norm(w_hat - system.spec.w)), residual=residual,
+        residual_bound=tol.BS_TOL, bounds=frame.bounds, rho=system.rho, tail_gap=lim.tail_gap,
         case="limit",
     )
 

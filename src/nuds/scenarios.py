@@ -174,19 +174,19 @@ def counterexample_source(K: int) -> Vec:
 
 
 def _build_thm312_diagonal(params: SpectralParams, K: int) -> Built:
+    # No walk over the window: a K whose A cannot be allocated fails at once, and
+    # first on the zeroed states (one page touched) where A's size overflows numpy's.
     dim = 4 * K
-    diag = np.zeros(dim)
-    for idx in window(K):
-        if idx.eps == 0:
-            diag[position(idx, K)] = 2.0 ** (-idx.m) if idx.m >= 0 else 2.0 ** idx.m
-    A = np.diag(diag).astype(complex)
-    rng = _scenario_rng("thm312_diagonal", params, K)
-    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    w /= np.linalg.norm(w)
     x0 = np.zeros(dim, dtype=complex)
     x0[position(LambdaIndex(0, 1), K)] = 1.0
     xm2 = np.zeros(dim, dtype=complex)
     xm2[position(LambdaIndex(-1, 0), K)] = 1.0
+    A = np.zeros((dim, dim), dtype=complex)
+    even = np.arange(0, dim, 2)  # the points 2m, m = -K .. K - 1, get 2^-|m|
+    A[even, even] = np.ldexp(1.0, -np.abs(np.arange(-K, K)))
+    rng = _scenario_rng("thm312_diagonal", params, K)
+    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    w /= np.linalg.norm(w)
     W, g = np.eye(dim, dtype=complex), _onb(dim)
     return Built(SystemSpec(params=params, A=A, g=g, W_basis=W, w=w, x0=x0, xm2=xm2, K=K))
 
@@ -218,9 +218,9 @@ def _build_thm317_generalized(params: SpectralParams, K: int) -> Built:
     dim = 4 * K
     p0 = position(LambdaIndex(0, 0), K)
     pm2 = position(LambdaIndex(-1, 0), K)
-    diag = np.full(dim, 2.0)
-    diag[[p0, pm2]] = 1.0
-    A = np.diag(diag).astype(complex)
+    A = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(A, 2.0)
+    A[[p0, pm2], [p0, pm2]] = 1.0
     w_positions = [p for p in range(dim) if p not in (p0, pm2)]
     B = _basis_columns(dim, w_positions)
     rng = _scenario_rng("thm317_generalized", params, K)

@@ -77,6 +77,21 @@ def forks(monkeypatch):
     return children
 
 
+@pytest.fixture
+def child_cannot_pickle(monkeypatch):
+    """Make ``pickle.dumps`` fail in a forked child only; this process pickles as before."""
+    import pickle
+
+    parent, real_dumps = os.getpid(), pickle.dumps
+
+    def dumps(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("the child could not pickle its share")
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_child_processes():
     """Fail any test that leaves a child process running or unreaped."""

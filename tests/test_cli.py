@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from nuds import cli, linalg
+from nuds import cli, linalg, scenarios
 from nuds.cli import config_to_json, main, parse_config
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
 from nuds.linalg import NumericalError, complex_to_pair, pair_to_complex, vector_to_pairs
 from nuds.scenarios import SCENARIOS, build, min_K
-from nuds.lattice import SpectralParams
+from nuds.lattice import LambdaIndex, SpectralParams
+from nuds.recovery import finite_recovery_report
 from nuds.tolerances import Tolerances
 
 
@@ -1032,3 +1033,59 @@ def test_counterexample_rejects_K_beyond_float_range(tmp_path, capsys, K):
     err = capsys.readouterr().err
     assert f"thm314_counterexample needs K <= 8, got K = {K}" in err
     assert "least-squares witness" in err
+
+
+def test_demo_at_an_unallocatable_K_exits_2_without_walking_the_window(
+    tmp_path, capsys, monkeypatch, capped_address_space
+):
+    # A builder that walked the 4K window points in Python, one object each,
+    # would take seconds here and tens of GB at K = 10**8.
+    real_window = scenarios.window
+
+    def bounded_window(K):
+        if 4 * K > 10**5:
+            raise AssertionError(f"window({K}) walked")
+        return real_window(K)
+
+    monkeypatch.setattr(scenarios, "window", bounded_window)
+    for scenario_id in scenarios.SCENARIOS:
+        argv = ["demo", scenario_id, "-K", "1000000", "-o", str(tmp_path)]
+        assert main(argv) == 2, scenario_id
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        if scenario_id == "thm314_counterexample":
+            assert "needs K <= 8" in err
+        else:
+            assert err.startswith("config error: Unable to allocate"), err
+
+
+def test_finite_rows_whose_plain_norm_overflows_keep_finite_norms(tmp_path, capsys):
+    # thm319 at K = 7 with w scaled by 1e300: w stays in W and every row is
+    # finite, with norms up to ~1.5e300, but their sums of squares overflow.
+    assert main(["demo", "thm319_quarter", "-K", "7", "--emit-config", "-o", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "thm319_quarter_config.json").read_text())
+    doc["w"] = [[re * 1e300, im * 1e300] for re, im in doc["w"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    system = cli._load_config(str(path), {})
+    (report,) = finite_recovery_report((LambdaIndex(0, 0),), system)
+    assert np.isfinite(report.residual_bound) and report.residual <= report.residual_bound
+    assert main(["recover", "--mode", "finite", str(path), "-o", str(tmp_path / "f")]) == 0
+    assert capsys.readouterr().err == ""
+
+    # The tail gap, against the same differences scaled down by an exact 2^-1000.
+    D = system.data.values
+    edges = D[[0, 1, -2, -1]] * 2.0**-1000
+    want = max(np.linalg.norm(edges[i + 1 :] - edges[i], axis=1).max() for i in range(3))
+    gap = system.limit.tail_gap
+    assert np.isfinite(gap) and gap == pytest.approx(want * 2.0**1000, rel=1e-14)
+    assert main(["recover", "--mode", "infinite", str(path), "-o", str(tmp_path / "i")]) == 3
+    assert capsys.readouterr().err == (
+        f"condition failure: rows are not convergent: tail gap {gap:.3e} exceeds 1.0e-06\n"
+    )
+    assert main(["check", str(path)]) == 0
+    assert f"row-convergence tail gap                    {gap:.3e} (not convergent)\n" in (
+        capsys.readouterr().out
+    )

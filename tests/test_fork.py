@@ -1,4 +1,4 @@
-"""The package's one fork helper: when it forks, and where the child runs."""
+"""The package's one fork helper: when it forks, where the child runs, and whose bytes return."""
 
 import os
 import threading
@@ -27,7 +27,7 @@ def affinity_calls(monkeypatch):
 
 
 def _run(job, size=FLOOR):
-    """Start a child for ``job`` and collect it: (whether it forked, its bytes)."""
+    """Start a child for ``job`` and collect it: (whether it forked, the job's bytes)."""
     with Child() as child:
         child.start(job, size, FLOOR)
         forked = child.pid is not None
@@ -62,27 +62,27 @@ def test_no_fork_where_proc_cannot_be_read(tmp_path, monkeypatch, two_cpus):
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     monkeypatch.setattr(os, "fork", _no_fork)
     assert _fork._probe() == (None, None)
-    assert _run(lambda: b"x") == (False, None)
+    assert _run(lambda: b"x") == (False, b"x")
 
 
 @pytest.mark.parametrize("threads", [2, 5])
 def test_no_fork_in_a_multithreaded_process(monkeypatch, two_cpus, threads):
     monkeypatch.setattr(_fork, "_probe", lambda: (threads, 0))
     monkeypatch.setattr(os, "fork", _no_fork)
-    assert _run(lambda: b"x") == (False, None)
+    assert _run(lambda: b"x") == (False, b"x")
 
 
 def test_no_fork_below_the_floor(monkeypatch, two_cpus):
     monkeypatch.setattr(_fork, "_probe", lambda: (1, 0))
     monkeypatch.setattr(os, "fork", _no_fork)
-    assert _run(lambda: b"x", size=FLOOR - 1) == (False, None)
+    assert _run(lambda: b"x", size=FLOOR - 1) == (False, b"x")
 
 
 def test_no_fork_and_no_placement_on_one_cpu(monkeypatch, affinity_calls):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     monkeypatch.setattr(_fork, "_probe", lambda: (1, 3))
     monkeypatch.setattr(os, "fork", _no_fork)
-    assert _run(lambda: b"x") == (False, None)
+    assert _run(lambda: b"x") == (False, b"x")
     assert affinity_calls == []
 
 
@@ -108,10 +108,26 @@ def test_refused_placement_is_ignored(monkeypatch, two_cpus):
     assert _run(lambda: b"same bytes") == (True, b"same bytes")
 
 
-def test_failing_job_gives_no_bytes(monkeypatch, two_cpus):
+def test_job_failing_in_the_child_gives_the_bytes_of_the_job_run_here(monkeypatch, two_cpus):
     monkeypatch.setattr(_fork, "_probe", lambda: (1, 0))
+    parent = os.getpid()
 
     def job():
-        raise RuntimeError("the job failed in the child")
+        if os.getpid() != parent:
+            raise RuntimeError("the job failed in the child")
+        return b"from this process"
 
-    assert _run(job) == (True, None)
+    assert _run(job) == (True, b"from this process")
+
+
+def test_job_failing_everywhere_raises_here(monkeypatch, two_cpus):
+    monkeypatch.setattr(_fork, "_probe", lambda: (1, 0))
+    runs = []
+
+    def job():
+        runs.append(os.getpid())  # only this process's own run is seen here
+        raise RuntimeError("the job failed")
+
+    with pytest.raises(RuntimeError, match="the job failed"):
+        _run(job)
+    assert runs == [os.getpid()]

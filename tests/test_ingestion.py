@@ -14,7 +14,6 @@ for invalid input the same exit code and message.
 
 import json
 import os
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -231,6 +230,28 @@ def test_radius_split_is_bit_identical_to_serial(tmp_path, monkeypatch, texts, f
     _assert_identical(got, want, rho=spectral_radius(want[0].A))
 
 
+@pytest.mark.parametrize("decode", ["fork-refused", "child-fails"])
+def test_radius_decode_without_a_child_seeds_the_forked_radius(
+    tmp_path, monkeypatch, request, forks, decode
+):
+    # At the real FORK_MIN_RADIUS_DIM, a decode whose child never ran its
+    # job runs it here, rho(A) included, and gives the forked load's record.
+    dim = cli.FORK_MIN_RADIUS_DIM
+    path = _write(tmp_path, _text(_random_doc(dim, dim).items()))
+    forked = cli._load_config(str(path), {}, radius=True)
+    assert [code for _, code in forks] == [0]
+    want = _serial(path)
+    rho = linalg.spectral_radius(want[0].A)
+    _assert_identical(forked, want, rho=rho)
+    if decode == "fork-refused":
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    else:
+        request.getfixturevalue("child_cannot_pickle")
+    got = cli._load_config(str(path), {}, radius=True)
+    assert [code for _, code in forks] == ([0] if decode == "fork-refused" else [0, 1])
+    _assert_identical(got, want, rho=rho)
+
+
 def _tree_bytes(text: str, start: int) -> int:
     """Bytes held by the JSON tree decoded at ``start``, with tracemalloc on."""
     base = tracemalloc.get_traced_memory()[0]
@@ -413,12 +434,8 @@ def test_refused_fork_gives_the_serial_result(tmp_path, monkeypatch, texts):
     _assert_identical(cli._load_config(str(path), {}), _serial(path))
 
 
-def test_failing_child_gives_the_serial_result(tmp_path, monkeypatch, texts, forks):
-    # Only the child pickles, so only the child fails.
-    def fail(*args, **kwargs):
-        raise MemoryError("the child could not pickle its share")
-
-    monkeypatch.setattr(pickle, "dumps", fail)
+def test_failing_child_gives_the_serial_result(tmp_path, texts, forks, child_cannot_pickle):
+    # Only the child fails; this process then runs the job itself.
     path = _write(tmp_path, texts["compact"])
     got = cli._load_config(str(path), {})
     assert [code for _, code in forks] == [1]

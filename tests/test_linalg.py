@@ -9,6 +9,7 @@ from nuds.linalg import (
     complex_to_pair,
     hermitian_eigs,
     matrix_from_pairs,
+    norm,
     pair_to_complex,
     require_solution,
     solve,
@@ -256,3 +257,21 @@ def test_encoders_match_complex_to_pair():
         assert repr(vector_to_pairs(A)) == repr(ref)
     assert repr(vector_to_pairs(M[:, 0])) == repr([complex_to_pair(z) for z in M[:, 0]])
     assert "-0.0" in repr(vector_to_pairs(M)[:2])
+
+
+def test_norm_is_the_plain_norm_unless_finite_entries_overflow_it():
+    rng = np.random.default_rng(7)
+    x = (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))) * 10.0 ** rng.integers(
+        -150, 150, (6, 5)
+    )
+    for axis in (None, 1):
+        assert np.array_equal(norm(x, axis=axis), np.linalg.norm(x, axis=axis))
+    big = x.copy()
+    big[1] = x[1] / np.abs(x[1]).max() * 2.0**1000  # row norm ~2^1000, squares overflow
+    big[3, 2] = np.inf
+    rows = norm(big, axis=1)
+    assert np.array_equal(rows[[0, 2, 4, 5]], np.linalg.norm(x[[0, 2, 4, 5]], axis=1))
+    assert rows[1] == pytest.approx(np.linalg.norm(big[1] * 2.0**-1000) * 2.0**1000, rel=1e-15)
+    assert rows[3] == np.inf
+    assert float(norm(big[1])) == rows[1]
+    assert float(norm(np.full(4, 1e308))) == np.inf  # beyond the float range

@@ -12,7 +12,6 @@ the serial run warns, which here is nowhere.
 
 import json
 import os
-import pickle
 import warnings
 
 import numpy as np
@@ -182,19 +181,16 @@ def test_failing_child_leaves_the_radius_to_this_process(
 
 
 @pytest.mark.parametrize("mode", ["finite", "infinite"])
-def test_failing_child_job_gives_the_serial_decode(tmp_path, capsys, monkeypatch, forks, mode):
+def test_failing_child_job_gives_the_serial_decode(
+    tmp_path, capsys, monkeypatch, forks, child_cannot_pickle, mode
+):
     config = _emitted(tmp_path, capsys, "thm319_quarter", "-K", "7")
-
-    def fail(*args, **kwargs):  # only the child pickles
-        raise MemoryError("the child could not pickle its share")
-
-    monkeypatch.setattr(pickle, "dumps", fail)
     loads = _count_loads(monkeypatch)
     serial, forked, child_code = _forced_and_serial(
         tmp_path, capsys, monkeypatch, forks, config, mode
     )
     assert child_code == 1
-    assert loads == []  # this process parsed the failed child's share itself
+    assert loads == []  # this process ran the failed child's job itself
     assert serial["code"] == 0
     assert forked == serial
 

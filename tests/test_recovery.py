@@ -344,6 +344,67 @@ def test_finite_recovery_on_inexact_data_obeys_its_proved_bounds():
                 assert report.residual <= size + np.sqrt(beta) * charge, (seed, at, size)
 
 
+def test_limit_recovery_on_inexact_data_obeys_its_proved_bounds():
+    """Limit recovery from edge rows all moved by delta stays within its proved bounds.
+
+    Exact arithmetic.  One delta added to the four edge rows leaves their
+    pairwise differences, so the tail gap and the verdict, unchanged, and
+    moves the limit row L, the mean of the outermost rows, by exactly
+    delta.  The recovered source is ``B F~ L``: the canonical dual F~ of
+    the subspace family {X* g_j} (bounds alpha, beta), synthesized against
+    L and lifted by the isometry B.  Synthesis with the dual has norm
+    alpha^-1/2, so
+
+        ||w_hat' - w_hat|| <= alpha^-1/2 ||delta||.
+
+    The prediction of L is ``P L``, with P the orthogonal projection onto
+    the range of the family's analysis map, so the residual is the
+    distance ``||(I - P) L||`` of L from that range, and moves by at most
+    ``||delta||``.
+
+    Rounding.  Both runs use the same computed family and dual, so they
+    differ only by how the rows are rounded on the way.  As in the finite
+    test, the computed dual is the exact dual of a frame operator off by a
+    relative n eps beta/alpha (n = max(m, d)), and that, with the rounding
+    of forming L (a few eps ||L||), acts as a further perturbation of each
+    limit row read of at most ``gamma = 8 n eps beta/alpha`` times its norm.
+    The error is charged ``gamma alpha^-1/2`` times the two rows' norms,
+    and the residual, which reaches the rows through analysis, that charge
+    times beta^1/2.
+    """
+    eps = np.finfo(float).eps
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(4, 17))
+        m, p = int(rng.integers(d, 2 * d + 1)), int(rng.integers(1, d + 1))
+        A = _complex(rng, d, d)
+        A *= 0.5 / np.abs(np.linalg.eigvals(A)).max()
+        B = np.linalg.qr(_complex(rng, d, p))[0]
+        spec = SystemSpec(
+            params=PARAMS, A=A, g=VectorFamily(vectors=_complex(rng, m, d)), W_basis=B,
+            w=B @ _complex(rng, p), x0=_complex(rng, d), xm2=_complex(rng, d), K=20,
+        )
+        exact = SystemAnalysis(spec)
+        clean = reconstruct_infinite(exact)
+        alpha, beta = clean.bounds.alpha, clean.bounds.beta
+        gamma = 8 * max(m, d) * eps * beta / alpha
+        for size in (1e-9, 1e-6, 1e-3, 1e-1):
+            delta = _complex(rng, m)
+            values = exact.data.values.copy()
+            values[[0, 1, -2, -1]] += size / np.linalg.norm(delta) * delta
+            noisy = SystemAnalysis(spec)
+            noisy.data = LatticeWindow(values)
+            report = reconstruct_infinite(noisy)
+            assert noisy.limit.member, (seed, size)
+            rows = np.linalg.norm(exact.limit.limit_row) + np.linalg.norm(noisy.limit.limit_row)
+            charge = gamma * rows / np.sqrt(alpha)
+            moved = np.linalg.norm(report.w_hat - clean.w_hat)
+            assert moved <= size / np.sqrt(alpha) + charge, (seed, size)
+            assert abs(report.residual - clean.residual) <= size + np.sqrt(beta) * charge, (
+                seed, size
+            )
+
+
 def _stationary_system(rng, dim=2, K=6, rho=0.5, g_count=4):
     A = rho * np.eye(dim)
     g = rng.standard_normal((g_count, dim)) + 1j * rng.standard_normal((g_count, dim))

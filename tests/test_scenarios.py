@@ -8,7 +8,7 @@ from nuds import scenarios
 from nuds.cli import main
 from nuds.dynamics import SystemSpec
 from nuds.frames import VectorFamily
-from nuds.lattice import LambdaIndex, SpectralParams, position
+from nuds.lattice import LambdaIndex, SpectralParams, position, window
 from nuds.linalg import require_solution, spectral_radius, vector_to_pairs
 from nuds.recovery import ConditionFailure, SystemAnalysis
 from nuds.scenarios import (
@@ -126,6 +126,22 @@ def test_diagonal_scenario_details():
     assert failures == []
     assert set(report["finite_cases"]) == {"i", "ii", "iii"}
     assert all(err <= 1e-8 for err in report["finite_cases"].values())
+
+
+@pytest.mark.parametrize("K", [2, 4, 7, 40])
+def test_diagonal_operators_match_the_pointwise_reference(K):
+    # Reference: one window point at a time, as the builders once filled them.
+    ref312 = np.zeros((4 * K, 4 * K), dtype=complex)
+    ref317 = 2.0 * np.eye(4 * K, dtype=complex)
+    for idx in window(K):
+        p = position(idx, K)
+        if idx.eps == 0:
+            ref312[p, p] = 2.0 ** (-idx.m) if idx.m >= 0 else 2.0**idx.m
+        if idx in (LambdaIndex(0, 0), LambdaIndex(-1, 0)):
+            ref317[p, p] = 1.0
+    for scenario_id, ref in (("thm312_diagonal", ref312), ("thm317_generalized", ref317)):
+        A = SCENARIOS[scenario_id].build(PARAMS, K).spec.A
+        assert A.dtype == ref.dtype and A.tobytes() == ref.tobytes(), scenario_id
 
 
 def test_onb_scenario_norm_ratio():
